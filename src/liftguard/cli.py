@@ -41,6 +41,8 @@ EXIT_CAPABILITY = 3
 EXIT_NUMERIC = 4
 EXIT_CONFIG = 5
 
+DEFAULT_HORIZON = 200
+
 
 def _complex_dict(z):
     z = complex(z)
@@ -251,8 +253,9 @@ def cmd_attack(args) -> int:
     m = None
     if mode == "dual_rate":
         m, _ = _resolve_m(args, plant, T, m_file)
+    horizon = args.horizon if args.horizon is not None else DEFAULT_HORIZON
     cfg, factors = standard_loop(
-        plant, T, mode=mode, m=m, theta=args.theta, horizon=args.horizon,
+        plant, T, mode=mode, m=m, theta=args.theta, horizon=horizon,
         Q=_parse_weight(args.Q), R=_parse_weight(args.R),
     )
     if args.kind == "actuator":
@@ -270,12 +273,13 @@ def cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
     plant, T, m_file = _load(args)
     plan = None
-    horizon = args.horizon
     if args.plan:
         with open(args.plan, "r", encoding="utf-8") as fh:
             plan_doc = json.load(fh)
         plan = plan_from_dict(plan_doc["plan"] if "plan" in plan_doc else plan_doc)
-        horizon = args.horizon if args.horizon_explicit else plan.horizon
+    horizon = args.horizon
+    if horizon is None:
+        horizon = plan.horizon if plan is not None else DEFAULT_HORIZON
     m = None
     if args.mode == "dual_rate":
         m, _ = _resolve_m(args, plant, T, m_file)
@@ -286,7 +290,6 @@ def cmd_simulate(args) -> int:
         m=m,
         theta=args.theta,
         horizon=horizon,
-        oversample=args.oversample,
         attack=plan,
         Q=_parse_weight(args.Q),
         R=_parse_weight(args.R),
@@ -339,17 +342,7 @@ def cmd_verify(args) -> int:
         "properties": verify_suite.run_suite(trials=args.trials, seed=seed),
     }
     doc["all_passed"] = all(p["status"] == "pass" for p in doc["properties"])
-    args.plant = None
-    doc["timestamp"] = datetime.now(timezone.utc).isoformat()
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "verify.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(path)
-    else:
-        sys.stdout.write(text)
+    _emit(doc, args, "verify.json")
     return EXIT_OK
 
 
@@ -376,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def loop_flags(p):
         p.add_argument("--theta", type=float, default=0.01)
-        p.add_argument("--horizon", type=int, default=200)
+        p.add_argument("--horizon", type=int, default=None,
+                       help=f"base steps (default: the replayed plan's, else {DEFAULT_HORIZON})")
         p.add_argument("--Q", default=None, help="state weight: scalar or JSON matrix")
         p.add_argument("--R", default=None, help="input weight: scalar or JSON matrix")
 
@@ -391,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--mode", choices=("single_rate", "dual_rate"), default="single_rate")
     loop_flags(p)
-    p.add_argument("--oversample", type=int, default=8)
     p.add_argument("--plan", default=None, help="attack plan JSON file")
     p.set_defaults(func=cmd_simulate)
 
@@ -409,10 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "horizon", None) is not None:
-        args.horizon_explicit = (argv is not None and "--horizon" in argv) or (
-            argv is None and "--horizon" in sys.argv
-        )
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

@@ -2,18 +2,20 @@
 threshold detection monitor.
 
 All propagation is exact LTI discretization: the plant state advances per
-(sub-)step through the zero-order-hold quadruple, intersample behavior is
-evaluated on a finer exact grid whose points contain the sample instants,
-and no ODE solver is involved.  The monitor watches only the cyber-layer
-signals, i.e. the measured outputs and the controller commands; the
-continuous intersample output is recorded for inspection but never feeds
-detection.
+(sub-)step through the zero-order-hold quadruple, and no ODE solver is
+involved.  Single rate is the dual-rate loop with one output sample per
+hold period, so both modes share one recursion.  The monitor watches only
+the cyber-layer signals, i.e. the measured outputs and the controller
+commands; the continuous intersample output is for inspection only and is
+evaluated from the logged states, on an exact finer grid whose points
+contain the sample instants, when it is first read.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -98,14 +100,15 @@ class SimTrace:
 
     ``y`` holds one row per sample (m rows per base step in dual-rate
     mode) of the measured output; ``u`` one row per base step of the
-    controller command; ``monitor`` one value per sample row.
+    controller command; ``monitor`` one value per sample row.  ``x`` and
+    ``y_physical`` are the plant state and the plant output before the
+    sensor attack at each sample row.  The intersample output is derived
+    from them only when it is read.
     """
 
     times: np.ndarray  # per sample row
     u: np.ndarray  # (horizon, n_u)
     y: np.ndarray  # (horizon * samples_per_step, n_y)
-    y_intersample: np.ndarray
-    intersample_times: np.ndarray
     d_a: np.ndarray  # (horizon, n_u)
     d_s: np.ndarray  # (horizon * samples_per_step, n_y)
     monitor: np.ndarray
@@ -114,6 +117,42 @@ class SimTrace:
     mode: str
     T: float
     samples_per_step: int  # 1 (single rate) or m (dual rate)
+    x: np.ndarray  # (horizon * samples_per_step, n)
+    y_physical: np.ndarray  # (horizon * samples_per_step, n_y)
+    plant: ContinuousPlant
+    oversample: int
+
+    @cached_property
+    def intersample_times(self) -> np.ndarray:
+        step = self.T / (self.samples_per_step * self.oversample)
+        return np.arange(self.y.shape[0] * self.oversample) * step
+
+    @cached_property
+    def y_intersample(self) -> np.ndarray:
+        """Physical output on a grid ``oversample`` times finer than the
+        samples, with the held input applied; the row at each sample
+        instant is exactly ``y_physical``.
+
+        Row j of a sampling interval starting in state x is
+        ``C A^j x + (C G_j + D) u`` for the fine-step ZOH pair (A, B) with
+        ``G_j = B + A B + ... + A^(j-1) B``, so every off-sample row comes
+        from one product against the stacked blocks.
+        """
+        r = self.oversample
+        n_rows, n_y = self.y_physical.shape
+        rows = np.empty((n_rows, r, n_y))
+        rows[:, 0] = self.y_physical
+        if r > 1:
+            fine = discretize(self.plant, self.T / (self.samples_per_step * r))
+            A_j, G_j = np.eye(fine.n), np.zeros_like(fine.B)
+            blocks = []
+            for _ in range(1, r):
+                A_j, G_j = fine.A @ A_j, fine.A @ G_j + fine.B
+                blocks.append(np.hstack([fine.C @ A_j, fine.C @ G_j + fine.D]))
+            u_applied = np.repeat(self.u + self.d_a, self.samples_per_step, axis=0)
+            states = np.hstack([self.x, u_applied])
+            rows[:, 1:] = (states @ np.vstack(blocks).T).reshape(n_rows, r - 1, n_y)
+        return rows.reshape(n_rows * r, n_y)
 
 
 def monitor_eval(y_stream, u_stream, theta: float):
@@ -157,6 +196,64 @@ def _assert_stable(plant_like, controller, what: str):
         )
 
 
+def _closed_loop(cfg: LoopConfig, fast, m: int) -> SimTrace:
+    """The sampled-signal recursion behind both loop modes.
+
+    The plant ``fast`` advances one exact sub-step per output sample, m
+    sub-steps per hold period while the input is held.  The m measured
+    sub-samples (each possibly corrupted by the sensor attack, which runs
+    at the sampling rate) are stacked and fed to the controller, which
+    emits the next held command.  Single rate is the case m = 1 with the
+    plant discretized at the hold period.  The monitor is evaluated per
+    sample against the held command.
+    """
+    K = cfg.controller
+    N = cfg.horizon
+    d_a, d_s = _render_attack(cfg.attack, N, fast.n_u, N * m, fast.n_y)
+
+    x = np.zeros(fast.n) if cfg.x0_plant is None else np.asarray(cfg.x0_plant, dtype=float)
+    xk = np.zeros(K.n) if cfg.x0_controller is None else np.asarray(cfg.x0_controller, dtype=float)
+    u_log = np.empty((N, fast.n_u))
+    x_log = np.empty((N * m, fast.n))
+    y_phys = np.empty((N * m, fast.n_y))
+    attacked = cfg.attack is not None
+
+    for k in range(N):
+        u_k = K.C @ xk
+        u_applied = u_k + d_a[k]
+        u_log[k] = u_k
+        for idx in range(k * m, (k + 1) * m):
+            x_log[idx] = x
+            y_phys[idx] = fast.C @ x + fast.D @ u_applied
+            x = fast.A @ x + fast.B @ u_applied
+        stacked = (y_phys[k * m : (k + 1) * m] + d_s[k * m : (k + 1) * m]).ravel()
+        xk = K.A @ xk + K.B @ stacked
+        if not attacked and max(np.max(np.abs(stacked)), np.max(np.abs(u_k))) > DIVERGENCE_GUARD:
+            raise ConfigurationError(
+                f"attack-free loop diverged past {DIVERGENCE_GUARD:.0e} at step {k}"
+            )
+
+    y_log = y_phys + d_s
+    verdict, monitor = monitor_eval(y_log, np.repeat(u_log, m, axis=0), cfg.theta)
+    return SimTrace(
+        times=np.arange(N * m) * (cfg.T / m),
+        u=u_log,
+        y=y_log,
+        d_a=d_a,
+        d_s=d_s,
+        monitor=monitor,
+        verdict=verdict,
+        theta=cfg.theta,
+        mode=cfg.mode,
+        T=cfg.T,
+        samples_per_step=m,
+        x=x_log,
+        y_physical=y_phys,
+        plant=cfg.plant,
+        oversample=cfg.oversample,
+    )
+
+
 def run_single_rate(cfg: LoopConfig) -> SimTrace:
     """Closed-loop run at a single sample-and-hold rate."""
     if cfg.mode != "single_rate":
@@ -166,64 +263,11 @@ def run_single_rate(cfg: LoopConfig) -> SimTrace:
     if K.B.shape[1] != P.n_y or K.C.shape[0] != P.n_u:
         raise ConfigurationError("controller dimensions do not match the plant")
     _assert_stable(P, K, "single-rate")
-
-    N, r = cfg.horizon, cfg.oversample
-    fine = discretize(cfg.plant, cfg.T / r)
-    d_a, d_s = _render_attack(cfg.attack, N, P.n_u, N, P.n_y)
-
-    x = np.zeros(P.n) if cfg.x0_plant is None else np.asarray(cfg.x0_plant, dtype=float)
-    xk = np.zeros(K.n) if cfg.x0_controller is None else np.asarray(cfg.x0_controller, dtype=float)
-    u_log = np.empty((N, P.n_u))
-    y_log = np.empty((N, P.n_y))
-    y_int = np.empty((N * r, P.n_y))
-    attacked = cfg.attack is not None
-
-    for k in range(N):
-        u_k = K.C @ xk
-        u_applied = u_k + d_a[k]
-        y_meas = P.C @ x + P.D @ u_applied + d_s[k]
-        u_log[k] = u_k
-        y_log[k] = y_meas
-        # Intersample grid restarts from the sampled state, so the row at
-        # each sample instant matches the sampled physical output exactly.
-        xi = x
-        for j in range(r):
-            y_int[k * r + j] = fine.C @ xi + fine.D @ u_applied
-            xi = fine.A @ xi + fine.B @ u_applied
-        xk = K.A @ xk + K.B @ y_meas
-        x = P.A @ x + P.B @ u_applied
-        if not attacked and max(np.max(np.abs(y_meas)), np.max(np.abs(u_k))) > DIVERGENCE_GUARD:
-            raise ConfigurationError(
-                f"attack-free loop diverged past {DIVERGENCE_GUARD:.0e} at step {k}"
-            )
-
-    verdict, monitor = monitor_eval(y_log, np.repeat(u_log, 1, axis=0), cfg.theta)
-    return SimTrace(
-        times=np.arange(N) * cfg.T,
-        u=u_log,
-        y=y_log,
-        y_intersample=y_int,
-        intersample_times=np.arange(N * r) * (cfg.T / r),
-        d_a=d_a,
-        d_s=d_s,
-        monitor=monitor,
-        verdict=verdict,
-        theta=cfg.theta,
-        mode="single_rate",
-        T=cfg.T,
-        samples_per_step=1,
-    )
+    return _closed_loop(cfg, P, 1)
 
 
 def run_dual_rate(cfg: LoopConfig) -> SimTrace:
-    """Closed-loop run with the output sampled m times per hold period.
-
-    The plant advances m exact sub-steps per base step while the input is
-    held; the m measured sub-samples (each possibly corrupted by the
-    sensor attack, which runs at the fast rate) are stacked and fed to the
-    lifted controller, which emits the next held command.  The monitor is
-    evaluated per sub-sample against the held command.
-    """
+    """Closed-loop run with the output sampled m times per hold period."""
     if cfg.mode != "dual_rate":
         raise ConfigurationError("configuration is not dual_rate")
     m = cfg.m
@@ -233,55 +277,7 @@ def run_dual_rate(cfg: LoopConfig) -> SimTrace:
     if K.B.shape[1] != m * fast.n_y or K.C.shape[0] != fast.n_u:
         raise ConfigurationError("lifted controller dimensions do not match (m, plant)")
     _assert_stable(L, K, "dual-rate")
-
-    N, r = cfg.horizon, cfg.oversample
-    fine = discretize(cfg.plant, cfg.T / (m * r))
-    d_a, d_s = _render_attack(cfg.attack, N, fast.n_u, N * m, fast.n_y)
-
-    x = np.zeros(fast.n) if cfg.x0_plant is None else np.asarray(cfg.x0_plant, dtype=float)
-    xk = np.zeros(K.n) if cfg.x0_controller is None else np.asarray(cfg.x0_controller, dtype=float)
-    u_log = np.empty((N, fast.n_u))
-    y_log = np.empty((N * m, fast.n_y))
-    y_int = np.empty((N * m * r, fast.n_y))
-    attacked = cfg.attack is not None
-
-    for k in range(N):
-        u_k = K.C @ xk
-        u_applied = u_k + d_a[k]
-        u_log[k] = u_k
-        stacked = np.empty(m * fast.n_y)
-        for i in range(m):
-            idx = k * m + i
-            y_sub = fast.C @ x + fast.D @ u_applied + d_s[idx]
-            y_log[idx] = y_sub
-            stacked[i * fast.n_y : (i + 1) * fast.n_y] = y_sub
-            xi = x
-            for j in range(r):
-                y_int[idx * r + j] = fine.C @ xi + fine.D @ u_applied
-                xi = fine.A @ xi + fine.B @ u_applied
-            x = fast.A @ x + fast.B @ u_applied
-        xk = K.A @ xk + K.B @ stacked
-        if not attacked and max(np.max(np.abs(stacked)), np.max(np.abs(u_k))) > DIVERGENCE_GUARD:
-            raise ConfigurationError(
-                f"attack-free loop diverged past {DIVERGENCE_GUARD:.0e} at step {k}"
-            )
-
-    verdict, monitor = monitor_eval(y_log, np.repeat(u_log, m, axis=0), cfg.theta)
-    return SimTrace(
-        times=np.arange(N * m) * (cfg.T / m),
-        u=u_log,
-        y=y_log,
-        y_intersample=y_int,
-        intersample_times=np.arange(N * m * r) * (cfg.T / (m * r)),
-        d_a=d_a,
-        d_s=d_s,
-        monitor=monitor,
-        verdict=verdict,
-        theta=cfg.theta,
-        mode="dual_rate",
-        T=cfg.T,
-        samples_per_step=m,
-    )
+    return _closed_loop(cfg, fast, m)
 
 
 def run_lifted_closed_loop(L: LiftedSystem, controller: Controller, n_steps: int,

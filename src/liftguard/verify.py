@@ -25,7 +25,7 @@ from .lift import (
     shift_consistency_check,
 )
 from .model import ContinuousPlant, DiscretePlant, check_minimal, plant_to_dict
-from .zeros import multiplicity_at_one, transmission_zeros
+from .zeros import _match_multisets, multiplicity_at_one, transmission_zeros
 
 __all__ = ["run_suite", "random_minimal_plant", "random_minimal_discrete"]
 
@@ -89,19 +89,6 @@ def _zero_set(report):
     )
 
 
-def _sets_close(a, b, tol):
-    if len(a) != len(b):
-        return False
-    rest = list(b)
-    for z in a:
-        dists = [abs(z - w) for w in rest]
-        j = int(np.argmin(dists))
-        if dists[j] > tol:
-            return False
-        rest.pop(j)
-    return True
-
-
 def _prop_zero_similarity(rng, trials):
     failures = []
     for t in range(trials):
@@ -115,7 +102,7 @@ def _prop_zero_similarity(rng, trials):
             A=S @ sys.A @ Si, B=S @ sys.B, C=sys.C @ Si, D=sys.D, period=1.0
         )
         transformed = _zero_set(transmission_zeros(sim, rng=np.random.default_rng(2)))
-        if not _sets_close(base, transformed, 1e-6):
+        if _match_multisets(base, transformed, 1e-6) is None:
             failures.append(_counterexample(sys, trial_seed, f"{base} vs {transformed}"))
     return failures
 
@@ -145,7 +132,7 @@ def _prop_factor_sets(rng, trials):
         plant_poles = sorted(
             (complex(z) for z in np.linalg.eigvals(sys.A)), key=lambda z: (z.real, z.imag)
         )
-        if not _sets_close(denom_zeros, plant_poles, 1e-6):
+        if _match_multisets(denom_zeros, plant_poles, 1e-6) is None:
             failures.append(
                 _counterexample(sys, trial_seed, f"{denom_zeros} vs {plant_poles}")
             )

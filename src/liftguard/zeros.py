@@ -29,6 +29,7 @@ import scipy.linalg
 
 from . import linalg
 from .errors import ModelError, NumericError
+from .factor import eval_lambda
 from .model import abcd, check_minimal
 
 __all__ = [
@@ -115,11 +116,6 @@ class VulnerabilityVerdict:
     sensor: str
     sensor_witness: PoleRecord | None
     notes: tuple = ()
-
-
-def _eval_transfer(A, B, C, D, lam: complex) -> np.ndarray:
-    n = A.shape[0]
-    return D + lam * (C @ np.linalg.solve(np.eye(n, dtype=complex) - lam * A, B))
 
 
 def pencil_matrix(sys, z: complex) -> np.ndarray:
@@ -416,7 +412,7 @@ def multiplicity_at_one(left_numerator) -> str:
     # own largest singular value.  Generic unit-circle samples of the
     # (stable) factor provide the scale.
     scale = max(
-        float(np.linalg.norm(_eval_transfer(A, B, C, D, lam), 2))
+        float(np.linalg.norm(eval_lambda(left_numerator, lam), 2))
         for lam in (np.exp(0.379j), np.exp(2.211j))
     )
     tol = linalg.DEFAULT_RANK_RTOL * max(scale, np.finfo(float).tiny)

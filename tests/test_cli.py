@@ -108,6 +108,23 @@ class TestAttackAndSimulate:
         verdict = json.load(open(f"{out}/verdict.json"))
         assert verdict["result"]["verdict"] == "detected"
 
+    @pytest.mark.parametrize("flags", [(), ("--horizon=50",), ("--hor", "50")])
+    def test_replay_horizon(self, plant_files, tmp_path, flags):
+        # without the flag the replay runs for the plan's horizon; either
+        # spelling argparse accepts for the flag overrides it
+        out = str(tmp_path / "h")
+        res = run_cli("attack", "--plant", plant_files["triple"], "--seed", "5", "--out", out)
+        assert res.returncode == 0, res.stderr
+        plan_horizon = json.load(open(f"{out}/plan.json"))["plan"]["horizon"]
+        assert plan_horizon != 50
+        res = run_cli(
+            "simulate", "--plant", plant_files["triple"], "--plan", f"{out}/plan.json",
+            *flags, "--seed", "5", "--out", out,
+        )
+        assert res.returncode == 0, res.stderr
+        horizon = json.load(open(f"{out}/verdict.json"))["result"]["horizon"]
+        assert horizon == (50 if flags else plan_horizon)
+
     def test_invulnerable_plant_exit_3(self, plant_files):
         res = run_cli("attack", "--plant", plant_files["double"], "--seed", "1")
         assert res.returncode == 3

@@ -171,6 +171,76 @@ class TestDualRate:
             )
 
 
+def _coordinated(d_a, d_s):
+    return AttackPlan(
+        kind="coordinated",
+        zeta=1.0,
+        direction=[1.0],
+        epsilon=1.0,
+        horizon=d_a.shape[0],
+        channel_map=(0,),
+        companion={"d_a": d_a, "d_s": d_s},
+    )
+
+
+def _reference_grid(trace, r):
+    """Fine-grid recursion restarted from each logged sample state, one
+    fine sub-step at a time; also returns the state each sampling
+    interval ends in."""
+    m = trace.samples_per_step
+    fine = discretize(trace.plant, trace.T / (m * r))
+    rows, ends = [], []
+    for idx, x in enumerate(trace.x):
+        ua = trace.u[idx // m] + trace.d_a[idx // m]
+        for _ in range(r):
+            rows.append(fine.C @ x + fine.D @ ua)
+            x = fine.A @ x + fine.B @ ua
+        ends.append(x)
+    return np.array(rows), np.array(ends)
+
+
+class TestIntersample:
+    def test_not_computed_until_read(self):
+        cfg, _ = standard_loop(stable_two_state(), 0.5, horizon=20, oversample=4)
+        trace = run_single_rate(dataclasses.replace(cfg, x0_plant=[1.0, -1.0]))
+        assert "y_intersample" not in vars(trace)
+        assert "intersample_times" not in vars(trace)
+        assert trace.y_intersample.shape == (20 * 4, 1)
+        assert "y_intersample" in vars(trace)
+        assert trace.y_intersample is trace.y_intersample
+
+    @pytest.mark.parametrize("case", ["single_rate", "dual_rate", "dual_rate_sensor"])
+    def test_matches_per_substep_reference(self, case):
+        rng = np.random.default_rng(17)
+        r, N = 5, 60
+        if case == "single_rate":
+            plant, m = stable_two_state(), 1
+            cfg, _ = standard_loop(plant, 0.5, horizon=N, oversample=r)
+        else:
+            plant, m = triple_integrator(), 4
+            cfg, _ = standard_loop(plant, 1.0, mode="dual_rate", m=m, horizon=N, oversample=r)
+        d_a = 0.1 * rng.standard_normal((N, 1))
+        d_s = np.zeros((N * m, 1))
+        if case == "dual_rate_sensor":
+            d_s = 0.1 * rng.standard_normal((N * m, 1))
+        cfg = dataclasses.replace(
+            cfg, x0_plant=rng.standard_normal(plant.n), attack=_coordinated(d_a, d_s), theta=1e9
+        )
+        trace = run_dual_rate(cfg) if m > 1 else run_single_rate(cfg)
+        ref, ends = _reference_grid(trace, r)
+        got = trace.y_intersample
+        assert got.shape == ref.shape == (N * m * r, 1)
+        tol = 1e-12 * np.max(np.abs(ref))
+        # off-sample rows, the ones the trace derives from its blocks
+        off = np.arange(N * m * r) % r != 0
+        assert np.max(np.abs(got[off] - ref[off])) <= tol
+        # the logged states are the plant trajectory the samples came from
+        np.testing.assert_array_equal(got[::r], trace.y_physical)
+        assert np.max(np.abs(got[::r] - ref[::r])) <= tol
+        assert np.max(np.abs(ends[:-1] - trace.x[1:])) <= 1e-12 * np.max(np.abs(trace.x))
+        np.testing.assert_allclose(trace.intersample_times[::r], trace.times, rtol=1e-12)
+
+
 class TestTraceExport:
     def test_csv_layout(self, tmp_path):
         cfg, _ = standard_loop(triple_integrator(), 1.0, mode="dual_rate", m=4, horizon=5)
