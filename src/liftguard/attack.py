@@ -228,7 +228,7 @@ def synth_actuator_attack(cfg: LoopConfig, report: ZeroReport | None = None, rng
     )
 
 
-def synth_sensor_attack(cfg: LoopConfig, factors=None, rng=None) -> AttackPlan:
+def synth_sensor_attack(cfg: LoopConfig, factors=None) -> AttackPlan:
     """Unbounded stealthy sensor plan riding an unstable pole.
 
     The growth ratio is the unstable pole; the direction is the null

@@ -253,15 +253,14 @@ def cmd_attack(args) -> int:
     m = None
     if mode == "dual_rate":
         m, _ = _resolve_m(args, plant, T, m_file)
-    horizon = args.horizon if args.horizon is not None else DEFAULT_HORIZON
     cfg, factors = standard_loop(
-        plant, T, mode=mode, m=m, theta=args.theta, horizon=horizon,
+        plant, T, mode=mode, m=m, theta=args.theta, horizon=DEFAULT_HORIZON,
         Q=_parse_weight(args.Q), R=_parse_weight(args.R),
     )
     if args.kind == "actuator":
         plan = synth_actuator_attack(cfg, rng=rng)
     else:
-        plan = synth_sensor_attack(cfg, factors=factors, rng=rng)
+        plan = synth_sensor_attack(cfg, factors=factors)
     doc = _base_doc(args, seed)
     doc["plan"] = plan_to_dict(plan)
     doc["loop"] = {"mode": mode, "T": T, "m": m, "theta": args.theta}
@@ -369,8 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def loop_flags(p):
         p.add_argument("--theta", type=float, default=0.01)
-        p.add_argument("--horizon", type=int, default=None,
-                       help=f"base steps (default: the replayed plan's, else {DEFAULT_HORIZON})")
         p.add_argument("--Q", default=None, help="state weight: scalar or JSON matrix")
         p.add_argument("--R", default=None, help="input weight: scalar or JSON matrix")
 
@@ -385,6 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--mode", choices=("single_rate", "dual_rate"), default="single_rate")
     loop_flags(p)
+    p.add_argument("--horizon", type=int, default=None,
+                   help=f"base steps (default: the replayed plan's, else {DEFAULT_HORIZON})")
     p.add_argument("--plan", default=None, help="attack plan JSON file")
     p.set_defaults(func=cmd_simulate)
 

@@ -1,5 +1,6 @@
 """Dense linear-algebra kernels: matrix exponential, SVD-based rank,
-eigenvalues, and a fixed-point Riccati solver producing stabilizing gains.
+eigenvalues, and stabilizing gains from scipy's generalized-Schur Riccati
+solver, checked for its residual and for closed-loop stability.
 
 Everything is plain ``numpy`` arrays in and out, sized for desk-scale
 problems (state dimension up to a few tens).  All functions are pure and
@@ -23,9 +24,13 @@ __all__ = [
     "spectral_radius",
     "dare_gain",
     "DEFAULT_RANK_RTOL",
+    "DARE_RESIDUAL_RTOL",
 ]
 
 DEFAULT_RANK_RTOL = 1e-9
+# Measured worst case over about 16,000 gains of random discrete and lifted
+# plants: 4.7e-9, on a draw whose solution has max|P| ~ 5e9.
+DARE_RESIDUAL_RTOL = 1e-6
 
 
 def _as_matrix(M, name: str = "matrix") -> np.ndarray:
@@ -136,24 +141,17 @@ def _check_weights(Q: np.ndarray, R: np.ndarray) -> None:
         raise ValueError("R must be positive definite") from None
 
 
-def dare_gain(
-    A,
-    B,
-    Q=None,
-    R=None,
-    rel_tol: float = 1e-11,
-    max_iter: int = 10_000,
-) -> np.ndarray:
+def dare_gain(A, B, Q=None, R=None) -> np.ndarray:
     """Stabilizing state-feedback gain from the discrete Riccati equation.
 
-    Iterates the Riccati map
+    Solves
 
-        P <- A' P A - A' P B (R + B' P B)^{-1} B' P A + Q
+        P = A' P A - A' P B (R + B' P B)^{-1} B' P A + Q
 
-    to its stabilizing fixed point and returns ``F`` such that every
-    eigenvalue of ``A + B F`` has modulus below one.  The iteration stops
-    once the entrywise change drops below ``rel_tol`` times the current
-    iterate's magnitude, or fails after ``max_iter`` sweeps.
+    for its stabilizing solution with the generalized-Schur method of
+    ``scipy.linalg.solve_discrete_are`` (Arnold & Laub, Proc. IEEE 1984)
+    and returns ``F = -(R + B' P B)^{-1} B' P A``, so that every eigenvalue
+    of ``A + B F`` has modulus below one.
 
     Parameters
     ----------
@@ -164,11 +162,12 @@ def dare_gain(
 
     Raises
     ------
-    NumericError
-        If the iteration does not converge (try different weights).
     ModelError
-        If the resulting gain leaves an unstable eigenvalue, i.e. the
-        pair is not stabilizable.
+        If the pair is not stabilizable: the solver finds no finite
+        stabilizing solution, or the gain leaves an unstable eigenvalue.
+    NumericError
+        If the entrywise Riccati residual, relative to the largest entry of
+        ``A' P A``, ``P`` and ``Q``, exceeds ``DARE_RESIDUAL_RTOL``.
     """
     A = _square(np.asarray(A, dtype=float), "A")
     B = _as_matrix(np.asarray(B, dtype=float), "B")
@@ -182,28 +181,22 @@ def dare_gain(
         raise DimensionError("weight dimensions do not match (A, B)")
     _check_weights(Q, R)
 
-    P = Q.copy()
-    converged = False
-    for _ in range(max_iter):
-        G = R + B.T @ P @ B
-        K = np.linalg.solve(G, B.T @ P @ A)
-        P_next = A.T @ P @ (A - B @ K) + Q
-        P_next = 0.5 * (P_next + P_next.T)
-        if not np.all(np.isfinite(P_next)) or np.max(np.abs(P_next)) > 1e100:
-            raise ModelError(
-                "Riccati iteration diverged: the pair (A, B) appears unstabilizable"
-            )
-        delta = np.max(np.abs(P_next - P))
-        P = P_next
-        if delta < rel_tol * max(np.max(np.abs(P)), np.finfo(float).tiny):
-            converged = True
-            break
-    if not converged:
+    try:
+        P = scipy.linalg.solve_discrete_are(A, B, Q, R)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise ModelError(
+            f"no stabilizing Riccati solution: the pair (A, B) appears unstabilizable ({exc})"
+        ) from exc
+    BPA = B.T @ P @ A
+    F = -np.linalg.solve(R + B.T @ P @ B, BPA)
+    APA = A.T @ P @ A
+    scale = max(np.max(np.abs(APA)), np.max(np.abs(P)), np.max(np.abs(Q)), np.finfo(float).tiny)
+    residual = np.max(np.abs(APA - P + BPA.T @ F + Q)) / scale
+    if not residual <= DARE_RESIDUAL_RTOL:
         raise NumericError(
-            f"Riccati fixed-point iteration did not converge in {max_iter} sweeps; "
-            "try different (Q, R) weights"
+            f"Riccati solution residual {residual:.3e} exceeds {DARE_RESIDUAL_RTOL:.0e} "
+            "relative to the largest term of the equation; try different (Q, R) weights"
         )
-    F = -np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
     if spectral_radius(A + B @ F) >= 1.0:
         raise ModelError(
             "computed gain leaves an unstable eigenvalue: (A, B) is not stabilizable"

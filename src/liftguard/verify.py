@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 
-from .errors import LiftguardError, NumericError
+from .errors import LiftguardError
 from .factor import bezout_defect, coprime_factorize
 from .lift import (
     block_difference_matrix,
@@ -177,15 +177,7 @@ def _prop_lifted_zero_containment(rng, trials):
             for r in report.zeros
             if r.z_value is not None and abs(r.z_value) > 1.0 + 1e-7
         ]
-        try:
-            factors = coprime_factorize(L)
-        except NumericError:
-            # Riccati sweep cap hit on a marginally damped draw; the zero
-            # containment above was still checked.
-            if bad:
-                failures.append(_counterexample(plant, trial_seed, f"outside zeros {bad}"))
-            continue
-        mult = multiplicity_at_one(factors.Nl)
+        mult = multiplicity_at_one(coprime_factorize(L).Nl)
         if bad or mult == "multiple":
             failures.append(
                 _counterexample(plant, trial_seed, f"outside zeros {bad}, multiplicity {mult}")

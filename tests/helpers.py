@@ -27,6 +27,13 @@ def unstable_scalar(name="unstable-scalar"):
     return ContinuousPlant(Ac=[[np.log(2.0)]], Bc=[[1.0]], Cc=[[1.0]], Dc=[[0.0]], name=name)
 
 
+def light_oscillator(name="light-oscillator"):
+    # undamped frequency 2 rad/s, damping ratio 0.01
+    return ContinuousPlant(
+        Ac=[[0.0, 1.0], [-4.0, -0.04]], Bc=[[0.0], [1.0]], Cc=[[1.0, 0.0]], Dc=[[0.0]], name=name
+    )
+
+
 def stable_two_state(name="stable-2"):
     return ContinuousPlant(
         Ac=[[-1.0, 0.3], [0.0, -0.5]], Bc=[[1.0], [0.5]], Cc=[[1.0, 0.2]], Dc=[[0.0]], name=name

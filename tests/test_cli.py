@@ -125,6 +125,15 @@ class TestAttackAndSimulate:
         horizon = json.load(open(f"{out}/verdict.json"))["result"]["horizon"]
         assert horizon == (50 if flags else plan_horizon)
 
+    def test_attack_rejects_horizon(self, plant_files, tmp_path):
+        # a plan's horizon follows from its growth ratio, so attack takes none
+        res = run_cli(
+            "attack", "--plant", plant_files["triple"], "--horizon", "30",
+            "--out", str(tmp_path),
+        )
+        assert res.returncode == 2
+        assert not (tmp_path / "plan.json").exists()
+
     def test_invulnerable_plant_exit_3(self, plant_files):
         res = run_cli("attack", "--plant", plant_files["double"], "--seed", "1")
         assert res.returncode == 3

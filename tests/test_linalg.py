@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liftguard.errors import DimensionError, ModelError
+from liftguard.errors import DimensionError, ModelError, NumericError
 from liftguard.linalg import dare_gain, eig, expm, rank_svd, spectral_radius
 
 
@@ -157,3 +158,11 @@ class TestDareGain:
     def test_bad_weights(self):
         with pytest.raises(ValueError):
             dare_gain(np.eye(2), np.ones((2, 1)), R=np.array([[-1.0]]))
+
+    def test_inaccurate_solution_rejected(self, monkeypatch):
+        solve = scipy.linalg.solve_discrete_are
+        monkeypatch.setattr(
+            scipy.linalg, "solve_discrete_are", lambda *args: solve(*args) * (1.0 + 1e-4)
+        )
+        with pytest.raises(NumericError):
+            dare_gain(np.array([[2.0]]), np.array([[1.0]]))

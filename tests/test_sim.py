@@ -13,6 +13,7 @@ from liftguard import (
     run_dual_rate,
     run_lifted_closed_loop,
     run_single_rate,
+    spectral_radius,
     standard_loop,
     trace_to_csv,
 )
@@ -20,7 +21,13 @@ from liftguard.attack import AttackPlan
 from liftguard.errors import ConfigurationError
 from liftguard.sim import LoopConfig, trace_metadata
 
-from helpers import random_continuous, stable_two_state, triple_integrator, unstable_scalar
+from helpers import (
+    light_oscillator,
+    random_continuous,
+    stable_two_state,
+    triple_integrator,
+    unstable_scalar,
+)
 
 
 class TestMonitor:
@@ -169,6 +176,18 @@ class TestDualRate:
                 plant=stable_two_state(), T=0.6, mode="dual_rate", controller=K,
                 theta=0.01, horizon=10, m=3,
             )
+
+
+@pytest.mark.parametrize("mode", ["single_rate", "dual_rate"])
+@pytest.mark.parametrize("make_plant", [triple_integrator, light_oscillator])
+def test_kilohertz_loop(make_plant, mode):
+    # T = 1 ms puts the open-loop poles within 1e-3 of the unit circle
+    cfg, factors = standard_loop(make_plant(), 1e-3, mode=mode, horizon=200)
+    trace = run_dual_rate(cfg) if mode == "dual_rate" else run_single_rate(cfg)
+    assert not trace.verdict.detected
+    base = factors.base
+    assert spectral_radius(base.A + base.B @ factors.F) < 1.0
+    assert spectral_radius(base.A + factors.H @ base.C) < 1.0
 
 
 def _coordinated(d_a, d_s):
