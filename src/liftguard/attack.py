@@ -25,7 +25,7 @@ import numpy as np
 from .errors import CapabilityError, DimensionError, NumericError
 from .factor import eval_lambda
 from .model import StateSpace, abcd, ss_response
-from .sim import LoopConfig, run_dual_rate, run_single_rate
+from .sim import LoopConfig, _loop_plant, run_dual_rate, run_single_rate
 from .zeros import ZeroReport, transmission_zeros
 
 __all__ = [
@@ -192,14 +192,7 @@ def synth_actuator_attack(cfg: LoopConfig, report: ZeroReport | None = None, rng
     have no causal geometric input and never qualify.  The amplitude is
     calibrated so the monitor peaks at half the threshold.
     """
-    if cfg.mode == "dual_rate":
-        from .lift import build_lifted
-
-        sys = build_lifted(cfg.plant, cfg.T, cfg.m)
-    else:
-        from .model import discretize
-
-        sys = discretize(cfg.plant, cfg.T)
+    sys = _loop_plant(cfg.plant, cfg.T, cfg.mode, cfg.m)
     if report is None:
         report = transmission_zeros(sys, rng=rng)
     strict = [r for r in report.zeros if r.classification == "nmp_strict"]
@@ -236,15 +229,9 @@ def synth_sensor_attack(cfg: LoopConfig, factors=None) -> AttackPlan:
     reciprocal frequency, so the factor annihilates the injected mode.
     """
     from .factor import coprime_factorize
-    from .model import discretize
     from .zeros import poles as pole_records
 
-    if cfg.mode == "dual_rate":
-        from .lift import build_lifted
-
-        sys = build_lifted(cfg.plant, cfg.T, cfg.m)
-    else:
-        sys = discretize(cfg.plant, cfg.T)
+    sys = _loop_plant(cfg.plant, cfg.T, cfg.mode, cfg.m)
     unstable = [p for p in pole_records(sys) if p.classification == "unstable"]
     if not unstable:
         boundary = [p for p in pole_records(sys) if p.classification == "boundary"]

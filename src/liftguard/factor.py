@@ -46,26 +46,14 @@ def eval_lambda(sys, lam: complex) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Controller:
+class Controller(StateSpace):
     """Observer-based stabilizing controller (strictly proper)."""
 
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
     kind: str = "observer_based_single_rate"
-
-    def __post_init__(self):
-        for attr in ("A", "B", "C", "D"):
-            object.__setattr__(self, attr, np.atleast_2d(np.asarray(getattr(self, attr), dtype=float)))
 
     @property
     def strictly_proper(self) -> bool:
         return not np.any(self.D)
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
 
 
 @dataclass(frozen=True)
@@ -83,16 +71,13 @@ class CoprimeFactors:
     base: object  # the factored plant (discrete or lifted)
 
 
-def _is_lifted(sys) -> bool:
-    return hasattr(sys, "fast_plant") and hasattr(sys, "m")
-
-
-def coprime_factorize(sys, F=None, H=None, Q=None, R=None, Qo=None, Ro=None) -> CoprimeFactors:
+def coprime_factorize(sys, F=None, H=None, Q=None, R=None) -> CoprimeFactors:
     """Doubly-coprime factorization of a minimal discrete system.
 
-    Omitted gains are produced by the Riccati solver with identity
-    weights (and its dual for the output injection).  Both Schur
-    conditions are asserted on the result.
+    Omitted gains come from the Riccati solver, which checks the Schur
+    condition itself: F with weights ``Q``/``R`` (identity when omitted),
+    H from the dual problem with identity weights.  A supplied F or H is
+    checked here for its shape and its Schur condition.
     """
     A, B, C, D = (np.asarray(M, dtype=float) for M in abcd(sys))
     rep = check_minimal((A, B, C, D))
@@ -106,18 +91,18 @@ def coprime_factorize(sys, F=None, H=None, Q=None, R=None, Qo=None, Ro=None) -> 
         F = linalg.dare_gain(A, B, Q, R)
     else:
         F = np.atleast_2d(np.asarray(F, dtype=float))
+        if F.shape != (B.shape[1], n):
+            raise DimensionError(f"F must have shape {(B.shape[1], n)}, got {F.shape}")
+        if linalg.spectral_radius(A + B @ F) >= 1.0:
+            raise ModelError("state-feedback gain F does not make A+BF Schur stable")
     if H is None:
-        H = linalg.dare_gain(A.T, C.T, Qo, Ro).T
+        H = linalg.dare_gain(A.T, C.T).T
     else:
         H = np.atleast_2d(np.asarray(H, dtype=float))
-    if F.shape != (B.shape[1], n):
-        raise DimensionError(f"F must have shape {(B.shape[1], n)}, got {F.shape}")
-    if H.shape != (n, C.shape[0]):
-        raise DimensionError(f"H must have shape {(n, C.shape[0])}, got {H.shape}")
-    if linalg.spectral_radius(A + B @ F) >= 1.0:
-        raise ModelError("state-feedback gain F does not make A+BF Schur stable")
-    if linalg.spectral_radius(A + H @ C) >= 1.0:
-        raise ModelError("output-injection gain H does not make A+HC Schur stable")
+        if H.shape != (n, C.shape[0]):
+            raise DimensionError(f"H must have shape {(n, C.shape[0])}, got {H.shape}")
+        if linalg.spectral_radius(A + H @ C) >= 1.0:
+            raise ModelError("output-injection gain H does not make A+HC Schur stable")
 
     AHC = A + H @ C
     ABF = A + B @ F
@@ -145,7 +130,8 @@ def coprime_factorize(sys, F=None, H=None, Q=None, R=None, Qo=None, Ro=None) -> 
     return factors
 
 
-def _bezout_defect_scaled(factors: CoprimeFactors, n_points: int = 16):
+def _bezout_defect_scaled(factors: CoprimeFactors):
+    n_points = 16
     n_y = factors.Ml.n_y
     worst, scale = 0.0, 0.0
     for j in range(n_points):
@@ -157,9 +143,9 @@ def _bezout_defect_scaled(factors: CoprimeFactors, n_points: int = 16):
     return worst, scale
 
 
-def bezout_defect(factors: CoprimeFactors, n_points: int = 16) -> float:
-    """Largest deviation of Ml*X - Nl*Y from identity on unit-circle samples."""
-    return _bezout_defect_scaled(factors, n_points)[0]
+def bezout_defect(factors: CoprimeFactors) -> float:
+    """Largest deviation of Ml*X - Nl*Y from identity on 16 unit-circle samples."""
+    return _bezout_defect_scaled(factors)[0]
 
 
 def closed_loop_matrix(plant, controller) -> np.ndarray:
@@ -174,13 +160,14 @@ def closed_loop_matrix(plant, controller) -> np.ndarray:
     return np.block([[A, B @ Ck], [Bk @ C, Ak + Bk @ (D @ Ck)]])
 
 
-def observer_controller(factors: CoprimeFactors, kind=None) -> Controller:
+def observer_controller(factors: CoprimeFactors) -> Controller:
     """Observer-based stabilizing controller assembled from the factor gains.
 
     The realization is [A+BF+HC+HDF | -H; F | 0]: strictly proper, so in a
     multirate implementation the control value for a hold interval depends
     only on samples gathered strictly before it starts.  Internal
-    stability of the loop with the factored plant is asserted.
+    stability of the loop with the factored plant is asserted.  A lifted
+    factored plant gives an ``observer_based_lifted`` controller.
     """
     A, B, C, D = (np.asarray(M, dtype=float) for M in abcd(factors.base))
     F, H = factors.F, factors.H
@@ -189,7 +176,11 @@ def observer_controller(factors: CoprimeFactors, kind=None) -> Controller:
         B=-H,
         C=F,
         D=np.zeros((B.shape[1], C.shape[0])),
-        kind=kind or ("observer_based_lifted" if _is_lifted(factors.base) else "observer_based_single_rate"),
+        kind=(
+            "observer_based_lifted"
+            if hasattr(factors.base, "fast_plant")
+            else "observer_based_single_rate"
+        ),
     )
     rho = linalg.spectral_radius(closed_loop_matrix(factors.base, K))
     if rho >= 1.0:

@@ -17,7 +17,6 @@ m = n+1 for an observable fast pair, often much earlier).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ import numpy as np
 from . import linalg
 from .errors import DimensionError, ModelError
 from .factor import Controller
-from .model import ContinuousPlant, DiscretePlant, fast_discretize, ss_response
+from .model import ContinuousPlant, DiscretePlant, StateSpace, fast_discretize, ss_response
 
 __all__ = [
     "LiftedSystem",
@@ -38,38 +37,27 @@ __all__ = [
     "observability_stack",
     "block_difference_matrix",
     "lift_controller",
+    "SHIFT_CONSISTENCY_TOL",
 ]
+
+# Largest scaled disagreement the shift-consistency check accepts.
+SHIFT_CONSISTENCY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class LiftedSystem:
+class LiftedSystem(StateSpace):
     """Lifted dual-rate quadruple plus the fast plant that generated it.
 
     The generating fast plant is kept on purpose: every lifted-domain
     result can be cross-checked in the time domain.  Instances produced by
-    :func:`build_lifted` satisfy the block identities exactly; hand-built
-    instances are not re-validated (tests use that to inject corruption).
+    :func:`build_lifted` satisfy the block identities exactly.  Hand-built
+    instances are checked for shape and finiteness like any quadruple, but
+    not for the block identities (tests use that to inject corruption).
     """
 
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
     m: int
     base_period: float
     fast_plant: DiscretePlant
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def n_u(self) -> int:
-        return self.B.shape[1]
-
-    @property
-    def n_y(self) -> int:
-        return self.C.shape[0]
 
 
 @dataclass(frozen=True)
@@ -195,30 +183,16 @@ def check_assumptions(L: LiftedSystem) -> AssumptionReport:
     )
 
 
-def choose_m(plant: ContinuousPlant, T: float, m_max=None) -> int:
+def choose_m(plant: ContinuousPlant, T: float) -> int:
     """Smallest sub-sampling factor satisfying both rank assumptions.
 
-    Searches m = 2, 3, ... up to ``m_max`` (default n+1, which suffices
-    for an observable fast pair); if nothing at or below ``m_max`` works
-    the search continues to n+1 with a warning.  Raises
-    :class:`ModelError` when no admissible m exists (the input matrix is
-    rank deficient or the fast pair is unobservable).
+    Searches m = 2, 3, ..., n+1 (n+1 suffices for an observable fast
+    pair).  Raises :class:`ModelError` when no admissible m exists (the
+    input matrix is rank deficient or the fast pair is unobservable).
     """
-    n = plant.n
-    if m_max is None:
-        m_max = n + 1
-    if m_max < 2:
-        raise ValueError(f"m_max must be at least 2, got {m_max}")
-    upper = max(m_max, n + 1)
+    upper = plant.n + 1
     for m in range(2, upper + 1):
-        report = check_assumptions(build_lifted(plant, T, m))
-        if report.satisfied:
-            if m > m_max:
-                warnings.warn(
-                    f"no m <= {m_max} satisfies the rank assumptions; "
-                    f"falling back to m={m}",
-                    stacklevel=2,
-                )
+        if check_assumptions(build_lifted(plant, T, m)).satisfied:
             return m
     raise ModelError(
         f"no m in [2, {upper}] satisfies the rank assumptions: the plant violates "
@@ -227,14 +201,15 @@ def choose_m(plant: ContinuousPlant, T: float, m_max=None) -> int:
 
 
 def shift_consistency_check(
-    L: LiftedSystem, trials: int = 5, n_steps: int = 40, rng=None, tol: float = 1e-10
+    L: LiftedSystem, trials: int = 5, n_steps: int = 40, rng=None
 ) -> ShiftConsistencyResult:
     """Time-shift cross-check of the lifted blocks against the fast plant.
 
     For random held-input sequences, the lifted response to the input
     delayed by one base step must equal the fast-rate response to the
     undelayed input, delayed by m sub-steps and stacked.  Corrupted
-    lifted blocks break the match.
+    lifted blocks break the match: the largest scaled error must not
+    exceed ``SHIFT_CONSISTENCY_TOL``.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -254,7 +229,10 @@ def shift_consistency_check(
         scale = max(1.0, float(np.max(np.abs(y_stacked))))
         worst = max(worst, float(np.max(np.abs(y_lifted - y_stacked))) / scale)
     return ShiftConsistencyResult(
-        consistent=worst <= tol, max_error=worst, trials=trials, tolerance=tol
+        consistent=worst <= SHIFT_CONSISTENCY_TOL,
+        max_error=worst,
+        trials=trials,
+        tolerance=SHIFT_CONSISTENCY_TOL,
     )
 
 

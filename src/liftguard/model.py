@@ -46,30 +46,38 @@ def _matrix(value, rows=None, cols=None, name="matrix"):
     return M
 
 
+def _set_quadruple(obj, names) -> None:
+    """Validate the quadruple stored under ``names`` on a frozen instance
+    and store it back as float matrices: the first square, the others
+    conforming to it, every entry finite."""
+    nA, nB, nC, nD = names
+    A = _matrix(getattr(obj, nA), name=nA)
+    if A.shape[0] != A.shape[1]:
+        raise DimensionError(f"{nA} must be square")
+    n = A.shape[0]
+    B = _matrix(getattr(obj, nB), rows=n, name=nB)
+    C = _matrix(getattr(obj, nC), cols=n, name=nC)
+    D = _matrix(getattr(obj, nD), rows=C.shape[0], cols=B.shape[1], name=nD)
+    for attr, val in zip(names, (A, B, C, D)):
+        object.__setattr__(obj, attr, val)
+
+
 def abcd(sys):
-    """Extract the (A, B, C, D) quadruple from any state-space-like object."""
+    """The (A, B, C, D) quadruple of a :class:`StateSpace`, a
+    :class:`ContinuousPlant` or a 4-tuple of matrices."""
+    if isinstance(sys, StateSpace):
+        return sys.A, sys.B, sys.C, sys.D
+    if isinstance(sys, ContinuousPlant):
+        return sys.Ac, sys.Bc, sys.Cc, sys.Dc
     if isinstance(sys, tuple) and len(sys) == 4:
         return tuple(np.atleast_2d(np.asarray(m)) for m in sys)
-    if hasattr(sys, "A"):
-        return (
-            np.atleast_2d(np.asarray(sys.A)),
-            np.atleast_2d(np.asarray(sys.B)),
-            np.atleast_2d(np.asarray(sys.C)),
-            np.atleast_2d(np.asarray(sys.D)),
-        )
-    if hasattr(sys, "Ac"):
-        return (
-            np.atleast_2d(np.asarray(sys.Ac)),
-            np.atleast_2d(np.asarray(sys.Bc)),
-            np.atleast_2d(np.asarray(sys.Cc)),
-            np.atleast_2d(np.asarray(sys.Dc)),
-        )
     raise TypeError(f"cannot extract a state-space quadruple from {type(sys)!r}")
 
 
 @dataclass(frozen=True)
 class StateSpace:
-    """Bare state-space quadruple used for factors, filters and controllers."""
+    """Discrete state-space quadruple, the base of the plant, lifted-system
+    and controller types; bare instances serve as factors and filters."""
 
     A: np.ndarray
     B: np.ndarray
@@ -77,15 +85,7 @@ class StateSpace:
     D: np.ndarray
 
     def __post_init__(self):
-        A = _matrix(self.A, name="A")
-        if A.shape[0] != A.shape[1]:
-            raise DimensionError("A must be square")
-        n = A.shape[0]
-        B = _matrix(self.B, rows=n, name="B")
-        C = _matrix(self.C, cols=n, name="C")
-        D = _matrix(self.D, rows=C.shape[0], cols=B.shape[1], name="D")
-        for attr, val in (("A", A), ("B", B), ("C", C), ("D", D)):
-            object.__setattr__(self, attr, val)
+        _set_quadruple(self, ("A", "B", "C", "D"))
 
     @property
     def n(self) -> int:
@@ -137,15 +137,7 @@ class ContinuousPlant:
     name: str = ""
 
     def __post_init__(self):
-        Ac = _matrix(self.Ac, name="Ac")
-        if Ac.shape[0] != Ac.shape[1]:
-            raise DimensionError("Ac must be square")
-        n = Ac.shape[0]
-        Bc = _matrix(self.Bc, rows=n, name="Bc")
-        Cc = _matrix(self.Cc, cols=n, name="Cc")
-        Dc = _matrix(self.Dc, rows=Cc.shape[0], cols=Bc.shape[1], name="Dc")
-        for attr, val in (("Ac", Ac), ("Bc", Bc), ("Cc", Cc), ("Dc", Dc)):
-            object.__setattr__(self, attr, val)
+        _set_quadruple(self, ("Ac", "Bc", "Cc", "Dc"))
         rep = check_minimal(self)
         if not rep.minimal:
             raise ModelError(
@@ -167,7 +159,7 @@ class ContinuousPlant:
 
 
 @dataclass(frozen=True)
-class DiscretePlant:
+class DiscretePlant(StateSpace):
     """Discrete-time LTI plant with its sampling period and provenance tag.
 
     ``origin`` is ``("single_rate", T)`` for a plain zero-order-hold
@@ -175,37 +167,13 @@ class DiscretePlant:
     inside a dual-rate scheme, or ``("direct",)`` for hand-built models.
     """
 
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
     period: float
     origin: tuple = ("direct",)
 
     def __post_init__(self):
-        A = _matrix(self.A, name="A")
-        if A.shape[0] != A.shape[1]:
-            raise DimensionError("A must be square")
-        n = A.shape[0]
-        B = _matrix(self.B, rows=n, name="B")
-        C = _matrix(self.C, cols=n, name="C")
-        D = _matrix(self.D, rows=C.shape[0], cols=B.shape[1], name="D")
+        super().__post_init__()
         if not self.period > 0:
             raise ValueError(f"period must be positive, got {self.period}")
-        for attr, val in (("A", A), ("B", B), ("C", C), ("D", D)):
-            object.__setattr__(self, attr, val)
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def n_u(self) -> int:
-        return self.B.shape[1]
-
-    @property
-    def n_y(self) -> int:
-        return self.C.shape[0]
 
 
 def check_pathological(plant: ContinuousPlant, T: float) -> PathologyReport:

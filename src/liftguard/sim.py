@@ -61,7 +61,8 @@ class LoopConfig:
     ``horizon`` counts base steps.  ``oversample`` is the intersample
     refinement per (sub-)sampling interval.  ``attack`` is an attack plan
     (or None); its signals are rendered at the base rate for the actuator
-    channel and at the sampling rate of the sensors.
+    channel and at the sampling rate of the sensors.  The plant starts
+    from ``x0_plant`` (zero when None), the controller always from zero.
     """
 
     plant: ContinuousPlant
@@ -74,7 +75,6 @@ class LoopConfig:
     oversample: int = 8
     attack: object = None
     x0_plant: np.ndarray | None = None
-    x0_controller: np.ndarray | None = None
 
     def __post_init__(self):
         if self.mode not in ("single_rate", "dual_rate"):
@@ -212,7 +212,7 @@ def _closed_loop(cfg: LoopConfig, fast, m: int) -> SimTrace:
     d_a, d_s = _render_attack(cfg.attack, N, fast.n_u, N * m, fast.n_y)
 
     x = np.zeros(fast.n) if cfg.x0_plant is None else np.asarray(cfg.x0_plant, dtype=float)
-    xk = np.zeros(K.n) if cfg.x0_controller is None else np.asarray(cfg.x0_controller, dtype=float)
+    xk = np.zeros(K.n)
     u_log = np.empty((N, fast.n_u))
     x_log = np.empty((N * m, fast.n))
     y_phys = np.empty((N * m, fast.n_y))
@@ -316,32 +316,30 @@ def _weight(value, dim: int):
     return arr
 
 
+def _loop_plant(plant: ContinuousPlant, T: float, mode: str, m):
+    """The discrete system a loop's controller is designed for: the ZOH
+    discretization at T in single rate, the lifted system in dual rate."""
+    if mode == "dual_rate":
+        return build_lifted(plant, T, m)
+    return discretize(plant, T)
+
+
 def standard_loop(plant: ContinuousPlant, T: float, mode: str = "single_rate",
                   m=None, theta: float = 0.01, horizon: int = 200,
-                  oversample: int = 8, attack=None,
-                  Q=None, R=None, Qo=None, Ro=None):
+                  oversample: int = 8, attack=None, Q=None, R=None):
     """Assemble a stabilized loop with the default observer controller.
 
-    ``Q``/``R`` weight the state-feedback Riccati problem and ``Qo``/``Ro``
-    its observer dual; scalars are taken as multiples of the identity.
-    Returns ``(config, factors)``; the factored system (discrete or
-    lifted) is available as ``factors.base``.
+    ``Q``/``R`` weight the state-feedback Riccati problem (scalars are
+    taken as multiples of the identity); its observer dual uses identity
+    weights.  Returns ``(config, factors)``; the factored system (discrete
+    or lifted) is available as ``factors.base``.
     """
-    if mode == "single_rate":
-        sys = discretize(plant, T)
-    elif mode == "dual_rate":
-        if m is None:
-            m = choose_m(plant, T)
-        sys = build_lifted(plant, T, int(m))
-    else:
+    if mode not in ("single_rate", "dual_rate"):
         raise ConfigurationError(f"unknown mode {mode!r}")
-    factors = coprime_factorize(
-        sys,
-        Q=_weight(Q, sys.n),
-        R=_weight(R, sys.n_u),
-        Qo=_weight(Qo, sys.n),
-        Ro=_weight(Ro, sys.n_y),
-    )
+    if mode == "dual_rate":
+        m = int(choose_m(plant, T) if m is None else m)
+    sys = _loop_plant(plant, T, mode, m)
+    factors = coprime_factorize(sys, Q=_weight(Q, sys.n), R=_weight(R, sys.n_u))
     controller = observer_controller(factors)
     cfg = LoopConfig(
         plant=plant,
@@ -350,7 +348,7 @@ def standard_loop(plant: ContinuousPlant, T: float, mode: str = "single_rate",
         controller=controller,
         theta=theta,
         horizon=horizon,
-        m=None if mode == "single_rate" else int(m),
+        m=m if mode == "dual_rate" else None,
         oversample=oversample,
         attack=attack,
     )

@@ -30,36 +30,37 @@ from .zeros import _match_multisets, multiplicity_at_one, transmission_zeros
 __all__ = ["run_suite", "random_minimal_plant", "random_minimal_discrete"]
 
 
-def random_minimal_plant(rng, n=None, n_u=None, n_y=None, max_tries=60) -> ContinuousPlant:
-    """Random minimal continuous plant (tall unless dimensions given)."""
-    for _ in range(max_tries):
-        nn = int(rng.integers(2, 5)) if n is None else n
-        nu = int(rng.integers(1, 3)) if n_u is None else n_u
-        ny = int(rng.integers(nu, nu + 2)) if n_y is None else n_y
-        nu = min(nu, nn)
+def random_minimal_plant(rng) -> ContinuousPlant:
+    """Random minimal strictly proper continuous plant: 2-4 states, 1-2
+    inputs, and as many outputs as inputs or one more."""
+    for _ in range(60):
+        n = int(rng.integers(2, 5))
+        n_u = int(rng.integers(1, 3))
+        n_y = int(rng.integers(n_u, n_u + 2))
         try:
             return ContinuousPlant(
-                Ac=rng.standard_normal((nn, nn)),
-                Bc=rng.standard_normal((nn, nu)),
-                Cc=rng.standard_normal((ny, nn)),
-                Dc=np.zeros((ny, nu)),
+                Ac=rng.standard_normal((n, n)),
+                Bc=rng.standard_normal((n, n_u)),
+                Cc=rng.standard_normal((n_y, n)),
+                Dc=np.zeros((n_y, n_u)),
             )
         except LiftguardError:
             continue
     raise RuntimeError("failed to draw a minimal plant (should be astronomically unlikely)")
 
 
-def random_minimal_discrete(rng, n=None, n_u=1, n_y=1, max_tries=60) -> DiscretePlant:
-    """Random minimal discrete plant with spectral radius scaled near one."""
-    for _ in range(max_tries):
-        nn = int(rng.integers(2, 5)) if n is None else n
-        A = rng.standard_normal((nn, nn))
+def random_minimal_discrete(rng) -> DiscretePlant:
+    """Random minimal single-input single-output discrete plant with 2-4
+    states and spectral radius scaled near one."""
+    for _ in range(60):
+        n = int(rng.integers(2, 5))
+        A = rng.standard_normal((n, n))
         A = A / (1.2 * max(np.max(np.abs(np.linalg.eigvals(A))), 1e-6))
         sys = DiscretePlant(
             A=A,
-            B=rng.standard_normal((nn, n_u)),
-            C=rng.standard_normal((n_y, nn)),
-            D=rng.standard_normal((n_y, n_u)),
+            B=rng.standard_normal((n, 1)),
+            C=rng.standard_normal((1, n)),
+            D=rng.standard_normal((1, 1)),
             period=1.0,
         )
         if check_minimal(sys).minimal:
@@ -94,7 +95,7 @@ def _prop_zero_similarity(rng, trials):
     for t in range(trials):
         trial_seed = int(rng.integers(0, 2**31))
         local = np.random.default_rng(trial_seed)
-        sys = random_minimal_discrete(local, n_u=1, n_y=1)
+        sys = random_minimal_discrete(local)
         base = _zero_set(transmission_zeros(sys, rng=np.random.default_rng(1)))
         S = local.standard_normal((sys.n, sys.n)) + 2.0 * np.eye(sys.n)
         Si = np.linalg.inv(S)
@@ -112,7 +113,7 @@ def _prop_bezout(rng, trials):
     for t in range(trials):
         trial_seed = int(rng.integers(0, 2**31))
         local = np.random.default_rng(trial_seed)
-        sys = random_minimal_discrete(local, n_u=1, n_y=1)
+        sys = random_minimal_discrete(local)
         defect = bezout_defect(coprime_factorize(sys))
         if defect > 1e-8:
             failures.append(_counterexample(sys, trial_seed, f"defect {defect:.3e}"))
@@ -124,7 +125,7 @@ def _prop_factor_sets(rng, trials):
     for t in range(trials):
         trial_seed = int(rng.integers(0, 2**31))
         local = np.random.default_rng(trial_seed)
-        sys = random_minimal_discrete(local, n_u=1, n_y=1)
+        sys = random_minimal_discrete(local)
         factors = coprime_factorize(sys)
         denom_zeros = _zero_set(
             transmission_zeros(factors.Ml, rng=np.random.default_rng(3))

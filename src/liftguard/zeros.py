@@ -146,11 +146,11 @@ def _rank_drop_residual(sys, z: complex, normal_rank: int):
     return float(s[normal_rank - 1]), float(s[0])
 
 
-def has_zero_at(sys, z: complex, rel_tol: float = CONFIRM_RTOL, normal_rank=None) -> bool:
-    """Rank test: does the system pencil lose column rank at ``z``?"""
-    nr = _pencil_normal_rank(sys) if normal_rank is None else normal_rank
-    residual, smax = _rank_drop_residual(sys, z, nr)
-    return residual <= rel_tol * smax
+def has_zero_at(sys, z: complex) -> bool:
+    """Rank test: does the system pencil lose column rank at ``z``
+    (relative tolerance ``CONFIRM_RTOL``)?"""
+    residual, smax = _rank_drop_residual(sys, z, _pencil_normal_rank(sys))
+    return residual <= CONFIRM_RTOL * smax
 
 
 def _gevp_candidates(A, B, C, D):
@@ -238,14 +238,14 @@ def _classify(z: complex, multiplicity: int):
     return "minimum_phase", marginal
 
 
-def transmission_zeros(sys, rng=None, rel_tol: float = CONFIRM_RTOL) -> ZeroReport:
+def transmission_zeros(sys, rng=None) -> ZeroReport:
     """Finite transmission zeros and poles of a discrete state-space system.
 
     Square systems are handled by one generalized eigenvalue problem on
     the pencil.  Non-square systems are squared down twice with
     independent random full-rank compressions of the wide side, the two
     candidate sets are intersected, and every survivor is confirmed by a
-    rank test on the full pencil; disagreement after five retries raises
+    rank test on the full pencil at ``CONFIRM_RTOL``; disagreement after five retries raises
     :class:`NumericError` with both candidate sets attached.
 
     Zeros at z = 0 are recorded with ``lambda_value`` None
@@ -275,7 +275,7 @@ def transmission_zeros(sys, rng=None, rel_tol: float = CONFIRM_RTOL) -> ZeroRepo
             if abs(z) > _Z_INFINITY_CUTOFF:
                 continue
             residual, smax = _rank_drop_residual(quad, z, normal_rank)
-            if residual <= rel_tol * smax:
+            if residual <= CONFIRM_RTOL * smax:
                 out.append(z)
         return out
 

@@ -5,7 +5,9 @@ import pytest
 
 from liftguard import (
     DiscretePlant,
+    StateSpace,
     bezout_defect,
+    build_lifted,
     coprime_factorize,
     discretize,
     eval_lambda,
@@ -20,7 +22,13 @@ from liftguard.errors import ModelError
 from liftguard.factor import closed_loop_matrix
 from liftguard.linalg import spectral_radius
 
-from helpers import assert_sets_close, double_integrator, random_discrete, triple_integrator
+from helpers import (
+    assert_sets_close,
+    double_integrator,
+    random_discrete,
+    triple_integrator,
+    unstable_scalar,
+)
 
 
 class TestCoprimeFactorize:
@@ -71,6 +79,13 @@ class TestCoprimeFactorize:
         with pytest.raises(Exception):
             coprime_factorize(sys, F=np.zeros((2, 1)))
 
+    def test_supplied_gain_must_stabilize(self):
+        sys = discretize(unstable_scalar(), 1.0)  # pole at 2
+        with pytest.raises(ModelError, match="A\\+BF"):
+            coprime_factorize(sys, F=np.zeros((1, 1)))
+        with pytest.raises(ModelError, match="A\\+HC"):
+            coprime_factorize(sys, H=np.zeros((1, 1)))
+
     def test_nonminimal_rejected(self):
         sys = DiscretePlant(
             A=[[0.5, 0.0], [0.0, 0.25]], B=[[1.0], [0.0]], C=[[1.0, 0.0]], D=[[0.0]], period=1.0
@@ -112,6 +127,14 @@ class TestObserverController:
     def test_strictly_proper(self):
         factors = coprime_factorize(discretize(triple_integrator(), 1.0))
         assert observer_controller(factors).strictly_proper
+
+    def test_controller_is_state_space(self):
+        single = observer_controller(coprime_factorize(discretize(triple_integrator(), 1.0)))
+        lifted = observer_controller(coprime_factorize(build_lifted(triple_integrator(), 1.0, 4)))
+        assert isinstance(single, StateSpace) and isinstance(lifted, StateSpace)
+        assert single.kind == "observer_based_single_rate"
+        assert lifted.kind == "observer_based_lifted"
+        assert (lifted.n, lifted.n_u, lifted.n_y) == (3, 4, 1)
 
 
 class TestResidualGenerator:

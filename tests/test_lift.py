@@ -5,6 +5,7 @@ import pytest
 
 from liftguard import (
     ContinuousPlant,
+    StateSpace,
     build_lifted,
     check_assumptions,
     check_minimal,
@@ -14,7 +15,7 @@ from liftguard import (
     ss_response,
     transmission_zeros,
 )
-from liftguard.errors import ModelError
+from liftguard.errors import DimensionError, ModelError
 from liftguard.lift import block_difference_matrix, observability_stack
 
 from helpers import random_continuous, random_tall_continuous, triple_integrator
@@ -55,6 +56,18 @@ class TestBuildLifted:
     def test_m_too_small(self):
         with pytest.raises(ValueError):
             build_lifted(triple_integrator(), 1.0, 1)
+
+    def test_lifted_is_state_space(self):
+        L = build_lifted(triple_integrator(), 1.0, 4)
+        assert isinstance(L, StateSpace)
+        assert (L.n, L.n_u, L.n_y) == (3, 1, 4)
+
+    def test_hand_built_wrong_shape_rejected(self):
+        L = build_lifted(triple_integrator(), 1.0, 4)
+        with pytest.raises(DimensionError):
+            dataclasses.replace(L, D=np.zeros((3, 1)))
+        with pytest.raises(DimensionError):
+            dataclasses.replace(L, B=np.full((3, 1), np.inf))
 
 
 class TestStructuralIdentities:

@@ -4,6 +4,7 @@ import pytest
 from liftguard import (
     ContinuousPlant,
     DiscretePlant,
+    StateSpace,
     check_minimal,
     check_pathological,
     discretize,
@@ -13,6 +14,7 @@ from liftguard import (
 )
 from liftguard.errors import DimensionError, ModelError
 from liftguard.linalg import spectral_radius
+from liftguard.model import abcd
 
 from helpers import double_integrator, random_continuous, triple_integrator
 
@@ -168,6 +170,34 @@ class TestResponse:
             ss_response(sys, np.zeros((5, 2)))
         with pytest.raises(DimensionError):
             ss_response(sys, np.zeros((5, 1)), x0=[1.0, 2.0])
+
+
+class TestStateSpaceBase:
+    def test_discrete_plant_is_state_space(self):
+        P = discretize(triple_integrator(), 1.0)
+        assert isinstance(P, StateSpace)
+        assert (P.n, P.n_u, P.n_y) == (3, 1, 1)
+        assert all(a is b for a, b in zip(abcd(P), (P.A, P.B, P.C, P.D)))
+
+    def test_discrete_plant_validated_before_period(self):
+        with pytest.raises(DimensionError, match="D has 2 rows"):
+            DiscretePlant(A=[[0.5]], B=[[1.0]], C=[[1.0]], D=[[0.0], [0.0]], period=-1.0)
+        with pytest.raises(ValueError, match="period"):
+            DiscretePlant(A=[[0.5]], B=[[1.0]], C=[[1.0]], D=[[0.0]], period=0.0)
+
+    def test_continuous_plant_messages_name_its_fields(self):
+        with pytest.raises(DimensionError, match="Ac must be square"):
+            ContinuousPlant(Ac=[[0.0, 1.0]], Bc=[[1.0]], Cc=[[1.0]], Dc=[[0.0]])
+        with pytest.raises(DimensionError, match="Dc has 1 columns, expected 2"):
+            ContinuousPlant(Ac=[[0.0]], Bc=[[1.0, 0.0]], Cc=[[1.0]], Dc=[[0.0]])
+        with pytest.raises(DimensionError, match="Cc contains non-finite"):
+            ContinuousPlant(Ac=[[0.0]], Bc=[[1.0]], Cc=[[np.nan]], Dc=[[0.0]])
+
+    def test_abcd_rejects_other_objects(self):
+        with pytest.raises(TypeError):
+            abcd(object())
+        with pytest.raises(TypeError):
+            abcd(([[1.0]], [[1.0]], [[1.0]]))
 
 
 class TestPlantIO:
