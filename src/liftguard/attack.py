@@ -23,10 +23,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CapabilityError, DimensionError, NumericError
-from .factor import eval_lambda
+from .factor import coprime_factorize, eval_lambda
 from .model import StateSpace, abcd, ss_response
 from .sim import LoopConfig, _loop_plant, run_dual_rate, run_single_rate
-from .zeros import ZeroReport, transmission_zeros
+from .zeros import poles, transmission_zeros
 
 __all__ = [
     "AttackPlan",
@@ -143,7 +143,7 @@ def _run(cfg: LoopConfig):
     return run_dual_rate(cfg) if cfg.mode == "dual_rate" else run_single_rate(cfg)
 
 
-def _calibrate(cfg: LoopConfig, unit_plan: AttackPlan, theta: float):
+def _calibrate(cfg: LoopConfig, unit_plan: AttackPlan):
     """Per-unit peak of the monitored signals, measured at the operating point.
 
     A probe run fixes the scale (rescaled by an exact power of two on
@@ -168,7 +168,7 @@ def _calibrate(cfg: LoopConfig, unit_plan: AttackPlan, theta: float):
     if c0_raw is None:
         raise NumericError("calibration simulation overflowed even after rescaling")
 
-    target = theta / 2.0
+    target = cfg.theta / 2.0
     epsilon = target / max(c0_raw, np.finfo(float).tiny)
     peak = peak_at(epsilon)
     for _ in range(8):
@@ -184,7 +184,26 @@ def _calibrate(cfg: LoopConfig, unit_plan: AttackPlan, theta: float):
     return epsilon, peak / epsilon
 
 
-def synth_actuator_attack(cfg: LoopConfig, report: ZeroReport | None = None, rng=None) -> AttackPlan:
+def _calibrated_plan(cfg: LoopConfig, kind: str, zeta: complex, direction, n_channels: int):
+    """Plan of ``kind`` over all ``n_channels`` channels at the default
+    horizon for ``zeta``, with its amplitude calibrated on ``cfg``."""
+    unit = AttackPlan(
+        kind=kind,
+        zeta=zeta,
+        direction=direction,
+        epsilon=1.0,
+        horizon=default_horizon(zeta),
+        channel_map=tuple(range(n_channels)),
+    )
+    epsilon, c0 = _calibrate(cfg, unit)
+    return replace(
+        unit,
+        epsilon=epsilon,
+        calibration={"empirical_peak": c0, "theta": cfg.theta, "safety_factor": 2.0},
+    )
+
+
+def synth_actuator_attack(cfg: LoopConfig, rng=None) -> AttackPlan:
     """Unbounded stealthy actuator plan for the configured loop.
 
     Requires a strictly non-minimum-phase zero of the loop's discrete (or
@@ -193,8 +212,7 @@ def synth_actuator_attack(cfg: LoopConfig, report: ZeroReport | None = None, rng
     calibrated so the monitor peaks at half the threshold.
     """
     sys = _loop_plant(cfg.plant, cfg.T, cfg.mode, cfg.m)
-    if report is None:
-        report = transmission_zeros(sys, rng=rng)
+    report = transmission_zeros(sys, rng=rng)
     strict = [r for r in report.zeros if r.classification == "nmp_strict"]
     if not strict:
         boundary = [r for r in report.zeros if r.classification.startswith("boundary")]
@@ -203,21 +221,8 @@ def synth_actuator_attack(cfg: LoopConfig, report: ZeroReport | None = None, rng
             "plant not vulnerable: no strictly non-minimum-phase zero to ride" + hint
         )
     witness = max(strict, key=lambda r: abs(r.z_value))
-    zeta = complex(witness.z_value)
-    horizon = default_horizon(zeta)
-    unit = AttackPlan(
-        kind="actuator_zero",
-        zeta=zeta,
-        direction=witness.input_direction,
-        epsilon=1.0,
-        horizon=horizon,
-        channel_map=tuple(range(sys.n_u)),
-    )
-    epsilon, c0 = _calibrate(cfg, unit, cfg.theta)
-    return replace(
-        unit,
-        epsilon=epsilon,
-        calibration={"empirical_peak": c0, "theta": cfg.theta, "safety_factor": 2.0},
+    return _calibrated_plan(
+        cfg, "actuator_zero", complex(witness.z_value), witness.input_direction, sys.n_u
     )
 
 
@@ -228,13 +233,11 @@ def synth_sensor_attack(cfg: LoopConfig, factors=None) -> AttackPlan:
     vector of the left denominator factor evaluated at the pole's
     reciprocal frequency, so the factor annihilates the injected mode.
     """
-    from .factor import coprime_factorize
-    from .zeros import poles as pole_records
-
     sys = _loop_plant(cfg.plant, cfg.T, cfg.mode, cfg.m)
-    unstable = [p for p in pole_records(sys) if p.classification == "unstable"]
+    records = poles(sys)
+    unstable = [p for p in records if p.classification == "unstable"]
     if not unstable:
-        boundary = [p for p in pole_records(sys) if p.classification == "boundary"]
+        boundary = [p for p in records if p.classification == "boundary"]
         hint = (
             "; only boundary poles found, which admit no unbounded plan"
             if boundary
@@ -255,21 +258,7 @@ def synth_sensor_attack(cfg: LoopConfig, factors=None) -> AttackPlan:
     d0 = Vh[-1].conj()
     idx = int(np.argmax(np.abs(d0)))
     d0 = d0 / (d0[idx] / abs(d0[idx])) / abs(d0[idx])
-    horizon = default_horizon(zeta)
-    unit = AttackPlan(
-        kind="sensor_pole",
-        zeta=zeta,
-        direction=d0,
-        epsilon=1.0,
-        horizon=horizon,
-        channel_map=tuple(range(sys.n_y)),
-    )
-    epsilon, c0 = _calibrate(cfg, unit, cfg.theta)
-    return replace(
-        unit,
-        epsilon=epsilon,
-        calibration={"empirical_peak": c0, "theta": cfg.theta, "safety_factor": 2.0},
-    )
+    return _calibrated_plan(cfg, "sensor_pole", zeta, d0, sys.n_y)
 
 
 def synth_coordinated_attack(sys, d_a):

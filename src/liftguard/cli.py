@@ -139,7 +139,7 @@ def _file_sha256(path) -> str:
 
 def _emit(doc: dict, args, default_name: str) -> None:
     doc["timestamp"] = datetime.now(timezone.utc).isoformat()
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, default_name)
@@ -196,6 +196,17 @@ def _resolve_m(args, plant, T, m_file):
     return m, False
 
 
+def _standard_loop(args, plant, T, m_file, horizon, attack=None):
+    """``standard_loop`` built from the loop flags of ``attack`` and ``simulate``."""
+    m = None
+    if args.mode == "dual_rate":
+        m, _ = _resolve_m(args, plant, T, m_file)
+    return standard_loop(
+        plant, T, mode=args.mode, m=m, theta=args.theta, horizon=horizon, attack=attack,
+        Q=_parse_weight(args.Q), R=_parse_weight(args.R),
+    )
+
+
 def cmd_analyze(args) -> int:
     seed = _resolve_seed(args)
     rng = np.random.default_rng(seed)
@@ -249,21 +260,14 @@ def cmd_attack(args) -> int:
     seed = _resolve_seed(args)
     rng = np.random.default_rng(seed)
     plant, T, m_file = _load(args)
-    mode = args.mode
-    m = None
-    if mode == "dual_rate":
-        m, _ = _resolve_m(args, plant, T, m_file)
-    cfg, factors = standard_loop(
-        plant, T, mode=mode, m=m, theta=args.theta, horizon=DEFAULT_HORIZON,
-        Q=_parse_weight(args.Q), R=_parse_weight(args.R),
-    )
+    cfg, factors = _standard_loop(args, plant, T, m_file, DEFAULT_HORIZON)
     if args.kind == "actuator":
         plan = synth_actuator_attack(cfg, rng=rng)
     else:
         plan = synth_sensor_attack(cfg, factors=factors)
     doc = _base_doc(args, seed)
     doc["plan"] = plan_to_dict(plan)
-    doc["loop"] = {"mode": mode, "T": T, "m": m, "theta": args.theta}
+    doc["loop"] = {"mode": cfg.mode, "T": T, "m": cfg.m, "theta": args.theta}
     _emit(doc, args, "plan.json")
     return EXIT_OK
 
@@ -279,20 +283,7 @@ def cmd_simulate(args) -> int:
     horizon = args.horizon
     if horizon is None:
         horizon = plan.horizon if plan is not None else DEFAULT_HORIZON
-    m = None
-    if args.mode == "dual_rate":
-        m, _ = _resolve_m(args, plant, T, m_file)
-    cfg, _ = standard_loop(
-        plant,
-        T,
-        mode=args.mode,
-        m=m,
-        theta=args.theta,
-        horizon=horizon,
-        attack=plan,
-        Q=_parse_weight(args.Q),
-        R=_parse_weight(args.R),
-    )
+    cfg, _ = _standard_loop(args, plant, T, m_file, horizon, attack=plan)
     trace = run_dual_rate(cfg) if args.mode == "dual_rate" else run_single_rate(cfg)
     doc = _base_doc(args, seed)
     doc["result"] = trace_metadata(trace)
@@ -420,9 +411,8 @@ def main(argv=None) -> int:
 
 
 def _error(exc) -> None:
-    sys.stderr.write(
-        json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True) + "\n"
-    )
+    doc = {"error": type(exc).__name__, "message": str(exc)}
+    sys.stderr.write(json.dumps(doc, sort_keys=True, allow_nan=False) + "\n")
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ import numpy as np
 from . import linalg
 from .errors import DimensionError, ModelError
 from .factor import Controller
-from .model import ContinuousPlant, DiscretePlant, StateSpace, fast_discretize, ss_response
+from .model import ContinuousPlant, DiscretePlant, StateSpace, discretize, ss_response
 
 __all__ = [
     "LiftedSystem",
@@ -134,7 +134,7 @@ def build_lifted(plant: ContinuousPlant, T: float, m: int) -> LiftedSystem:
     m = int(m)
     if not T > 0:
         raise ValueError(f"base period must be positive, got {T}")
-    fast = fast_discretize(plant, T, m)
+    fast = discretize(plant, T / m)
     A_l, B_l, C_l, D_l = _lifted_blocks(fast.A, fast.B, fast.C, fast.D, m)
     lifted = LiftedSystem(
         A=A_l, B=B_l, C=C_l, D=D_l, m=m, base_period=float(T), fast_plant=fast

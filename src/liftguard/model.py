@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -160,15 +160,10 @@ class ContinuousPlant:
 
 @dataclass(frozen=True)
 class DiscretePlant(StateSpace):
-    """Discrete-time LTI plant with its sampling period and provenance tag.
-
-    ``origin`` is ``("single_rate", T)`` for a plain zero-order-hold
-    discretization, ``("fast_rate", T, m)`` when the plant samples at T/m
-    inside a dual-rate scheme, or ``("direct",)`` for hand-built models.
-    """
+    """Discrete-time LTI plant with its sampling period (the fast period
+    T/m for the fast plant of a dual-rate scheme)."""
 
     period: float
-    origin: tuple = ("direct",)
 
     def __post_init__(self):
         super().__post_init__()
@@ -249,14 +244,7 @@ def discretize(plant: ContinuousPlant, T: float) -> DiscretePlant:
         C=plant.Cc.copy(),
         D=plant.Dc.copy(),
         period=float(T),
-        origin=("single_rate", float(T)),
     )
-
-
-def fast_discretize(plant: ContinuousPlant, T: float, m: int) -> DiscretePlant:
-    """Discretization at the fast period T/m, tagged with its dual-rate origin."""
-    sub = discretize(plant, T / m)
-    return replace(sub, origin=("fast_rate", float(T), int(m)))
 
 
 def ss_response(sys, inputs, x0=None, return_states: bool = False):

@@ -13,7 +13,6 @@ contain the sample instants, when it is first read.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -44,7 +43,8 @@ DIVERGENCE_GUARD = 1e12
 
 @dataclass(frozen=True)
 class Verdict:
-    """Monitor outcome: stealthy over the horizon, or first strict crossing."""
+    """Monitor outcome: stealthy over the horizon, or first strict crossing
+    (a non-finite monitor value counts as one)."""
 
     detected: bool
     step: int | None = None  # flat sample index of the first crossing
@@ -160,15 +160,15 @@ def monitor_eval(y_stream, u_stream, theta: float):
 
     Returns ``(verdict, values)`` where ``values[k]`` is the larger of the
     output and input max-norms at sample k and the verdict reports the
-    first k with ``values[k] > theta`` (a value exactly at the threshold
-    is not a detection).
+    first k with ``not values[k] <= theta``: a value exactly at the
+    threshold is not a detection, a non-finite one is.
     """
     Y = np.atleast_2d(np.asarray(y_stream, dtype=float))
     U = np.atleast_2d(np.asarray(u_stream, dtype=float))
     if Y.shape[0] != U.shape[0]:
         raise DimensionError("monitor streams must be aligned (equal length)")
     values = np.maximum(np.max(np.abs(Y), axis=1), np.max(np.abs(U), axis=1))
-    crossing = np.nonzero(values > theta)[0]
+    crossing = np.nonzero(~(values <= theta))[0]
     if crossing.size:
         return Verdict(detected=True, step=int(crossing[0])), values
     return Verdict(detected=False, step=None), values
@@ -196,18 +196,27 @@ def _assert_stable(plant_like, controller, what: str):
         )
 
 
-def _closed_loop(cfg: LoopConfig, fast, m: int) -> SimTrace:
+def _closed_loop(cfg: LoopConfig, mode: str) -> SimTrace:
     """The sampled-signal recursion behind both loop modes.
 
-    The plant ``fast`` advances one exact sub-step per output sample, m
-    sub-steps per hold period while the input is held.  The m measured
-    sub-samples (each possibly corrupted by the sensor attack, which runs
-    at the sampling rate) are stacked and fed to the controller, which
-    emits the next held command.  Single rate is the case m = 1 with the
-    plant discretized at the hold period.  The monitor is evaluated per
-    sample against the held command.
+    It first checks that ``cfg`` is in ``mode``, that the controller's
+    dimensions fit the loop plant and that the attack-free closed loop is
+    stable.  The fast plant then advances one exact sub-step per output
+    sample, m sub-steps per hold period while the input is held.  The m
+    measured sub-samples (each possibly corrupted by the sensor attack,
+    which runs at the sampling rate) are stacked and fed to the
+    controller, which emits the next held command.  Single rate is the
+    case m = 1 with the plant discretized at the hold period.  The
+    monitor is evaluated per sample against the held command.
     """
+    if cfg.mode != mode:
+        raise ConfigurationError(f"configuration is not {mode}")
     K = cfg.controller
+    sys = _loop_plant(cfg.plant, cfg.T, mode, cfg.m)
+    if K.B.shape[1] != sys.n_y or K.C.shape[0] != sys.n_u:
+        raise ConfigurationError("controller dimensions do not match the loop plant")
+    _assert_stable(sys, K, mode.replace("_", "-"))
+    fast, m = (sys.fast_plant, sys.m) if mode == "dual_rate" else (sys, 1)
     N = cfg.horizon
     d_a, d_s = _render_attack(cfg.attack, N, fast.n_u, N * m, fast.n_y)
 
@@ -256,28 +265,12 @@ def _closed_loop(cfg: LoopConfig, fast, m: int) -> SimTrace:
 
 def run_single_rate(cfg: LoopConfig) -> SimTrace:
     """Closed-loop run at a single sample-and-hold rate."""
-    if cfg.mode != "single_rate":
-        raise ConfigurationError("configuration is not single_rate")
-    P = discretize(cfg.plant, cfg.T)
-    K = cfg.controller
-    if K.B.shape[1] != P.n_y or K.C.shape[0] != P.n_u:
-        raise ConfigurationError("controller dimensions do not match the plant")
-    _assert_stable(P, K, "single-rate")
-    return _closed_loop(cfg, P, 1)
+    return _closed_loop(cfg, "single_rate")
 
 
 def run_dual_rate(cfg: LoopConfig) -> SimTrace:
     """Closed-loop run with the output sampled m times per hold period."""
-    if cfg.mode != "dual_rate":
-        raise ConfigurationError("configuration is not dual_rate")
-    m = cfg.m
-    L = build_lifted(cfg.plant, cfg.T, m)
-    fast = L.fast_plant
-    K = cfg.controller
-    if K.B.shape[1] != m * fast.n_y or K.C.shape[0] != fast.n_u:
-        raise ConfigurationError("lifted controller dimensions do not match (m, plant)")
-    _assert_stable(L, K, "dual-rate")
-    return _closed_loop(cfg, fast, m)
+    return _closed_loop(cfg, "dual_rate")
 
 
 def run_lifted_closed_loop(L: LiftedSystem, controller: Controller, n_steps: int,
@@ -356,10 +349,11 @@ def standard_loop(plant: ContinuousPlant, T: float, mode: str = "single_rate",
 
 
 def trace_to_csv(trace: SimTrace, path) -> None:
-    """Write one CSV row per sub-sample.
+    """Write one CSV row per sub-sample, with ``\\r\\n`` line ends.
 
     Columns: step, substep, time, u_1..u_nu, y_1..y_ny, da_1..da_nu,
-    ds_1..ds_ny, monitor, crossed.
+    ds_1..ds_ny, monitor, crossed.  Floats are written with ``repr`` so
+    they read back exactly; ``crossed`` is 1 where ``not monitor <= theta``.
     """
     m = trace.samples_per_step
     n_u = trace.u.shape[1]
@@ -372,24 +366,24 @@ def trace_to_csv(trace: SimTrace, path) -> None:
         + [f"ds_{i+1}" for i in range(n_y)]
         + ["monitor", "crossed"]
     )
+    step = np.arange(trace.y.shape[0]) // m
+    floats = np.hstack(
+        [trace.times[:, None], trace.u[step], trace.y, trace.d_a[step], trace.d_s,
+         trace.monitor[:, None]]
+    ).tolist()
+    crossed = (~(trace.monitor <= trace.theta)).tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for idx in range(trace.y.shape[0]):
+        fh.write(",".join(header) + "\r\n")
+        for idx, row in enumerate(floats):
             k, i = divmod(idx, m)
-            row = (
-                [k, i, repr(float(trace.times[idx]))]
-                + [repr(float(v)) for v in trace.u[k]]
-                + [repr(float(v)) for v in trace.y[idx]]
-                + [repr(float(v)) for v in trace.d_a[k]]
-                + [repr(float(v)) for v in trace.d_s[idx]]
-                + [repr(float(trace.monitor[idx])), int(trace.monitor[idx] > trace.theta)]
-            )
-            writer.writerow(row)
+            fh.write(f"{k},{i},{','.join(map(repr, row))},{int(crossed[idx])}\r\n")
 
 
 def trace_metadata(trace: SimTrace) -> dict:
-    """Sidecar summary of a run: verdict, threshold, shape."""
+    """Sidecar summary of a run: verdict, threshold, shape, the first
+    sample whose monitor value is not finite, and the largest before it."""
+    nonfinite = np.flatnonzero(~np.isfinite(trace.monitor))
+    first_nonfinite = int(nonfinite[0]) if nonfinite.size else None
     return {
         "mode": trace.mode,
         "T": trace.T,
@@ -398,5 +392,6 @@ def trace_metadata(trace: SimTrace) -> dict:
         "horizon": int(trace.u.shape[0]),
         "verdict": "detected" if trace.verdict.detected else "stealthy",
         "first_crossing": trace.verdict.step,
-        "max_monitor": float(np.max(trace.monitor)),
+        "first_nonfinite": first_nonfinite,
+        "max_monitor": float(np.max(trace.monitor[:first_nonfinite], initial=0.0)),
     }

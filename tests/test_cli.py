@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -133,6 +134,36 @@ class TestAttackAndSimulate:
         )
         assert res.returncode == 2
         assert not (tmp_path / "plan.json").exists()
+
+    @pytest.mark.parametrize("mode", ["single_rate", "dual_rate"])
+    def test_overflow_is_reported(self, plant_files, tmp_path, mode):
+        # replayed past its horizon at T = 0.01, the actuator plan overflows
+        # to inf and the loop to NaN; the run still ends in strict JSON and
+        # every row from the first non-finite sample on counts as a crossing
+        plan = tmp_path / "plan"
+        res = run_cli(
+            "attack", "--plant", plant_files["triple"], "--T", "0.01", "--out", str(plan)
+        )
+        assert res.returncode == 0, res.stderr
+        out = tmp_path / mode
+        res = run_cli(
+            "simulate", "--plant", plant_files["triple"], "--T", "0.01", "--mode", mode,
+            "--plan", str(plan / "plan.json"), "--horizon", "2000", "--out", str(out),
+        )
+        assert res.returncode == 0, res.stderr
+
+        def reject(name):
+            raise ValueError(f"non-strict JSON constant {name}")
+
+        result = json.loads((out / "verdict.json").read_text(), parse_constant=reject)["result"]
+        first = result["first_nonfinite"]
+        assert isinstance(first, int) and not isinstance(first, bool)
+        assert result["verdict"] == "detected"
+        rows = [line.split(",") for line in (out / "trace.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 2000 * result["samples_per_step"]
+        assert all(math.isfinite(float(row[-2])) for row in rows[:first])
+        assert not math.isfinite(float(rows[first][-2]))
+        assert all(row[-1] == "1" for row in rows[first:])
 
     def test_invulnerable_plant_exit_3(self, plant_files):
         res = run_cli("attack", "--plant", plant_files["double"], "--seed", "1")

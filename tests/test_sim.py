@@ -42,6 +42,13 @@ class TestMonitor:
         verdict, _ = monitor_eval(y, np.zeros((10, 1)), 0.01)
         assert verdict.detected and verdict.step == 5
 
+    def test_nonfinite_value_is_detection(self):
+        for bad in (np.nan, np.inf):
+            y = np.zeros((6, 1))
+            y[3, 0] = bad
+            verdict, _ = monitor_eval(y, np.zeros((6, 1)), 0.01)
+            assert verdict.detected and verdict.step == 3
+
     def test_exact_threshold_is_not_detection(self):
         y = np.full((4, 1), 0.01)
         verdict, _ = monitor_eval(y, np.zeros((4, 1)), 0.01)
@@ -271,6 +278,30 @@ class TestTraceExport:
         assert len(lines) == 1 + 5 * 4
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] == "0"
+
+    def test_csv_round_trip_with_nonfinite_rows(self, tmp_path):
+        cfg, _ = standard_loop(triple_integrator(), 1.0, mode="dual_rate", m=4, horizon=5)
+        trace = run_dual_rate(cfg)
+        odd = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1 + 0.2, -1.7976931348623157e308]
+        u, y, d_a, d_s = trace.u.copy(), trace.y.copy(), trace.d_a.copy(), trace.d_s.copy()
+        monitor = trace.monitor.copy()
+        for j, v in enumerate(odd):
+            u[j % 5, 0], d_a[(j + 1) % 5, 0] = v, v
+            y[j, 0], d_s[j + 7, 0], monitor[j + 12] = v, v, v
+        trace = dataclasses.replace(trace, u=u, y=y, d_a=d_a, d_s=d_s, monitor=monitor)
+        path = tmp_path / "trace.csv"
+        trace_to_csv(trace, path)
+        raw = path.read_bytes()
+        assert raw.count(b"\r\n") == 1 + 20 and raw.endswith(b"\r\n")
+        rows = [line.split(",") for line in raw.decode().split("\r\n")[1:-1]]
+        got = np.array([[float(v) for v in row[2:-1]] for row in rows])
+        step = np.arange(20) // 4
+        want = np.hstack([trace.times[:, None], u[step], y, d_a[step], d_s, monitor[:, None]])
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert [(int(r[0]), int(r[1])) for r in rows] == [divmod(i, 4) for i in range(20)]
+        assert [r[-1] for r in rows] == ["0" if v <= trace.theta else "1" for v in monitor]
+        assert rows[12][-1] == "1"  # the NaN monitor row
 
     def test_metadata(self):
         cfg, _ = standard_loop(triple_integrator(), 1.0, horizon=5)
