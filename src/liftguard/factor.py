@@ -37,12 +37,19 @@ __all__ = [
 ]
 
 
-def eval_lambda(sys, lam: complex) -> np.ndarray:
-    """Transfer map D + lam*C (I - lam*A)^{-1} B at reciprocal frequency lam."""
+def eval_lambda(sys, lam) -> np.ndarray:
+    """Transfer map D + lam*C (I - lam*A)^{-1} B at reciprocal frequency lam.
+
+    A 1-D array of points gives the maps stacked along a leading axis, from
+    one batched solve.
+    """
     A, B, C, D = abcd(sys)
     n = A.shape[0]
-    M = np.eye(n, dtype=complex) - complex(lam) * A
-    return D + complex(lam) * (C @ np.linalg.solve(M, B))
+    if np.ndim(lam) == 0:
+        M = np.eye(n, dtype=complex) - complex(lam) * A
+        return D + complex(lam) * (C @ np.linalg.solve(M, B))
+    lam = np.asarray(lam, dtype=complex)[:, None, None]
+    return D + lam * (C @ np.linalg.solve(np.eye(n) - lam * A, B))
 
 
 @dataclass(frozen=True)
@@ -131,16 +138,12 @@ def coprime_factorize(sys, F=None, H=None, Q=None, R=None) -> CoprimeFactors:
 
 
 def _bezout_defect_scaled(factors: CoprimeFactors):
-    n_points = 16
-    n_y = factors.Ml.n_y
-    worst, scale = 0.0, 0.0
-    for j in range(n_points):
-        lam = np.exp(2j * np.pi * j / n_points)
-        P1 = eval_lambda(factors.Ml, lam) @ eval_lambda(factors.X, lam)
-        P2 = eval_lambda(factors.Nl, lam) @ eval_lambda(factors.Y, lam)
-        worst = max(worst, float(np.linalg.norm(P1 - P2 - np.eye(n_y), 2)))
-        scale = max(scale, float(np.linalg.norm(P1, 2)), float(np.linalg.norm(P2, 2)))
-    return worst, scale
+    lam = np.exp(2j * np.pi * np.arange(16) / 16)
+    P1 = eval_lambda(factors.Ml, lam) @ eval_lambda(factors.X, lam)
+    P2 = eval_lambda(factors.Nl, lam) @ eval_lambda(factors.Y, lam)
+    defect = np.linalg.norm(P1 - P2 - np.eye(factors.Ml.n_y), 2, axis=(-2, -1))
+    scale = np.maximum(np.linalg.norm(P1, 2, axis=(-2, -1)), np.linalg.norm(P2, 2, axis=(-2, -1)))
+    return float(np.max(defect)), float(np.max(scale))
 
 
 def bezout_defect(factors: CoprimeFactors) -> float:

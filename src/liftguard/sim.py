@@ -228,6 +228,10 @@ def _closed_loop(cfg: LoopConfig, mode: str) -> SimTrace:
     attacked = cfg.attack is not None
 
     for k in range(N):
+        if xk[0] != xk[0] and np.isnan(xk).all() and np.isnan(x).all():
+            # An all-NaN loop state makes every later row NaN.
+            u_log[k:] = x_log[k * m :] = y_phys[k * m :] = np.nan
+            break
         u_k = K.C @ xk
         u_applied = u_k + d_a[k]
         u_log[k] = u_k

@@ -411,10 +411,8 @@ def multiplicity_at_one(left_numerator) -> str:
     # entirely at the point would otherwise look full rank relative to its
     # own largest singular value.  Generic unit-circle samples of the
     # (stable) factor provide the scale.
-    scale = max(
-        float(np.linalg.norm(eval_lambda(left_numerator, lam), 2))
-        for lam in (np.exp(0.379j), np.exp(2.211j))
-    )
+    samples = eval_lambda(left_numerator, np.exp([0.379j, 2.211j]))
+    scale = float(np.max(np.linalg.norm(samples, 2, axis=(-2, -1))))
     tol = linalg.DEFAULT_RANK_RTOL * max(scale, np.finfo(float).tiny)
     s1 = np.linalg.svd(N1, compute_uv=False)
     r1 = int(np.count_nonzero(s1 > tol))

@@ -94,6 +94,90 @@ class TestCoprimeFactorize:
             coprime_factorize(sys)
 
 
+def _scalar_formula(sys, lam):
+    # the scalar formula the plan direction of a sensor attack is read from
+    A, B, C, D = sys.A, sys.B, sys.C, sys.D
+    M = np.eye(A.shape[0], dtype=complex) - complex(lam) * A
+    return D + complex(lam) * (C @ np.linalg.solve(M, B))
+
+
+def _reference_defect(factors):
+    """The Bezout certificate one unit-circle point at a time."""
+    worst = 0.0
+    for j in range(16):
+        lam = np.exp(2j * np.pi * j / 16)
+        P = eval_lambda(factors.Ml, lam) @ eval_lambda(factors.X, lam)
+        P -= eval_lambda(factors.Nl, lam) @ eval_lambda(factors.Y, lam)
+        worst = max(worst, float(np.linalg.norm(P - np.eye(factors.Ml.n_y), 2)))
+    return worst
+
+
+def _plus_pole(sys, p):
+    """Square ``sys`` plus lam/(1 - p*lam) times the identity, which peaks at
+    lam = 1 for p near 1 and at lam = -1 for p near -1."""
+    k = sys.n_y
+    return StateSpace(
+        A=np.block([[sys.A, np.zeros((sys.n, k))], [np.zeros((k, sys.n)), p * np.eye(k)]]),
+        B=np.vstack([sys.B, np.eye(k)]),
+        C=np.hstack([sys.C, np.eye(k)]),
+        D=sys.D,
+    )
+
+
+def _random_factors():
+    rng = np.random.default_rng(41)
+    for n_u, n_y in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        yield coprime_factorize(random_discrete(rng, n_u=n_u, n_y=n_y))
+    yield coprime_factorize(build_lifted(triple_integrator(), 1.0, 4))
+
+
+class TestBatchedEvaluation:
+    def test_array_slices_match_scalar_calls(self):
+        rng = np.random.default_rng(5)
+        lam = np.concatenate([np.exp(2j * np.pi * np.arange(16) / 16), [0.0, 0.3, -0.7 + 0.2j]])
+        for factors in _random_factors():
+            for sys in (factors.Ml, factors.Nl, factors.X, factors.Y):
+                stacked = eval_lambda(sys, lam)
+                assert stacked.shape == (lam.size, sys.n_y, sys.n_u)
+                for k, point in enumerate(lam):
+                    want = eval_lambda(sys, point)
+                    scale = max(1.0, np.max(np.abs(want)))
+                    assert np.max(np.abs(stacked[k] - want)) <= 1e-13 * scale
+        assert eval_lambda(random_discrete(rng), np.array([0.5])).shape == (1, 1, 1)
+
+    def test_scalar_call_is_the_scalar_formula(self):
+        rng = np.random.default_rng(6)
+        for _ in range(5):
+            sys = random_discrete(rng, n_u=2, n_y=3)
+            for lam in (0.4, np.exp(0.379j), 1.0 / (0.9 + 0.1j), np.complex128(-1.0)):
+                got = eval_lambda(sys, lam)
+                assert got.shape == (3, 2)
+                np.testing.assert_array_equal(got, _scalar_formula(sys, lam))
+
+    def test_defect_matches_pointwise_reference(self):
+        for factors in _random_factors():
+            assert abs(bezout_defect(factors) - _reference_defect(factors)) <= 1e-12
+            for X in (
+                dataclasses.replace(factors.X, D=2.0 * np.eye(factors.X.n_y)),
+                _plus_pole(factors.X, 0.99),
+                _plus_pole(factors.X, -0.99),
+            ):
+                corrupted = dataclasses.replace(factors, X=X)
+                want = _reference_defect(corrupted)
+                assert abs(bezout_defect(corrupted) - want) <= 1e-12 * want
+
+    def test_corrupted_factors_fail_the_certificate(self):
+        for factors in _random_factors():
+            # a unit term I added to X (or to Ml) leaves the defect Ml(lam)
+            # (or X(lam)), whose mean over the points is its value I at 0
+            two = 2.0 * np.eye(factors.Ml.n_y)
+            for corrupted in (
+                dataclasses.replace(factors, X=dataclasses.replace(factors.X, D=two)),
+                dataclasses.replace(factors, Ml=dataclasses.replace(factors.Ml, D=two)),
+            ):
+                assert bezout_defect(corrupted) >= 0.5
+
+
 class TestObserverController:
     def test_zero_gains_zero_controller(self):
         sys = DiscretePlant(A=[[0.5]], B=[[1.0]], C=[[1.0]], D=[[0.0]], period=1.0)

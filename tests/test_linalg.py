@@ -159,6 +159,20 @@ class TestDareGain:
         with pytest.raises(ValueError):
             dare_gain(np.eye(2), np.ones((2, 1)), R=np.array([[-1.0]]))
 
+    def test_supplied_weight_checked_alone(self):
+        A, B = np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[0.0], [1.0]])
+        for kwargs, message in (
+            ({"Q": np.array([[1.0, 1.0], [0.0, 1.0]])}, "Q must be symmetric"),
+            ({"Q": np.diag([1.0, -1.0])}, "Q must be positive semidefinite"),
+            ({"R": np.array([[0.0]])}, "R must be positive definite"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                dare_gain(A, B, **kwargs)
+        with pytest.raises(DimensionError):
+            dare_gain(A, B, Q=np.eye(3))
+        F = dare_gain(A, B, Q=np.array([[2.0, 1.0], [1.0, 1.0]]))
+        assert spectral_radius(A + B @ F) < 1.0
+
     def test_inaccurate_solution_rejected(self, monkeypatch):
         solve = scipy.linalg.solve_discrete_are
         monkeypatch.setattr(

@@ -17,7 +17,7 @@ from liftguard import (
     standard_loop,
     trace_to_csv,
 )
-from liftguard.attack import AttackPlan
+from liftguard.attack import AttackPlan, synth_actuator_attack
 from liftguard.errors import ConfigurationError
 from liftguard.sim import LoopConfig, trace_metadata
 
@@ -265,6 +265,45 @@ class TestIntersample:
         assert np.max(np.abs(got[::r] - ref[::r])) <= tol
         assert np.max(np.abs(ends[:-1] - trace.x[1:])) <= 1e-12 * np.max(np.abs(trace.x))
         np.testing.assert_allclose(trace.intersample_times[::r], trace.times, rtol=1e-12)
+
+
+def _unstopped_loop(cfg):
+    """The loop recursion stepped over the whole horizon with no early
+    exit; returns u, y, x, y_physical and the monitor values."""
+    m = cfg.m or 1
+    fast = discretize(cfg.plant, cfg.T / m)
+    K, N = cfg.controller, cfg.horizon
+    d_a = cfg.attack.actuator_sequence(N, fast.n_u)
+    d_s = np.zeros((N * m, fast.n_y))
+    x, xk = np.zeros(fast.n), np.zeros(K.n)
+    u, xs, y_phys = np.empty((N, fast.n_u)), np.empty((N * m, fast.n)), np.empty((N * m, fast.n_y))
+    for k in range(N):
+        u[k] = K.C @ xk
+        ua = u[k] + d_a[k]
+        for i in range(k * m, (k + 1) * m):
+            xs[i] = x
+            y_phys[i] = fast.C @ x + fast.D @ ua
+            x = fast.A @ x + fast.B @ ua
+        xk = K.A @ xk + K.B @ (y_phys[k * m : (k + 1) * m] + d_s[k * m : (k + 1) * m]).ravel()
+    y = y_phys + d_s
+    _, monitor = monitor_eval(y, np.repeat(u, m, axis=0), cfg.theta)
+    return u, y, xs, y_phys, monitor
+
+
+@pytest.mark.parametrize("mode", ["single_rate", "dual_rate"])
+def test_overflowed_run_equals_unstopped_recursion(mode):
+    # the T = 0.01 actuator plan replayed over 2000 steps drives the loop
+    # state to NaN long before the end, where the engine stops stepping
+    plan = synth_actuator_attack(standard_loop(triple_integrator(), 0.01)[0])
+    cfg, _ = standard_loop(triple_integrator(), 0.01, mode=mode, horizon=2000, attack=plan)
+    with np.errstate(all="ignore"):
+        trace = run_dual_rate(cfg) if mode == "dual_rate" else run_single_rate(cfg)
+        want = _unstopped_loop(cfg)
+    all_nan = np.flatnonzero(np.isnan(trace.x).all(axis=1))
+    assert all_nan.size and all_nan[0] < trace.x.shape[0] // 2
+    got = (trace.u, trace.y, trace.x, trace.y_physical, trace.monitor)
+    for name, g, w in zip(("u", "y", "x", "y_physical", "monitor"), got, want):
+        np.testing.assert_array_equal(g, w, err_msg=name)
 
 
 class TestTraceExport:
