@@ -44,12 +44,8 @@ def eval_lambda(sys, lam) -> np.ndarray:
     one batched solve.
     """
     A, B, C, D = abcd(sys)
-    n = A.shape[0]
-    if np.ndim(lam) == 0:
-        M = np.eye(n, dtype=complex) - complex(lam) * A
-        return D + complex(lam) * (C @ np.linalg.solve(M, B))
-    lam = np.asarray(lam, dtype=complex)[:, None, None]
-    return D + lam * (C @ np.linalg.solve(np.eye(n) - lam * A, B))
+    lam = np.asarray(lam, dtype=complex)[..., None, None]
+    return D + lam * (C @ np.linalg.solve(np.eye(A.shape[0]) - lam * A, B))
 
 
 @dataclass(frozen=True)

@@ -129,19 +129,16 @@ def spectral_radius(M) -> float:
     return float(np.max(np.abs(eig(M)))) if np.asarray(M).size else 0.0
 
 
-def _check_weights(Q, R) -> None:
-    """Symmetry, Q >= 0 and R > 0 of the supplied weights (None: the
-    identity default, which needs no check)."""
+def _check_weights(Q: np.ndarray, R: np.ndarray) -> None:
     for W, name in ((Q, "Q"), (R, "R")):
-        if W is not None and not np.allclose(W, W.T, atol=1e-10 * max(1.0, np.max(np.abs(W)))):
+        if not np.allclose(W, W.T, atol=1e-10 * max(1.0, np.max(np.abs(W)))):
             raise ValueError(f"{name} must be symmetric")
-    if Q is not None and np.min(np.linalg.eigvalsh(Q)) < -1e-10 * max(1.0, np.max(np.abs(Q))):
+    if np.min(np.linalg.eigvalsh(Q)) < -1e-10 * max(1.0, np.max(np.abs(Q))):
         raise ValueError("Q must be positive semidefinite")
-    if R is not None:
-        try:
-            np.linalg.cholesky(R)
-        except np.linalg.LinAlgError:
-            raise ValueError("R must be positive definite") from None
+    try:
+        np.linalg.cholesky(R)
+    except np.linalg.LinAlgError:
+        raise ValueError("R must be positive definite") from None
 
 
 def dare_gain(A, B, Q=None, R=None) -> np.ndarray:
@@ -178,13 +175,13 @@ def dare_gain(A, B, Q=None, R=None) -> np.ndarray:
     if B.shape[0] != n:
         raise DimensionError(f"B has {B.shape[0]} rows, expected {n}")
     n_u = B.shape[1]
-    Q = None if Q is None else _square(np.asarray(Q, dtype=float), "Q")
-    R = None if R is None else _square(np.asarray(R, dtype=float), "R")
-    if (Q is not None and Q.shape[0] != n) or (R is not None and R.shape[0] != n_u):
+    supplied = Q is not None or R is not None
+    Q = np.eye(n) if Q is None else _square(np.asarray(Q, dtype=float), "Q")
+    R = np.eye(n_u) if R is None else _square(np.asarray(R, dtype=float), "R")
+    if Q.shape[0] != n or R.shape[0] != n_u:
         raise DimensionError("weight dimensions do not match (A, B)")
-    _check_weights(Q, R)
-    Q = np.eye(n) if Q is None else Q
-    R = np.eye(n_u) if R is None else R
+    if supplied:
+        _check_weights(Q, R)
 
     try:
         P = scipy.linalg.solve_discrete_are(A, B, Q, R)

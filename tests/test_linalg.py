@@ -159,7 +159,7 @@ class TestDareGain:
         with pytest.raises(ValueError):
             dare_gain(np.eye(2), np.ones((2, 1)), R=np.array([[-1.0]]))
 
-    def test_supplied_weight_checked_alone(self):
+    def test_supplied_weight_is_checked(self):
         A, B = np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[0.0], [1.0]])
         for kwargs, message in (
             ({"Q": np.array([[1.0, 1.0], [0.0, 1.0]])}, "Q must be symmetric"),
