@@ -203,7 +203,7 @@ def _calibrated_plan(cfg: LoopConfig, kind: str, zeta: complex, direction, n_cha
     )
 
 
-def synth_actuator_attack(cfg: LoopConfig, rng=None) -> AttackPlan:
+def synth_actuator_attack(cfg: LoopConfig) -> AttackPlan:
     """Unbounded stealthy actuator plan for the configured loop.
 
     Requires a strictly non-minimum-phase zero of the loop's discrete (or
@@ -212,7 +212,7 @@ def synth_actuator_attack(cfg: LoopConfig, rng=None) -> AttackPlan:
     calibrated so the monitor peaks at half the threshold.
     """
     sys = _loop_plant(cfg.plant, cfg.T, cfg.mode, cfg.m)
-    report = transmission_zeros(sys, rng=rng)
+    report = transmission_zeros(sys)
     strict = [r for r in report.zeros if r.classification == "nmp_strict"]
     if not strict:
         boundary = [r for r in report.zeros if r.classification.startswith("boundary")]

@@ -209,14 +209,13 @@ def _standard_loop(args, plant, T, m_file, horizon, attack=None):
 
 def cmd_analyze(args) -> int:
     seed = _resolve_seed(args)
-    rng = np.random.default_rng(seed)
     plant, T, m_file = _load(args)
     doc = _base_doc(args, seed)
 
     P = discretize(plant, T)
     pathology = check_pathological(plant, T)
     minimal = check_minimal(P)
-    report = transmission_zeros(P, rng=rng)
+    report = transmission_zeros(P)
     factors = coprime_factorize(P)
     verdict = classify_vulnerability(report, left_numerator=factors.Nl)
     doc["plant"] = {"name": plant.name, "n": plant.n, "n_u": plant.n_u, "n_y": plant.n_y}
@@ -238,7 +237,7 @@ def cmd_analyze(args) -> int:
         m, auto = _resolve_m(args, plant, T, m_file)
         lifted = build_lifted(plant, T, m)
         assumptions = check_assumptions(lifted)
-        lifted_report = transmission_zeros(lifted, rng=rng)
+        lifted_report = transmission_zeros(lifted)
         lifted_factors = coprime_factorize(lifted)
         lifted_verdict = classify_vulnerability(lifted_report, left_numerator=lifted_factors.Nl)
         doc["dual_rate"] = {
@@ -258,11 +257,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_attack(args) -> int:
     seed = _resolve_seed(args)
-    rng = np.random.default_rng(seed)
     plant, T, m_file = _load(args)
     cfg, factors = _standard_loop(args, plant, T, m_file, DEFAULT_HORIZON)
     if args.kind == "actuator":
-        plan = synth_actuator_attack(cfg, rng=rng)
+        plan = synth_actuator_attack(cfg)
     else:
         plan = synth_sensor_attack(cfg, factors=factors)
     doc = _base_doc(args, seed)

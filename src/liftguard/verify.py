@@ -118,13 +118,13 @@ def _zero_set(report):
 
 def _prop_zero_similarity(rng, trial_seed):
     sys = random_minimal_discrete(rng)
-    base = _zero_set(transmission_zeros(sys, rng=np.random.default_rng(1)))
+    base = _zero_set(transmission_zeros(sys))
     S = rng.standard_normal((sys.n, sys.n)) + 2.0 * np.eye(sys.n)
     Si = np.linalg.inv(S)
     sim = DiscretePlant(
         A=S @ sys.A @ Si, B=S @ sys.B, C=sys.C @ Si, D=sys.D, period=1.0
     )
-    transformed = _zero_set(transmission_zeros(sim, rng=np.random.default_rng(2)))
+    transformed = _zero_set(transmission_zeros(sim))
     if _match_multisets(base, transformed, 1e-6) is None:
         return sys, f"{base} vs {transformed}"
     return None
@@ -141,9 +141,7 @@ def _prop_bezout(rng, trial_seed):
 def _prop_factor_sets(rng, trial_seed):
     sys = random_minimal_discrete(rng)
     factors = coprime_factorize(sys)
-    denom_zeros = _zero_set(
-        transmission_zeros(factors.Ml, rng=np.random.default_rng(3))
-    )
+    denom_zeros = _zero_set(transmission_zeros(factors.Ml))
     plant_poles = sorted(
         (complex(z) for z in np.linalg.eigvals(sys.A)), key=lambda z: (z.real, z.imag)
     )
@@ -179,7 +177,7 @@ def _prop_lifted_zero_containment(rng, trial_seed):
     L = _lifted(plant)
     if not check_minimal(L).minimal:
         return None  # pathological fast sampling; excluded by assumption
-    report = transmission_zeros(L, rng=np.random.default_rng(trial_seed))
+    report = transmission_zeros(L)
     bad = [
         r.z_value
         for r in report.zeros

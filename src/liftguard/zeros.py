@@ -7,11 +7,11 @@ pencil
     [   C       D ].
 
 For square systems the finite rank-drop points are the finite generalized
-eigenvalues of the pencil.  Non-square systems are squared down twice with
-independent random compressions; only candidates produced by both draws
-and confirmed by an explicit rank test on the full pencil survive.  The
-reciprocal-frequency form of the pencil is used for evaluation outside the
-unit circle so the rank tests stay well scaled at any magnitude.
+eigenvalues of the pencil.  Non-square systems are squared down once at a
+fixed point; only candidates confirmed by an explicit rank test on the full
+pencil (and, for a lifted system, on a small pencil of the same rank
+profile) survive.  The reciprocal-frequency form of the pencil is used for
+evaluation outside the unit circle so the rank tests stay well scaled.
 
 Classification lives in the reciprocal domain used by the vulnerability
 rules (w = 1/z): a strictly non-minimum-phase zero has 0 < |w| < 1, the
@@ -28,8 +28,9 @@ import numpy as np
 import scipy.linalg
 
 from . import linalg
-from .errors import ModelError, NumericError
+from .errors import ModelError
 from .factor import eval_lambda
+from .lift import LiftedSystem, check_assumptions
 from .model import abcd, check_minimal
 
 __all__ = [
@@ -55,7 +56,9 @@ BOUNDARY_TOL = 1e-7
 # machine level, so the tight threshold does not lose them.
 CONFIRM_RTOL = 1e-9
 MATCH_TOL = 1e-6
-_MAX_SQUARING_RETRIES = 5
+# Fixed real point whose singular vectors square a non-square pencil down;
+# the squared pencil is regular wherever the pencil has full rank there.
+_SQUARING_POINT = 1.2591
 # Generalized eigenvalues beyond this magnitude are numerical leakage of the
 # pencil's infinite spectrum: the reciprocal-domain pencil genuinely loses
 # rank as the reciprocal frequency approaches zero whenever the feedthrough
@@ -146,21 +149,51 @@ def _rank_drop_residual(sys, z: complex, normal_rank: int):
     return float(s[normal_rank - 1]), float(s[0])
 
 
+def _rank_tests(sys):
+    """(quadruple, normal rank) of each pencil a zero of ``sys`` must drop
+    the rank of, the candidate source first.  A lifted system whose
+    observability stack O has full column rank adds the small quadruple
+    ``(A_l, B_l, [C_f; δ], [D_f; B_f/h])``, ``δ = (A_f - I)/h``: by
+    ``X·C_l = O(I - A_f)`` and ``X·D_l = -O·B_f`` it has the lifted pencil's
+    rank profile, and it stays well scaled as h shrinks and the lifted
+    output rows become nearly equal.  Without that rank it would miss zeros."""
+    quads = [abcd(sys)]
+    if isinstance(sys, LiftedSystem) and check_assumptions(sys).obs_full_rank:
+        f = sys.fast_plant
+        delta = (f.A - np.eye(f.n)) / f.period
+        quads.insert(0, (sys.A, sys.B, np.vstack([f.C, delta]), np.vstack([f.D, f.B / f.period])))
+    return [(q, _pencil_normal_rank(q)) for q in quads]
+
+
+def _is_zero(tests, z: complex) -> bool:
+    residuals = (_rank_drop_residual(q, z, rank) for q, rank in tests)
+    return all(residual <= CONFIRM_RTOL * smax for residual, smax in residuals)
+
+
 def has_zero_at(sys, z: complex) -> bool:
-    """Rank test: does the system pencil lose column rank at ``z``
-    (relative tolerance ``CONFIRM_RTOL``)?"""
-    residual, smax = _rank_drop_residual(sys, z, _pencil_normal_rank(sys))
-    return residual <= CONFIRM_RTOL * smax
+    """Rank test: does the system pencil (and, for a lifted system, its
+    small pencil) lose column rank at ``z`` (relative tolerance
+    ``CONFIRM_RTOL``)?"""
+    return _is_zero(_rank_tests(sys), z)
 
 
-def _gevp_candidates(A, B, C, D):
-    """Finite generalized eigenvalues of the square system pencil."""
+def _candidates(A, B, C, D):
+    """Finite generalized eigenvalues of the system pencil ``zE - F``.  A
+    non-square pencil is first projected onto the thin SVD of its value at
+    ``_SQUARING_POINT``, which keeps every zero; the spurious eigenvalues
+    it may add are left to the caller's rank test."""
     n = A.shape[0]
-    n_u = B.shape[1]
-    E1 = np.block([[A, B], [-C, -D]])
-    E2 = np.zeros((n + n_u, n + n_u))
-    E2[:n, :n] = np.eye(n)
-    w = scipy.linalg.eig(E1, E2, right=False)
+    n_u, n_y = B.shape[1], C.shape[0]
+    F = np.block([[A, B], [-C, -D]])
+    E = np.zeros((n + n_y, n + n_u))
+    E[:n, :n] = np.eye(n)
+    if n_y != n_u:
+        U, _, Vh = np.linalg.svd(_SQUARING_POINT * E - F, full_matrices=False)
+        if n_y > n_u:
+            F, E = U.T @ F, U.T @ E
+        else:
+            F, E = F @ Vh.T, E @ Vh.T
+    w = scipy.linalg.eig(F, E, right=False)
     return [complex(z) for z in w if np.isfinite(z)]
 
 
@@ -238,15 +271,15 @@ def _classify(z: complex, multiplicity: int):
     return "minimum_phase", marginal
 
 
-def transmission_zeros(sys, rng=None) -> ZeroReport:
+def transmission_zeros(sys) -> ZeroReport:
     """Finite transmission zeros and poles of a discrete state-space system.
 
-    Square systems are handled by one generalized eigenvalue problem on
-    the pencil.  Non-square systems are squared down twice with
-    independent random full-rank compressions of the wide side, the two
-    candidate sets are intersected, and every survivor is confirmed by a
-    rank test on the full pencil at ``CONFIRM_RTOL``; disagreement after five retries raises
-    :class:`NumericError` with both candidate sets attached.
+    The candidates are the eigenvalues of one generalized eigenvalue
+    problem on the pencil, squared down at a fixed point when the system is
+    not square; a lifted system takes them from its small pencil.  A
+    candidate survives only if it drops the rank of the full pencil, and of
+    the small one, at ``CONFIRM_RTOL``.  Residuals and directions come from
+    the full pencil.  Nothing depends on a random draw.
 
     Zeros at z = 0 are recorded with ``lambda_value`` None
     ("lambda-infinity").  Zeros of the feedthrough relative to the normal
@@ -262,55 +295,12 @@ def transmission_zeros(sys, rng=None) -> ZeroReport:
             "transmission zeros require a minimal realization "
             f"(controllable={rep.controllable}, observable={rep.observable})"
         )
-    if rng is None:
-        rng = np.random.default_rng(0)
 
-    quad = (A, B, C, D)
-    normal_rank = _pencil_normal_rank(quad)
+    tests = _rank_tests(sys)
+    quad, normal_rank = tests[-1]
     shape = "square" if n_y == n_u else ("tall" if n_y > n_u else "fat")
-
-    def confirmed(cands):
-        out = []
-        for z in cands:
-            if abs(z) > _Z_INFINITY_CUTOFF:
-                continue
-            residual, smax = _rank_drop_residual(quad, z, normal_rank)
-            if residual <= CONFIRM_RTOL * smax:
-                out.append(z)
-        return out
-
-    def compression(rows, cols):
-        while True:  # Gaussian draws are full rank almost surely
-            V = rng.standard_normal((rows, cols))
-            if linalg.rank_svd(V).rank == min(rows, cols):
-                return V
-
-    if n_y == n_u:
-        finite = confirmed(_gevp_candidates(A, B, C, D))
-    else:
-        finite = None
-        last = (None, None)
-        for _ in range(_MAX_SQUARING_RETRIES):
-            if n_y > n_u:
-                V1 = compression(n_u, n_y)
-                V2 = compression(n_u, n_y)
-                c1 = confirmed(_gevp_candidates(A, B, V1 @ C, V1 @ D))
-                c2 = confirmed(_gevp_candidates(A, B, V2 @ C, V2 @ D))
-            else:
-                W1 = compression(n_u, n_y)
-                W2 = compression(n_u, n_y)
-                c1 = confirmed(_gevp_candidates(A, B @ W1, C, D @ W1))
-                c2 = confirmed(_gevp_candidates(A, B @ W2, C, D @ W2))
-            matched = _match_multisets(c1, c2, MATCH_TOL)
-            last = (c1, c2)
-            if matched is not None:
-                finite = matched
-                break
-        if finite is None:
-            raise NumericError(
-                "randomized squarings disagree on the zero set after "
-                f"{_MAX_SQUARING_RETRIES} retries: {last[0]} vs {last[1]}"
-            )
+    cands = _candidates(*tests[0][0])
+    finite = [z for z in cands if abs(z) <= _Z_INFINITY_CUTOFF and _is_zero(tests, z)]
 
     # Conjugate-pair and multiplicity bookkeeping, then record assembly.
     sizes = _cluster_sizes(finite, MATCH_TOL) if finite else []

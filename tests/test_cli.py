@@ -57,6 +57,13 @@ class TestAnalyze:
         assert doc["dual_rate"]["m"] == 4
         assert doc["dual_rate"]["verdict"]["actuator_stealthy"] == "no"
 
+    def test_triple_integrator_at_khz(self, plant_files):
+        res = run_cli("analyze", "--plant", plant_files["triple"], "--T", "1e-3", "--seed", "1")
+        assert res.returncode == 0, res.stderr
+        doc = json.loads(res.stdout)
+        assert doc["single_rate"]["verdict"]["actuator_stealthy"] == "yes"
+        assert doc["dual_rate"]["verdict"]["actuator_stealthy"] == "no"
+
     def test_stable_minimum_phase_all_no(self, plant_files):
         res = run_cli("analyze", "--plant", plant_files["stable"], "--seed", "1")
         doc = json.loads(res.stdout)
@@ -251,6 +258,17 @@ class TestDeterminism:
             res = run_cli(*args, "--seed", "11")
             assert res.returncode == 0, res.stderr
             doc = json.loads(res.stdout)
+            doc.pop("timestamp")
+            outs.append(json.dumps(doc, sort_keys=True))
+        assert outs[0] == outs[1]
+
+    def test_analyze_does_not_depend_on_seed(self, plant_files):
+        outs = []
+        for seed in ("0", "7"):
+            res = run_cli("analyze", "--plant", plant_files["fat"], "--seed", seed)
+            assert res.returncode == 0, res.stderr
+            doc = json.loads(res.stdout)
+            doc.pop("seed")
             doc.pop("timestamp")
             outs.append(json.dumps(doc, sort_keys=True))
         assert outs[0] == outs[1]

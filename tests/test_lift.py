@@ -18,7 +18,12 @@ from liftguard import (
 from liftguard.errors import DimensionError, ModelError
 from liftguard.lift import block_difference_matrix, observability_stack
 
-from helpers import random_continuous, random_tall_continuous, triple_integrator
+from helpers import (
+    assert_sets_close,
+    random_continuous,
+    random_tall_continuous,
+    triple_integrator,
+)
 
 
 class TestBuildLifted:
@@ -52,6 +57,27 @@ class TestBuildLifted:
         for rec in report.zeros:
             if rec.z_value is not None:
                 assert abs(rec.z_value) <= 1.0 + 1e-7 or abs(rec.z_value - 1.0) <= 1e-6
+
+    def test_zeros_with_rank_deficient_observability_stack(self):
+        # Below full column rank of C, CA, ..., CA^{m-2} the lifted pencil
+        # has zeros the small delta pencil lacks, so they must still be
+        # found: compare with the same quadruple as a plain system.
+        rng = np.random.default_rng(37)
+        off_one = 0
+        for _ in range(20):
+            plant = random_continuous(rng, n=int(rng.integers(3, 6)), n_u=2, n_y=1)
+            L = build_lifted(plant, 1.0, 2)
+            assert not check_assumptions(L).obs_full_rank
+            if not check_minimal(L).minimal:
+                continue
+            plain = StateSpace(A=L.A, B=L.B, C=L.C, D=L.D)
+            got, want = (
+                [r.z_value for r in transmission_zeros(s).zeros if r.z_value is not None]
+                for s in (L, plain)
+            )
+            assert_sets_close(got, want, 1e-6, "lifted zeros")
+            off_one += int(any(abs(z - 1.0) > 1e-6 for z in want))
+        assert off_one >= 3
 
     def test_m_too_small(self):
         with pytest.raises(ValueError):

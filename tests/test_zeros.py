@@ -154,7 +154,7 @@ class TestSquaringAndInvariance:
 
             if not check_minimal(sys).minimal:
                 continue
-            report = transmission_zeros(sys, rng=rng)
+            report = transmission_zeros(sys)
             zs = finite_zeros(report)
             assert any(abs(z - z0) <= 1e-6 for z in zs), f"constructed zero {z0} missed: {zs}"
             # slow oracle: the smallest pencil singular value dips at each zero
@@ -167,7 +167,7 @@ class TestSquaringAndInvariance:
     def test_fat_system_squares_down_input_side(self):
         rng = np.random.default_rng(55)
         sys = random_discrete(rng, n=3, n_u=2, n_y=1)
-        report = transmission_zeros(sys, rng=rng)
+        report = transmission_zeros(sys)
         assert report.system_shape == "fat"
         for rec in report.zeros:
             if rec.z_value is not None:
@@ -233,7 +233,7 @@ class TestClassifyVulnerability:
     def test_fat_plant_always_actuator_yes(self):
         rng = np.random.default_rng(77)
         sys = random_discrete(rng, n=3, n_u=2, n_y=1)
-        verdict = classify_vulnerability(transmission_zeros(sys, rng=rng))
+        verdict = classify_vulnerability(transmission_zeros(sys))
         assert verdict.actuator == "yes"
         assert verdict.actuator_mechanism == "fat_plant"
 
