@@ -187,6 +187,8 @@ def _resolve_m(args, plant, T, m_file):
     if raw == "auto":
         return choose_m(plant, T), True
     m = int(raw)
+    if m < 2:
+        raise ConfigurationError(f"explicit m={m}: the dual-rate factor must be at least 2")
     report = check_assumptions(build_lifted(plant, T, m))
     if not report.satisfied:
         raise ConfigurationError(

@@ -164,35 +164,40 @@ def _validate_against_fast(L: LiftedSystem) -> None:
         )
 
 
+def _assumption_report(fast: DiscretePlant, m: int) -> AssumptionReport:
+    """The two rank tests on the fast plant at sub-sampling factor m."""
+    b_rank = linalg.rank_svd(fast.B)
+    obs_rank = linalg.rank_svd(observability_stack(fast.A, fast.C, m))
+    return AssumptionReport(
+        b_full_rank=b_rank.rank == fast.n_u,
+        b_rank=b_rank,
+        obs_full_rank=obs_rank.rank == fast.n,
+        obs_rank=obs_rank,
+        m_used=m,
+    )
+
+
 def check_assumptions(L: LiftedSystem) -> AssumptionReport:
     """Rank tests behind the lifted-zero guarantees.
 
     The fast input matrix must have full column rank, and the stacked
     observability rows C, CA, ..., CA^{m-2} must have full column rank.
     """
-    fast = L.fast_plant
-    b_rank = linalg.rank_svd(fast.B)
-    obs = observability_stack(fast.A, fast.C, L.m)
-    obs_rank = linalg.rank_svd(obs)
-    return AssumptionReport(
-        b_full_rank=b_rank.rank == fast.n_u,
-        b_rank=b_rank,
-        obs_full_rank=obs_rank.rank == fast.n,
-        obs_rank=obs_rank,
-        m_used=L.m,
-    )
+    return _assumption_report(L.fast_plant, L.m)
 
 
 def choose_m(plant: ContinuousPlant, T: float) -> int:
     """Smallest sub-sampling factor satisfying both rank assumptions.
 
     Searches m = 2, 3, ..., n+1 (n+1 suffices for an observable fast
-    pair).  Raises :class:`ModelError` when no admissible m exists (the
-    input matrix is rank deficient or the fast pair is unobservable).
+    pair), running the rank tests of :func:`check_assumptions` on the fast
+    plant at T/m; no lifted system is assembled.  Raises
+    :class:`ModelError` when no admissible m exists (the input matrix is
+    rank deficient or the fast pair is unobservable).
     """
     upper = plant.n + 1
     for m in range(2, upper + 1):
-        if check_assumptions(build_lifted(plant, T, m)).satisfied:
+        if _assumption_report(discretize(plant, T / m), m).satisfied:
             return m
     raise ModelError(
         f"no m in [2, {upper}] satisfies the rank assumptions: the plant violates "
@@ -207,27 +212,29 @@ def shift_consistency_check(
 
     For random held-input sequences, the lifted response to the input
     delayed by one base step must equal the fast-rate response to the
-    undelayed input, delayed by m sub-steps and stacked.  Corrupted
-    lifted blocks break the match: the largest scaled error must not
-    exceed ``SHIFT_CONSISTENCY_TOL``.
+    undelayed input, delayed by m sub-steps and stacked.  Each trial's
+    error is scaled by its own largest stacked output (at least 1), and
+    corrupted lifted blocks break the match: the largest scaled error must
+    not exceed ``SHIFT_CONSISTENCY_TOL``.
+
+    All trials draw their inputs in one ``rng`` call (the same stream as
+    one draw per trial) and run as one lifted and one fast recursion.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     fast = L.fast_plant
-    m, n_u = L.m, L.n_u
-    worst = 0.0
-    for _ in range(trials):
-        u = rng.standard_normal((n_steps, n_u))
-        # Lifted response to the delayed input.
-        u_delayed = np.vstack([np.zeros((1, n_u)), u[:-1]])
-        y_lifted = ss_response(L, u_delayed)  # (n_steps, m*n_y)
-        # Fast response to the undelayed input, then delay by m sub-steps.
-        u_fast = np.repeat(u, m, axis=0)
-        y_fast = ss_response(fast, u_fast)
-        y_fast_delayed = np.vstack([np.zeros((m, fast.n_y)), y_fast[:-m]])
-        y_stacked = y_fast_delayed.reshape(n_steps, m * fast.n_y)
-        scale = max(1.0, float(np.max(np.abs(y_stacked))))
-        worst = max(worst, float(np.max(np.abs(y_lifted - y_stacked))) / scale)
+    m, n_u, n_y = L.m, L.n_u, fast.n_y
+    u = rng.standard_normal((trials, n_steps, n_u)).transpose(1, 2, 0)
+    # Lifted response to the delayed input: (n_steps, m*n_y, trials).
+    u_delayed = np.concatenate([np.zeros((1, n_u, trials)), u[:-1]])
+    y_lifted = ss_response(L, u_delayed)
+    # Fast response to the undelayed input, then delay by m sub-steps.
+    y_fast = ss_response(fast, np.repeat(u, m, axis=0))
+    y_fast_delayed = np.concatenate([np.zeros((m, n_y, trials)), y_fast[:-m]])
+    y_stacked = y_fast_delayed.reshape(n_steps, m * n_y, trials)
+    scale = np.maximum(1.0, np.max(np.abs(y_stacked), axis=(0, 1)))
+    errors = np.max(np.abs(y_lifted - y_stacked), axis=(0, 1)) / scale
+    worst = float(np.max(errors, initial=0.0))
     return ShiftConsistencyResult(
         consistent=worst <= SHIFT_CONSISTENCY_TOL,
         max_error=worst,

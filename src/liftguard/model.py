@@ -256,28 +256,35 @@ def ss_response(sys, inputs, x0=None, return_states: bool = False):
         Anything carrying an (A, B, C, D) quadruple.
     inputs : array_like
         Input sequence, shape (N, n_u) (a 1-D array is accepted for
-        single-input systems).
+        single-input systems), or shape (N, n_u, k) for k independent runs
+        stepped together as one recursion on an (n, k) state.
     x0 : array_like, optional
-        Initial state (defaults to zero).
+        Initial state of dimension n, shared by every run (defaults to zero).
     return_states : bool
-        Also return the state trajectory, shape (N + 1, n), including the
-        final post-update state.
+        Also return the state trajectory, shape (N + 1, n) (or
+        (N + 1, n, k)), including the final post-update state.
+
+    Outputs have shape (N, n_y), or (N, n_y, k) for batched inputs.
     """
     A, B, C, D = abcd(sys)
     n, n_u = A.shape[0], B.shape[1]
     U = np.asarray(inputs, dtype=float)
     if U.ndim == 1:
         U = U.reshape(-1, 1)
-    if U.ndim != 2 or U.shape[1] != n_u:
-        raise DimensionError(f"inputs must have shape (N, {n_u}), got {U.shape}")
+    if U.ndim not in (2, 3) or U.shape[1] != n_u:
+        raise DimensionError(
+            f"inputs must have shape (N, {n_u}) or (N, {n_u}, k), got {U.shape}"
+        )
     if U.shape[0] < 1:
         raise DimensionError("input sequence must contain at least one sample")
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
     if x.shape[0] != n:
         raise DimensionError(f"x0 must have dimension {n}, got {x.shape[0]}")
+    runs = U.shape[2:]  # () or (k,)
+    x = x.reshape((n,) + (1,) * len(runs))
     N = U.shape[0]
-    Y = np.empty((N, C.shape[0]))
-    X = np.empty((N + 1, n)) if return_states else None
+    Y = np.empty((N, C.shape[0]) + runs)
+    X = np.empty((N + 1, n) + runs) if return_states else None
     for k in range(N):
         if return_states:
             X[k] = x

@@ -230,6 +230,8 @@ def run_suite(trials: int = 100, seed: int = 0) -> list:
     the seed itself, and the property returns ``(plant, detail)`` for a
     counterexample or None.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     out = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

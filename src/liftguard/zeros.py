@@ -121,40 +121,41 @@ class VulnerabilityVerdict:
     notes: tuple = ()
 
 
-def pencil_matrix(sys, z: complex) -> np.ndarray:
+def pencil_matrix(sys, z) -> np.ndarray:
     """System pencil at ``z``, in whichever of the two frequency forms is
     well scaled at that point (|z| <= 1: plain form; otherwise the
-    reciprocal form, which has the identical rank profile)."""
+    reciprocal form, which has the identical rank profile).
+
+    A 1-D array of points gives the pencils stacked along a leading axis.
+    """
     A, B, C, D = abcd(sys)
-    n = A.shape[0]
-    z = complex(z)
-    if abs(z) <= 1.0:
-        top = np.hstack([z * np.eye(n) - A, -B])
-        bot = np.hstack([C, D])
-    else:
-        w = 1.0 / z
-        top = np.hstack([np.eye(n) - w * A, -B])
-        bot = np.hstack([w * C, D])
-    return np.vstack([top, bot]).astype(complex)
+    n, n_u, n_y = A.shape[0], B.shape[1], C.shape[0]
+    z = np.asarray(z, dtype=complex)
+    # Per point, the coefficients of I and of (A, C): (z, 1) in the plain
+    # form, (1, 1/z) in the reciprocal one.  1/z uses Python's complex
+    # division: numpy's differs from it in the last bit at some points.
+    coef = [(p, 1.0) if abs(p) <= 1.0 else (1.0, 1.0 / p) for p in map(complex, z.flat)]
+    coef = np.array(coef, dtype=complex).reshape(z.shape + (2, 1, 1))
+    a, b = coef[..., 0, :, :], coef[..., 1, :, :]
+    M = np.empty(z.shape + (n + n_y, n + n_u), dtype=complex)
+    M[..., :n, :n] = a * np.eye(n) - b * A
+    M[..., :n, n:] = -B
+    M[..., n:, :n] = b * C
+    M[..., n:, n:] = D
+    return M
 
 
 def _pencil_normal_rank(sys) -> int:
-    return max(linalg.rank_svd(pencil_matrix(sys, z)).rank for z in _PROBE_POINTS)
-
-
-def _rank_drop_residual(sys, z: complex, normal_rank: int):
-    """(residual, sigma_max) of the pencil at z: residual is the singular
-    value that must vanish for the column rank to fall below normal_rank."""
-    s = np.linalg.svd(pencil_matrix(sys, z), compute_uv=False)
-    return float(s[normal_rank - 1]), float(s[0])
+    s = np.linalg.svd(pencil_matrix(sys, _PROBE_POINTS), compute_uv=False)
+    return int(np.max(np.count_nonzero(s > linalg.DEFAULT_RANK_RTOL * s[:, :1], axis=1)))
 
 
 def _rank_tests(sys):
     """(quadruple, normal rank) of each pencil a zero of ``sys`` must drop
-    the rank of, the candidate source first.  A lifted system whose
-    observability stack O has full column rank adds the small quadruple
-    ``(A_l, B_l, [C_f; δ], [D_f; B_f/h])``, ``δ = (A_f - I)/h``: by
-    ``X·C_l = O(I - A_f)`` and ``X·D_l = -O·B_f`` it has the lifted pencil's
+    the rank of, the candidate source first and the full pencil last.  A
+    lifted system whose observability stack O has full column rank adds the
+    small quadruple ``(A_l, B_l, [C_f; δ], [D_f; B_f/h])``, ``δ = (A_f - I)/h``:
+    by ``X·C_l = O(I - A_f)`` and ``X·D_l = -O·B_f`` it has the lifted pencil's
     rank profile, and it stays well scaled as h shrinks and the lifted
     output rows become nearly equal.  Without that rank it would miss zeros."""
     quads = [abcd(sys)]
@@ -165,16 +166,28 @@ def _rank_tests(sys):
     return [(q, _pencil_normal_rank(q)) for q in quads]
 
 
-def _is_zero(tests, z: complex) -> bool:
-    residuals = (_rank_drop_residual(q, z, rank) for q, rank in tests)
-    return all(residual <= CONFIRM_RTOL * smax for residual, smax in residuals)
+def _confirmed(tests, candidates):
+    """(z, residual) for each candidate that drops the rank of every pencil
+    in ``tests`` (relative tolerance ``CONFIRM_RTOL``), with one stacked SVD
+    per pencil over the candidates still standing.  The residual is the
+    singular value of the last (full) pencil that must vanish for its column
+    rank to fall below the normal rank."""
+    found = [(complex(z), 0.0) for z in candidates]
+    for q, rank in tests:
+        s = np.linalg.svd(pencil_matrix(q, [z for z, _ in found]), compute_uv=False)
+        found = [
+            (z, float(sz[rank - 1]))
+            for (z, _), sz in zip(found, s)
+            if sz[rank - 1] <= CONFIRM_RTOL * sz[0]
+        ]
+    return found
 
 
 def has_zero_at(sys, z: complex) -> bool:
     """Rank test: does the system pencil (and, for a lifted system, its
     small pencil) lose column rank at ``z`` (relative tolerance
     ``CONFIRM_RTOL``)?"""
-    return _is_zero(_rank_tests(sys), z)
+    return bool(_confirmed(_rank_tests(sys), [z]))
 
 
 def _candidates(A, B, C, D):
@@ -197,18 +210,20 @@ def _candidates(A, B, C, D):
     return [complex(z) for z in w if np.isfinite(z)]
 
 
-def _null_direction(sys, z: complex):
-    """Right null vector of the pencil at z, split into (state, input) parts."""
-    A, B, C, D = abcd(sys)
-    n = A.shape[0]
-    M = pencil_matrix(sys, z)
-    _, _, Vh = np.linalg.svd(M)
-    v = Vh[-1].conj()
-    xi, nu = v[:n], v[n:]
-    if abs(z) > 1.0:
-        # reciprocal form carries nu scaled by 1/z relative to the plain form
-        nu = nu * z
-    return xi, nu
+def _null_directions(sys, zs):
+    """Right null vector of the pencil at each point of ``zs``, split into
+    (state, input) parts, from one stacked SVD."""
+    n = abcd(sys)[0].shape[0]
+    _, _, Vh = np.linalg.svd(pencil_matrix(sys, zs))
+    out = []
+    for z, vh in zip(zs, Vh):
+        v = vh[-1].conj()
+        xi, nu = v[:n], v[n:]
+        if abs(z) > 1.0:
+            # reciprocal form carries nu scaled by 1/z relative to the plain form
+            nu = nu * z
+        out.append((xi, nu))
+    return out
 
 
 def _normalize_direction(xi, nu):
@@ -300,14 +315,13 @@ def transmission_zeros(sys) -> ZeroReport:
     quad, normal_rank = tests[-1]
     shape = "square" if n_y == n_u else ("tall" if n_y > n_u else "fat")
     cands = _candidates(*tests[0][0])
-    finite = [z for z in cands if abs(z) <= _Z_INFINITY_CUTOFF and _is_zero(tests, z)]
+    found = _confirmed(tests, [z for z in cands if abs(z) <= _Z_INFINITY_CUTOFF])
 
     # Conjugate-pair and multiplicity bookkeeping, then record assembly.
-    sizes = _cluster_sizes(finite, MATCH_TOL) if finite else []
+    zs = [z for z, _ in found]
+    sizes = _cluster_sizes(zs, MATCH_TOL)
     records = []
-    for z, mult in zip(finite, sizes):
-        residual, _ = _rank_drop_residual(quad, z, normal_rank)
-        xi, nu = _null_direction(quad, z)
+    for (z, residual), mult, (xi, nu) in zip(found, sizes, _null_directions(quad, zs)):
         xi, nu = _normalize_direction(xi, nu)
         classification, marginal = _classify(z, mult)
         lam = None if abs(z) <= 1e-9 else 1.0 / z  # None encodes "lambda-infinity"

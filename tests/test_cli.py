@@ -48,6 +48,15 @@ def plant_files(tmp_path_factory):
     return paths
 
 
+def _m_one(plant_files, tmp_path, source):
+    """The triple integrator with m = 1 given by --m or by the plant file."""
+    if source == "flag":
+        return plant_files["triple"], ("--m", "1")
+    path = tmp_path / "triple_m1.json"
+    path.write_text(json.dumps(plant_to_dict(triple_integrator(), T=1.0, m=1)))
+    return str(path), ()
+
+
 class TestAnalyze:
     def test_triple_integrator_verdicts(self, plant_files):
         res = run_cli("analyze", "--plant", plant_files["triple"], "--seed", "1")
@@ -75,6 +84,15 @@ class TestAnalyze:
         doc = json.loads(res.stdout)
         assert doc["single_rate"]["verdict"]["actuator_stealthy"] == "yes"
         assert doc["single_rate"]["verdict"]["actuator_mechanism"] == "fat_plant"
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_m_below_two_reported_under_dual_rate(self, plant_files, tmp_path, source):
+        plant, extra = _m_one(plant_files, tmp_path, source)
+        res = run_cli("analyze", "--plant", plant, *extra)
+        assert res.returncode == 0, res.stderr
+        doc = json.loads(res.stdout)
+        assert doc["single_rate"]["verdict"]["actuator_stealthy"] == "yes"
+        assert "at least 2" in doc["dual_rate"]["error"]
 
     def test_parse_error_exit_2(self, plant_files):
         res = run_cli("analyze", "--plant", plant_files["bad"])
@@ -226,8 +244,24 @@ class TestLift:
         err = json.loads(res.stderr)
         assert "assumptions" in err["message"]
 
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_m_below_two_exit_5(self, plant_files, tmp_path, source):
+        plant, extra = _m_one(plant_files, tmp_path, source)
+        for cmd in (("lift",), ("simulate", "--mode", "dual_rate", "--horizon", "5")):
+            res = run_cli(*cmd, "--plant", plant, *extra)
+            assert res.returncode == 5, res.stderr
+            assert "at least 2" in json.loads(res.stderr)["message"]
+
 
 class TestVerify:
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_exit_2(self, trials):
+        res = run_cli("verify", "--trials", trials)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        err = json.loads(res.stderr)
+        assert err["error"] == "ValueError" and "trials" in err["message"]
+
     def test_small_run_passes(self):
         res = run_cli("verify", "--trials", "6", "--seed", "2")
         assert res.returncode == 0, res.stderr

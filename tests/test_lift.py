@@ -16,7 +16,7 @@ from liftguard import (
     transmission_zeros,
 )
 from liftguard.errors import DimensionError, ModelError
-from liftguard.lift import block_difference_matrix, observability_stack
+from liftguard.lift import SHIFT_CONSISTENCY_TOL, block_difference_matrix, observability_stack
 
 from helpers import (
     assert_sets_close,
@@ -166,6 +166,24 @@ class TestChooseM:
         with pytest.raises(ModelError):
             choose_m(plant, 1.0)
 
+    @pytest.mark.parametrize("T", [1.0, 0.1])
+    def test_matches_search_over_lifted_systems(self, T, monkeypatch):
+        rng = np.random.default_rng(71)
+        plants = [random_continuous(rng) for _ in range(40)]
+        expected = [_choose_m_by_building(p, T) for p in plants]
+        assert sum(m is not None for m in expected) >= 30
+
+        def no_lifting(*args, **kwargs):
+            raise AssertionError("choose_m assembled a lifted system")
+
+        monkeypatch.setattr("liftguard.lift.build_lifted", no_lifting)
+        for plant, m in zip(plants, expected):
+            if m is None:
+                with pytest.raises(ModelError):
+                    choose_m(plant, T)
+            else:
+                assert choose_m(plant, T) == m
+
 
 class TestShiftConsistency:
     def test_random_lifted_consistent(self):
@@ -188,6 +206,27 @@ class TestShiftConsistency:
         corrupted = dataclasses.replace(L, D=L.D + 1e-3)
         result = shift_consistency_check(corrupted, trials=3, n_steps=20)
         assert not result.consistent
+
+    def test_matches_per_trial_loop(self):
+        rng = np.random.default_rng(73)
+        flagged = 0
+        for k in range(8):
+            plant = random_continuous(rng)
+            L = build_lifted(plant, 1.0, int(rng.integers(2, 5)))
+            if k % 2:
+                # corrupted blocks give errors far above rounding, so the
+                # per-trial scale decides which trial is the worst
+                L = dataclasses.replace(L, D=L.D + 1e-3 * rng.standard_normal(L.D.shape))
+            seed = int(rng.integers(2**31))
+            ref_rng, rng_used = np.random.default_rng(seed), np.random.default_rng(seed)
+            expected = _shift_consistency_per_trial(L, 4, 12, ref_rng)
+            result = shift_consistency_check(L, trials=4, n_steps=12, rng=rng_used)
+            np.testing.assert_allclose(result.max_error, expected, rtol=1e-12, atol=1e-12)
+            assert result.consistent == (expected <= SHIFT_CONSISTENCY_TOL)
+            flagged += int(not result.consistent)
+            # the same draws: the generator is left where the loop leaves it
+            assert rng_used.random() == ref_rng.random()
+        assert flagged >= 3
 
 
 class TestFrequencyOneEquivalence:
@@ -239,3 +278,28 @@ def _plant_with_blocking_zero_at_origin(rng, tries=20):
         except LiftguardError:
             continue
     return None
+
+
+def _choose_m_by_building(plant, T):
+    """Search m by assembling each candidate's lifted system."""
+    for m in range(2, plant.n + 2):
+        if check_assumptions(build_lifted(plant, T, m)).satisfied:
+            return m
+    return None
+
+
+def _shift_consistency_per_trial(L, trials, n_steps, rng):
+    """Largest scaled error, one trial and one sub-step at a time."""
+    fast = L.fast_plant
+    m, n_u = L.m, L.n_u
+    worst = 0.0
+    for _ in range(trials):
+        u = rng.standard_normal((n_steps, n_u))
+        u_delayed = np.vstack([np.zeros((1, n_u)), u[:-1]])
+        y_lifted = ss_response(L, u_delayed)
+        y_fast = ss_response(fast, np.repeat(u, m, axis=0))
+        y_fast_delayed = np.vstack([np.zeros((m, fast.n_y)), y_fast[:-m]])
+        y_stacked = y_fast_delayed.reshape(n_steps, m * fast.n_y)
+        scale = max(1.0, float(np.max(np.abs(y_stacked))))
+        worst = max(worst, float(np.max(np.abs(y_lifted - y_stacked))) / scale)
+    return worst

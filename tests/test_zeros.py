@@ -174,6 +174,35 @@ class TestSquaringAndInvariance:
                 assert has_zero_at(sys, rec.z_value)
 
 
+def _scalar_pencil(sys, z):
+    """The pencil at one point, built entry by entry in the scalar form."""
+    A, B, C, D = sys.A, sys.B, sys.C, sys.D
+    n = A.shape[0]
+    z = complex(z)
+    if abs(z) <= 1.0:
+        top, bot = np.hstack([z * np.eye(n) - A, -B]), np.hstack([C, D])
+    else:
+        w = 1.0 / z
+        top, bot = np.hstack([np.eye(n) - w * A, -B]), np.hstack([w * C, D])
+    return np.vstack([top, bot]).astype(complex)
+
+
+class TestPencilMatrix:
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 1), (1, 2)])
+    def test_array_of_points_equals_stacked_scalar_pencils(self, shape):
+        rng = np.random.default_rng(61)
+        sys = random_discrete(rng, n=3, n_u=shape[0], n_y=shape[1])
+        pts = np.concatenate([
+            [0.0, 1.0, -1.0, 1j, 0.3 - 0.4j, 0.6 + 0.8j, 1.0 + 1e-12, 2.0, -7.5 + 3.1j],
+            np.exp(1j * rng.uniform(0, 2 * np.pi, 40)) * rng.uniform(0.05, 20.0, 40),
+        ])
+        stacked = pencil_matrix(sys, pts)
+        assert stacked.shape == (len(pts), 3 + shape[1], 3 + shape[0])
+        np.testing.assert_array_equal(stacked, np.stack([pencil_matrix(sys, z) for z in pts]))
+        np.testing.assert_array_equal(stacked, np.stack([_scalar_pencil(sys, z) for z in pts]))
+        assert pencil_matrix(sys, []).shape == (0, 3 + shape[1], 3 + shape[0])
+
+
 def _min_sigma(sys, z):
     M = pencil_matrix(sys, z)
     s = np.linalg.svd(M, compute_uv=False)
