@@ -47,7 +47,6 @@ from .zeros import (
 from .factor import (
     Controller,
     CoprimeFactors,
-    ResidualFilter,
     bezout_defect,
     coprime_factorize,
     eval_lambda,
@@ -61,7 +60,6 @@ from .lift import (
     build_lifted,
     check_assumptions,
     choose_m,
-    lift_controller,
     observability_stack,
     shift_consistency_check,
 )
@@ -82,7 +80,6 @@ from .sim import (
     Verdict,
     monitor_eval,
     run_dual_rate,
-    run_lifted_closed_loop,
     run_single_rate,
     standard_loop,
     trace_metadata,

@@ -181,28 +181,37 @@ def _parse_weight(text):
         return json.loads(text)
 
 
-def _resolve_m(args, plant, T, m_file):
-    """Dual-rate factor from --m / the plant file / automatic choice."""
+def _explicit_m(args, m_file):
+    """Dual-rate factor from --m or the plant file; None asks for the automatic choice."""
     raw = args.m if args.m is not None else (str(m_file) if m_file else "auto")
     if raw == "auto":
-        return choose_m(plant, T), True
+        return None
     m = int(raw)
     if m < 2:
         raise ConfigurationError(f"explicit m={m}: the dual-rate factor must be at least 2")
-    report = check_assumptions(build_lifted(plant, T, m))
-    if not report.satisfied:
+    return m
+
+
+def _lifted(plant, T, m):
+    """The lifted system at m (None: the smallest admissible) and its rank
+    report; an explicit m that violates the rank assumptions is rejected."""
+    lifted = build_lifted(plant, T, choose_m(plant, T) if m is None else m)
+    report = check_assumptions(lifted)
+    if m is not None and not report.satisfied:
         raise ConfigurationError(
             f"explicit m={m} violates the rank assumptions: "
             + json.dumps(_assumption_dict(report), sort_keys=True)
         )
-    return m, False
+    return lifted, report
 
 
 def _standard_loop(args, plant, T, m_file, horizon, attack=None):
     """``standard_loop`` built from the loop flags of ``attack`` and ``simulate``."""
     m = None
     if args.mode == "dual_rate":
-        m, _ = _resolve_m(args, plant, T, m_file)
+        m = _explicit_m(args, m_file)
+        if m is not None:
+            _lifted(plant, T, m)
     return standard_loop(
         plant, T, mode=args.mode, m=m, theta=args.theta, horizon=horizon, attack=attack,
         Q=_parse_weight(args.Q), R=_parse_weight(args.R),
@@ -236,16 +245,15 @@ def cmd_analyze(args) -> int:
     }
 
     try:
-        m, auto = _resolve_m(args, plant, T, m_file)
-        lifted = build_lifted(plant, T, m)
-        assumptions = check_assumptions(lifted)
+        m = _explicit_m(args, m_file)
+        lifted, assumptions = _lifted(plant, T, m)
         lifted_report = transmission_zeros(lifted)
         lifted_factors = coprime_factorize(lifted)
         lifted_verdict = classify_vulnerability(lifted_report, left_numerator=lifted_factors.Nl)
         doc["dual_rate"] = {
-            "m": m,
-            "m_auto": auto,
-            "fast_period": T / m,
+            "m": lifted.m,
+            "m_auto": m is None,
+            "fast_period": T / lifted.m,
             "assumptions": _assumption_dict(assumptions),
             "zero_report": _zero_report_dict(lifted_report),
             "verdict": _verdict_dict(lifted_verdict),
@@ -299,16 +307,15 @@ def cmd_simulate(args) -> int:
 def cmd_lift(args) -> int:
     seed = _resolve_seed(args)
     plant, T, m_file = _load(args)
-    m, auto = _resolve_m(args, plant, T, m_file)
-    lifted = build_lifted(plant, T, m)
-    assumptions = check_assumptions(lifted)
-    shift = shift_consistency_check(lifted, rng=np.random.default_rng(seed))
+    m = _explicit_m(args, m_file)
+    lifted, assumptions = _lifted(plant, T, m)
+    shift = shift_consistency_check(lifted)
     doc = _base_doc(args, seed)
     doc["lifted"] = {
-        "m": m,
-        "m_auto": auto,
+        "m": lifted.m,
+        "m_auto": m is None,
         "base_period": T,
-        "fast_period": T / m,
+        "fast_period": T / lifted.m,
         "A": lifted.A.tolist(),
         "B": lifted.B.tolist(),
         "C": lifted.C.tolist(),

@@ -27,7 +27,6 @@ from .model import StateSpace, abcd, check_minimal
 __all__ = [
     "CoprimeFactors",
     "Controller",
-    "ResidualFilter",
     "coprime_factorize",
     "observer_controller",
     "residual_generator",
@@ -190,46 +189,17 @@ def observer_controller(factors: CoprimeFactors) -> Controller:
     return K
 
 
-class ResidualFilter:
-    """Causal filter over measured (y, u) streams emitting the residual.
+def residual_generator(factors: CoprimeFactors) -> StateSpace:
+    """Residual filter of the factored plant over the stacked input [y, u].
 
-    In an attack-free closed loop started from zero states the residual is
+    The quadruple is (A+HC, [H, -(B+HD)], C, [I, -D]); run it with
+    ``ss_response(residual_generator(f), np.hstack([y, u]))``.  In an
+    attack-free closed loop started from zero states the residual is
     identically zero; injected actuator and sensor disturbances appear in
-    it filtered by the stable left factors.  Single-owner: one filter per
-    run, distinct filters are independent.
+    it filtered by the stable left factors.
     """
-
-    def __init__(self, factors: CoprimeFactors):
-        A, B, C, D = (np.asarray(M, dtype=float) for M in abcd(factors.base))
-        H = factors.H
-        self._A = A + H @ C
-        self._By = H
-        self._Bu = -(B + H @ D)
-        self._C = C
-        self._Du = -D
-        self._x = np.zeros(A.shape[0])
-        self.n_y = C.shape[0]
-        self.n_u = B.shape[1]
-
-    def step(self, y, u) -> np.ndarray:
-        y = np.asarray(y, dtype=float).reshape(-1)
-        u = np.asarray(u, dtype=float).reshape(-1)
-        if y.shape[0] != self.n_y or u.shape[0] != self.n_u:
-            raise DimensionError(
-                f"residual filter expects y of length {self.n_y} and u of length {self.n_u}"
-            )
-        r = self._C @ self._x + y + self._Du @ u
-        self._x = self._A @ self._x + self._By @ y + self._Bu @ u
-        return r
-
-    def run(self, ys, us) -> np.ndarray:
-        ys = np.atleast_2d(np.asarray(ys, dtype=float))
-        us = np.atleast_2d(np.asarray(us, dtype=float))
-        if ys.shape[0] != us.shape[0]:
-            raise DimensionError("y and u streams must have equal length")
-        return np.array([self.step(y, u) for y, u in zip(ys, us)])
-
-
-def residual_generator(factors: CoprimeFactors) -> ResidualFilter:
-    """Fresh residual filter for the factored plant."""
-    return ResidualFilter(factors)
+    A, B, C, D = (np.asarray(M, dtype=float) for M in abcd(factors.base))
+    H = factors.H
+    return StateSpace(
+        A + H @ C, np.hstack([H, -(B + H @ D)]), C, np.hstack([np.eye(C.shape[0]), -D])
+    )

@@ -21,7 +21,7 @@ import numpy as np
 from . import linalg
 from .errors import ConfigurationError, DimensionError
 from .factor import Controller, closed_loop_matrix, coprime_factorize, observer_controller
-from .lift import LiftedSystem, build_lifted, choose_m
+from .lift import build_lifted, choose_m
 from .model import ContinuousPlant, discretize
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "monitor_eval",
     "run_single_rate",
     "run_dual_rate",
-    "run_lifted_closed_loop",
     "standard_loop",
     "trace_to_csv",
     "trace_metadata",
@@ -275,32 +274,6 @@ def run_single_rate(cfg: LoopConfig) -> SimTrace:
 def run_dual_rate(cfg: LoopConfig) -> SimTrace:
     """Closed-loop run with the output sampled m times per hold period."""
     return _closed_loop(cfg, "dual_rate")
-
-
-def run_lifted_closed_loop(L: LiftedSystem, controller: Controller, n_steps: int,
-                           d_a=None, d_s_stacked=None, x0=None, xk0=None):
-    """Reference LTI recursion of the lifted loop with stacked signals.
-
-    Used as the oracle for the dual-rate time-domain engine: both must
-    produce identical command and stacked-output trajectories.
-    Returns ``(u, y_stacked)``.
-    """
-    n, n_u, n_ys = L.n, L.n_u, L.C.shape[0]
-    d_a = np.zeros((n_steps, n_u)) if d_a is None else np.asarray(d_a, dtype=float)
-    d_s = np.zeros((n_steps, n_ys)) if d_s_stacked is None else np.asarray(d_s_stacked, dtype=float)
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
-    xk = np.zeros(controller.n) if xk0 is None else np.asarray(xk0, dtype=float)
-    u_log = np.empty((n_steps, n_u))
-    y_log = np.empty((n_steps, n_ys))
-    for k in range(n_steps):
-        u_k = controller.C @ xk
-        ua = u_k + d_a[k]
-        y_k = L.C @ x + L.D @ ua + d_s[k]
-        u_log[k] = u_k
-        y_log[k] = y_k
-        xk = controller.A @ xk + controller.B @ y_k
-        x = L.A @ x + L.B @ ua
-    return u_log, y_log
 
 
 def _weight(value, dim: int):

@@ -4,8 +4,9 @@
 Each property runs a number of independent trials on freshly drawn random
 minimal plants and reports pass/fail with a counterexample dump (plant
 JSON plus the trial seed) on failure.  A deliberate negative control
-corrupts a lifted block and must be caught by the shift-consistency
-check, guarding the test machinery itself.
+corrupts a lifted block and must be caught by the lifted-block
+certificate (``lift.shift_consistency_check``), guarding the test
+machinery itself.
 """
 
 from __future__ import annotations
@@ -79,19 +80,6 @@ def random_minimal_discrete(rng) -> DiscretePlant:
         period=1.0,
     )
     return sys if check_minimal(sys).minimal else None
-
-
-@_redrawn
-def _random_stable_plant(rng) -> ContinuousPlant:
-    n = int(rng.integers(2, 5))
-    Ac = rng.standard_normal((n, n))
-    Ac = Ac - (np.max(np.linalg.eigvals(Ac).real) + 0.3) * np.eye(n)
-    return ContinuousPlant(
-        Ac=Ac,
-        Bc=rng.standard_normal((n, 1)),
-        Cc=rng.standard_normal((1, n)),
-        Dc=np.zeros((1, 1)),
-    )
 
 
 def _counterexample(plant, trial_seed, detail):
@@ -191,22 +179,18 @@ def _prop_lifted_zero_containment(rng, trial_seed):
 
 def _prop_shift_consistency(rng, trial_seed):
     plant = random_minimal_plant(rng)
-    result = shift_consistency_check(_lifted(plant), trials=3, n_steps=30, rng=rng)
+    result = shift_consistency_check(_lifted(plant))
     if not result.consistent:
         return plant, f"max error {result.max_error:.3e}"
     return None
 
 
 def _prop_negative_control(rng, trial_seed):
-    """The checker itself must flag a corrupted lifted block.
-
-    Runs on a stable plant so the corruption is not drowned, relative to
-    the check's scale normalization, by natural response growth.
-    """
-    plant = _random_stable_plant(rng)
+    """The certificate itself must flag a corrupted lifted block."""
+    plant = random_minimal_plant(rng)
     L = _lifted(plant)
     corrupted = dataclasses.replace(L, D=L.D + 1e-3 * (1.0 + np.max(np.abs(L.D))))
-    if shift_consistency_check(corrupted, trials=3, n_steps=30, rng=rng).consistent:
+    if shift_consistency_check(corrupted).consistent:
         return plant, "corrupted block not detected"
     return None
 

@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from liftguard import ContinuousPlant, DiscretePlant, check_minimal
-from liftguard.errors import LiftguardError
+from liftguard import ContinuousPlant, Controller, DiscretePlant, check_minimal
+from liftguard.errors import DimensionError, LiftguardError
 
 
 def triple_integrator(name="triple-int"):
@@ -96,3 +96,52 @@ def assert_sets_close(actual, expected, tol, label=""):
         j = int(np.argmin(dists))
         assert dists[j] <= tol, f"{label}: {z} has no match within {tol} in {expected}"
         rest.pop(j)
+
+
+def lift_controller(controller, m):
+    """Lift a single-rate controller to the stacked-output interface.
+
+    The lifted input matrix reads only the first sample of each stacked
+    block, so the dual-rate loop reproduces the single-rate loop exactly
+    at base-rate instants.
+    """
+    if m < 1:
+        raise ValueError(f"m must be positive, got {m}")
+    if np.any(controller.D):
+        raise DimensionError("only strictly proper controllers can be lifted")
+    n_y = controller.B.shape[1]
+    B = np.zeros((controller.A.shape[0], m * n_y))
+    B[:, :n_y] = controller.B
+    return Controller(
+        A=controller.A,
+        B=B,
+        C=controller.C,
+        D=np.zeros((controller.C.shape[0], m * n_y)),
+        kind="observer_based_lifted",
+    )
+
+
+def run_lifted_closed_loop(L, controller, n_steps, d_a=None, d_s_stacked=None, x0=None,
+                           xk0=None):
+    """Reference LTI recursion of the lifted loop with stacked signals.
+
+    The oracle for the dual-rate time-domain engine: both must produce
+    identical command and stacked-output trajectories.  Returns
+    ``(u, y_stacked)``.
+    """
+    n, n_u, n_ys = L.n, L.n_u, L.C.shape[0]
+    d_a = np.zeros((n_steps, n_u)) if d_a is None else np.asarray(d_a, dtype=float)
+    d_s = np.zeros((n_steps, n_ys)) if d_s_stacked is None else np.asarray(d_s_stacked, dtype=float)
+    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
+    xk = np.zeros(controller.n) if xk0 is None else np.asarray(xk0, dtype=float)
+    u_log = np.empty((n_steps, n_u))
+    y_log = np.empty((n_steps, n_ys))
+    for k in range(n_steps):
+        u_k = controller.C @ xk
+        ua = u_k + d_a[k]
+        y_k = L.C @ x + L.D @ ua + d_s[k]
+        u_log[k] = u_k
+        y_log[k] = y_k
+        xk = controller.A @ xk + controller.B @ y_k
+        x = L.A @ x + L.B @ ua
+    return u_log, y_log

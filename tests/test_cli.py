@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from liftguard import plant_to_dict
+from liftguard import build_lifted, plant_to_dict
 
 from helpers import double_integrator, stable_two_state, triple_integrator, unstable_scalar
 
@@ -252,6 +252,21 @@ class TestLift:
             assert res.returncode == 5, res.stderr
             assert "at least 2" in json.loads(res.stderr)["message"]
 
+    @pytest.mark.parametrize("command", ["analyze", "lift"])
+    def test_explicit_m_lifted_once(self, plant_files, tmp_path, monkeypatch, command):
+        from liftguard import cli
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2])
+            return build_lifted(*args)
+
+        monkeypatch.setattr(cli, "build_lifted", counted)
+        argv = [command, "--plant", plant_files["triple"], "--m", "4", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert calls == [4]
+
 
 class TestVerify:
     @pytest.mark.parametrize("trials", ["0", "-3"])
@@ -296,10 +311,11 @@ class TestDeterminism:
             outs.append(json.dumps(doc, sort_keys=True))
         assert outs[0] == outs[1]
 
-    def test_analyze_does_not_depend_on_seed(self, plant_files):
+    @pytest.mark.parametrize("command", ["analyze", "lift"])
+    def test_analyze_does_not_depend_on_seed(self, plant_files, command):
         outs = []
         for seed in ("0", "7"):
-            res = run_cli("analyze", "--plant", plant_files["fat"], "--seed", seed)
+            res = run_cli(command, "--plant", plant_files["fat"], "--seed", seed)
             assert res.returncode == 0, res.stderr
             doc = json.loads(res.stdout)
             doc.pop("seed")

@@ -14,6 +14,7 @@ from liftguard import (
     observer_controller,
     residual_generator,
     run_single_rate,
+    ss_response,
     standard_loop,
     transmission_zeros,
 )
@@ -225,14 +226,14 @@ class TestResidualGenerator:
     def test_attack_free_residual_zero(self):
         cfg, factors = standard_loop(triple_integrator(), 1.0, horizon=100)
         trace = run_single_rate(cfg)
-        r = residual_generator(factors).run(trace.y, trace.u)
+        r = ss_response(residual_generator(factors), np.hstack([trace.y, trace.u]))
         assert np.max(np.abs(r)) <= 1e-9
 
     def test_zero_direction_attack_residual_small(self):
         cfg, factors = standard_loop(triple_integrator(), 1.0, theta=0.01, horizon=200)
         plan = synth_actuator_attack(cfg)
         trace = run_single_rate(dataclasses.replace(cfg, attack=plan, horizon=plan.horizon))
-        r = residual_generator(factors).run(trace.y, trace.u)
+        r = ss_response(residual_generator(factors), np.hstack([trace.y, trace.u]))
         # the stable numerator factor annihilates the geometric mode
         assert np.max(np.abs(r)) <= cfg.theta
 
@@ -241,7 +242,7 @@ class TestResidualGenerator:
         plan = synth_actuator_attack(cfg)
         bad = dataclasses.replace(plan, zeta=plan.zeta * 1.1)
         trace = run_single_rate(dataclasses.replace(cfg, attack=bad, horizon=plan.horizon))
-        r = residual_generator(factors).run(trace.y, trace.u)
+        r = ss_response(residual_generator(factors), np.hstack([trace.y, trace.u]))
         assert np.max(np.abs(r)) > 100.0 * cfg.theta
 
     def test_linearity(self):
@@ -264,7 +265,7 @@ class TestResidualGenerator:
             tr = run_single_rate(
                 dataclasses.replace(cfg, attack=plan, theta=1e9)
             )
-            return residual_generator(factors).run(tr.y, tr.u)
+            return ss_response(residual_generator(factors), np.hstack([tr.y, tr.u]))
 
         r_both = residual(d_a, d_s)
         r_sum = residual(d_a, np.zeros_like(d_s)) + residual(np.zeros_like(d_a), d_s)

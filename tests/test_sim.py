@@ -7,11 +7,9 @@ from liftguard import (
     build_lifted,
     coprime_factorize,
     discretize,
-    lift_controller,
     monitor_eval,
     observer_controller,
     run_dual_rate,
-    run_lifted_closed_loop,
     run_single_rate,
     spectral_radius,
     standard_loop,
@@ -22,8 +20,10 @@ from liftguard.errors import ConfigurationError
 from liftguard.sim import LoopConfig, trace_metadata
 
 from helpers import (
+    lift_controller,
     light_oscillator,
     random_continuous,
+    run_lifted_closed_loop,
     stable_two_state,
     triple_integrator,
     unstable_scalar,
