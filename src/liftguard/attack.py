@@ -25,7 +25,7 @@ import numpy as np
 from .errors import CapabilityError, DimensionError, NumericError
 from .factor import coprime_factorize, eval_lambda
 from .model import StateSpace, abcd, ss_response
-from .sim import LoopConfig, _loop_plant, run_dual_rate, run_single_rate
+from .sim import LoopConfig, run_dual_rate, run_single_rate
 from .zeros import poles, transmission_zeros
 
 __all__ = [
@@ -120,15 +120,28 @@ class AttackPlan:
             return self._scatter(stored, n_steps, n_channels)
         return None
 
-    def sensor_sequence(self, n_steps: int, n_channels: int):
-        """Sensor injection, one row per sample (None for actuator plans)."""
+    def sensor_sequence(self, n_steps: int, n_channels: int, m: int = 1):
+        """Sensor injection over ``n_steps`` base steps of ``m`` samples
+        each, one row per sample (None for actuator plans).
+
+        A ``sensor_pole`` plan whose channels reach past ``n_channels``
+        rides a pole of the lifted system: its channels are the
+        ``m * n_channels`` outputs stacked over one base step, so it is
+        rendered one base step at a time and each row is unstacked into
+        its m samples.
+        """
+        n_samples = n_steps * m
         if self.kind == "sensor_pole":
-            seq = geometric_sequence(self.direction, self.zeta, self.epsilon, n_steps)
-            return self._scatter(seq, n_steps, n_channels)
+            if max(self.channel_map, default=-1) >= n_channels:
+                rows, width = n_steps, m * n_channels
+            else:
+                rows, width = n_samples, n_channels
+            seq = geometric_sequence(self.direction, self.zeta, self.epsilon, rows)
+            return self._scatter(seq, rows, width).reshape(n_samples, n_channels)
         if self.kind == "coordinated":
             stored = np.asarray(self.companion["d_s"], dtype=float)
-            out = np.zeros((n_steps, n_channels))
-            take = min(n_steps, stored.shape[0])
+            out = np.zeros((n_samples, n_channels))
+            take = min(n_samples, stored.shape[0])
             out[:take, : stored.shape[1]] = stored[:take]
             return out
         return None
@@ -211,7 +224,7 @@ def synth_actuator_attack(cfg: LoopConfig) -> AttackPlan:
     have no causal geometric input and never qualify.  The amplitude is
     calibrated so the monitor peaks at half the threshold.
     """
-    sys = _loop_plant(cfg.plant, cfg.T, cfg.mode, cfg.m)
+    sys = cfg.system
     report = transmission_zeros(sys)
     strict = [r for r in report.zeros if r.classification == "nmp_strict"]
     if not strict:
@@ -233,7 +246,7 @@ def synth_sensor_attack(cfg: LoopConfig, factors=None) -> AttackPlan:
     vector of the left denominator factor evaluated at the pole's
     reciprocal frequency, so the factor annihilates the injected mode.
     """
-    sys = _loop_plant(cfg.plant, cfg.T, cfg.mode, cfg.m)
+    sys = cfg.system
     records = poles(sys)
     unstable = [p for p in records if p.classification == "unstable"]
     if not unstable:

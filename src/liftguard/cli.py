@@ -29,7 +29,13 @@ from .errors import (
     NumericError,
 )
 from .factor import coprime_factorize
-from .lift import build_lifted, check_assumptions, choose_m, shift_consistency_check
+from .lift import (
+    assumption_report,
+    build_lifted,
+    check_assumptions,
+    choose_m,
+    shift_consistency_check,
+)
 from .model import check_minimal, check_pathological, discretize, load_plant
 from .sim import run_dual_rate, run_single_rate, standard_loop, trace_metadata, trace_to_csv
 from .zeros import classify_vulnerability, transmission_zeros
@@ -192,26 +198,32 @@ def _explicit_m(args, m_file):
     return m
 
 
-def _lifted(plant, T, m):
-    """The lifted system at m (None: the smallest admissible) and its rank
-    report; an explicit m that violates the rank assumptions is rejected."""
-    lifted = build_lifted(plant, T, choose_m(plant, T) if m is None else m)
-    report = check_assumptions(lifted)
+def _checked(report, m):
+    """The rank report, rejected when an explicit m violates the assumptions."""
     if m is not None and not report.satisfied:
         raise ConfigurationError(
             f"explicit m={m} violates the rank assumptions: "
             + json.dumps(_assumption_dict(report), sort_keys=True)
         )
-    return lifted, report
+    return report
+
+
+def _lifted(plant, T, m):
+    """The lifted system at m (None: the smallest admissible) and its rank
+    report; an explicit m that violates the rank assumptions is rejected."""
+    lifted = build_lifted(plant, T, choose_m(plant, T) if m is None else m)
+    return lifted, _checked(check_assumptions(lifted), m)
 
 
 def _standard_loop(args, plant, T, m_file, horizon, attack=None):
-    """``standard_loop`` built from the loop flags of ``attack`` and ``simulate``."""
+    """``standard_loop`` built from the loop flags of ``attack`` and
+    ``simulate``.  An explicit dual-rate m is checked on the fast plant
+    first, so the loop's lifted system is built once, by ``standard_loop``."""
     m = None
     if args.mode == "dual_rate":
         m = _explicit_m(args, m_file)
         if m is not None:
-            _lifted(plant, T, m)
+            _checked(assumption_report(discretize(plant, T / m), m), m)
     return standard_loop(
         plant, T, mode=args.mode, m=m, theta=args.theta, horizon=horizon, attack=attack,
         Q=_parse_weight(args.Q), R=_parse_weight(args.R),

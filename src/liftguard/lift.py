@@ -30,6 +30,7 @@ from .model import ContinuousPlant, DiscretePlant, StateSpace, discretize
 __all__ = [
     "LiftedSystem",
     "AssumptionReport",
+    "assumption_report",
     "ShiftConsistencyResult",
     "build_lifted",
     "check_assumptions",
@@ -146,8 +147,9 @@ def build_lifted(plant: ContinuousPlant, T: float, m: int) -> LiftedSystem:
     return lifted
 
 
-def _assumption_report(fast: DiscretePlant, m: int) -> AssumptionReport:
-    """The two rank tests on the fast plant at sub-sampling factor m."""
+def assumption_report(fast: DiscretePlant, m: int) -> AssumptionReport:
+    """The two rank tests of :func:`check_assumptions` on the fast plant
+    at sub-sampling factor m, with no lifted system assembled."""
     b_rank = linalg.rank_svd(fast.B)
     obs_rank = linalg.rank_svd(observability_stack(fast.A, fast.C, m))
     return AssumptionReport(
@@ -165,7 +167,7 @@ def check_assumptions(L: LiftedSystem) -> AssumptionReport:
     The fast input matrix must have full column rank, and the stacked
     observability rows C, CA, ..., CA^{m-2} must have full column rank.
     """
-    return _assumption_report(L.fast_plant, L.m)
+    return assumption_report(L.fast_plant, L.m)
 
 
 def choose_m(plant: ContinuousPlant, T: float) -> int:
@@ -179,7 +181,7 @@ def choose_m(plant: ContinuousPlant, T: float) -> int:
     """
     upper = plant.n + 1
     for m in range(2, upper + 1):
-        if _assumption_report(discretize(plant, T / m), m).satisfied:
+        if assumption_report(discretize(plant, T / m), m).satisfied:
             return m
     raise ModelError(
         f"no m in [2, {upper}] satisfies the rank assumptions: the plant violates "

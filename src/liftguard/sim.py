@@ -21,8 +21,8 @@ import numpy as np
 from . import linalg
 from .errors import ConfigurationError, DimensionError
 from .factor import Controller, closed_loop_matrix, coprime_factorize, observer_controller
-from .lift import build_lifted, choose_m
-from .model import ContinuousPlant, discretize
+from .lift import LiftedSystem, build_lifted, choose_m
+from .model import ContinuousPlant, DiscretePlant, discretize
 
 __all__ = [
     "LoopConfig",
@@ -57,32 +57,31 @@ class Verdict:
 class LoopConfig:
     """Closed-loop run description.
 
+    ``system`` is the sampled system the loop runs on and its controller
+    is designed for: the ZOH discretization of ``plant`` at the hold
+    period (single rate) or the lifted system of ``plant`` (dual rate).
+    It must be the sampling of ``plant``, which the loop reads only for
+    the intersample grid.  ``mode``, ``T`` and ``m`` are derived from it.
     ``horizon`` counts base steps.  ``oversample`` is the intersample
     refinement per (sub-)sampling interval.  ``attack`` is an attack plan
     (or None); its signals are rendered at the base rate for the actuator
-    channel and at the sampling rate of the sensors.  The plant starts
+    channel and at the sampling rate of the sensors (a plan on the lifted
+    outputs is unstacked into its m samples).  The plant starts
     from ``x0_plant`` (zero when None), the controller always from zero.
     """
 
     plant: ContinuousPlant
-    T: float
-    mode: str  # "single_rate" | "dual_rate"
+    system: DiscretePlant | LiftedSystem
     controller: Controller
     theta: float
     horizon: int
-    m: int | None = None
     oversample: int = 8
     attack: object = None
     x0_plant: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.mode not in ("single_rate", "dual_rate"):
-            raise ConfigurationError(f"unknown mode {self.mode!r}")
-        if self.mode == "dual_rate":
-            if self.m is None or self.m < 2:
-                raise ConfigurationError("dual_rate mode requires m >= 2")
-            if self.controller.kind != "observer_based_lifted":
-                raise ConfigurationError("dual_rate mode requires a lifted controller")
+        if self.mode == "dual_rate" and self.controller.kind != "observer_based_lifted":
+            raise ConfigurationError("dual_rate mode requires a lifted controller")
         if not self.theta > 0:
             raise ConfigurationError(f"theta must be positive, got {self.theta}")
         if self.horizon < 1:
@@ -91,6 +90,19 @@ class LoopConfig:
             raise ConfigurationError("oversample must be at least 1")
         if not self.controller.strictly_proper:
             raise ConfigurationError("the loop requires a strictly proper controller")
+
+    @property
+    def mode(self) -> str:
+        return "dual_rate" if isinstance(self.system, LiftedSystem) else "single_rate"
+
+    @property
+    def T(self) -> float:
+        """The hold period."""
+        return self.system.base_period if self.mode == "dual_rate" else self.system.period
+
+    @property
+    def m(self) -> int | None:
+        return self.system.m if self.mode == "dual_rate" else None
 
 
 @dataclass(frozen=True)
@@ -173,12 +185,12 @@ def monitor_eval(y_stream, u_stream, theta: float):
     return Verdict(detected=False, step=None), values
 
 
-def _render_attack(attack, n_base: int, n_u: int, n_samples: int, n_y: int):
+def _render_attack(attack, n_base: int, n_u: int, m: int, n_y: int):
     d_a = np.zeros((n_base, n_u))
-    d_s = np.zeros((n_samples, n_y))
+    d_s = np.zeros((n_base * m, n_y))
     if attack is not None:
         seq_a = attack.actuator_sequence(n_base, n_u)
-        seq_s = attack.sensor_sequence(n_samples, n_y)
+        seq_s = attack.sensor_sequence(n_base, n_y, m)
         if seq_a is not None:
             d_a = seq_a
         if seq_s is not None:
@@ -210,14 +222,13 @@ def _closed_loop(cfg: LoopConfig, mode: str) -> SimTrace:
     """
     if cfg.mode != mode:
         raise ConfigurationError(f"configuration is not {mode}")
-    K = cfg.controller
-    sys = _loop_plant(cfg.plant, cfg.T, mode, cfg.m)
+    K, sys = cfg.controller, cfg.system
     if K.B.shape[1] != sys.n_y or K.C.shape[0] != sys.n_u:
         raise ConfigurationError("controller dimensions do not match the loop plant")
     _assert_stable(sys, K, mode.replace("_", "-"))
     fast, m = (sys.fast_plant, sys.m) if mode == "dual_rate" else (sys, 1)
     N = cfg.horizon
-    d_a, d_s = _render_attack(cfg.attack, N, fast.n_u, N * m, fast.n_y)
+    d_a, d_s = _render_attack(cfg.attack, N, fast.n_u, m, fast.n_y)
 
     x = np.zeros(fast.n) if cfg.x0_plant is None else np.asarray(cfg.x0_plant, dtype=float)
     xk = np.zeros(K.n)
@@ -286,39 +297,31 @@ def _weight(value, dim: int):
     return arr
 
 
-def _loop_plant(plant: ContinuousPlant, T: float, mode: str, m):
-    """The discrete system a loop's controller is designed for: the ZOH
-    discretization at T in single rate, the lifted system in dual rate."""
-    if mode == "dual_rate":
-        return build_lifted(plant, T, m)
-    return discretize(plant, T)
-
-
 def standard_loop(plant: ContinuousPlant, T: float, mode: str = "single_rate",
                   m=None, theta: float = 0.01, horizon: int = 200,
                   oversample: int = 8, attack=None, Q=None, R=None):
     """Assemble a stabilized loop with the default observer controller.
 
-    ``Q``/``R`` weight the state-feedback Riccati problem (scalars are
-    taken as multiples of the identity); its observer dual uses identity
-    weights.  Returns ``(config, factors)``; the factored system (discrete
+    The loop's sampled system is built here, once: the ZOH plant at T in
+    single rate, the lifted system at (T, m) in dual rate, with m from
+    :func:`choose_m` when None.  ``Q``/``R`` weight the state-feedback
+    Riccati problem (scalars are taken as multiples of the identity); its
+    observer dual uses identity weights.  Returns ``(config, factors)``; the factored system (discrete
     or lifted) is available as ``factors.base``.
     """
     if mode not in ("single_rate", "dual_rate"):
         raise ConfigurationError(f"unknown mode {mode!r}")
     if mode == "dual_rate":
-        m = int(choose_m(plant, T) if m is None else m)
-    sys = _loop_plant(plant, T, mode, m)
+        sys = build_lifted(plant, T, int(choose_m(plant, T) if m is None else m))
+    else:
+        sys = discretize(plant, T)
     factors = coprime_factorize(sys, Q=_weight(Q, sys.n), R=_weight(R, sys.n_u))
-    controller = observer_controller(factors)
     cfg = LoopConfig(
         plant=plant,
-        T=T,
-        mode=mode,
-        controller=controller,
+        system=sys,
+        controller=observer_controller(factors),
         theta=theta,
         horizon=horizon,
-        m=m if mode == "dual_rate" else None,
         oversample=oversample,
         attack=attack,
     )

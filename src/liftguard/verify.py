@@ -212,7 +212,8 @@ def run_suite(trials: int = 100, seed: int = 0) -> list:
     Property ``idx`` draws its trial seeds from the stream ``[seed, idx]``.
     Each trial calls the property with an rng made from the trial seed and
     the seed itself, and the property returns ``(plant, detail)`` for a
-    counterexample or None.
+    counterexample or None.  A package error raised inside a trial is a
+    failure too, recorded with the trial seed and the error.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -225,7 +226,10 @@ def run_suite(trials: int = 100, seed: int = 0) -> list:
             failures = []
             for _ in range(n):
                 trial_seed = int(rng.integers(0, 2**31))
-                found = prop(np.random.default_rng(trial_seed), trial_seed)
+                try:
+                    found = prop(np.random.default_rng(trial_seed), trial_seed)
+                except LiftguardError as exc:
+                    found = None, f"{type(exc).__name__}: {exc}"
                 if found is not None:
                     failures.append(_counterexample(found[0], trial_seed, found[1]))
             out.append(

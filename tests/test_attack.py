@@ -122,6 +122,49 @@ class TestSensorSynthesis:
             synth_sensor_attack(cfg, factors=factors)
 
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_dual_rate_plan_rides_the_lifted_pole(self, m):
+        # the plan lives on the m stacked outputs of a base step and grows
+        # by the lifted pole once per base step
+        cfg, factors = standard_loop(unstable_scalar(), 1.0, mode="dual_rate", m=m, theta=0.01)
+        plan = synth_sensor_attack(cfg, factors=factors)
+        assert abs(plan.zeta - 2.0) <= 1e-9 and len(plan.direction) == m
+        trace = run_dual_rate(dataclasses.replace(cfg, attack=plan, horizon=plan.horizon))
+        assert trace.verdict.stealthy
+        assert np.max(trace.monitor) <= cfg.theta / 2.0
+        stacked = trace.d_s.reshape(plan.horizon, m)
+        np.testing.assert_allclose(stacked[1], plan.zeta.real * stacked[0], rtol=1e-12)
+        assert abs(trace.d_s[-1, 0]) >= 1e3 * abs(trace.d_s[0, 0])
+
+
+def test_calibration_builds_no_sampled_system(monkeypatch):
+    # standard_loop builds each loop's system once; synthesis and every
+    # calibration run read it from the configuration
+    from liftguard import attack, lift, model, sim
+
+    loops = [
+        (standard_loop(triple_integrator(), 1.0)[0], synth_actuator_attack),
+        (standard_loop(triple_integrator(), 1.0, mode="dual_rate")[0], synth_actuator_attack),
+        (standard_loop(unstable_scalar(), 1.0)[0], synth_sensor_attack),
+        (standard_loop(unstable_scalar(), 1.0, mode="dual_rate")[0], synth_sensor_attack),
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sampled system was built after standard_loop")
+
+    for module in (attack, sim, lift, model):
+        for name in ("discretize", "build_lifted"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    for cfg, synth in loops:
+        if cfg.mode == "dual_rate" and synth is synth_actuator_attack:
+            # the lifted triple integrator has no zero to ride
+            with pytest.raises(CapabilityError):
+                synth(cfg)
+            continue
+        plan = synth(cfg)
+        assert plan.calibration["theta"] == cfg.theta
+
+
 class TestCoordinatedMasking:
     def test_zero_in_zero_out(self):
         P = discretize(stable_two_state(), 0.5)

@@ -207,6 +207,22 @@ class TestAttackAndSimulate:
         assert plan_doc["plan"]["kind"] == "sensor_pole"
         assert abs(plan_doc["plan"]["zeta"]["re"] - 2.0) < 1e-9
 
+    def test_dual_rate_sensor_attack_replays_stealthy(self, plant_files, tmp_path):
+        # the plan rides the lifted pole over the m stacked outputs of a
+        # base step; the dual-rate loop renders it sample by sample
+        out = str(tmp_path / "dual")
+        loop = ("--plant", plant_files["unstable"], "--mode", "dual_rate", "--out", out)
+        res = run_cli("attack", "--kind", "sensor", *loop)
+        assert res.returncode == 0, res.stderr
+        plan_doc = json.load(open(f"{out}/plan.json"))
+        assert plan_doc["plan"]["kind"] == "sensor_pole"
+        assert len(plan_doc["plan"]["direction"]) == plan_doc["loop"]["m"] == 2
+        res = run_cli("simulate", "--plan", f"{out}/plan.json", *loop)
+        assert res.returncode == 0, res.stderr
+        result = json.load(open(f"{out}/verdict.json"))["result"]
+        assert result["verdict"] == "stealthy"
+        assert result["max_monitor"] <= 0.01 / 2.0
+
     def test_weight_overrides_accepted(self, plant_files, tmp_path):
         out = str(tmp_path / "w")
         res = run_cli(
@@ -252,9 +268,20 @@ class TestLift:
             assert res.returncode == 5, res.stderr
             assert "at least 2" in json.loads(res.stderr)["message"]
 
-    @pytest.mark.parametrize("command", ["analyze", "lift"])
-    def test_explicit_m_lifted_once(self, plant_files, tmp_path, monkeypatch, command):
-        from liftguard import cli
+    @pytest.mark.parametrize(
+        "command, flags, code",
+        [
+            ("analyze", (), 0),
+            ("lift", (), 0),
+            ("simulate", ("--mode", "dual_rate", "--horizon", "20"), 0),
+            ("attack", ("--mode", "dual_rate"), 3),
+        ],
+        ids=["analyze", "lift", "simulate", "attack"],
+    )
+    def test_explicit_m_lifted_once(
+        self, plant_files, tmp_path, monkeypatch, command, flags, code
+    ):
+        from liftguard import cli, sim
 
         calls = []
 
@@ -263,8 +290,10 @@ class TestLift:
             return build_lifted(*args)
 
         monkeypatch.setattr(cli, "build_lifted", counted)
-        argv = [command, "--plant", plant_files["triple"], "--m", "4", "--out", str(tmp_path)]
-        assert cli.main(argv) == 0
+        monkeypatch.setattr(sim, "build_lifted", counted)
+        argv = [command, "--plant", plant_files["triple"], "--m", "4", *flags,
+                "--out", str(tmp_path)]
+        assert cli.main(argv) == code
         assert calls == [4]
 
 
@@ -284,6 +313,22 @@ class TestVerify:
         assert doc["all_passed"] is True
         names = {p["name"] for p in doc["properties"]}
         assert "negative_control_corrupted_lifted_block" in names
+
+    def test_trial_error_is_a_failure(self, tmp_path, monkeypatch):
+        # a lifted-block certificate that rejects everything makes
+        # build_lifted raise inside the trials; verify still reports
+        from liftguard import cli, lift
+
+        monkeypatch.setattr(lift, "SHIFT_CONSISTENCY_TOL", -1.0)
+        assert cli.main(["verify", "--trials", "2", "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "verify.json").read_text())
+        assert doc["all_passed"] is False
+        failing = {p["name"]: p["failures"] for p in doc["properties"] if p["status"] == "fail"}
+        assert "lifted_shift_consistency" in failing
+        for failures in failing.values():
+            for entry in failures:
+                assert isinstance(entry["seed"], int)
+                assert entry["detail"].startswith("ModelError: lifted blocks disagree")
 
     def test_seed_env_fallback(self, plant_files):
         import os

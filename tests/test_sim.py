@@ -70,8 +70,7 @@ class TestSingleRate:
         )
         cfg = LoopConfig(
             plant=unstable_scalar(),
-            T=1.0,
-            mode="single_rate",
+            system=discretize(unstable_scalar(), 1.0),
             controller=zero_K,
             theta=0.01,
             horizon=50,
@@ -163,12 +162,12 @@ class TestDualRate:
         KL = lift_controller(K, m)
         x0 = rng.standard_normal(2)
         cfg_s = LoopConfig(
-            plant=plant, T=0.6, mode="single_rate", controller=K, theta=1e9,
+            plant=plant, system=P, controller=K, theta=1e9,
             horizon=80, x0_plant=x0, oversample=1,
         )
         cfg_d = LoopConfig(
-            plant=plant, T=0.6, mode="dual_rate", controller=KL, theta=1e9,
-            horizon=80, m=m, x0_plant=x0, oversample=1,
+            plant=plant, system=build_lifted(plant, 0.6, m), controller=KL, theta=1e9,
+            horizon=80, x0_plant=x0, oversample=1,
         )
         tr_s = run_single_rate(cfg_s)
         tr_d = run_dual_rate(cfg_d)
@@ -180,8 +179,8 @@ class TestDualRate:
         K = observer_controller(coprime_factorize(P))
         with pytest.raises(ConfigurationError, match="lifted"):
             LoopConfig(
-                plant=stable_two_state(), T=0.6, mode="dual_rate", controller=K,
-                theta=0.01, horizon=10, m=3,
+                plant=stable_two_state(), system=build_lifted(stable_two_state(), 0.6, 3),
+                controller=K, theta=0.01, horizon=10,
             )
 
 
