@@ -49,12 +49,14 @@ def geometric_sequence(direction, ratio: complex, epsilon: float, n_steps: int) 
 
     For a complex ratio this is the sum of the conjugate mode pair divided
     by two, so the signal is real and both conjugate directions are
-    excited (and annihilated) together.
+    excited (and annihilated) together.  Past float overflow the rows are
+    non-finite; that is left to the caller to report, without a warning.
     """
     direction = np.asarray(direction, dtype=complex).reshape(-1)
     k = np.arange(n_steps)
-    modes = np.power(complex(ratio), k)
-    return epsilon * np.real(np.outer(modes, direction))
+    with np.errstate(over="ignore", invalid="ignore"):
+        modes = np.power(complex(ratio), k)
+        return epsilon * np.real(np.outer(modes, direction))
 
 
 def ramp_sequence(direction, epsilon: float, n_steps: int) -> np.ndarray:

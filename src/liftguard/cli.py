@@ -292,18 +292,35 @@ def cmd_attack(args) -> int:
     return EXIT_OK
 
 
+def _check_replay_loop(plan, plan_m, n_y: int, cfg) -> None:
+    """A sensor plan whose channels reach past the plant's ``n_y`` outputs
+    rides the lifted outputs of the dual-rate loop at ``plan_m`` (the m its
+    ``plan.json`` records), so it replays only in that loop."""
+    if plan.kind != "sensor_pole" or max(plan.channel_map, default=-1) < n_y:
+        return
+    loop_m = cfg.m or 1  # single rate is the loop at m = 1
+    if loop_m != plan_m:
+        raise ConfigurationError(
+            f"the plan rides the lifted outputs of the dual-rate loop at m={plan_m}; "
+            f"it cannot be replayed in a {cfg.mode} loop at m={loop_m}"
+        )
+
+
 def cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
     plant, T, m_file = _load(args)
-    plan = None
+    plan = plan_m = None
     if args.plan:
         with open(args.plan, "r", encoding="utf-8") as fh:
             plan_doc = json.load(fh)
         plan = plan_from_dict(plan_doc["plan"] if "plan" in plan_doc else plan_doc)
+        plan_m = (plan_doc.get("loop") or {}).get("m")
     horizon = args.horizon
     if horizon is None:
         horizon = plan.horizon if plan is not None else DEFAULT_HORIZON
     cfg, _ = _standard_loop(args, plant, T, m_file, horizon, attack=plan)
+    if plan is not None:
+        _check_replay_loop(plan, plan_m, plant.n_y, cfg)
     trace = run_dual_rate(cfg) if args.mode == "dual_rate" else run_single_rate(cfg)
     doc = _base_doc(args, seed)
     doc["result"] = trace_metadata(trace)

@@ -207,6 +207,21 @@ def _assert_stable(plant_like, controller, what: str):
         )
 
 
+def _check_divergence(Y: np.ndarray, U: np.ndarray) -> None:
+    """Refuse an attack-free run at the first hold period whose stacked
+    measurements ``Y[k]`` or command ``U[k]`` pass the divergence guard.
+
+    The per-period value is Python ``max(max|Y[k]|, max|U[k]|)``, which
+    keeps the output part when either part is NaN.
+    """
+    y, u = np.max(np.abs(Y), axis=1), np.max(np.abs(U), axis=1)
+    over = np.flatnonzero(np.where(u > y, u, y) > DIVERGENCE_GUARD)
+    if over.size:
+        raise ConfigurationError(
+            f"attack-free loop diverged past {DIVERGENCE_GUARD:.0e} at step {over[0]}"
+        )
+
+
 def _closed_loop(cfg: LoopConfig, mode: str) -> SimTrace:
     """The sampled-signal recursion behind both loop modes.
 
@@ -218,7 +233,9 @@ def _closed_loop(cfg: LoopConfig, mode: str) -> SimTrace:
     which runs at the sampling rate) are stacked and fed to the
     controller, which emits the next held command.  Single rate is the
     case m = 1 with the plant discretized at the hold period.  The
-    monitor is evaluated per sample against the held command.
+    monitor is evaluated per sample against the held command; an
+    attack-free run is then refused at the first step past
+    ``DIVERGENCE_GUARD``.
     """
     if cfg.mode != mode:
         raise ConfigurationError(f"configuration is not {mode}")
@@ -235,29 +252,33 @@ def _closed_loop(cfg: LoopConfig, mode: str) -> SimTrace:
     u_log = np.empty((N, fast.n_u))
     x_log = np.empty((N * m, fast.n))
     y_phys = np.empty((N * m, fast.n_y))
-    attacked = cfg.attack is not None
+    # one row per hold period of the m stacked samples; Ys is a view
+    Ys, Ds = y_phys.reshape(N, -1), d_s.reshape(N, -1)
+    A, B, C, D = fast.A, fast.B, fast.C, fast.D
+    KA, KB, KC = K.A, K.B, K.C
 
-    for k in range(N):
-        if xk[0] != xk[0] and np.isnan(xk).all() and np.isnan(x).all():
-            # An all-NaN loop state makes every later row NaN.
-            u_log[k:] = x_log[k * m :] = y_phys[k * m :] = np.nan
-            break
-        u_k = K.C @ xk
-        u_applied = u_k + d_a[k]
-        u_log[k] = u_k
-        for idx in range(k * m, (k + 1) * m):
-            x_log[idx] = x
-            y_phys[idx] = fast.C @ x + fast.D @ u_applied
-            x = fast.A @ x + fast.B @ u_applied
-        stacked = (y_phys[k * m : (k + 1) * m] + d_s[k * m : (k + 1) * m]).ravel()
-        xk = K.A @ xk + K.B @ stacked
-        if not attacked and max(np.max(np.abs(stacked)), np.max(np.abs(u_k))) > DIVERGENCE_GUARD:
-            raise ConfigurationError(
-                f"attack-free loop diverged past {DIVERGENCE_GUARD:.0e} at step {k}"
-            )
+    # Overflow is reported through the trace (non-finite rows), not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(N):
+            if xk[0] != xk[0] and np.isnan(xk).all() and np.isnan(x).all():
+                # An all-NaN loop state makes every later row NaN.
+                u_log[k:] = x_log[k * m :] = y_phys[k * m :] = np.nan
+                break
+            u_k = KC @ xk
+            u_applied = u_k + d_a[k]
+            u_log[k] = u_k
+            # the input is held over the m sub-steps
+            Du, Bu = D @ u_applied, B @ u_applied
+            for idx in range(k * m, (k + 1) * m):
+                x_log[idx] = x
+                y_phys[idx] = C @ x + Du
+                x = A @ x + Bu
+            xk = KA @ xk + KB @ (Ys[k] + Ds[k])
 
-    y_log = y_phys + d_s
-    verdict, monitor = monitor_eval(y_log, np.repeat(u_log, m, axis=0), cfg.theta)
+        y_log = y_phys + d_s
+        if cfg.attack is None:
+            _check_divergence(y_log.reshape(N, -1), u_log)
+        verdict, monitor = monitor_eval(y_log, np.repeat(u_log, m, axis=0), cfg.theta)
     return SimTrace(
         times=np.arange(N * m) * (cfg.T / m),
         u=u_log,

@@ -223,6 +223,31 @@ class TestAttackAndSimulate:
         assert result["verdict"] == "stealthy"
         assert result["max_monitor"] <= 0.01 / 2.0
 
+    @pytest.mark.parametrize(
+        "loop, loop_m",
+        [(("--mode", "dual_rate", "--m", "3"), 3), ((), 1)],
+        ids=["dual_rate_m3", "single_rate"],
+    )
+    def test_lifted_sensor_plan_replays_only_at_its_m(
+        self, plant_files, tmp_path, loop, loop_m
+    ):
+        # the plan's channels are the two stacked outputs of the m = 2 loop
+        out = str(tmp_path / "dual")
+        res = run_cli(
+            "attack", "--kind", "sensor", "--plant", plant_files["unstable"],
+            "--mode", "dual_rate", "--m", "2", "--out", out,
+        )
+        assert res.returncode == 0, res.stderr
+        res = run_cli(
+            "simulate", "--plan", f"{out}/plan.json", "--plant", plant_files["unstable"],
+            *loop, "--out", out,
+        )
+        assert res.returncode == 5
+        err = json.loads(res.stderr)
+        assert err["error"] == "ConfigurationError"
+        assert "m=2" in err["message"] and f"m={loop_m}" in err["message"]
+        assert not (tmp_path / "dual" / "verdict.json").exists()
+
     def test_weight_overrides_accepted(self, plant_files, tmp_path):
         out = str(tmp_path / "w")
         res = run_cli(

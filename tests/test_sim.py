@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from liftguard import (
     standard_loop,
     trace_to_csv,
 )
-from liftguard.attack import AttackPlan, synth_actuator_attack
+from liftguard.attack import AttackPlan, synth_actuator_attack, synth_sensor_attack
 from liftguard.errors import ConfigurationError
 from liftguard.sim import LoopConfig, trace_metadata
 
@@ -268,13 +269,19 @@ class TestIntersample:
 
 def _unstopped_loop(cfg):
     """The loop recursion stepped over the whole horizon with no early
-    exit; returns u, y, x, y_physical and the monitor values."""
+    exit, from ``cfg.x0_plant`` and with the rendered attack sequences;
+    returns u, y, x, y_physical and the monitor values."""
     m = cfg.m or 1
     fast = discretize(cfg.plant, cfg.T / m)
     K, N = cfg.controller, cfg.horizon
-    d_a = cfg.attack.actuator_sequence(N, fast.n_u)
-    d_s = np.zeros((N * m, fast.n_y))
-    x, xk = np.zeros(fast.n), np.zeros(K.n)
+    d_a, d_s = np.zeros((N, fast.n_u)), np.zeros((N * m, fast.n_y))
+    if cfg.attack is not None:
+        seq_a = cfg.attack.actuator_sequence(N, fast.n_u)
+        seq_s = cfg.attack.sensor_sequence(N, fast.n_y, m)
+        d_a = d_a if seq_a is None else seq_a
+        d_s = d_s if seq_s is None else seq_s
+    x = np.zeros(fast.n) if cfg.x0_plant is None else np.asarray(cfg.x0_plant, dtype=float)
+    xk = np.zeros(K.n)
     u, xs, y_phys = np.empty((N, fast.n_u)), np.empty((N * m, fast.n)), np.empty((N * m, fast.n_y))
     for k in range(N):
         u[k] = K.C @ xk
@@ -289,20 +296,98 @@ def _unstopped_loop(cfg):
     return u, y, xs, y_phys, monitor
 
 
-@pytest.mark.parametrize("mode", ["single_rate", "dual_rate"])
-def test_overflowed_run_equals_unstopped_recursion(mode):
-    # the T = 0.01 actuator plan replayed over 2000 steps drives the loop
-    # state to NaN long before the end, where the engine stops stepping
-    plan = synth_actuator_attack(standard_loop(triple_integrator(), 0.01)[0])
-    cfg, _ = standard_loop(triple_integrator(), 0.01, mode=mode, horizon=2000, attack=plan)
-    with np.errstate(all="ignore"):
-        trace = run_dual_rate(cfg) if mode == "dual_rate" else run_single_rate(cfg)
-        want = _unstopped_loop(cfg)
-    all_nan = np.flatnonzero(np.isnan(trace.x).all(axis=1))
-    assert all_nan.size and all_nan[0] < trace.x.shape[0] // 2
+def _assert_trace_equals(trace, want):
     got = (trace.u, trace.y, trace.x, trace.y_physical, trace.monitor)
     for name, g, w in zip(("u", "y", "x", "y_physical", "monitor"), got, want):
         np.testing.assert_array_equal(g, w, err_msg=name)
+
+
+def _run(cfg):
+    return run_dual_rate(cfg) if cfg.mode == "dual_rate" else run_single_rate(cfg)
+
+
+@pytest.fixture(scope="module")
+def overflow_plan():
+    """The T = 0.01 actuator plan, which overflows when replayed over 2000 steps."""
+    return synth_actuator_attack(standard_loop(triple_integrator(), 0.01)[0])
+
+
+@pytest.mark.parametrize("mode", ["single_rate", "dual_rate"])
+def test_overflowed_run_equals_unstopped_recursion(mode, overflow_plan):
+    # the T = 0.01 actuator plan replayed over 2000 steps drives the loop
+    # state to NaN long before the end, where the engine stops stepping
+    cfg, _ = standard_loop(
+        triple_integrator(), 0.01, mode=mode, horizon=2000, attack=overflow_plan
+    )
+    with np.errstate(all="ignore"):
+        trace = _run(cfg)
+        want = _unstopped_loop(cfg)
+    all_nan = np.flatnonzero(np.isnan(trace.x).all(axis=1))
+    assert all_nan.size and all_nan[0] < trace.x.shape[0] // 2
+    _assert_trace_equals(trace, want)
+
+
+def _oscillator_dual_rate():
+    return standard_loop(light_oscillator(), 0.01, mode="dual_rate", m=3, horizon=2000)[0]
+
+
+def _pole_at_2_sensor_plan():
+    cfg, factors = standard_loop(unstable_scalar(), 1.0, mode="dual_rate", m=2)
+    plan = synth_sensor_attack(cfg, factors=factors)
+    return dataclasses.replace(cfg, attack=plan, horizon=plan.horizon)
+
+
+def _single_rate_from_x0():
+    rng = np.random.default_rng(5)
+    cfg, _ = standard_loop(stable_two_state(), 0.5, horizon=300)
+    plan = _coordinated(0.1 * rng.standard_normal((300, 1)), 0.1 * rng.standard_normal((300, 1)))
+    return dataclasses.replace(cfg, x0_plant=[1.5, -0.7], attack=plan, theta=1e9)
+
+
+@pytest.mark.parametrize(
+    "make_cfg", [_oscillator_dual_rate, _pole_at_2_sensor_plan, _single_rate_from_x0],
+    ids=["oscillator_dual_rate_m3", "pole_at_2_sensor_m2", "single_rate_x0"],
+)
+def test_run_equals_reference_recursion(make_cfg):
+    # the engine and the plain per-sub-step recursion agree bit for bit
+    cfg = make_cfg()
+    _assert_trace_equals(_run(cfg), _unstopped_loop(cfg))
+
+
+@pytest.mark.parametrize(
+    "mode, v, step",
+    [
+        ("single_rate", 3e12, 1),
+        ("single_rate", 1e13, 1),
+        ("dual_rate", 3e12, 1),
+        ("dual_rate", 1e13, 0),
+        ("single_rate", 1e11, None),
+        ("dual_rate", 1e11, None),
+    ],
+)
+def test_divergence_guard(mode, v, step):
+    # an attack-free loop started far out is refused at the first step
+    # whose monitored signals pass the guard
+    cfg, _ = standard_loop(triple_integrator(), 1.0, mode=mode, horizon=50)
+    cfg = dataclasses.replace(cfg, x0_plant=[0.0, 0.0, v])
+    if step is None:
+        trace = _run(cfg)
+        assert trace.u.shape[0] == 50 and np.all(np.isfinite(trace.monitor))
+    else:
+        with pytest.raises(ConfigurationError, match=rf"diverged past 1e\+12 at step {step}$"):
+            _run(cfg)
+
+
+@pytest.mark.parametrize("mode", ["single_rate", "dual_rate"])
+def test_overflow_replay_raises_no_warning(mode, overflow_plan):
+    # the overflow is reported through the trace, not as a RuntimeWarning
+    cfg, _ = standard_loop(
+        triple_integrator(), 0.01, mode=mode, horizon=2000, attack=overflow_plan
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = _run(cfg)
+    assert trace_metadata(trace)["first_nonfinite"] is not None
 
 
 class TestTraceExport:
