@@ -290,42 +290,32 @@ def synth_coordinated_attack(sys, d_a):
     return d_a, d_s
 
 
-def _relative_degree(A, b, c, d, tol_scale: float) -> int:
-    """Index of the first nonzero Markov parameter (0 for biproper)."""
-    if abs(d) > tol_scale:
-        return 0
-    n = A.shape[0]
-    v = b
-    for k in range(1, 2 * n + 2):
-        markov = float(c @ v)
-        if abs(markov) > tol_scale:
-            return k
-        v = A @ v
-    return -1  # identically zero channel
-
-
 def synth_fat_masking(sys, d_a1):
     """Second-channel injection masking the first on a one-output two-input plant.
 
     The second channel's response is inverted as a causal filter; when it
     is strictly proper the first signal is delayed by the relative-degree
-    gap so the inverse stays causal.  Returns ``(d_a1_used, d_a2)``.
+    gap so the inverse stays causal.  Both relative degrees are read off
+    the Markov parameters of one impulse response.  Returns
+    ``(d_a1_used, d_a2)``.
     """
-    A, B, C, D = (np.asarray(M, dtype=float) for M in abcd(sys))
+    A, B, C, D = abcd(sys)
     if C.shape[0] != 1 or B.shape[1] != 2:
         raise DimensionError("fat masking construction expects a 1-output 2-input plant")
     d_a1 = np.asarray(d_a1, dtype=float).reshape(-1)
     N = d_a1.shape[0]
-    b1, b2 = B[:, :1], B[:, 1:]
-    c = C[0]
     tol_scale = 1e-10 * max(
         1.0,
         float(np.max(np.abs(C)) * np.max(np.abs(B))) if B.size and C.size else 1.0,
     )
-    r2 = _relative_degree(A, b2[:, 0], c, float(D[0, 1]), tol_scale)
+    # markov[k, j]: D[0, j] at k = 0, then C A^(k-1) B[:, j]; a channel's
+    # relative degree is its first entry above tol_scale (-1: none).
+    impulse = np.zeros((2 * A.shape[0] + 2, 2, 2))
+    impulse[0] = np.eye(2)
+    markov = ss_response(sys, impulse)[:, 0, :]
+    r1, r2 = (int(np.argmax(big)) if big.any() else -1 for big in (np.abs(markov) > tol_scale).T)
     if r2 < 0:
         raise CapabilityError("second input channel has identically zero response")
-    r1 = _relative_degree(A, b1[:, 0], c, float(D[0, 0]), tol_scale)
     gap = max(0, r2 - r1) if r1 >= 0 else 0
 
     d1_used = np.zeros(N)
@@ -335,32 +325,29 @@ def synth_fat_masking(sys, d_a1):
         d1_used[:] = d_a1
 
     # Response of channel one, extended so the advanced target is available.
-    P1 = StateSpace(A, b1, C[:1], D[:, :1])
-    w = ss_response(P1, np.concatenate([d1_used, np.zeros(r2)]).reshape(-1, 1))[:, 0]
+    P1 = StateSpace(A, B[:, :1], C, D[:, :1])
+    w = ss_response(P1, np.concatenate([d1_used, np.zeros(r2)]))[:, 0]
     target = -w[r2 : r2 + N]
 
     # Advance channel two by its relative degree to make it biproper, then invert.
-    if r2 == 0:
-        c_adv, d_adv = c.copy(), float(D[0, 1])
-    else:
-        c_adv = c @ np.linalg.matrix_power(A, r2)
-        d_adv = float(c @ np.linalg.matrix_power(A, r2 - 1) @ b2[:, 0])
+    b2 = B[:, 1]
+    c_adv = C[0] @ np.linalg.matrix_power(A, r2)
+    d_adv = float(markov[r2, 1])
     inv = StateSpace(
-        A - np.outer(b2[:, 0], c_adv) / d_adv,
-        b2 / d_adv,
+        A - np.outer(b2, c_adv) / d_adv,
+        b2[:, None] / d_adv,
         (-c_adv / d_adv).reshape(1, -1),
         np.array([[1.0 / d_adv]]),
     )
-    x = np.zeros(A.shape[0])
-    d_a2 = np.empty(N)
-    for k in range(N):
-        d_a2[k] = float(inv.C[0] @ x) + inv.D[0, 0] * target[k]
-        x = inv.A @ x + inv.B[:, 0] * target[k]
-        if not np.isfinite(d_a2[k]) or abs(d_a2[k]) > 1e300:
-            raise NumericError(
-                f"unstable channel inverse overflowed at step {k}; "
-                "the masking signal cannot be realized over this horizon"
-            )
+    # Overflow is reported below as an error, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        d_a2 = ss_response(inv, target)[:, 0]
+        overflowed = np.flatnonzero(~(np.abs(d_a2) <= 1e300))
+    if overflowed.size:
+        raise NumericError(
+            f"unstable channel inverse overflowed at step {overflowed[0]}; "
+            "the masking signal cannot be realized over this horizon"
+        )
     return d1_used, d_a2
 
 

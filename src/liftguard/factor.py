@@ -81,8 +81,8 @@ def coprime_factorize(sys, F=None, H=None, Q=None, R=None) -> CoprimeFactors:
     H from the dual problem with identity weights.  A supplied F or H is
     checked here for its shape and its Schur condition.
     """
-    A, B, C, D = (np.asarray(M, dtype=float) for M in abcd(sys))
-    rep = check_minimal((A, B, C, D))
+    A, B, C, D = abcd(sys)
+    rep = check_minimal(sys)
     if not rep.minimal:
         raise ModelError(
             "coprime factorization requires a minimal realization "
@@ -167,7 +167,7 @@ def observer_controller(factors: CoprimeFactors) -> Controller:
     stability of the loop with the factored plant is asserted.  A lifted
     factored plant gives an ``observer_based_lifted`` controller.
     """
-    A, B, C, D = (np.asarray(M, dtype=float) for M in abcd(factors.base))
+    A, B, C, D = abcd(factors.base)
     F, H = factors.F, factors.H
     K = Controller(
         A=A + B @ F + H @ C + H @ D @ F,
@@ -198,7 +198,7 @@ def residual_generator(factors: CoprimeFactors) -> StateSpace:
     identically zero; injected actuator and sensor disturbances appear in
     it filtered by the stable left factors.
     """
-    A, B, C, D = (np.asarray(M, dtype=float) for M in abcd(factors.base))
+    A, B, C, D = abcd(factors.base)
     H = factors.H
     return StateSpace(
         A + H @ C, np.hstack([H, -(B + H @ D)]), C, np.hstack([np.eye(C.shape[0]), -D])

@@ -63,14 +63,12 @@ def _set_quadruple(obj, names) -> None:
 
 
 def abcd(sys):
-    """The (A, B, C, D) quadruple of a :class:`StateSpace`, a
-    :class:`ContinuousPlant` or a 4-tuple of matrices."""
+    """The (A, B, C, D) quadruple of a :class:`StateSpace` or a
+    :class:`ContinuousPlant`."""
     if isinstance(sys, StateSpace):
         return sys.A, sys.B, sys.C, sys.D
     if isinstance(sys, ContinuousPlant):
         return sys.Ac, sys.Bc, sys.Cc, sys.Dc
-    if isinstance(sys, tuple) and len(sys) == 4:
-        return tuple(np.atleast_2d(np.asarray(m)) for m in sys)
     raise TypeError(f"cannot extract a state-space quadruple from {type(sys)!r}")
 
 
@@ -195,7 +193,8 @@ def check_pathological(plant: ContinuousPlant, T: float) -> PathologyReport:
 
 
 def check_minimal(sys) -> MinimalityReport:
-    """Controllability/observability rank tests on any state-space-like model."""
+    """Controllability/observability rank tests on a :class:`StateSpace` or
+    a :class:`ContinuousPlant`."""
     A, B, C, _ = abcd(sys)
     n = A.shape[0]
     blocks_c, blocks_o = [B], [C]
@@ -252,8 +251,8 @@ def ss_response(sys, inputs, x0=None, return_states: bool = False):
 
     Parameters
     ----------
-    sys : state-space-like
-        Anything carrying an (A, B, C, D) quadruple.
+    sys : StateSpace
+        The discrete system to step.
     inputs : array_like
         Input sequence, shape (N, n_u) (a 1-D array is accepted for
         single-input systems), or shape (N, n_u, k) for k independent runs

@@ -144,25 +144,20 @@ class SimTrace:
         samples, with the held input applied; the row at each sample
         instant is exactly ``y_physical``.
 
-        Row j of a sampling interval starting in state x is
-        ``C A^j x + (C G_j + D) u`` for the fine-step ZOH pair (A, B) with
-        ``G_j = B + A B + ... + A^(j-1) B``, so every off-sample row comes
-        from one product against the stacked blocks.
+        The fine grid of one sampling interval is its r-fold lifting, so
+        rows 1..r-1 of the lifted ``[C_l, D_l]`` map the interval's state
+        and held input to its off-sample rows in one product.
         """
         r = self.oversample
         n_rows, n_y = self.y_physical.shape
         rows = np.empty((n_rows, r, n_y))
         rows[:, 0] = self.y_physical
         if r > 1:
-            fine = discretize(self.plant, self.T / (self.samples_per_step * r))
-            A_j, G_j = np.eye(fine.n), np.zeros_like(fine.B)
-            blocks = []
-            for _ in range(1, r):
-                A_j, G_j = fine.A @ A_j, fine.A @ G_j + fine.B
-                blocks.append(np.hstack([fine.C @ A_j, fine.C @ G_j + fine.D]))
+            grid = build_lifted(self.plant, self.T / self.samples_per_step, r)
+            blocks = np.hstack([grid.C, grid.D])[n_y:]
             u_applied = np.repeat(self.u + self.d_a, self.samples_per_step, axis=0)
             states = np.hstack([self.x, u_applied])
-            rows[:, 1:] = (states @ np.vstack(blocks).T).reshape(n_rows, r - 1, n_y)
+            rows[:, 1:] = (states @ blocks.T).reshape(n_rows, r - 1, n_y)
         return rows.reshape(n_rows * r, n_y)
 
 

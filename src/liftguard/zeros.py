@@ -31,7 +31,7 @@ from . import linalg
 from .errors import ModelError
 from .factor import eval_lambda
 from .lift import LiftedSystem, check_assumptions
-from .model import abcd, check_minimal
+from .model import StateSpace, abcd, check_minimal
 
 __all__ = [
     "ZeroRecord",
@@ -151,19 +151,20 @@ def _pencil_normal_rank(sys) -> int:
 
 
 def _rank_tests(sys):
-    """(quadruple, normal rank) of each pencil a zero of ``sys`` must drop
+    """(system, normal rank) of each pencil a zero of ``sys`` must drop
     the rank of, the candidate source first and the full pencil last.  A
     lifted system whose observability stack O has full column rank adds the
-    small quadruple ``(A_l, B_l, [C_f; δ], [D_f; B_f/h])``, ``δ = (A_f - I)/h``:
+    small system ``(A_l, B_l, [C_f; δ], [D_f; B_f/h])``, ``δ = (A_f - I)/h``:
     by ``X·C_l = O(I - A_f)`` and ``X·D_l = -O·B_f`` it has the lifted pencil's
     rank profile, and it stays well scaled as h shrinks and the lifted
     output rows become nearly equal.  Without that rank it would miss zeros."""
-    quads = [abcd(sys)]
+    systems = [sys]
     if isinstance(sys, LiftedSystem) and check_assumptions(sys).obs_full_rank:
         f = sys.fast_plant
         delta = (f.A - np.eye(f.n)) / f.period
-        quads.insert(0, (sys.A, sys.B, np.vstack([f.C, delta]), np.vstack([f.D, f.B / f.period])))
-    return [(q, _pencil_normal_rank(q)) for q in quads]
+        small = StateSpace(sys.A, sys.B, np.vstack([f.C, delta]), np.vstack([f.D, f.B / f.period]))
+        systems.insert(0, small)
+    return [(s, _pencil_normal_rank(s)) for s in systems]
 
 
 def _confirmed(tests, candidates):
@@ -173,8 +174,8 @@ def _confirmed(tests, candidates):
     singular value of the last (full) pencil that must vanish for its column
     rank to fall below the normal rank."""
     found = [(complex(z), 0.0) for z in candidates]
-    for q, rank in tests:
-        s = np.linalg.svd(pencil_matrix(q, [z for z, _ in found]), compute_uv=False)
+    for pencil_sys, rank in tests:
+        s = np.linalg.svd(pencil_matrix(pencil_sys, [z for z, _ in found]), compute_uv=False)
         found = [
             (z, float(sz[rank - 1]))
             for (z, _), sz in zip(found, s)
@@ -190,13 +191,13 @@ def has_zero_at(sys, z: complex) -> bool:
     return bool(_confirmed(_rank_tests(sys), [z]))
 
 
-def _candidates(A, B, C, D):
-    """Finite generalized eigenvalues of the system pencil ``zE - F``.  A
+def _candidates(sys):
+    """Finite generalized eigenvalues of the pencil ``zE - F`` of ``sys``.  A
     non-square pencil is first projected onto the thin SVD of its value at
     ``_SQUARING_POINT``, which keeps every zero; the spurious eigenvalues
     it may add are left to the caller's rank test."""
-    n = A.shape[0]
-    n_u, n_y = B.shape[1], C.shape[0]
+    A, B, C, D = abcd(sys)
+    n, n_u, n_y = A.shape[0], B.shape[1], C.shape[0]
     F = np.block([[A, B], [-C, -D]])
     E = np.zeros((n + n_y, n + n_u))
     E[:n, :n] = np.eye(n)
@@ -213,7 +214,7 @@ def _candidates(A, B, C, D):
 def _null_directions(sys, zs):
     """Right null vector of the pencil at each point of ``zs``, split into
     (state, input) parts, from one stacked SVD."""
-    n = abcd(sys)[0].shape[0]
+    n = sys.n
     _, _, Vh = np.linalg.svd(pencil_matrix(sys, zs))
     out = []
     for z, vh in zip(zs, Vh):
@@ -275,15 +276,22 @@ def _cluster_sizes(values, tol):
     return [sizes[find(i)] for i in range(k)]
 
 
-def _classify(z: complex, multiplicity: int):
-    az = abs(z)
-    dist = abs(az - 1.0)
+def _unit_circle_side(v: complex):
+    """(side, marginal) of ``v`` against the unit circle: side is
+    "boundary" within ``BOUNDARY_TOL`` of it, else "outside" or "inside";
+    marginal flags a distance within a decade of the tolerance."""
+    dist = abs(abs(v) - 1.0)
     marginal = BOUNDARY_TOL * 0.1 < dist < BOUNDARY_TOL * 10.0
     if dist <= BOUNDARY_TOL:
+        return "boundary", marginal
+    return ("outside" if abs(v) > 1.0 else "inside"), marginal
+
+
+def _classify(z: complex, multiplicity: int):
+    side, marginal = _unit_circle_side(z)
+    if side == "boundary":
         return ("boundary_multiple" if multiplicity > 1 else "boundary_simple"), marginal
-    if az > 1.0:
-        return "nmp_strict", marginal
-    return "minimum_phase", marginal
+    return ("nmp_strict" if side == "outside" else "minimum_phase"), marginal
 
 
 def transmission_zeros(sys) -> ZeroReport:
@@ -302,9 +310,8 @@ def transmission_zeros(sys) -> ZeroReport:
     ``at_lambda_zero`` records and counted separately in the report.
     """
     A, B, C, D = abcd(sys)
-    A, B, C, D = (np.asarray(M, dtype=float) for M in (A, B, C, D))
     n, n_u, n_y = A.shape[0], B.shape[1], C.shape[0]
-    rep = check_minimal((A, B, C, D))
+    rep = check_minimal(sys)
     if not rep.minimal:
         raise ModelError(
             "transmission zeros require a minimal realization "
@@ -312,16 +319,16 @@ def transmission_zeros(sys) -> ZeroReport:
         )
 
     tests = _rank_tests(sys)
-    quad, normal_rank = tests[-1]
+    normal_rank = tests[-1][1]
     shape = "square" if n_y == n_u else ("tall" if n_y > n_u else "fat")
-    cands = _candidates(*tests[0][0])
+    cands = _candidates(tests[0][0])
     found = _confirmed(tests, [z for z in cands if abs(z) <= _Z_INFINITY_CUTOFF])
 
     # Conjugate-pair and multiplicity bookkeeping, then record assembly.
     zs = [z for z, _ in found]
     sizes = _cluster_sizes(zs, MATCH_TOL)
     records = []
-    for (z, residual), mult, (xi, nu) in zip(found, sizes, _null_directions(quad, zs)):
+    for (z, residual), mult, (xi, nu) in zip(found, sizes, _null_directions(sys, zs)):
         xi, nu = _normalize_direction(xi, nu)
         classification, marginal = _classify(z, mult)
         lam = None if abs(z) <= 1e-9 else 1.0 / z  # None encodes "lambda-infinity"
@@ -368,7 +375,7 @@ def transmission_zeros(sys) -> ZeroReport:
 
     return ZeroReport(
         zeros=tuple(records),
-        poles=poles(quad),
+        poles=poles(sys),
         normal_rank=normal_rank,
         system_shape=shape,
         n_zeros_at_lambda_zero=n_at_lambda_zero,
@@ -378,18 +385,11 @@ def transmission_zeros(sys) -> ZeroReport:
 def poles(sys) -> tuple:
     """Eigenvalues of the state matrix, classified against the unit circle."""
     A, _, _, _ = abcd(sys)
+    labels = {"boundary": "boundary", "outside": "unstable", "inside": "stable"}
     out = []
     for lam in linalg.eig(A):
-        az = abs(lam)
-        dist = abs(az - 1.0)
-        marginal = BOUNDARY_TOL * 0.1 < dist < BOUNDARY_TOL * 10.0
-        if dist <= BOUNDARY_TOL:
-            cls = "boundary"
-        elif az > 1.0:
-            cls = "unstable"
-        else:
-            cls = "stable"
-        out.append(PoleRecord(value=complex(lam), classification=cls, marginal=marginal))
+        side, marginal = _unit_circle_side(lam)
+        out.append(PoleRecord(value=complex(lam), classification=labels[side], marginal=marginal))
     return tuple(out)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 
 from liftguard import ContinuousPlant, Controller, DiscretePlant, check_minimal
 from liftguard.errors import DimensionError, LiftguardError
+from liftguard.zeros import _match_multisets
 
 
 def triple_integrator(name="triple-int"):
@@ -84,18 +85,11 @@ def random_discrete(rng, n=None, n_u=1, n_y=1, radius=0.85, max_tries=80, biprop
 
 
 def assert_sets_close(actual, expected, tol, label=""):
-    """Multiset comparison of complex values via greedy nearest matching."""
-    actual = list(actual)
-    expected = list(expected)
-    assert len(actual) == len(expected), (
-        f"{label}: cardinality {len(actual)} vs {len(expected)}: {actual} vs {expected}"
+    """Multiset comparison of complex values by the package's matcher."""
+    actual, expected = list(actual), list(expected)
+    assert _match_multisets(actual, expected, tol) is not None, (
+        f"{label}: {actual} and {expected} do not match within {tol}"
     )
-    rest = list(expected)
-    for z in actual:
-        dists = [abs(z - w) for w in rest]
-        j = int(np.argmin(dists))
-        assert dists[j] <= tol, f"{label}: {z} has no match within {tol} in {expected}"
-        rest.pop(j)
 
 
 def lift_controller(controller, m):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from liftguard.attack import (
     synth_fat_masking,
     synth_sensor_attack,
 )
-from liftguard.errors import CapabilityError
+from liftguard.errors import CapabilityError, NumericError
 
 from helpers import double_integrator, stable_two_state, triple_integrator, unstable_scalar
 
@@ -225,6 +226,36 @@ class TestFatMasking:
         np.testing.assert_allclose(u1[1:], d1[:-1])
         y = ss_response(sys, np.column_stack([u1, u2]))
         assert np.max(np.abs(y)) <= 1e-8
+
+    def test_relative_degree_two_channel(self):
+        # channel two reaches the output only through A: C B2 = 0, C A B2 = 0.1
+        sys = DiscretePlant(
+            A=[[0.3, 0.1], [0.0, -0.2]], B=np.eye(2), C=[[1.0, 0.0]], D=[[0.7, 0.0]], period=1.0
+        )
+        d1 = 1.05 ** np.arange(80)
+        u1, u2 = synth_fat_masking(sys, d1)
+        assert not np.any(u1[:2])
+        np.testing.assert_array_equal(u1[2:], d1[:-2])
+        y = ss_response(sys, np.column_stack([u1, u2]))
+        assert np.max(np.abs(y)) <= 1e-8
+
+    @pytest.mark.parametrize(
+        "case, step",
+        [("unstable_inverse", 751), ("small_feedthrough", 187)],
+    )
+    def test_inverse_overflow_is_an_error_at_its_step(self, case, step):
+        if case == "unstable_inverse":
+            sys = DiscretePlant(
+                A=np.diag([0.5, 0.2]), B=[[1.0, 1.0], [1.0, -0.9]], C=[[1.0, 1.0]],
+                D=[[0.0, 0.0]], period=1.0,
+            )
+            d1 = np.ones(3000)
+        else:
+            sys, d1 = self._fat_plant(d2=0.01), 1.05 ** np.arange(400)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=f"overflowed at step {step};"):
+                synth_fat_masking(sys, d1)
 
     def test_dead_channel_rejected(self):
         A = np.array([[0.3, 0.1], [0.0, -0.2]])

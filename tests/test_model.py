@@ -241,6 +241,8 @@ class TestStateSpaceBase:
             abcd(object())
         with pytest.raises(TypeError):
             abcd(([[1.0]], [[1.0]], [[1.0]]))
+        with pytest.raises(TypeError):
+            abcd(([[1.0]], [[1.0]], [[1.0]], [[0.0]]))
 
 
 class TestPlantIO:
