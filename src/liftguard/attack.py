@@ -304,6 +304,8 @@ def synth_fat_masking(sys, d_a1):
         raise DimensionError("fat masking construction expects a 1-output 2-input plant")
     d_a1 = np.asarray(d_a1, dtype=float).reshape(-1)
     N = d_a1.shape[0]
+    if N == 0:
+        raise DimensionError("fat masking needs a non-empty first-channel signal")
     tol_scale = 1e-10 * max(
         1.0,
         float(np.max(np.abs(C)) * np.max(np.abs(B))) if B.size and C.size else 1.0,

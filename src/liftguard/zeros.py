@@ -249,7 +249,7 @@ def _match_multisets(a, b, tol):
             return None
         dists = [abs(z - w) for w in remaining]
         j = int(np.argmin(dists))
-        if dists[j] > tol:
+        if not dists[j] <= tol:  # a NaN distance never matches
             return None
         paired.append(0.5 * (z + remaining.pop(j)))
     return paired

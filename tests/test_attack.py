@@ -23,7 +23,7 @@ from liftguard.attack import (
     synth_fat_masking,
     synth_sensor_attack,
 )
-from liftguard.errors import CapabilityError, NumericError
+from liftguard.errors import CapabilityError, DimensionError, NumericError
 
 from helpers import double_integrator, stable_two_state, triple_integrator, unstable_scalar
 
@@ -256,6 +256,11 @@ class TestFatMasking:
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match=f"overflowed at step {step};"):
                 synth_fat_masking(sys, d1)
+
+    @pytest.mark.parametrize("d2", [1.1, 0.0])
+    def test_empty_signal_rejected(self, d2):
+        with pytest.raises(DimensionError, match="non-empty"):
+            synth_fat_masking(self._fat_plant(d2=d2), np.zeros(0))
 
     def test_dead_channel_rejected(self):
         A = np.array([[0.3, 0.1], [0.0, -0.2]])

@@ -294,3 +294,16 @@ class TestNonMinimalRejected:
         )
         with pytest.raises(ModelError):
             transmission_zeros(sys)
+
+
+class TestMultisetMatcher:
+    @pytest.mark.parametrize(
+        "actual, expected",
+        [([np.nan], [0.5]), ([0.5, np.nan], [0.5, 0.5]), ([complex(np.nan, 0.0)], [0.5])],
+    )
+    def test_nan_matches_nothing(self, actual, expected):
+        with pytest.raises(AssertionError):
+            assert_sets_close(actual, expected, 1e-6)
+
+    def test_close_values_match(self):
+        assert_sets_close([0.5 + 1e-9, -2.0], [-2.0, 0.5], 1e-6)
