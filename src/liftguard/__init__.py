@@ -30,6 +30,7 @@ from .model import (
     check_pathological,
     discretize,
     load_plant,
+    observability_stack,
     plant_to_dict,
     ss_response,
 )
@@ -60,7 +61,6 @@ from .lift import (
     build_lifted,
     check_assumptions,
     choose_m,
-    observability_stack,
     shift_consistency_check,
 )
 from .attack import (

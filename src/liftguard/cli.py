@@ -28,7 +28,6 @@ from .errors import (
     ModelError,
     NumericError,
 )
-from .factor import coprime_factorize
 from .lift import (
     assumption_report,
     build_lifted,
@@ -36,7 +35,7 @@ from .lift import (
     choose_m,
     shift_consistency_check,
 )
-from .model import check_minimal, check_pathological, discretize, load_plant
+from .model import check_pathological, discretize, load_plant
 from .sim import run_dual_rate, run_single_rate, standard_loop, trace_metadata, trace_to_csv
 from .zeros import classify_vulnerability, transmission_zeros
 from . import verify as verify_suite
@@ -237,10 +236,8 @@ def cmd_analyze(args) -> int:
 
     P = discretize(plant, T)
     pathology = check_pathological(plant, T)
-    minimal = check_minimal(P)
     report = transmission_zeros(P)
-    factors = coprime_factorize(P)
-    verdict = classify_vulnerability(report, left_numerator=factors.Nl)
+    verdict = classify_vulnerability(report, system=P)
     doc["plant"] = {"name": plant.name, "n": plant.n, "n_u": plant.n_u, "n_y": plant.n_y}
     doc["single_rate"] = {
         "T": T,
@@ -251,7 +248,8 @@ def cmd_analyze(args) -> int:
                 for a, b, k in pathology.pairs
             ],
         },
-        "minimal": {"controllable": minimal.controllable, "observable": minimal.observable},
+        # always true: transmission_zeros raises ModelError on a non-minimal P
+        "minimal": {"controllable": True, "observable": True},
         "zero_report": _zero_report_dict(report),
         "verdict": _verdict_dict(verdict),
     }
@@ -260,8 +258,7 @@ def cmd_analyze(args) -> int:
         m = _explicit_m(args, m_file)
         lifted, assumptions = _lifted(plant, T, m)
         lifted_report = transmission_zeros(lifted)
-        lifted_factors = coprime_factorize(lifted)
-        lifted_verdict = classify_vulnerability(lifted_report, left_numerator=lifted_factors.Nl)
+        lifted_verdict = classify_vulnerability(lifted_report, system=lifted)
         doc["dual_rate"] = {
             "m": lifted.m,
             "m_auto": m is None,

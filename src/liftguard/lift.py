@@ -25,7 +25,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ModelError
-from .model import ContinuousPlant, DiscretePlant, StateSpace, discretize
+from .model import ContinuousPlant, DiscretePlant, StateSpace, discretize, observability_stack
 
 __all__ = [
     "LiftedSystem",
@@ -36,7 +36,6 @@ __all__ = [
     "check_assumptions",
     "choose_m",
     "shift_consistency_check",
-    "observability_stack",
     "block_difference_matrix",
     "SHIFT_CONSISTENCY_TOL",
 ]
@@ -81,18 +80,6 @@ class ShiftConsistencyResult:
     consistent: bool
     max_error: float
     tolerance: float
-
-
-def observability_stack(A, C, m: int) -> np.ndarray:
-    """Stack of C, CA, ..., CA^{m-2} (m-1 row blocks)."""
-    if m < 2:
-        raise ValueError(f"m must be at least 2, got {m}")
-    rows = [np.asarray(C, dtype=float)]
-    M = rows[0]
-    for _ in range(m - 2):
-        M = M @ A
-        rows.append(M)
-    return np.vstack(rows)
 
 
 def block_difference_matrix(m: int, n_y: int) -> np.ndarray:

@@ -33,9 +33,10 @@ DEFAULT_RANK_RTOL = 1e-9
 DARE_RESIDUAL_RTOL = 1e-6
 
 
-def _as_matrix(M, name: str = "matrix") -> np.ndarray:
+def _as_matrix(M, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """``M`` as a non-empty finite matrix (with ``stack``, or a 3-D stack)."""
     A = np.atleast_2d(np.asarray(M))
-    if A.ndim != 2:
+    if A.ndim != 2 and not (stack and A.ndim == 3):
         raise DimensionError(f"{name} must be two-dimensional, got ndim={A.ndim}")
     if A.size == 0:
         raise DimensionError(f"{name} is empty")
@@ -77,9 +78,9 @@ class RankResult:
     """Numerical rank decision together with its audit trail.
 
     ``rank`` counts singular values strictly greater than
-    ``tolerance_used`` (an absolute threshold derived from the relative
-    tolerance and the largest singular value).  ``gap`` reports the ratio
-    between the smallest retained and the largest discarded singular
+    ``tolerance_used`` (an absolute threshold: the relative tolerance times
+    the largest singular value or a given scale).  ``gap`` reports the
+    ratio between the smallest retained and the largest discarded singular
     value so borderline decisions are visible.
     """
 
@@ -97,19 +98,26 @@ class RankResult:
         return float(s[self.rank - 1] / s[self.rank])
 
 
-def rank_svd(M, rel_tol: float = DEFAULT_RANK_RTOL) -> RankResult:
-    """Numerical rank via singular values.
+def rank_svd(M, rel_tol: float = DEFAULT_RANK_RTOL, scale: float | None = None):
+    """Numerical rank via singular values; every rank decision in the
+    package goes through here.
 
-    The rank is the number of singular values exceeding
-    ``rel_tol * sigma_max``.  The zero matrix has rank 0.
+    The rank is the number of singular values exceeding ``rel_tol *
+    scale``, where ``scale`` defaults to sigma_max; an explicit absolute
+    ``scale`` judges the matrix against a size it does not carry itself.
+    The zero matrix has rank 0.  A 3-D input is a stack of matrices along
+    its leading axis: one SVD call, and a list of one result per matrix.
     """
-    A = _as_matrix(M, "rank input")
+    A = _as_matrix(M, "rank input", stack=True)
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    s = np.linalg.svd(A, compute_uv=False)
-    tol = rel_tol * (s[0] if s.size else 0.0)
-    rank = int(np.count_nonzero(s > tol))
-    return RankResult(rank=rank, singular_values=s, tolerance_used=float(tol))
+    if scale is not None and not 0.0 < scale < np.inf:
+        raise ValueError(f"scale must be positive and finite, got {scale}")
+    out = []
+    for s in np.atleast_2d(np.linalg.svd(A, compute_uv=False)):
+        tol = rel_tol * (s[0] if scale is None else scale)
+        out.append(RankResult(int(np.count_nonzero(s > tol)), s, float(tol)))
+    return out if A.ndim == 3 else out[0]
 
 
 def eig(M, vectors: bool = False):

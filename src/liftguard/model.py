@@ -27,6 +27,7 @@ __all__ = [
     "discretize",
     "check_pathological",
     "check_minimal",
+    "observability_stack",
     "ss_response",
     "load_plant",
     "plant_to_dict",
@@ -197,21 +198,29 @@ def check_minimal(sys) -> MinimalityReport:
     a :class:`ContinuousPlant`."""
     A, B, C, _ = abcd(sys)
     n = A.shape[0]
-    blocks_c, blocks_o = [B], [C]
-    Mc, Mo = B, C
+    blocks_c = [B]
     for _ in range(n - 1):
-        Mc = A @ Mc
-        Mo = Mo @ A
-        blocks_c.append(Mc)
-        blocks_o.append(Mo)
+        blocks_c.append(A @ blocks_c[-1])
     ctrb = linalg.rank_svd(np.hstack(blocks_c))
-    obsv = linalg.rank_svd(np.vstack(blocks_o))
+    obsv = linalg.rank_svd(observability_stack(A, C, n + 1))
     return MinimalityReport(
         controllable=ctrb.rank == n,
         observable=obsv.rank == n,
         controllability=ctrb,
         observability=obsv,
     )
+
+
+def observability_stack(A, C, m: int) -> np.ndarray:
+    """Stack of C, CA, ..., CA^{m-2} (m-1 row blocks)."""
+    if m < 2:
+        raise ValueError(f"m must be at least 2, got {m}")
+    rows = [np.asarray(C, dtype=float)]
+    M = rows[0]
+    for _ in range(m - 2):
+        M = M @ A
+        rows.append(M)
+    return np.vstack(rows)
 
 
 def discretize(plant: ContinuousPlant, T: float) -> DiscretePlant:

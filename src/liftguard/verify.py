@@ -19,14 +19,14 @@ import numpy as np
 
 from .errors import LiftguardError
 from .factor import bezout_defect, coprime_factorize
-from .lift import (
-    block_difference_matrix,
-    build_lifted,
-    choose_m,
+from .lift import block_difference_matrix, build_lifted, choose_m, shift_consistency_check
+from .model import (
+    ContinuousPlant,
+    DiscretePlant,
+    check_minimal,
     observability_stack,
-    shift_consistency_check,
+    plant_to_dict,
 )
-from .model import ContinuousPlant, DiscretePlant, check_minimal, plant_to_dict
 from .zeros import _match_multisets, multiplicity_at_one, transmission_zeros
 
 __all__ = ["run_suite", "random_minimal_plant", "random_minimal_discrete"]

@@ -29,7 +29,7 @@ import scipy.linalg
 
 from . import linalg
 from .errors import ModelError
-from .factor import eval_lambda
+from .factor import coprime_factorize, eval_lambda
 from .lift import LiftedSystem, check_assumptions
 from .model import StateSpace, abcd, check_minimal
 
@@ -146,8 +146,7 @@ def pencil_matrix(sys, z) -> np.ndarray:
 
 
 def _pencil_normal_rank(sys) -> int:
-    s = np.linalg.svd(pencil_matrix(sys, _PROBE_POINTS), compute_uv=False)
-    return int(np.max(np.count_nonzero(s > linalg.DEFAULT_RANK_RTOL * s[:, :1], axis=1)))
+    return max(r.rank for r in linalg.rank_svd(pencil_matrix(sys, _PROBE_POINTS)))
 
 
 def _rank_tests(sys):
@@ -175,11 +174,13 @@ def _confirmed(tests, candidates):
     rank to fall below the normal rank."""
     found = [(complex(z), 0.0) for z in candidates]
     for pencil_sys, rank in tests:
-        s = np.linalg.svd(pencil_matrix(pencil_sys, [z for z, _ in found]), compute_uv=False)
+        if not found:
+            break
+        pencils = pencil_matrix(pencil_sys, [z for z, _ in found])
         found = [
-            (z, float(sz[rank - 1]))
-            for (z, _), sz in zip(found, s)
-            if sz[rank - 1] <= CONFIRM_RTOL * sz[0]
+            (z, float(r.singular_values[rank - 1]))
+            for (z, _), r in zip(found, linalg.rank_svd(pencils, rel_tol=CONFIRM_RTOL))
+            if r.rank < rank
         ]
     return found
 
@@ -187,7 +188,7 @@ def _confirmed(tests, candidates):
 def has_zero_at(sys, z: complex) -> bool:
     """Rank test: does the system pencil (and, for a lifted system, its
     small pencil) lose column rank at ``z`` (relative tolerance
-    ``CONFIRM_RTOL``)?"""
+    ``CONFIRM_RTOL``)?  A non-finite ``z`` raises ``NumericError``."""
     return bool(_confirmed(_rank_tests(sys), [z]))
 
 
@@ -348,8 +349,7 @@ def transmission_zeros(sys) -> ZeroReport:
     # [[I, -B], [0, D]], whose column rank is n + rank(D).  The feedthrough
     # rank is judged against the overall system scale, not against itself.
     sys_scale = max(float(np.max(np.abs(M))) for M in (A, B, C, D)) or 1.0
-    sD = np.linalg.svd(D, compute_uv=False)
-    rank_D = int(np.count_nonzero(sD > linalg.DEFAULT_RANK_RTOL * sys_scale))
+    rank_D = linalg.rank_svd(D, scale=sys_scale).rank
     n_at_lambda_zero = max(0, (normal_rank - n) - rank_D)
     if n_at_lambda_zero > 0:
         M0 = np.vstack([np.hstack([np.eye(n), -B]), np.hstack([np.zeros((n_y, n)), D])])
@@ -357,8 +357,8 @@ def transmission_zeros(sys) -> ZeroReport:
         residual0 = float(s0[normal_rank - 1])
         _, _, Vh = np.linalg.svd(D)
         null_D = Vh[rank_D:].conj()
-        for i in range(n_at_lambda_zero):
-            nu = null_D[i] if i < null_D.shape[0] else null_D[-1]
+        # normal_rank <= n + n_u, so null_D has n_at_lambda_zero rows or more
+        for nu in null_D[:n_at_lambda_zero]:
             xi = (B @ nu).astype(complex)
             xi, nu = _normalize_direction(xi, nu)
             records.append(
@@ -416,27 +416,25 @@ def multiplicity_at_one(left_numerator) -> str:
     # own largest singular value.  Generic unit-circle samples of the
     # (stable) factor provide the scale.
     samples = eval_lambda(left_numerator, np.exp([0.379j, 2.211j]))
-    scale = float(np.max(np.linalg.norm(samples, 2, axis=(-2, -1))))
-    tol = linalg.DEFAULT_RANK_RTOL * max(scale, np.finfo(float).tiny)
-    s1 = np.linalg.svd(N1, compute_uv=False)
-    r1 = int(np.count_nonzero(s1 > tol))
+    scale = max(float(np.max(np.linalg.norm(samples, 2, axis=(-2, -1)))), np.finfo(float).tiny)
+    r1 = linalg.rank_svd(N1, scale=scale).rank
     if r1 == n_u:
         return "not_a_zero"
     T = np.block([[N1, np.zeros_like(N1)], [N1p, N1]])
-    sT = np.linalg.svd(T, compute_uv=False)
-    rT = int(np.count_nonzero(sT > tol))
+    rT = linalg.rank_svd(T, scale=scale).rank
     # A null vector with nonzero leading block exists iff the stacked rank
     # falls short of (columns of one block) + rank of one block.
     return "multiple" if rT < n_u + r1 else "simple"
 
 
-def classify_vulnerability(report: ZeroReport, left_numerator=None) -> VulnerabilityVerdict:
+def classify_vulnerability(report: ZeroReport, system=None) -> VulnerabilityVerdict:
     """Stealthy-attack verdicts per channel from a zero/pole report.
 
     Actuator side: fat plants are always vulnerable (one input masks the
     other); otherwise a strictly non-minimum-phase zero is the witness;
     boundary zeros with multiplicity at frequency one are decided by the
-    null-chain test when the stable left-factor numerator is supplied;
+    null-chain test on the stable left-factor numerator of ``system`` (the
+    system ``report`` was computed from), factored only in that case;
     multiple boundary zeros elsewhere are reported undecided.  Sensor
     side: an unstable pole is the witness; simple boundary poles are
     harmless; repeated boundary poles are undecided.
@@ -461,14 +459,14 @@ def classify_vulnerability(report: ZeroReport, left_numerator=None) -> Vulnerabi
             at_one = [r for r in multi if abs(r.z_value - 1.0) <= MATCH_TOL]
             elsewhere = [r for r in multi if abs(r.z_value - 1.0) > MATCH_TOL]
             if at_one:
-                if left_numerator is None:
+                if system is None:
                     actuator = "undecided"
                     notes.append(
-                        "multiple boundary zero at frequency one: supply the left-factor "
-                        "numerator to run the null-chain multiplicity test"
+                        "multiple boundary zero at frequency one: supply the system "
+                        "to run the null-chain multiplicity test"
                     )
                 else:
-                    mult = multiplicity_at_one(left_numerator)
+                    mult = multiplicity_at_one(coprime_factorize(system).Nl)
                     if mult == "multiple":
                         actuator, mechanism = "yes", "multiple_zero_at_one"
                         witness = at_one[0]

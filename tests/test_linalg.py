@@ -75,9 +75,56 @@ class TestRank:
         with pytest.raises(DimensionError):
             rank_svd(np.zeros((0, 3)))
 
+    @pytest.mark.parametrize("stack", [np.zeros((0, 3, 3)), np.zeros((2, 0, 3))])
+    def test_empty_stack_rejected(self, stack):
+        with pytest.raises(DimensionError):
+            rank_svd(stack)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_stack_rejected(self, bad):
+        stack = np.ones((3, 2, 2), dtype=complex)
+        stack[1, 0, 1] = bad
+        with pytest.raises(NumericError):
+            rank_svd(stack)
+
     def test_tolerance_range_checked(self):
         with pytest.raises(ValueError):
             rank_svd(np.eye(2), rel_tol=1.5)
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, np.inf, np.nan])
+    def test_scale_range_checked(self, scale):
+        with pytest.raises(ValueError):
+            rank_svd(np.eye(2), scale=scale)
+
+    @pytest.mark.parametrize("scale", [None, 1.0])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_stack_equals_per_matrix_calls(self, dtype, scale):
+        rng = np.random.default_rng(19)
+        stack = rng.standard_normal((6, 5, 4)).astype(dtype)
+        if dtype is complex:
+            stack += 1j * rng.standard_normal((6, 5, 4))
+        stack[1, :, 3] = stack[1, :, 0] - stack[1, :, 2]  # rank 3
+        stack[2] *= 1e-12  # below an absolute scale of 1
+        stack[3] = 0.0
+        results = rank_svd(stack, scale=scale)
+        assert len(results) == len(stack)
+        for M, r in zip(stack, results):
+            one = rank_svd(M, scale=scale)
+            assert r.rank == one.rank
+            assert r.tolerance_used == one.tolerance_used
+            np.testing.assert_array_equal(r.singular_values, one.singular_values)
+        assert [r.rank for r in results][:4] == ([4, 3, 4, 0] if scale is None else [4, 3, 0, 0])
+
+    def test_scale_replaces_largest_singular_value(self):
+        # relative to itself the matrix has rank 2; against scale 1 only
+        # sigma = 1e-6 clears the threshold 1e-9
+        M = np.diag([1e-6, 1e-12])
+        assert rank_svd(M).rank == 2
+        r = rank_svd(M, scale=1.0)
+        assert r.rank == 1
+        assert r.tolerance_used == 1e-9
+        assert rank_svd(np.zeros((2, 3)), scale=1.0).rank == 0
+        assert rank_svd(np.diag([1e-12, 1e-13]), scale=1.0).rank == 0
 
     def test_orthogonal_invariance(self):
         rng = np.random.default_rng(3)

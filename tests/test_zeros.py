@@ -12,7 +12,7 @@ from liftguard import (
     poles,
     transmission_zeros,
 )
-from liftguard.errors import ModelError
+from liftguard.errors import ModelError, NumericError
 from liftguard.model import StateSpace
 from liftguard.zeros import pencil_matrix
 
@@ -271,12 +271,10 @@ class TestClassifyVulnerability:
         report = transmission_zeros(sys)
         multi = [r for r in report.zeros if r.classification == "boundary_multiple"]
         assert len(multi) == 2
-        verdict = classify_vulnerability(
-            report, left_numerator=StateSpace(sys.A, sys.B, sys.C, sys.D)
-        )
+        verdict = classify_vulnerability(report, system=sys)
         assert verdict.actuator == "yes"
         assert verdict.actuator_mechanism == "multiple_zero_at_one"
-        # without the numerator the verdict must stay undecided, not guess
+        # without the system the verdict must stay undecided, not guess
         assert classify_vulnerability(report).actuator == "undecided"
 
     def test_boundary_pole_simple_sensor_no(self):
@@ -294,6 +292,13 @@ class TestNonMinimalRejected:
         )
         with pytest.raises(ModelError):
             transmission_zeros(sys)
+
+
+class TestNonFinitePoint:
+    @pytest.mark.parametrize("z", [np.nan, complex(0.5, np.nan)])
+    def test_numeric_error(self, z):
+        with pytest.raises(NumericError):
+            has_zero_at(discretize(triple_integrator(), 1.0), z)
 
 
 class TestMultisetMatcher:
