@@ -11,6 +11,7 @@ otherwise.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -388,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="poles/zeros, vulnerability verdicts, dual-rate check")
     common(p)
-    p.set_defaults(func=cmd_analyze)
 
     def loop_flags(p):
         p.add_argument("--theta", type=float, default=0.01)
@@ -400,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("actuator", "sensor"), default="actuator")
     p.add_argument("--mode", choices=("single_rate", "dual_rate"), default="single_rate")
     loop_flags(p)
-    p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("simulate", help="closed-loop run with optional attack plan")
     common(p)
@@ -409,26 +408,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, default=None,
                    help=f"base steps (default: the replayed plan's, else {DEFAULT_HORIZON})")
     p.add_argument("--plan", default=None, help="attack plan JSON file")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("lift", help="build the dual-rate lifted system")
     common(p)
-    p.set_defaults(func=cmd_lift)
 
     p = sub.add_parser("verify", help="randomized property suite over random plants")
     common(p, plant_required=False)
     p.add_argument("--trials", type=int, default=100)
-    p.set_defaults(func=cmd_verify)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built by the first ``main`` call.  Parsing
+    does not change it: each call gets a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up per call, so a replaced module attribute is what runs
+    command = globals()[f"cmd_{args.command}"]
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            return args.func(args)
+            return command(args)
     except CapabilityError as exc:
         _error(exc)
         return EXIT_CAPABILITY

@@ -9,12 +9,19 @@ the cyber-layer signals, i.e. the measured outputs and the controller
 commands; the continuous intersample output is for inspection only and is
 evaluated from the logged states, on an exact finer grid whose points
 contain the sample instants, when it is first read.
+
+The recursion multiplies by each loop matrix's bound ``dot``, the same
+BLAS call as ``@`` with less dispatch, except that a one-column matrix
+keeps ``np.matmul`` (see ``_matvec``).  The CSV export formats the trace
+column by column, in blocks of whole hold periods.  Both give the bytes of
+the plain ``@`` recursion and of the row-by-row writer, which the tests
+keep as oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -38,6 +45,7 @@ __all__ = [
 ]
 
 DIVERGENCE_GUARD = 1e12
+_CSV_BLOCK_ROWS = 1024  # rows of trace text built before each write
 
 
 @dataclass(frozen=True)
@@ -217,6 +225,20 @@ def _check_divergence(Y: np.ndarray, U: np.ndarray) -> None:
         )
 
 
+def _matvec(M: np.ndarray):
+    """``v -> M @ v`` with the least dispatch that keeps its bits.
+
+    With two or more columns that is the bound ``M.dot``: it makes the
+    same BLAS call as ``@`` (gemv, or ddot for one row) at half the call
+    cost.  A one-column matrix keeps ``np.matmul``, because ``dot`` treats
+    a length-1 vector as a scalar and scales by it, which returns ``-0.0``
+    where ``@`` returns ``+0.0`` (a 1x1 product of a negative entry and
+    ``+0.0``, or any product that underflows to zero) and ``0`` where
+    ``@`` returns NaN (``0 * inf``).
+    """
+    return M.dot if M.shape[1] > 1 else partial(np.matmul, M)
+
+
 def _closed_loop(cfg: LoopConfig, mode: str) -> SimTrace:
     """The sampled-signal recursion behind both loop modes.
 
@@ -249,8 +271,8 @@ def _closed_loop(cfg: LoopConfig, mode: str) -> SimTrace:
     y_phys = np.empty((N * m, fast.n_y))
     # one row per hold period of the m stacked samples; Ys is a view
     Ys, Ds = y_phys.reshape(N, -1), d_s.reshape(N, -1)
-    A, B, C, D = fast.A, fast.B, fast.C, fast.D
-    KA, KB, KC = K.A, K.B, K.C
+    A, B, C, D = map(_matvec, (fast.A, fast.B, fast.C, fast.D))
+    KA, KB, KC = map(_matvec, (K.A, K.B, K.C))
 
     # Overflow is reported through the trace (non-finite rows), not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -259,16 +281,16 @@ def _closed_loop(cfg: LoopConfig, mode: str) -> SimTrace:
                 # An all-NaN loop state makes every later row NaN.
                 u_log[k:] = x_log[k * m :] = y_phys[k * m :] = np.nan
                 break
-            u_k = KC @ xk
+            u_k = KC(xk)
             u_applied = u_k + d_a[k]
             u_log[k] = u_k
             # the input is held over the m sub-steps
-            Du, Bu = D @ u_applied, B @ u_applied
+            Du, Bu = D(u_applied), B(u_applied)
             for idx in range(k * m, (k + 1) * m):
                 x_log[idx] = x
-                y_phys[idx] = C @ x + Du
-                x = A @ x + Bu
-            xk = KA @ xk + KB @ (Ys[k] + Ds[k])
+                y_phys[idx] = C(x) + Du
+                x = A(x) + Bu
+            xk = KA(xk) + KB(Ys[k] + Ds[k])
 
         y_log = y_phys + d_s
         if cfg.attack is None:
@@ -344,12 +366,31 @@ def standard_loop(plant: ContinuousPlant, T: float, mode: str = "single_rate",
     return cfg, factors
 
 
+def _repeated(text: list, repeat: int) -> list:
+    """Each item of ``text`` ``repeat`` times in a row."""
+    out = [None] * (len(text) * repeat)
+    for i in range(repeat):
+        out[i::repeat] = text
+    return out
+
+
+def _column_text(values: np.ndarray, repeat: int = 1) -> list:
+    """``repr`` of each value of a 1-D float array, each string repeated
+    ``repeat`` times in a row."""
+    return _repeated(list(map(repr, values.tolist())), repeat)
+
+
 def trace_to_csv(trace: SimTrace, path) -> None:
     """Write one CSV row per sub-sample, with ``\\r\\n`` line ends.
 
     Columns: step, substep, time, u_1..u_nu, y_1..y_ny, da_1..da_nu,
     ds_1..ds_ny, monitor, crossed.  Floats are written with ``repr`` so
     they read back exactly; ``crossed`` is 1 where ``not monitor <= theta``.
+
+    The text is built column by column, a block of whole hold periods
+    (about ``_CSV_BLOCK_ROWS`` rows) at a time, so the strings held at once
+    stay bounded for any horizon; the base-rate columns (``u``, ``da``)
+    are formatted once per hold period and repeated for its m rows.
     """
     m = trace.samples_per_step
     n_u = trace.u.shape[1]
@@ -362,17 +403,26 @@ def trace_to_csv(trace: SimTrace, path) -> None:
         + [f"ds_{i+1}" for i in range(n_y)]
         + ["monitor", "crossed"]
     )
-    step = np.arange(trace.y.shape[0]) // m
-    floats = np.hstack(
-        [trace.times[:, None], trace.u[step], trace.y, trace.d_a[step], trace.d_s,
-         trace.monitor[:, None]]
-    ).tolist()
-    crossed = (~(trace.monitor <= trace.theta)).tolist()
+    substeps = list(map(str, range(m)))
+    block = max(1, _CSV_BLOCK_ROWS // m)  # hold periods per block
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
-        for idx, row in enumerate(floats):
-            k, i = divmod(idx, m)
-            fh.write(f"{k},{i},{','.join(map(repr, row))},{int(crossed[idx])}\r\n")
+        for k0 in range(0, trace.u.shape[0], block):
+            k1 = min(k0 + block, trace.u.shape[0])
+            rows = slice(k0 * m, k1 * m)
+            monitor = trace.monitor[rows]
+            columns = [
+                _repeated(list(map(str, range(k0, k1))), m),
+                substeps * (k1 - k0),
+                _column_text(trace.times[rows]),
+                *(_column_text(col, m) for col in trace.u[k0:k1].T),
+                *(_column_text(col) for col in trace.y[rows].T),
+                *(_column_text(col, m) for col in trace.d_a[k0:k1].T),
+                *(_column_text(col) for col in trace.d_s[rows].T),
+                _column_text(monitor),
+                np.where(monitor <= trace.theta, "0", "1").tolist(),
+            ]
+            fh.write("\r\n".join(map(",".join, zip(*columns, strict=True))) + "\r\n")
 
 
 def trace_metadata(trace: SimTrace) -> dict:

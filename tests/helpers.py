@@ -4,6 +4,7 @@ import numpy as np
 
 from liftguard import ContinuousPlant, Controller, DiscretePlant, check_minimal
 from liftguard.errors import DimensionError, LiftguardError
+from liftguard.sim import _render_attack, monitor_eval
 from liftguard.zeros import _match_multisets
 
 
@@ -139,3 +140,70 @@ def run_lifted_closed_loop(L, controller, n_steps, d_a=None, d_s_stacked=None, x
         xk = controller.A @ xk + controller.B @ y_k
         x = L.A @ x + L.B @ ua
     return u_log, y_log
+
+
+def reference_closed_loop(cfg):
+    """The recursion of ``sim._closed_loop`` with every product written
+    as ``@``: the bit-exact oracle for the engine's product calls.
+    Returns ``(u, y, x, y_physical, monitor)``.
+    """
+    sys = cfg.system
+    K = cfg.controller
+    fast, m = (sys.fast_plant, sys.m) if cfg.mode == "dual_rate" else (sys, 1)
+    N = cfg.horizon
+    d_a, d_s = _render_attack(cfg.attack, N, fast.n_u, m, fast.n_y)
+
+    x = np.zeros(fast.n) if cfg.x0_plant is None else np.asarray(cfg.x0_plant, dtype=float)
+    xk = np.zeros(K.n)
+    u_log = np.empty((N, fast.n_u))
+    x_log = np.empty((N * m, fast.n))
+    y_phys = np.empty((N * m, fast.n_y))
+    Ys, Ds = y_phys.reshape(N, -1), d_s.reshape(N, -1)
+    A, B, C, D = fast.A, fast.B, fast.C, fast.D
+    KA, KB, KC = K.A, K.B, K.C
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(N):
+            if xk[0] != xk[0] and np.isnan(xk).all() and np.isnan(x).all():
+                u_log[k:] = x_log[k * m :] = y_phys[k * m :] = np.nan
+                break
+            u_k = KC @ xk
+            u_applied = u_k + d_a[k]
+            u_log[k] = u_k
+            Du, Bu = D @ u_applied, B @ u_applied
+            for idx in range(k * m, (k + 1) * m):
+                x_log[idx] = x
+                y_phys[idx] = C @ x + Du
+                x = A @ x + Bu
+            xk = KA @ xk + KB @ (Ys[k] + Ds[k])
+
+        y_log = y_phys + d_s
+        _, monitor = monitor_eval(y_log, np.repeat(u_log, m, axis=0), cfg.theta)
+    return u_log, y_log, x_log, y_phys, monitor
+
+
+def reference_trace_to_csv(trace, path):
+    """The row-by-row CSV writer, the byte-exact oracle for
+    ``sim.trace_to_csv``."""
+    m = trace.samples_per_step
+    n_u = trace.u.shape[1]
+    n_y = trace.y.shape[1]
+    header = (
+        ["step", "substep", "time"]
+        + [f"u_{i+1}" for i in range(n_u)]
+        + [f"y_{i+1}" for i in range(n_y)]
+        + [f"da_{i+1}" for i in range(n_u)]
+        + [f"ds_{i+1}" for i in range(n_y)]
+        + ["monitor", "crossed"]
+    )
+    step = np.arange(trace.y.shape[0]) // m
+    floats = np.hstack(
+        [trace.times[:, None], trace.u[step], trace.y, trace.d_a[step], trace.d_s,
+         trace.monitor[:, None]]
+    ).tolist()
+    crossed = (~(trace.monitor <= trace.theta)).tolist()
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for idx, row in enumerate(floats):
+            k, i = divmod(idx, m)
+            fh.write(f"{k},{i},{','.join(map(repr, row))},{int(crossed[idx])}\r\n")

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import re
 import subprocess
 import sys
 
@@ -392,3 +394,60 @@ class TestDeterminism:
             doc.pop("timestamp")
             outs.append(json.dumps(doc, sort_keys=True))
         assert outs[0] == outs[1]
+
+
+def _untimed(text):
+    return re.sub(r'"timestamp": "[^"]*"', '"timestamp": null', text)
+
+
+class TestParserCache:
+    """``main`` builds its parser once per process and reuses it."""
+
+    def test_calls_in_one_process_match_fresh_processes(self, plant_files, capsys, monkeypatch):
+        from liftguard import cli
+
+        monkeypatch.delenv("LIFTGUARD_SEED", raising=False)
+        env = {k: v for k, v in os.environ.items() if k != "LIFTGUARD_SEED"}
+        calls = [
+            ("analyze", "--plant", plant_files["triple"], "--T", "0.5", "--m", "5", "--seed", "7"),
+            ("lift", "--plant", plant_files["triple"], "--T", "2.0", "--no-such-flag"),
+            ("lift", "--plant", plant_files["double"], "--m", "3"),
+            ("verify", "--trials", "3"),
+        ]
+        codes = []
+        for argv in calls:
+            try:
+                codes.append(cli.main(list(argv)))
+            except SystemExit as exc:
+                codes.append(exc.code)
+            got = capsys.readouterr()
+            fresh = run_cli(*argv, env=env)
+            assert codes[-1] == fresh.returncode, argv
+            assert _untimed(got.out) == _untimed(fresh.stdout), argv
+            assert got.err == fresh.stderr, argv
+        assert codes == [0, 2, 0, 0]
+        doc = json.loads(got.out)
+        assert doc["seed"] == 0  # the first call's --seed 7 did not stay
+
+    def test_dispatch_reads_the_module_attribute(self, plant_files, monkeypatch, capsys):
+        from liftguard import cli
+
+        assert cli.main(["lift", "--plant", plant_files["double"]]) == 0
+        seen = []
+
+        def fake(args):
+            seen.append((args.command, args.m))
+            return 17
+
+        monkeypatch.setattr(cli, "cmd_lift", fake)
+        assert cli.main(["lift", "--plant", plant_files["double"], "--m", "2"]) == 17
+        assert seen == [("lift", "2")]
+
+    def test_version(self, capsys):
+        from liftguard import __version__, cli
+
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["--version"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out == f"{__version__}\n"

@@ -1,10 +1,12 @@
 import dataclasses
+import functools
 import warnings
 
 import numpy as np
 import pytest
 
 from liftguard import (
+    ContinuousPlant,
     build_lifted,
     coprime_factorize,
     discretize,
@@ -18,12 +20,14 @@ from liftguard import (
 )
 from liftguard.attack import AttackPlan, synth_actuator_attack, synth_sensor_attack
 from liftguard.errors import ConfigurationError
-from liftguard.sim import LoopConfig, trace_metadata
+from liftguard.sim import _CSV_BLOCK_ROWS, LoopConfig, trace_metadata
 
 from helpers import (
     lift_controller,
     light_oscillator,
     random_continuous,
+    reference_closed_loop,
+    reference_trace_to_csv,
     run_lifted_closed_loop,
     stable_two_state,
     triple_integrator,
@@ -306,10 +310,16 @@ def _run(cfg):
     return run_dual_rate(cfg) if cfg.mode == "dual_rate" else run_single_rate(cfg)
 
 
+@functools.cache
+def _actuator_plan(T):
+    """The calibrated actuator plan of the single-rate triple integrator at T."""
+    return synth_actuator_attack(standard_loop(triple_integrator(), T)[0])
+
+
 @pytest.fixture(scope="module")
 def overflow_plan():
     """The T = 0.01 actuator plan, which overflows when replayed over 2000 steps."""
-    return synth_actuator_attack(standard_loop(triple_integrator(), 0.01)[0])
+    return _actuator_plan(0.01)
 
 
 @pytest.mark.parametrize("mode", ["single_rate", "dual_rate"])
@@ -390,6 +400,114 @@ def test_overflow_replay_raises_no_warning(mode, overflow_plan):
     assert trace_metadata(trace)["first_nonfinite"] is not None
 
 
+def _odd_values_trace(mode):
+    """A 20-row trace (m = 4 in dual rate) carrying NaN, +-inf, -0.0, the
+    smallest subnormal and the extremes in every float column."""
+    if mode == "dual_rate":
+        cfg, _ = standard_loop(triple_integrator(), 1.0, mode="dual_rate", m=4, horizon=5)
+    else:
+        cfg, _ = standard_loop(triple_integrator(), 1.0, horizon=20)
+    trace = _run(cfg)
+    odd = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1 + 0.2, -1.7976931348623157e308]
+    u, y, d_a, d_s = trace.u.copy(), trace.y.copy(), trace.d_a.copy(), trace.d_s.copy()
+    monitor = trace.monitor.copy()
+    for j, v in enumerate(odd):
+        u[j % 5, 0], d_a[(j + 1) % 5, 0] = v, v
+        y[j, 0], d_s[j + 7, 0], monitor[j + 12] = v, v, v
+    return dataclasses.replace(trace, u=u, y=y, d_a=d_a, d_s=d_s, monitor=monitor)
+
+
+def _replay(T, mode, horizon=None):
+    plan = _actuator_plan(T)
+    return standard_loop(
+        triple_integrator(), T, mode=mode, horizon=horizon or plan.horizon, attack=plan
+    )[0]
+
+
+def _pole_at_2_single_rate_sensor_plan():
+    cfg, factors = standard_loop(unstable_scalar(), 1.0)
+    plan = synth_sensor_attack(cfg, factors=factors)
+    return dataclasses.replace(cfg, attack=plan, horizon=plan.horizon)
+
+
+def _random_fat_plant():
+    rng = np.random.default_rng(23)
+    plant = random_continuous(rng, n=4, n_u=3, n_y=2)
+    cfg, _ = standard_loop(plant, 0.2, mode="dual_rate", m=3, horizon=150)
+    plan = _coordinated(0.1 * rng.standard_normal((150, 3)), 0.1 * rng.standard_normal((450, 2)))
+    return dataclasses.replace(cfg, x0_plant=rng.standard_normal(4), attack=plan, theta=1e9)
+
+
+def _one_column_controller_output():
+    # one controller state and two inputs: u = K.C @ xk multiplies a 2x1
+    # matrix by a subnormal state, and the products underflow to +-0
+    plant = ContinuousPlant(Ac=[[-0.5]], Bc=[[1.0, -0.7]], Cc=[[1.0]], Dc=[[0.0, 0.0]])
+    cfg, _ = standard_loop(plant, 0.5, horizon=40)
+    return dataclasses.replace(cfg, x0_plant=[1e-323])
+
+
+ORACLE_LOOPS = {
+    "triple_T1_single": lambda: _replay(1.0, "single_rate"),
+    "triple_T1_dual": lambda: _replay(1.0, "dual_rate"),
+    "triple_T0.01_single": lambda: _replay(0.01, "single_rate"),
+    "triple_T0.01_dual": lambda: _replay(0.01, "dual_rate"),
+    "overflow_2000_single": lambda: _replay(0.01, "single_rate", horizon=2000),
+    "overflow_2000_dual": lambda: _replay(0.01, "dual_rate", horizon=2000),
+    "pole_at_2_sensor_single": _pole_at_2_single_rate_sensor_plan,
+    "pole_at_2_sensor_lifted_m2": _pole_at_2_sensor_plan,
+    "random_fat": _random_fat_plant,
+    "one_column_underflow": _one_column_controller_output,
+}
+
+
+class TestBitExactOracles:
+    """The engine's product calls and the block-columnar CSV writer give
+    the same bytes as the ``@`` recursion and the row-by-row writer."""
+
+    @pytest.mark.parametrize("case", ORACLE_LOOPS)
+    def test_loop_matches_matmul_recursion(self, case):
+        cfg = ORACLE_LOOPS[case]()
+        with np.errstate(all="ignore"):
+            trace = _run(cfg)
+            want = reference_closed_loop(cfg)
+        got = (trace.u, trace.y, trace.x, trace.y_physical, trace.monitor)
+        for name, g, w in zip(("u", "y", "x", "y_physical", "monitor"), got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
+
+    @pytest.mark.parametrize(
+        "case, shape",
+        [("pole_at_2_sensor_single", (1, 1)), ("pole_at_2_sensor_lifted_m2", (1, 1)),
+         ("one_column_underflow", (2, 1))],
+    )
+    def test_sign_of_zero_cases_keep_their_edge(self, case, shape):
+        # a negative one-column gain times the zero (or subnormal) start
+        # state: scaling by the state as a scalar gives -0.0 where ``@``
+        # gives +0.0, so these cases catch a product call that does so
+        gain = ORACLE_LOOPS[case]().controller.C
+        assert gain.shape == shape and np.any(gain < 0)
+
+    @pytest.mark.parametrize("case", ORACLE_LOOPS)
+    def test_csv_matches_row_writer(self, case, tmp_path):
+        with np.errstate(all="ignore"):
+            trace = _run(ORACLE_LOOPS[case]())
+        trace_to_csv(trace, tmp_path / "got.csv")
+        reference_trace_to_csv(trace, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize("mode", ["single_rate", "dual_rate"])
+    def test_csv_matches_row_writer_on_odd_values(self, mode, tmp_path):
+        trace = _odd_values_trace(mode)
+        trace_to_csv(trace, tmp_path / "got.csv")
+        reference_trace_to_csv(trace, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_oracle_traces_span_several_write_blocks(self):
+        with np.errstate(all="ignore"):
+            rows = [_run(ORACLE_LOOPS[c]()).y.shape[0]
+                    for c in ("overflow_2000_single", "overflow_2000_dual")]
+        assert min(rows) > _CSV_BLOCK_ROWS and any(r % _CSV_BLOCK_ROWS for r in rows)
+
+
 class TestTraceExport:
     def test_csv_layout(self, tmp_path):
         cfg, _ = standard_loop(triple_integrator(), 1.0, mode="dual_rate", m=4, horizon=5)
@@ -403,15 +521,8 @@ class TestTraceExport:
         assert first[0] == "0" and first[1] == "0"
 
     def test_csv_round_trip_with_nonfinite_rows(self, tmp_path):
-        cfg, _ = standard_loop(triple_integrator(), 1.0, mode="dual_rate", m=4, horizon=5)
-        trace = run_dual_rate(cfg)
-        odd = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1 + 0.2, -1.7976931348623157e308]
-        u, y, d_a, d_s = trace.u.copy(), trace.y.copy(), trace.d_a.copy(), trace.d_s.copy()
-        monitor = trace.monitor.copy()
-        for j, v in enumerate(odd):
-            u[j % 5, 0], d_a[(j + 1) % 5, 0] = v, v
-            y[j, 0], d_s[j + 7, 0], monitor[j + 12] = v, v, v
-        trace = dataclasses.replace(trace, u=u, y=y, d_a=d_a, d_s=d_s, monitor=monitor)
+        trace = _odd_values_trace("dual_rate")
+        u, y, d_a, d_s, monitor = trace.u, trace.y, trace.d_a, trace.d_s, trace.monitor
         path = tmp_path / "trace.csv"
         trace_to_csv(trace, path)
         raw = path.read_bytes()
