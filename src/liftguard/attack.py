@@ -74,7 +74,8 @@ class AttackPlan:
     ``epsilon * Re(direction * zeta^k)`` on their channels; ``zeta`` has
     modulus above one for every unbounded plan and ``direction`` has
     max-norm one.  Sequence kinds (``coordinated``, ``fat_masking``)
-    carry their explicit signals in ``companion``.
+    carry their explicit signals in ``companion``.  Every parameter and
+    companion signal must be finite.
     """
 
     kind: str
@@ -92,14 +93,20 @@ class AttackPlan:
         object.__setattr__(self, "direction", np.asarray(self.direction, dtype=complex).reshape(-1))
         object.__setattr__(self, "zeta", complex(self.zeta))
         object.__setattr__(self, "channel_map", tuple(int(c) for c in self.channel_map))
+        if not (np.isfinite(self.zeta) and np.isfinite(self.direction).all()):
+            raise ValueError("plan zeta and direction must be finite")
+        if self.companion is not None and not all(
+            np.isfinite(seq).all() for seq in self.companion.values()
+        ):
+            raise ValueError("plan companion signals must be finite")
         if self.kind in _PARAMETRIC_KINDS:
             if abs(self.zeta) <= 1.0:
                 raise ValueError("unbounded plans require |zeta| > 1")
             mags = np.abs(self.direction)
             if abs(float(np.max(mags)) - 1.0) > 1e-9:
                 raise ValueError("plan direction must have max-norm one")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be positive and finite")
 
     def _scatter(self, seq: np.ndarray, n_steps: int, n_channels: int) -> np.ndarray:
         out = np.zeros((n_steps, n_channels))

@@ -124,7 +124,7 @@ def coprime_factorize(sys, F=None, H=None, Q=None, R=None) -> CoprimeFactors:
     # The identity is exact in algebra; what survives numerically is bounded
     # by round-off amplified by the magnitude of the evaluated products, so
     # the construction-time sanity check is relative to that magnitude.
-    if defect > 1e-8 * max(1.0, scale):
+    if not defect <= 1e-8 * max(1.0, scale):
         raise NumericError(
             f"Bezout identity violated by the constructed factors (defect {defect:.3e} "
             f"at product magnitude {scale:.3e}); this signals an algebra error"
@@ -133,12 +133,15 @@ def coprime_factorize(sys, F=None, H=None, Q=None, R=None) -> CoprimeFactors:
 
 
 def _bezout_defect_scaled(factors: CoprimeFactors):
+    """Largest 2-norm of Ml*X - Nl*Y - I, and of either product, over 16
+    unit-circle samples, from one stacked SVD."""
     lam = np.exp(2j * np.pi * np.arange(16) / 16)
     P1 = eval_lambda(factors.Ml, lam) @ eval_lambda(factors.X, lam)
     P2 = eval_lambda(factors.Nl, lam) @ eval_lambda(factors.Y, lam)
-    defect = np.linalg.norm(P1 - P2 - np.eye(factors.Ml.n_y), 2, axis=(-2, -1))
-    scale = np.maximum(np.linalg.norm(P1, 2, axis=(-2, -1)), np.linalg.norm(P2, 2, axis=(-2, -1)))
-    return float(np.max(defect)), float(np.max(scale))
+    norms = np.linalg.svd(
+        np.stack([P1 - P2 - np.eye(factors.Ml.n_y), P1, P2]), compute_uv=False
+    )[..., 0]
+    return float(np.max(norms[0])), float(np.max(norms[1:]))
 
 
 def bezout_defect(factors: CoprimeFactors) -> float:

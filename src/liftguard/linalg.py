@@ -40,7 +40,7 @@ def _as_matrix(M, name: str = "matrix", stack: bool = False) -> np.ndarray:
         raise DimensionError(f"{name} must be two-dimensional, got ndim={A.ndim}")
     if A.size == 0:
         raise DimensionError(f"{name} is empty")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise NumericError(f"{name} contains non-finite entries")
     return A
 

@@ -5,12 +5,20 @@ A :class:`ContinuousPlant` is a minimal continuous-time state-space model;
 hold at a given period.  :func:`ss_response` is the exact discrete state
 recursion used both as the simulation engine and as the time-domain oracle
 throughout the package.
+
+System matrices are stored as read-only views of the validated arrays, so
+a system object never changes after construction, and facts derived from
+one (its minimality report, the plant eigenvalues behind the
+pathological-sampling test, its zero-order-hold samples) are computed once
+per object and kept in a side table.  An array passed in must not be
+mutated afterwards: the view shares its data.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,16 +43,44 @@ __all__ = [
 
 
 def _matrix(value, rows=None, cols=None, name="matrix"):
-    M = np.atleast_2d(np.asarray(value, dtype=float))
-    if M.ndim != 2:
-        raise DimensionError(f"{name} must be two-dimensional")
-    if not np.all(np.isfinite(M)):
+    """``value`` as a finite float matrix, returned as a read-only view (a
+    float64 2-D ndarray keeps its data and strides; anything else is
+    converted first)."""
+    if type(value) is np.ndarray and value.dtype == np.float64 and value.ndim == 2:
+        M = value
+    else:
+        M = np.atleast_2d(np.asarray(value, dtype=float))
+        if M.ndim != 2:
+            raise DimensionError(f"{name} must be two-dimensional")
+    if not np.isfinite(M).all():
         raise DimensionError(f"{name} contains non-finite entries")
     if rows is not None and M.shape[0] != rows:
         raise DimensionError(f"{name} has {M.shape[0]} rows, expected {rows}")
     if cols is not None and M.shape[1] != cols:
         raise DimensionError(f"{name} has {M.shape[1]} columns, expected {cols}")
+    M = M.view()
+    M.flags.writeable = False
     return M
+
+
+# Facts derived from an immutable object, keyed by id(obj).  They live here
+# and not on the instance, so a dataclasses.replace copy starts without
+# them and vars(obj) holds only the fields.  weakref.finalize drops an
+# object's entry when it dies, before its id can be reused.
+_FACTS: dict = {}
+
+
+def _memo(obj, key, compute):
+    """``compute()``, evaluated once per ``(obj, key)``; an exception is
+    not stored."""
+    facts = _FACTS.get(id(obj))
+    if facts is None:
+        # registered first: an object that takes no weak reference gets no entry
+        weakref.finalize(obj, _FACTS.pop, id(obj), None)
+        facts = _FACTS[id(obj)] = {}
+    if key not in facts:
+        facts[key] = compute()
+    return facts[key]
 
 
 def _set_quadruple(obj, names) -> None:
@@ -179,7 +215,7 @@ def check_pathological(plant: ContinuousPlant, T: float) -> PathologyReport:
     """
     if not T > 0:
         raise ValueError(f"sampling period must be positive, got {T}")
-    lams = linalg.eig(plant.Ac)
+    lams = _memo(plant, "eig", lambda: linalg.eig(plant.Ac))
     base = 2.0 * np.pi / T
     pairs = []
     for i in range(len(lams)):
@@ -195,14 +231,20 @@ def check_pathological(plant: ContinuousPlant, T: float) -> PathologyReport:
 
 def check_minimal(sys) -> MinimalityReport:
     """Controllability/observability rank tests on a :class:`StateSpace` or
-    a :class:`ContinuousPlant`."""
-    A, B, C, _ = abcd(sys)
+    a :class:`ContinuousPlant`, run once per object."""
+    return _memo(sys, "minimal", lambda: _minimality(*abcd(sys)[:3]))
+
+
+def _minimality(A, B, C) -> MinimalityReport:
     n = A.shape[0]
     blocks_c = [B]
     for _ in range(n - 1):
         blocks_c.append(A @ blocks_c[-1])
     ctrb = linalg.rank_svd(np.hstack(blocks_c))
     obsv = linalg.rank_svd(observability_stack(A, C, n + 1))
+    # The report is shared by every caller that asks about this object.
+    for s in (ctrb.singular_values, obsv.singular_values):
+        s.flags.writeable = False
     return MinimalityReport(
         controllable=ctrb.rank == n,
         observable=obsv.rank == n,
@@ -230,7 +272,8 @@ def discretize(plant: ContinuousPlant, T: float) -> DiscretePlant:
     integral of ``exp(Ac*tau)*Bc`` over one period, both read off the
     exponential of the augmented matrix ``[[Ac, Bc], [0, 0]] * T``.
     Pathological sampling is a warning, not a failure: the caller may be
-    studying it deliberately.
+    studying it deliberately, and it is given at every call.  Repeated
+    calls with the same plant and period return the same object.
     """
     if not T > 0:
         raise ValueError(f"sampling period must be positive, got {T}")
@@ -241,6 +284,10 @@ def discretize(plant: ContinuousPlant, T: float) -> DiscretePlant:
             f"aliasing eigenvalue pairs {report.pairs}",
             stacklevel=2,
         )
+    return _memo(plant, ("zoh", float(T)), lambda: _zoh(plant, T))
+
+
+def _zoh(plant: ContinuousPlant, T: float) -> DiscretePlant:
     n, n_u = plant.n, plant.n_u
     M = np.zeros((n + n_u, n + n_u))
     M[:n, :n] = plant.Ac * T

@@ -121,7 +121,7 @@ def _prop_zero_similarity(rng, trial_seed):
 def _prop_bezout(rng, trial_seed):
     sys = random_minimal_discrete(rng)
     defect = bezout_defect(coprime_factorize(sys))
-    if defect > 1e-8:
+    if not defect <= 1e-8:
         return sys, f"defect {defect:.3e}"
     return None
 
@@ -154,8 +154,8 @@ def _prop_structural_identities(rng, trial_seed):
     e3 = np.max(
         np.abs((np.eye(fast.n) - fast.A) @ L.B - (np.eye(fast.n) - L.A) @ fast.B)
     )
-    worst = max(e1, e2, e3)
-    if worst > 1e-12:
+    worst = np.max([e1, e2, e3])
+    if not worst <= 1e-12:
         return plant, f"identity error {worst:.3e}"
     return None
 

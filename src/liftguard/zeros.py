@@ -199,7 +199,8 @@ def _candidates(sys):
     it may add are left to the caller's rank test."""
     A, B, C, D = abcd(sys)
     n, n_u, n_y = A.shape[0], B.shape[1], C.shape[0]
-    F = np.block([[A, B], [-C, -D]])
+    F = np.empty((n + n_y, n + n_u))
+    F[:n, :n], F[:n, n:], F[n:, :n], F[n:, n:] = A, B, -C, -D
     E = np.zeros((n + n_y, n + n_u))
     E[:n, :n] = np.eye(n)
     if n_y != n_u:

@@ -287,6 +287,33 @@ class TestRampAttack:
         assert abs(d_a[-1, 0]) >= 1e3 * abs(d_a[1, 0])
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("zeta", complex(np.nan, 0.0)),
+        ("zeta", complex(np.inf, 0.0)),
+        ("direction", [np.nan]),
+        ("epsilon", np.inf),
+        ("epsilon", np.nan),
+    ],
+)
+def test_non_finite_plan_parameters_rejected(field, value):
+    fields = dict(kind="actuator_zero", zeta=2.0, direction=[1.0], epsilon=1.0,
+                  horizon=10, channel_map=(0,))
+    AttackPlan(**fields)
+    fields[field] = value
+    with pytest.raises(ValueError, match="finite"):
+        AttackPlan(**fields)
+
+
+def test_non_finite_companion_signal_rejected():
+    plan = make_coordinated_plan(np.ones((5, 1)), -np.ones((5, 1)), 5)
+    d_a = plan.companion["d_a"].copy()
+    d_a[0, 0] = np.nan
+    with pytest.raises(ValueError, match="companion signals must be finite"):
+        dataclasses.replace(plan, companion={**plan.companion, "d_a": d_a})
+
+
 class TestPlanSerialization:
     def test_round_trip(self):
         cfg, _ = standard_loop(triple_integrator(), 1.0, theta=0.01)

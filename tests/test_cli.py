@@ -153,6 +153,25 @@ class TestAttackAndSimulate:
         horizon = json.load(open(f"{out}/verdict.json"))["result"]["horizon"]
         assert horizon == (50 if flags else plan_horizon)
 
+    @pytest.mark.parametrize(
+        "field, value", [("zeta", {"re": math.nan, "im": 0.0}), ("epsilon", math.inf)]
+    )
+    def test_non_finite_plan_exit_2(self, plant_files, tmp_path, capsys, field, value):
+        # Python's json reads NaN and Infinity, so a plan file can carry them
+        from liftguard import cli
+
+        out = tmp_path / "out"
+        assert cli.main(["attack", "--plant", plant_files["triple"], "--out", str(out)]) == 0
+        plan_doc = json.loads((out / "plan.json").read_text())
+        plan_doc["plan"][field] = value
+        (out / "plan.json").write_text(json.dumps(plan_doc))
+        capsys.readouterr()
+        argv = ["simulate", "--plant", plant_files["triple"], "--plan", str(out / "plan.json"),
+                "--out", str(tmp_path / "sim")]
+        assert cli.main(argv) == 2
+        assert "finite" in json.loads(capsys.readouterr().err)["message"]
+        assert not (tmp_path / "sim" / "verdict.json").exists()
+
     def test_attack_rejects_horizon(self, plant_files, tmp_path):
         # a plan's horizon follows from its growth ratio, so attack takes none
         res = run_cli(

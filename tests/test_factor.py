@@ -19,7 +19,8 @@ from liftguard import (
     transmission_zeros,
 )
 from liftguard.attack import AttackPlan, synth_actuator_attack
-from liftguard.errors import ModelError
+from liftguard import factor
+from liftguard.errors import ModelError, NumericError
 from liftguard.factor import closed_loop_matrix
 from liftguard.linalg import spectral_radius
 
@@ -166,6 +167,21 @@ class TestBatchedEvaluation:
                 corrupted = dataclasses.replace(factors, X=X)
                 want = _reference_defect(corrupted)
                 assert abs(bezout_defect(corrupted) - want) <= 1e-12 * want
+
+    def test_scale_matches_pointwise_reference(self):
+        for factors in _random_factors():
+            worst = 0.0
+            for j in range(16):
+                lam = np.exp(2j * np.pi * j / 16)
+                for left, right in ((factors.Ml, factors.X), (factors.Nl, factors.Y)):
+                    P = eval_lambda(left, lam) @ eval_lambda(right, lam)
+                    worst = max(worst, float(np.linalg.norm(P, 2)))
+            assert abs(factor._bezout_defect_scaled(factors)[1] - worst) <= 1e-12 * worst
+
+    def test_nan_defect_fails_the_certificate(self, monkeypatch):
+        monkeypatch.setattr(factor, "_bezout_defect_scaled", lambda f: (float("nan"), 1.0))
+        with pytest.raises(NumericError, match="Bezout"):
+            coprime_factorize(random_discrete(np.random.default_rng(5)))
 
     def test_corrupted_factors_fail_the_certificate(self):
         for factors in _random_factors():
