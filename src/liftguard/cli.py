@@ -33,7 +33,6 @@ from .lift import (
     assumption_report,
     build_lifted,
     check_assumptions,
-    choose_m,
     shift_consistency_check,
 )
 from .model import check_pathological, discretize, load_plant
@@ -211,7 +210,7 @@ def _checked(report, m):
 def _lifted(plant, T, m):
     """The lifted system at m (None: the smallest admissible) and its rank
     report; an explicit m that violates the rank assumptions is rejected."""
-    lifted = build_lifted(plant, T, choose_m(plant, T) if m is None else m)
+    lifted = build_lifted(plant, T, m)
     return lifted, _checked(check_assumptions(lifted), m)
 
 

@@ -73,16 +73,17 @@ class CoprimeFactors:
     base: object  # the factored plant (discrete or lifted)
 
 
-def coprime_factorize(sys, F=None, H=None, Q=None, R=None) -> CoprimeFactors:
+def coprime_factorize(sys, F=None, H=None, Q=None, R=None, minimality=None) -> CoprimeFactors:
     """Doubly-coprime factorization of a minimal discrete system.
 
     Omitted gains come from the Riccati solver, which checks the Schur
     condition itself: F with weights ``Q``/``R`` (identity when omitted),
     H from the dual problem with identity weights.  A supplied F or H is
-    checked here for its shape and its Schur condition.
+    checked here for its shape and its Schur condition.  ``minimality`` is
+    ``check_minimal(sys)`` when the caller already has it.
     """
     A, B, C, D = abcd(sys)
-    rep = check_minimal(sys)
+    rep = check_minimal(sys) if minimality is None else minimality
     if not rep.minimal:
         raise ModelError(
             "coprime factorization requires a minimal realization "

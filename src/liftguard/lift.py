@@ -109,19 +109,26 @@ def _lifted_blocks(A, B, C, D, m):
     return A_pow, A_sum @ B, np.vstack(C_rows), np.vstack(D_rows)
 
 
-def build_lifted(plant: ContinuousPlant, T: float, m: int) -> LiftedSystem:
+def build_lifted(plant: ContinuousPlant, T: float, m=None) -> LiftedSystem:
     """Assemble the lifted dual-rate system for hold period T and m sub-samples.
 
     The fast plant is the zero-order-hold discretization at T/m; the
     lifted blocks are assembled from it and certified by
-    :func:`shift_consistency_check` before the object is returned.
+    :func:`shift_consistency_check` before the object is returned.  With
+    m None, m is the smallest admissible factor (:func:`choose_m`), and
+    the fast plant its search sampled at T/m is the one lifted.
     """
-    if int(m) != m or m < 2:
-        raise ValueError(f"m must be an integer >= 2, got {m}")
-    m = int(m)
-    if not T > 0:
-        raise ValueError(f"base period must be positive, got {T}")
-    fast = discretize(plant, T / m)
+    if m is None:
+        samples = {}
+        m = choose_m(plant, T, samples)
+        fast = samples[m]
+    else:
+        if int(m) != m or m < 2:
+            raise ValueError(f"m must be an integer >= 2, got {m}")
+        m = int(m)
+        if not T > 0:
+            raise ValueError(f"base period must be positive, got {T}")
+        fast = discretize(plant, T / m)
     A_l, B_l, C_l, D_l = _lifted_blocks(fast.A, fast.B, fast.C, fast.D, m)
     lifted = LiftedSystem(
         A=A_l, B=B_l, C=C_l, D=D_l, m=m, base_period=float(T), fast_plant=fast
@@ -157,18 +164,22 @@ def check_assumptions(L: LiftedSystem) -> AssumptionReport:
     return assumption_report(L.fast_plant, L.m)
 
 
-def choose_m(plant: ContinuousPlant, T: float) -> int:
+def choose_m(plant: ContinuousPlant, T: float, samples=None) -> int:
     """Smallest sub-sampling factor satisfying both rank assumptions.
 
     Searches m = 2, 3, ..., n+1 (n+1 suffices for an observable fast
     pair), running the rank tests of :func:`check_assumptions` on the fast
-    plant at T/m; no lifted system is assembled.  Raises
-    :class:`ModelError` when no admissible m exists (the input matrix is
-    rank deficient or the fast pair is unobservable).
+    plant at T/m; no lifted system is assembled.  Each fast plant it
+    samples is stored under its m in ``samples`` when a dict is given.
+    Raises :class:`ModelError` when no admissible m exists (the input
+    matrix is rank deficient or the fast pair is unobservable).
     """
+    if samples is None:
+        samples = {}
     upper = plant.n + 1
     for m in range(2, upper + 1):
-        if assumption_report(discretize(plant, T / m), m).satisfied:
+        samples[m] = discretize(plant, T / m)
+        if assumption_report(samples[m], m).satisfied:
             return m
     raise ModelError(
         f"no m in [2, {upper}] satisfies the rank assumptions: the plant violates "

@@ -6,19 +6,15 @@ hold at a given period.  :func:`ss_response` is the exact discrete state
 recursion used both as the simulation engine and as the time-domain oracle
 throughout the package.
 
-System matrices are stored as read-only views of the validated arrays, so
-a system object never changes after construction, and facts derived from
-one (its minimality report, the plant eigenvalues behind the
-pathological-sampling test, its zero-order-hold samples) are computed once
-per object and kept in a side table.  An array passed in must not be
-mutated afterwards: the view shares its data.
+System matrices are stored as read-only views of the validated arrays:
+nothing writes through a system object, but a view shares the caller's
+buffer, so an array passed in must not be mutated afterwards.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,14 +40,10 @@ __all__ = [
 
 def _matrix(value, rows=None, cols=None, name="matrix"):
     """``value`` as a finite float matrix, returned as a read-only view (a
-    float64 2-D ndarray keeps its data and strides; anything else is
-    converted first)."""
-    if type(value) is np.ndarray and value.dtype == np.float64 and value.ndim == 2:
-        M = value
-    else:
-        M = np.atleast_2d(np.asarray(value, dtype=float))
-        if M.ndim != 2:
-            raise DimensionError(f"{name} must be two-dimensional")
+    float64 2-D ndarray keeps its data and strides)."""
+    M = np.atleast_2d(np.asarray(value, dtype=float))
+    if M.ndim != 2:
+        raise DimensionError(f"{name} must be two-dimensional")
     if not np.isfinite(M).all():
         raise DimensionError(f"{name} contains non-finite entries")
     if rows is not None and M.shape[0] != rows:
@@ -61,26 +53,6 @@ def _matrix(value, rows=None, cols=None, name="matrix"):
     M = M.view()
     M.flags.writeable = False
     return M
-
-
-# Facts derived from an immutable object, keyed by id(obj).  They live here
-# and not on the instance, so a dataclasses.replace copy starts without
-# them and vars(obj) holds only the fields.  weakref.finalize drops an
-# object's entry when it dies, before its id can be reused.
-_FACTS: dict = {}
-
-
-def _memo(obj, key, compute):
-    """``compute()``, evaluated once per ``(obj, key)``; an exception is
-    not stored."""
-    facts = _FACTS.get(id(obj))
-    if facts is None:
-        # registered first: an object that takes no weak reference gets no entry
-        weakref.finalize(obj, _FACTS.pop, id(obj), None)
-        facts = _FACTS[id(obj)] = {}
-    if key not in facts:
-        facts[key] = compute()
-    return facts[key]
 
 
 def _set_quadruple(obj, names) -> None:
@@ -215,7 +187,7 @@ def check_pathological(plant: ContinuousPlant, T: float) -> PathologyReport:
     """
     if not T > 0:
         raise ValueError(f"sampling period must be positive, got {T}")
-    lams = _memo(plant, "eig", lambda: linalg.eig(plant.Ac))
+    lams = linalg.eig(plant.Ac)
     base = 2.0 * np.pi / T
     pairs = []
     for i in range(len(lams)):
@@ -231,20 +203,14 @@ def check_pathological(plant: ContinuousPlant, T: float) -> PathologyReport:
 
 def check_minimal(sys) -> MinimalityReport:
     """Controllability/observability rank tests on a :class:`StateSpace` or
-    a :class:`ContinuousPlant`, run once per object."""
-    return _memo(sys, "minimal", lambda: _minimality(*abcd(sys)[:3]))
-
-
-def _minimality(A, B, C) -> MinimalityReport:
+    a :class:`ContinuousPlant`."""
+    A, B, C, _ = abcd(sys)
     n = A.shape[0]
     blocks_c = [B]
     for _ in range(n - 1):
         blocks_c.append(A @ blocks_c[-1])
     ctrb = linalg.rank_svd(np.hstack(blocks_c))
     obsv = linalg.rank_svd(observability_stack(A, C, n + 1))
-    # The report is shared by every caller that asks about this object.
-    for s in (ctrb.singular_values, obsv.singular_values):
-        s.flags.writeable = False
     return MinimalityReport(
         controllable=ctrb.rank == n,
         observable=obsv.rank == n,
@@ -272,8 +238,7 @@ def discretize(plant: ContinuousPlant, T: float) -> DiscretePlant:
     integral of ``exp(Ac*tau)*Bc`` over one period, both read off the
     exponential of the augmented matrix ``[[Ac, Bc], [0, 0]] * T``.
     Pathological sampling is a warning, not a failure: the caller may be
-    studying it deliberately, and it is given at every call.  Repeated
-    calls with the same plant and period return the same object.
+    studying it deliberately.
     """
     if not T > 0:
         raise ValueError(f"sampling period must be positive, got {T}")
@@ -284,10 +249,6 @@ def discretize(plant: ContinuousPlant, T: float) -> DiscretePlant:
             f"aliasing eigenvalue pairs {report.pairs}",
             stacklevel=2,
         )
-    return _memo(plant, ("zoh", float(T)), lambda: _zoh(plant, T))
-
-
-def _zoh(plant: ContinuousPlant, T: float) -> DiscretePlant:
     n, n_u = plant.n, plant.n_u
     M = np.zeros((n + n_u, n + n_u))
     M[:n, :n] = plant.Ac * T

@@ -28,7 +28,7 @@ import numpy as np
 from . import linalg
 from .errors import ConfigurationError, DimensionError
 from .factor import Controller, closed_loop_matrix, coprime_factorize, observer_controller
-from .lift import LiftedSystem, build_lifted, choose_m
+from .lift import LiftedSystem, build_lifted
 from .model import ContinuousPlant, DiscretePlant, discretize
 
 __all__ = [
@@ -350,7 +350,7 @@ def standard_loop(plant: ContinuousPlant, T: float, mode: str = "single_rate",
     if mode not in ("single_rate", "dual_rate"):
         raise ConfigurationError(f"unknown mode {mode!r}")
     if mode == "dual_rate":
-        sys = build_lifted(plant, T, int(choose_m(plant, T) if m is None else m))
+        sys = build_lifted(plant, T, m)
     else:
         sys = discretize(plant, T)
     factors = coprime_factorize(sys, Q=_weight(Q, sys.n), R=_weight(R, sys.n_u))

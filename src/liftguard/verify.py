@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import LiftguardError
 from .factor import bezout_defect, coprime_factorize
-from .lift import block_difference_matrix, build_lifted, choose_m, shift_consistency_check
+from .lift import block_difference_matrix, build_lifted, shift_consistency_check
 from .model import (
     ContinuousPlant,
     DiscretePlant,
@@ -65,10 +65,16 @@ def random_minimal_plant(rng) -> ContinuousPlant:
     )
 
 
-@_redrawn
 def random_minimal_discrete(rng) -> DiscretePlant:
     """Random minimal single-input single-output discrete plant with 2-4
     states and spectral radius scaled near one."""
+    return _minimal_discrete(rng)[0]
+
+
+@_redrawn
+def _minimal_discrete(rng):
+    """A :func:`random_minimal_discrete` draw with its ``check_minimal``
+    report, which the properties hand on instead of checking again."""
     n = int(rng.integers(2, 5))
     A = rng.standard_normal((n, n))
     A = A / (1.2 * max(np.max(np.abs(np.linalg.eigvals(A))), 1e-6))
@@ -79,7 +85,8 @@ def random_minimal_discrete(rng) -> DiscretePlant:
         D=rng.standard_normal((1, 1)),
         period=1.0,
     )
-    return sys if check_minimal(sys).minimal else None
+    rep = check_minimal(sys)
+    return (sys, rep) if rep.minimal else None
 
 
 def _counterexample(plant, trial_seed, detail):
@@ -105,8 +112,8 @@ def _zero_set(report):
 
 
 def _prop_zero_similarity(rng, trial_seed):
-    sys = random_minimal_discrete(rng)
-    base = _zero_set(transmission_zeros(sys))
+    sys, rep = _minimal_discrete(rng)
+    base = _zero_set(transmission_zeros(sys, minimality=rep))
     S = rng.standard_normal((sys.n, sys.n)) + 2.0 * np.eye(sys.n)
     Si = np.linalg.inv(S)
     sim = DiscretePlant(
@@ -119,16 +126,16 @@ def _prop_zero_similarity(rng, trial_seed):
 
 
 def _prop_bezout(rng, trial_seed):
-    sys = random_minimal_discrete(rng)
-    defect = bezout_defect(coprime_factorize(sys))
+    sys, rep = _minimal_discrete(rng)
+    defect = bezout_defect(coprime_factorize(sys, minimality=rep))
     if not defect <= 1e-8:
         return sys, f"defect {defect:.3e}"
     return None
 
 
 def _prop_factor_sets(rng, trial_seed):
-    sys = random_minimal_discrete(rng)
-    factors = coprime_factorize(sys)
+    sys, rep = _minimal_discrete(rng)
+    factors = coprime_factorize(sys, minimality=rep)
     denom_zeros = _zero_set(transmission_zeros(factors.Ml))
     plant_poles = sorted(
         (complex(z) for z in np.linalg.eigvals(sys.A)), key=lambda z: (z.real, z.imag)
@@ -138,14 +145,9 @@ def _prop_factor_sets(rng, trial_seed):
     return None
 
 
-def _lifted(plant):
-    """The lifted system at T = 1 with the smallest admissible m."""
-    return build_lifted(plant, 1.0, choose_m(plant, 1.0))
-
-
 def _prop_structural_identities(rng, trial_seed):
     plant = random_minimal_plant(rng)
-    L = _lifted(plant)
+    L = build_lifted(plant, 1.0)
     fast = L.fast_plant
     X = block_difference_matrix(L.m, fast.n_y)
     O = observability_stack(fast.A, fast.C, L.m)
@@ -162,16 +164,17 @@ def _prop_structural_identities(rng, trial_seed):
 
 def _prop_lifted_zero_containment(rng, trial_seed):
     plant = random_minimal_plant(rng)
-    L = _lifted(plant)
-    if not check_minimal(L).minimal:
+    L = build_lifted(plant, 1.0)
+    rep = check_minimal(L)
+    if not rep.minimal:
         return None  # pathological fast sampling; excluded by assumption
-    report = transmission_zeros(L)
+    report = transmission_zeros(L, minimality=rep)
     bad = [
         r.z_value
         for r in report.zeros
         if r.z_value is not None and abs(r.z_value) > 1.0 + 1e-7
     ]
-    mult = multiplicity_at_one(coprime_factorize(L).Nl)
+    mult = multiplicity_at_one(coprime_factorize(L, minimality=rep).Nl)
     if bad or mult == "multiple":
         return plant, f"outside zeros {bad}, multiplicity {mult}"
     return None
@@ -179,7 +182,7 @@ def _prop_lifted_zero_containment(rng, trial_seed):
 
 def _prop_shift_consistency(rng, trial_seed):
     plant = random_minimal_plant(rng)
-    result = shift_consistency_check(_lifted(plant))
+    result = shift_consistency_check(build_lifted(plant, 1.0))
     if not result.consistent:
         return plant, f"max error {result.max_error:.3e}"
     return None
@@ -188,7 +191,7 @@ def _prop_shift_consistency(rng, trial_seed):
 def _prop_negative_control(rng, trial_seed):
     """The certificate itself must flag a corrupted lifted block."""
     plant = random_minimal_plant(rng)
-    L = _lifted(plant)
+    L = build_lifted(plant, 1.0)
     corrupted = dataclasses.replace(L, D=L.D + 1e-3 * (1.0 + np.max(np.abs(L.D))))
     if shift_consistency_check(corrupted).consistent:
         return plant, "corrupted block not detected"

@@ -199,8 +199,7 @@ def _candidates(sys):
     it may add are left to the caller's rank test."""
     A, B, C, D = abcd(sys)
     n, n_u, n_y = A.shape[0], B.shape[1], C.shape[0]
-    F = np.empty((n + n_y, n + n_u))
-    F[:n, :n], F[:n, n:], F[n:, :n], F[n:, n:] = A, B, -C, -D
+    F = np.block([[A, B], [-C, -D]])
     E = np.zeros((n + n_y, n + n_u))
     E[:n, :n] = np.eye(n)
     if n_y != n_u:
@@ -296,7 +295,7 @@ def _classify(z: complex, multiplicity: int):
     return ("nmp_strict" if side == "outside" else "minimum_phase"), marginal
 
 
-def transmission_zeros(sys) -> ZeroReport:
+def transmission_zeros(sys, minimality=None) -> ZeroReport:
     """Finite transmission zeros and poles of a discrete state-space system.
 
     The candidates are the eigenvalues of one generalized eigenvalue
@@ -310,10 +309,12 @@ def transmission_zeros(sys) -> ZeroReport:
     ("lambda-infinity").  Zeros of the feedthrough relative to the normal
     rank (zeros at z-infinity, reciprocal value 0) are reported as
     ``at_lambda_zero`` records and counted separately in the report.
+
+    ``minimality`` is ``check_minimal(sys)`` when the caller already has it.
     """
     A, B, C, D = abcd(sys)
     n, n_u, n_y = A.shape[0], B.shape[1], C.shape[0]
-    rep = check_minimal(sys)
+    rep = check_minimal(sys) if minimality is None else minimality
     if not rep.minimal:
         raise ModelError(
             "transmission zeros require a minimal realization "

@@ -10,14 +10,17 @@ from liftguard import (
     check_assumptions,
     check_minimal,
     choose_m,
+    discretize,
     has_zero_at,
     shift_consistency_check,
     spectral_radius,
     ss_response,
     transmission_zeros,
 )
+from liftguard import linalg
 from liftguard.errors import DimensionError, ModelError
 from liftguard.lift import SHIFT_CONSISTENCY_TOL, block_difference_matrix, observability_stack
+from liftguard.model import abcd
 
 from helpers import (
     assert_sets_close,
@@ -184,6 +187,30 @@ class TestChooseM:
                     choose_m(plant, T)
             else:
                 assert choose_m(plant, T) == m
+
+
+    def test_search_keeps_its_samples(self):
+        plant = triple_integrator()
+        samples = {}
+        assert choose_m(plant, 1.0, samples) == 4
+        assert sorted(samples) == [2, 3, 4]
+        for m, fast in samples.items():
+            ref = discretize(plant, 1.0 / m)
+            assert fast.period == ref.period
+            for got, want in zip(abcd(fast), abcd(ref)):
+                assert got.tobytes() == want.tobytes()
+
+    def test_automatic_m_samples_each_fast_period_once(self, monkeypatch):
+        calls = []
+        expm = linalg.expm
+        monkeypatch.setattr(linalg, "expm", lambda M: calls.append(M.shape) or expm(M))
+        plant = triple_integrator()
+        lifted = build_lifted(plant, 1.0)
+        assert lifted.m == 4 and len(calls) == 3  # m = 2, 3, 4, each sampled once
+        explicit = build_lifted(plant, 1.0, 4)
+        assert len(calls) == 4
+        for got, want in zip(abcd(lifted), abcd(explicit)):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestShiftConsistency:

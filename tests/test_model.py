@@ -1,10 +1,5 @@
-import dataclasses
-import gc
-
 import numpy as np
 import pytest
-
-from liftguard import linalg, model
 
 from liftguard import (
     ContinuousPlant,
@@ -250,10 +245,7 @@ class TestStateSpaceBase:
             abcd(([[1.0]], [[1.0]], [[1.0]], [[0.0]]))
 
 
-class TestReadOnlyMatricesAndFacts:
-    """System matrices are read-only views and derived facts are computed
-    once per object."""
-
+class TestReadOnlyMatrices:
     def test_matrices_are_read_only_views_of_the_input(self):
         A = np.array([[0.5, 0.1], [0.0, 0.2]])
         At = A.T  # a non-contiguous input keeps its strides too
@@ -269,56 +261,6 @@ class TestReadOnlyMatricesAndFacts:
         for M in abcd(plant):
             with pytest.raises(ValueError):
                 M[0, 0] = 2.0
-
-    def test_minimality_computed_once_per_object(self, monkeypatch):
-        calls = []
-        rank_svd = linalg.rank_svd
-        monkeypatch.setattr(linalg, "rank_svd", lambda M: calls.append(1) or rank_svd(M))
-        P = DiscretePlant(A=[[0.5, 1.0], [0.0, 0.2]], B=[[0.0], [1.0]], C=[[1.0, 0.0]],
-                          D=[[0.0]], period=1.0)
-        first = check_minimal(P)
-        assert check_minimal(P) is first
-        assert len(calls) == 2  # one controllability and one observability test
-        with pytest.raises(ValueError):
-            first.controllability.singular_values[0] = 0.0
-
-    def test_replaced_copy_gets_its_own_report(self):
-        P = discretize(triple_integrator(), 1.0)
-        assert check_minimal(P).minimal
-        Q = dataclasses.replace(P, B=np.zeros_like(P.B))
-        rep = check_minimal(Q)
-        assert not rep.controllable and rep.observable
-        assert check_minimal(P).minimal
-
-    def test_discretize_returns_one_object_per_period_and_warns_every_call(self, monkeypatch):
-        calls = []
-        expm = linalg.expm
-        monkeypatch.setattr(linalg, "expm", lambda M: calls.append(1) or expm(M))
-        w = 2.0
-        plant = ContinuousPlant(Ac=[[0.0, w], [-w, 0.0]], Bc=[[0.0], [1.0]], Cc=[[1.0, 0.0]], Dc=[[0.0]])
-        with pytest.warns(UserWarning, match="pathological") as record:
-            first = discretize(plant, np.pi / w)
-            second = discretize(plant, np.pi / w)
-        assert first is second
-        assert sum("pathological" in str(r.message) for r in record) == 2
-        assert len(calls) == 1
-        assert discretize(plant, 0.3) is not first
-        twin = ContinuousPlant(Ac=plant.Ac, Bc=plant.Bc, Cc=plant.Cc, Dc=plant.Dc)
-        with pytest.warns(UserWarning, match="pathological"):
-            assert discretize(twin, np.pi / w) is not first
-
-    def test_side_table_drops_dead_objects(self):
-        gc.collect()
-        before = len(model._FACTS)
-        plant = random_continuous(np.random.default_rng(3))
-        P = discretize(plant, 0.5)
-        check_minimal(P)
-        keys = {id(plant), id(P)}
-        assert keys <= model._FACTS.keys()
-        del plant, P
-        gc.collect()
-        assert not keys & model._FACTS.keys()
-        assert len(model._FACTS) <= before
 
 
 class TestPlantIO:

@@ -1,6 +1,6 @@
 import numpy as np
 
-from liftguard import verify
+from liftguard import factor, model, verify, zeros
 
 
 def test_nan_bezout_defect_is_a_failure(monkeypatch):
@@ -12,15 +12,29 @@ def test_nan_bezout_defect_is_a_failure(monkeypatch):
 def test_nan_identity_error_is_a_failure(monkeypatch):
     # Only the third identity reads B_lift, so the NaN is not the first of
     # the three errors.
-    lifted = verify._lifted
+    lifted = verify.build_lifted
 
-    def nan_input_block(plant):
-        L = lifted(plant)
+    def nan_input_block(*args):
+        L = lifted(*args)
         B = np.array(L.B)
         B[0, 0] = np.nan
         object.__setattr__(L, "B", B)
         return L
 
-    monkeypatch.setattr(verify, "_lifted", nan_input_block)
+    monkeypatch.setattr(verify, "build_lifted", nan_input_block)
     found = verify._prop_structural_identities(np.random.default_rng(0), 0)
     assert found is not None and found[1] == "identity error nan"
+
+
+def test_each_system_checked_for_minimality_once(monkeypatch):
+    checked = []
+    check_minimal = model.check_minimal
+
+    def counted(sys):
+        checked.append(sys)  # holds every object, so no id is reused
+        return check_minimal(sys)
+
+    for mod in (model, zeros, factor, verify):
+        monkeypatch.setattr(mod, "check_minimal", counted)
+    assert all(p["status"] == "pass" for p in verify.run_suite(trials=3, seed=0))
+    assert len({id(s) for s in checked}) == len(checked) > 0
