@@ -12,14 +12,15 @@ import dataclasses
 
 import numpy as np
 
-from liftguard import ContinuousPlant, run_single_rate, standard_loop, trace_to_csv
+from liftguard import ContinuousPlant, discretize, run_single_rate, standard_loop, trace_to_csv
 from liftguard.attack import synth_actuator_attack
 
 THETA = 0.01  # detection threshold of the monitor
 
 # =============================================================================
-# Build the loop: observer-based controller from Riccati gains, threshold
-# monitor watching [y; u].
+# Build the loop on the plant sampled with a zero-order hold at T = 1:
+# observer-based controller from Riccati gains, threshold monitor
+# watching [y; u].
 
 plant = ContinuousPlant(
     Ac=[[0, 1, 0], [0, 0, 1], [0, 0, 0]],
@@ -28,7 +29,7 @@ plant = ContinuousPlant(
     Dc=[[0]],
     name="triple-integrator",
 )
-cfg, factors = standard_loop(plant, T=1.0, theta=THETA, horizon=200)
+cfg, factors = standard_loop(plant, discretize(plant, T=1.0), theta=THETA, horizon=200)
 
 # =============================================================================
 # Synthesize.  The amplitude is calibrated by simulation so the monitor

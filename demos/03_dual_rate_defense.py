@@ -16,6 +16,7 @@ from liftguard import (
     check_assumptions,
     choose_m,
     coprime_factorize,
+    discretize,
     multiplicity_at_one,
     run_dual_rate,
     standard_loop,
@@ -64,9 +65,10 @@ factors = coprime_factorize(L)
 print(f"multiplicity at frequency one: {multiplicity_at_one(factors.Nl)}")
 
 # =============================================================================
-# Direct consequence: the attack synthesizer has nothing to ride.
+# Direct consequence: the attack synthesizer has nothing to ride.  The
+# dual-rate loop is the loop built on the lifted system L.
 
-dual_cfg, _ = standard_loop(plant, T=1.0, mode="dual_rate", m=m, theta=THETA, horizon=200)
+dual_cfg, _ = standard_loop(plant, L, theta=THETA, horizon=200)
 try:
     synth_actuator_attack(dual_cfg)
     raise AssertionError("synthesis should have failed")
@@ -78,7 +80,7 @@ except CapabilityError as exc:
 # dual-rate loop on the same plant.  The faster output sampling sees the
 # intersample motion the single-rate monitor was blind to.
 
-single_cfg, _ = standard_loop(plant, T=1.0, theta=THETA, horizon=200)
+single_cfg, _ = standard_loop(plant, discretize(plant, T=1.0), theta=THETA, horizon=200)
 plan = synth_actuator_attack(single_cfg)
 trace = run_dual_rate(dataclasses.replace(dual_cfg, attack=plan, horizon=plan.horizon))
 step = trace.verdict.step

@@ -31,7 +31,7 @@ THETA = 0.01
 unstable = ContinuousPlant(
     Ac=[[np.log(2.0)]], Bc=[[1.0]], Cc=[[1.0]], Dc=[[0.0]], name="pole-at-2"
 )
-cfg, factors = standard_loop(unstable, T=1.0, theta=THETA, horizon=200)
+cfg, factors = standard_loop(unstable, discretize(unstable, T=1.0), theta=THETA, horizon=200)
 plan = synth_sensor_attack(cfg, factors=factors)
 trace = run_single_rate(dataclasses.replace(cfg, attack=plan, horizon=plan.horizon))
 print(f"sensor attack on {unstable.name}: ratio {plan.zeta.real:.1f} per step")
@@ -45,7 +45,8 @@ stable = ContinuousPlant(
     Ac=[[-1.0, 0.3], [0.0, -0.5]], Bc=[[1.0], [0.5]], Cc=[[1.0, 0.2]], Dc=[[0.0]],
     name="stable-2",
 )
-scfg, sfactors = standard_loop(stable, T=0.5, theta=THETA)
+P = discretize(stable, T=0.5)
+scfg, sfactors = standard_loop(stable, P, theta=THETA)
 try:
     synth_sensor_attack(scfg, factors=sfactors)
 except CapabilityError as exc:
@@ -57,7 +58,6 @@ except CapabilityError as exc:
 # zero or pole structure needed.  Here the actuator signal is an
 # unbounded ramp, yet the measured output never moves.
 
-P = discretize(stable, 0.5)
 d_a, d_s = synth_coordinated_attack(P, np.arange(500, dtype=float))
 masked = AttackPlan(
     kind="coordinated", zeta=1.0, direction=[1.0], epsilon=1.0, horizon=500,

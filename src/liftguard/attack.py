@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .errors import CapabilityError, DimensionError, NumericError
 from .factor import coprime_factorize, eval_lambda
-from .model import StateSpace, abcd, ss_response
+from .model import StateSpace, _field, abcd, ss_response
 from .sim import LoopConfig, run_dual_rate, run_single_rate
 from .zeros import poles, transmission_zeros
 
@@ -74,8 +75,10 @@ class AttackPlan:
     ``epsilon * Re(direction * zeta^k)`` on their channels; ``zeta`` has
     modulus above one for every unbounded plan and ``direction`` has
     max-norm one.  Sequence kinds (``coordinated``, ``fat_masking``)
-    carry their explicit signals in ``companion``.  Every parameter and
-    companion signal must be finite.
+    carry their explicit signals in ``companion`` as matrices.  Every
+    parameter and companion signal must be finite.  ``channel_map`` names
+    one distinct, non-negative channel per entry of ``direction`` or
+    column of ``d_a``.
     """
 
     kind: str
@@ -105,8 +108,18 @@ class AttackPlan:
             mags = np.abs(self.direction)
             if abs(float(np.max(mags)) - 1.0) > 1e-9:
                 raise ValueError("plan direction must have max-norm one")
+            width = len(self.direction)
+        else:
+            needs = ["d_a", "d_s"] if self.kind == "coordinated" else ["d_a"]
+            if any(np.ndim((self.companion or {}).get(k)) != 2 for k in needs):
+                raise ValueError(f"a {self.kind} plan needs companion matrices {needs}")
+            width = np.shape(self.companion["d_a"])[1]
         if not 0 < self.epsilon < np.inf:
             raise ValueError("epsilon must be positive and finite")
+        ch = self.channel_map
+        if len(ch) != width or len(set(ch)) < width or min(ch, default=0) < 0:
+            raise ValueError(f"plan channel_map {list(ch)} does not name {width} distinct, "
+                             "non-negative channels, one per signal column")
 
     def _scatter(self, seq: np.ndarray, n_steps: int, n_channels: int) -> np.ndarray:
         out = np.zeros((n_steps, n_channels))
@@ -381,16 +394,21 @@ def plan_to_dict(plan: AttackPlan) -> dict:
 
 
 def plan_from_dict(doc: dict) -> AttackPlan:
+    """The plan of a :func:`plan_to_dict` document; a document that is not
+    an object, or a field of the wrong type, is a ValueError."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"an attack plan must be a JSON object, not {type(doc).__name__}")
+    field = partial(_field, "plan", doc)
     companion = doc.get("companion")
     if companion is not None:
-        companion = {k: np.asarray(v, dtype=float) for k, v in companion.items()}
+        companion = field("companion", lambda c: {k: np.asarray(v, float) for k, v in c.items()})
     return AttackPlan(
         kind=doc["kind"],
-        zeta=complex(doc["zeta"]["re"], doc["zeta"]["im"]),
-        direction=np.array([complex(z["re"], z["im"]) for z in doc["direction"]]),
-        epsilon=float(doc["epsilon"]),
-        horizon=int(doc["horizon"]),
-        channel_map=tuple(doc["channel_map"]),
+        zeta=field("zeta", lambda z: complex(z["re"], z["im"])),
+        direction=field("direction", lambda d: [complex(z["re"], z["im"]) for z in d]),
+        epsilon=field("epsilon", float),
+        horizon=field("horizon", int),
+        channel_map=field("channel_map", lambda c: [int(ch) for ch in c]),
         companion=companion,
         calibration=doc.get("calibration"),
     )

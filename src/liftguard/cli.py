@@ -29,12 +29,7 @@ from .errors import (
     ModelError,
     NumericError,
 )
-from .lift import (
-    assumption_report,
-    build_lifted,
-    check_assumptions,
-    shift_consistency_check,
-)
+from .lift import build_lifted, check_assumptions, shift_consistency_check
 from .model import check_pathological, discretize, load_plant
 from .sim import run_dual_rate, run_single_rate, standard_loop, trace_metadata, trace_to_csv
 from .zeros import classify_vulnerability, transmission_zeros
@@ -197,34 +192,28 @@ def _explicit_m(args, m_file):
     return m
 
 
-def _checked(report, m):
-    """The rank report, rejected when an explicit m violates the assumptions."""
+def _lifted(plant, T, m):
+    """The lifted system at m (None: the smallest admissible) and its rank
+    report; an explicit m that violates the rank assumptions is rejected."""
+    lifted = build_lifted(plant, T, m)
+    report = check_assumptions(lifted)
     if m is not None and not report.satisfied:
         raise ConfigurationError(
             f"explicit m={m} violates the rank assumptions: "
             + json.dumps(_assumption_dict(report), sort_keys=True)
         )
-    return report
-
-
-def _lifted(plant, T, m):
-    """The lifted system at m (None: the smallest admissible) and its rank
-    report; an explicit m that violates the rank assumptions is rejected."""
-    lifted = build_lifted(plant, T, m)
-    return lifted, _checked(check_assumptions(lifted), m)
+    return lifted, report
 
 
 def _standard_loop(args, plant, T, m_file, horizon, attack=None):
-    """``standard_loop`` built from the loop flags of ``attack`` and
-    ``simulate``.  An explicit dual-rate m is checked on the fast plant
-    first, so the loop's lifted system is built once, by ``standard_loop``."""
-    m = None
+    """``standard_loop`` on the sampled system the loop flags of ``attack``
+    and ``simulate`` ask for: the ZOH plant at T, or the lifted system."""
     if args.mode == "dual_rate":
-        m = _explicit_m(args, m_file)
-        if m is not None:
-            _checked(assumption_report(discretize(plant, T / m), m), m)
+        system = _lifted(plant, T, _explicit_m(args, m_file))[0]
+    else:
+        system = discretize(plant, T)
     return standard_loop(
-        plant, T, mode=args.mode, m=m, theta=args.theta, horizon=horizon, attack=attack,
+        plant, system, theta=args.theta, horizon=horizon, attack=attack,
         Q=_parse_weight(args.Q), R=_parse_weight(args.R),
     )
 
@@ -310,7 +299,8 @@ def cmd_simulate(args) -> int:
     if args.plan:
         with open(args.plan, "r", encoding="utf-8") as fh:
             plan_doc = json.load(fh)
-        plan = plan_from_dict(plan_doc["plan"] if "plan" in plan_doc else plan_doc)
+        wrapped = isinstance(plan_doc, dict) and "plan" in plan_doc
+        plan = plan_from_dict(plan_doc["plan"] if wrapped else plan_doc)
         plan_m = (plan_doc.get("loop") or {}).get("m")
     horizon = args.horizon
     if horizon is None:

@@ -9,7 +9,8 @@ period T/m, the lifted blocks are
     D_lift = rows  D, CB+D, ..., C(sum_{k<m-1} A^k)B + D
 
 and the lifted input is the held value while the lifted output stacks the
-m intra-period samples.  Two rank conditions make the lifted zeros
+m intra-period samples.  A lifted system is a discrete plant whose period
+is the hold period T.  Two rank conditions make the lifted zeros
 harmless: the fast input matrix must have full column rank, and the
 stack of C, CA, ..., CA^{m-2} must have full column rank (guaranteed at
 m = n+1 for an observable fast pair, often much earlier).  Every lifted
@@ -25,12 +26,11 @@ import numpy as np
 
 from . import linalg
 from .errors import ModelError
-from .model import ContinuousPlant, DiscretePlant, StateSpace, discretize, observability_stack
+from .model import ContinuousPlant, DiscretePlant, discretize, observability_stack
 
 __all__ = [
     "LiftedSystem",
     "AssumptionReport",
-    "assumption_report",
     "ShiftConsistencyResult",
     "build_lifted",
     "check_assumptions",
@@ -45,8 +45,9 @@ SHIFT_CONSISTENCY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class LiftedSystem(StateSpace):
-    """Lifted dual-rate quadruple plus the fast plant that generated it.
+class LiftedSystem(DiscretePlant):
+    """Lifted dual-rate quadruple at the hold period ``period``, plus the
+    fast plant that generated it.
 
     The generating fast plant is kept on purpose: every lifted-domain
     result can be cross-checked in the time domain.  Instances produced by
@@ -56,7 +57,6 @@ class LiftedSystem(StateSpace):
     """
 
     m: int
-    base_period: float
     fast_plant: DiscretePlant
 
 
@@ -131,7 +131,7 @@ def build_lifted(plant: ContinuousPlant, T: float, m=None) -> LiftedSystem:
         fast = discretize(plant, T / m)
     A_l, B_l, C_l, D_l = _lifted_blocks(fast.A, fast.B, fast.C, fast.D, m)
     lifted = LiftedSystem(
-        A=A_l, B=B_l, C=C_l, D=D_l, m=m, base_period=float(T), fast_plant=fast
+        A=A_l, B=B_l, C=C_l, D=D_l, period=float(T), m=m, fast_plant=fast
     )
     check = shift_consistency_check(lifted)
     if not check.consistent:
@@ -141,7 +141,7 @@ def build_lifted(plant: ContinuousPlant, T: float, m=None) -> LiftedSystem:
     return lifted
 
 
-def assumption_report(fast: DiscretePlant, m: int) -> AssumptionReport:
+def _assumption_report(fast: DiscretePlant, m: int) -> AssumptionReport:
     """The two rank tests of :func:`check_assumptions` on the fast plant
     at sub-sampling factor m, with no lifted system assembled."""
     b_rank = linalg.rank_svd(fast.B)
@@ -161,7 +161,7 @@ def check_assumptions(L: LiftedSystem) -> AssumptionReport:
     The fast input matrix must have full column rank, and the stacked
     observability rows C, CA, ..., CA^{m-2} must have full column rank.
     """
-    return assumption_report(L.fast_plant, L.m)
+    return _assumption_report(L.fast_plant, L.m)
 
 
 def choose_m(plant: ContinuousPlant, T: float, samples=None) -> int:
@@ -179,7 +179,7 @@ def choose_m(plant: ContinuousPlant, T: float, samples=None) -> int:
     upper = plant.n + 1
     for m in range(2, upper + 1):
         samples[m] = discretize(plant, T / m)
-        if assumption_report(samples[m], m).satisfied:
+        if _assumption_report(samples[m], m).satisfied:
             return m
     raise ModelError(
         f"no m in [2, {upper}] satisfies the rank assumptions: the plant violates "

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -328,13 +329,22 @@ def plant_to_dict(plant: ContinuousPlant, T: float, m=None) -> dict:
     return out
 
 
+def _field(what: str, doc: dict, key: str, convert):
+    """``convert(doc[key])``; a missing or malformed field is a ValueError."""
+    try:
+        return convert(doc[key])
+    except (TypeError, ValueError, KeyError, AttributeError) as exc:
+        raise ValueError(f"{what} field {key!r}: {type(exc).__name__}: {exc}") from None
+
+
 def load_plant(source):
     """Load a plant spec from a dict, JSON string, or file path.
 
-    The document must carry ``Ac``, ``Bc``, ``Cc``, ``Dc`` as nested number
-    arrays and ``T`` as a positive number; ``m`` (integer >= 1) and
-    ``name`` are optional.  Returns ``(plant, T, m)`` with ``m`` possibly
-    None.
+    The document must be an object carrying ``Ac``, ``Bc``, ``Cc``, ``Dc``
+    as nested number arrays and ``T`` as a positive number; ``m`` (integer
+    >= 1) and ``name`` are optional.  A field of the wrong type is a
+    ValueError that names it.  Returns ``(plant, T, m)`` with ``m``
+    possibly None.
     """
     if isinstance(source, dict):
         doc = source
@@ -345,22 +355,19 @@ def load_plant(source):
         else:
             with open(text, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"a plant spec must be a JSON object, not {type(doc).__name__}")
     missing = [k for k in ("Ac", "Bc", "Cc", "Dc", "T") if k not in doc]
     if missing:
         raise ValueError(f"plant spec is missing fields: {missing}")
-    T = float(doc["T"])
+    T = _field("plant", doc, "T", float)
     if not T > 0:
         raise ValueError(f"T must be positive, got {T}")
     m = doc.get("m")
     if m is not None:
-        m = int(m)
+        m = _field("plant", doc, "m", int)
         if m < 1:
             raise ValueError(f"m must be a positive integer, got {m}")
-    plant = ContinuousPlant(
-        Ac=doc["Ac"],
-        Bc=doc["Bc"],
-        Cc=doc["Cc"],
-        Dc=doc["Dc"],
-        name=str(doc.get("name", "")),
-    )
-    return plant, T, m
+    matrices = {k: _field("plant", doc, k, partial(np.asarray, dtype=float))
+                for k in ("Ac", "Bc", "Cc", "Dc")}
+    return ContinuousPlant(**matrices, name=str(doc.get("name", ""))), T, m

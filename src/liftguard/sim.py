@@ -4,11 +4,13 @@ threshold detection monitor.
 All propagation is exact LTI discretization: the plant state advances per
 (sub-)step through the zero-order-hold quadruple, and no ODE solver is
 involved.  Single rate is the dual-rate loop with one output sample per
-hold period, so both modes share one recursion.  The monitor watches only
-the cyber-layer signals, i.e. the measured outputs and the controller
-commands; the continuous intersample output is for inspection only and is
-evaluated from the logged states, on an exact finer grid whose points
-contain the sample instants, when it is first read.
+hold period, so both modes share one recursion, and a loop is its sampled
+system: the ZOH plant or the lifted system, from which the mode, the hold
+period and m are read.  The monitor watches only the cyber-layer signals,
+i.e. the measured outputs and the controller commands; the continuous
+intersample output is for inspection only and is evaluated from the
+logged states, on an exact finer grid whose points contain the sample
+instants, when it is first read.
 
 The recursion multiplies by each loop matrix's bound ``dot``, the same
 BLAS call as ``@`` with less dispatch, except that a one-column matrix
@@ -29,7 +31,7 @@ from . import linalg
 from .errors import ConfigurationError, DimensionError
 from .factor import Controller, closed_loop_matrix, coprime_factorize, observer_controller
 from .lift import LiftedSystem, build_lifted
-from .model import ContinuousPlant, DiscretePlant, discretize
+from .model import ContinuousPlant, DiscretePlant
 
 __all__ = [
     "LoopConfig",
@@ -106,7 +108,7 @@ class LoopConfig:
     @property
     def T(self) -> float:
         """The hold period."""
-        return self.system.base_period if self.mode == "dual_rate" else self.system.period
+        return self.system.period
 
     @property
     def m(self) -> int | None:
@@ -335,35 +337,19 @@ def _weight(value, dim: int):
     return arr
 
 
-def standard_loop(plant: ContinuousPlant, T: float, mode: str = "single_rate",
-                  m=None, theta: float = 0.01, horizon: int = 200,
-                  oversample: int = 8, attack=None, Q=None, R=None):
-    """Assemble a stabilized loop with the default observer controller.
-
-    The loop's sampled system is built here, once: the ZOH plant at T in
-    single rate, the lifted system at (T, m) in dual rate, with m from
-    :func:`choose_m` when None.  ``Q``/``R`` weight the state-feedback
-    Riccati problem (scalars are taken as multiples of the identity); its
-    observer dual uses identity weights.  Returns ``(config, factors)``; the factored system (discrete
-    or lifted) is available as ``factors.base``.
+def standard_loop(plant: ContinuousPlant, system: DiscretePlant | LiftedSystem,
+                  theta: float = 0.01, horizon: int = 200, attack=None, Q=None, R=None):
+    """Assemble a stabilized loop with the default observer controller on
+    ``system``, the sampling of ``plant`` the loop runs on: its ZOH
+    discretization at the hold period (single rate, :func:`discretize`) or
+    its lifted system (dual rate, :func:`build_lifted`).  ``Q``/``R``
+    weight the state-feedback Riccati problem (scalars are taken as
+    multiples of the identity); its observer dual uses identity weights.
+    Returns ``(config, factors)``; ``factors.base`` is ``system``.
     """
-    if mode not in ("single_rate", "dual_rate"):
-        raise ConfigurationError(f"unknown mode {mode!r}")
-    if mode == "dual_rate":
-        sys = build_lifted(plant, T, m)
-    else:
-        sys = discretize(plant, T)
-    factors = coprime_factorize(sys, Q=_weight(Q, sys.n), R=_weight(R, sys.n_u))
-    cfg = LoopConfig(
-        plant=plant,
-        system=sys,
-        controller=observer_controller(factors),
-        theta=theta,
-        horizon=horizon,
-        oversample=oversample,
-        attack=attack,
-    )
-    return cfg, factors
+    factors = coprime_factorize(system, Q=_weight(Q, system.n), R=_weight(R, system.n_u))
+    controller = observer_controller(factors)
+    return LoopConfig(plant, system, controller, theta, horizon, attack=attack), factors
 
 
 def _repeated(text: list, repeat: int) -> list:

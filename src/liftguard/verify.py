@@ -29,7 +29,7 @@ from .model import (
 )
 from .zeros import _match_multisets, multiplicity_at_one, transmission_zeros
 
-__all__ = ["run_suite", "random_minimal_plant", "random_minimal_discrete"]
+__all__ = ["run_suite", "random_minimal_plant"]
 
 
 def _redrawn(draw):
@@ -65,15 +65,10 @@ def random_minimal_plant(rng) -> ContinuousPlant:
     )
 
 
-def random_minimal_discrete(rng) -> DiscretePlant:
-    """Random minimal single-input single-output discrete plant with 2-4
-    states and spectral radius scaled near one."""
-    return _minimal_discrete(rng)[0]
-
-
 @_redrawn
 def _minimal_discrete(rng):
-    """A :func:`random_minimal_discrete` draw with its ``check_minimal``
+    """Random minimal single-input single-output discrete plant with 2-4
+    states and spectral radius scaled near one, with its ``check_minimal``
     report, which the properties hand on instead of checking again."""
     n = int(rng.integers(2, 5))
     A = rng.standard_normal((n, n))

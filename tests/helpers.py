@@ -2,7 +2,14 @@
 
 import numpy as np
 
-from liftguard import ContinuousPlant, Controller, DiscretePlant, check_minimal
+from liftguard import (
+    ContinuousPlant,
+    Controller,
+    DiscretePlant,
+    build_lifted,
+    check_minimal,
+    discretize,
+)
 from liftguard.errors import DimensionError, LiftguardError
 from liftguard.sim import _render_attack, monitor_eval
 from liftguard.zeros import _match_multisets
@@ -40,6 +47,12 @@ def stable_two_state(name="stable-2"):
     return ContinuousPlant(
         Ac=[[-1.0, 0.3], [0.0, -0.5]], Bc=[[1.0], [0.5]], Cc=[[1.0, 0.2]], Dc=[[0.0]], name=name
     )
+
+
+def sampled(plant, T, mode):
+    """The loop's sampled system in ``mode``: the ZOH plant at T, or the
+    lifted system at T with the smallest admissible m."""
+    return build_lifted(plant, T) if mode == "dual_rate" else discretize(plant, T)
 
 
 def random_continuous(rng, n=None, n_u=None, n_y=None, max_tries=80):

@@ -58,7 +58,8 @@ def report(num, text):
 @pytest.fixture(scope="module")
 def single_rate_attack():
     """Criterion 3/7 shared artifact: loop and synthesized plan."""
-    cfg, factors = standard_loop(triple_integrator(), 1.0, theta=THETA, horizon=200)
+    plant = triple_integrator()
+    cfg, factors = standard_loop(plant, discretize(plant, 1.0), theta=THETA, horizon=200)
     plan = synth_actuator_attack(cfg)
     return cfg, plan
 
@@ -139,14 +140,16 @@ def test_criterion_03_actuator_attack_end_to_end(single_rate_attack):
 
 
 def test_criterion_04_sensor_attack_end_to_end():
-    cfg, factors = standard_loop(unstable_scalar(), 1.0, theta=THETA, horizon=200)
+    plant = unstable_scalar()
+    cfg, factors = standard_loop(plant, discretize(plant, 1.0), theta=THETA, horizon=200)
     plan = synth_sensor_attack(cfg, factors=factors)
     assert abs(plan.zeta - 2.0) <= 1e-9
     trace = run_single_rate(dataclasses.replace(cfg, attack=plan, horizon=plan.horizon))
     assert trace.verdict.stealthy
     d = np.abs(trace.d_s[:, 0])
     assert d[-1] >= 1e3 * d[0]
-    stable_cfg, stable_factors = standard_loop(stable_two_state(), 0.5, theta=THETA)
+    stable = stable_two_state()
+    stable_cfg, stable_factors = standard_loop(stable, discretize(stable, 0.5), theta=THETA)
     with pytest.raises(CapabilityError):
         synth_sensor_attack(stable_cfg, factors=stable_factors)
     report(4, "sensor attack on the pole-2 plant is stealthy with growth "
@@ -154,8 +157,9 @@ def test_criterion_04_sensor_attack_end_to_end():
 
 
 def test_criterion_05_coordinated_masking():
-    cfg, _ = standard_loop(stable_two_state(), 0.5, theta=THETA, horizon=500)
-    P = discretize(stable_two_state(), 0.5)
+    plant = stable_two_state()
+    P = discretize(plant, 0.5)
+    cfg, _ = standard_loop(plant, P, theta=THETA, horizon=500)
     d_a, d_s = synth_coordinated_attack(P, np.arange(500, dtype=float))
     plan = AttackPlan(
         kind="coordinated", zeta=1.0, direction=[1.0], epsilon=1.0, horizon=500,
@@ -238,9 +242,8 @@ def test_criterion_06_lifted_zeros_confined_at_fast_periods():
 
 def test_criterion_07_replay_detected_by_dual_rate(single_rate_attack):
     _, plan = single_rate_attack
-    cfg, _ = standard_loop(
-        triple_integrator(), 1.0, mode="dual_rate", m=4, theta=THETA, horizon=plan.horizon
-    )
+    plant = triple_integrator()
+    cfg, _ = standard_loop(plant, build_lifted(plant, 1.0, 4), theta=THETA, horizon=plan.horizon)
     trace = run_dual_rate(dataclasses.replace(cfg, attack=plan))
     assert trace.verdict.detected
     assert trace.verdict.step is not None and trace.verdict.step < plan.horizon * 4
@@ -348,7 +351,8 @@ def test_criterion_11_lifting_equivalence():
         plant = random_continuous(rng, n=int(rng.integers(2, 4)), n_u=1, n_y=1)
         m = int(rng.integers(2, 5))
         try:
-            cfg, _ = standard_loop(plant, 0.8, mode="dual_rate", m=m, horizon=100)
+            L = build_lifted(plant, 0.8, m)
+            cfg, _ = standard_loop(plant, L, horizon=100)
         except LiftguardError:
             continue
         x0 = rng.standard_normal(plant.n) * 0.1
@@ -359,7 +363,6 @@ def test_criterion_11_lifting_equivalence():
         )
         cfg = dataclasses.replace(cfg, x0_plant=x0, attack=plan, theta=1e9, oversample=1)
         trace = run_dual_rate(cfg)
-        L = build_lifted(plant, 0.8, m)
         u_ref, y_ref = run_lifted_closed_loop(L, cfg.controller, 100, d_a=d_a, x0=x0)
         scale = max(1.0, float(np.max(np.abs(y_ref))))
         assert np.max(np.abs(trace.u - u_ref)) <= 1e-9 * scale

@@ -7,6 +7,7 @@ import pytest
 
 from liftguard import (
     DiscretePlant,
+    build_lifted,
     discretize,
     run_dual_rate,
     run_single_rate,
@@ -42,7 +43,8 @@ def make_coordinated_plan(d_a, d_s, horizon):
 
 @pytest.fixture(scope="module")
 def loop_and_plan():
-    cfg, factors = standard_loop(triple_integrator(), 1.0, theta=0.01, horizon=200)
+    plant = triple_integrator()
+    cfg, factors = standard_loop(plant, discretize(plant, 1.0), theta=0.01, horizon=200)
     plan = synth_actuator_attack(cfg)
     return cfg, plan
 
@@ -79,19 +81,22 @@ class TestActuatorSynthesis:
         assert peak1 <= cfg.theta / 2.0
 
     def test_double_integrator_not_vulnerable(self):
-        cfg, _ = standard_loop(double_integrator(), 1.0, theta=0.01, horizon=200)
+        plant = double_integrator()
+        cfg, _ = standard_loop(plant, discretize(plant, 1.0), theta=0.01, horizon=200)
         with pytest.raises(CapabilityError, match="boundary"):
             synth_actuator_attack(cfg)
 
     def test_dual_rate_loop_not_vulnerable(self):
-        cfg, _ = standard_loop(triple_integrator(), 1.0, mode="dual_rate", m=4, theta=0.01)
+        plant = triple_integrator()
+        cfg, _ = standard_loop(plant, build_lifted(plant, 1.0, 4), theta=0.01)
         with pytest.raises(CapabilityError):
             synth_actuator_attack(cfg)
 
     def test_replay_against_dual_rate_detected(self, loop_and_plan):
         _, plan = loop_and_plan
+        plant = triple_integrator()
         dcfg, _ = standard_loop(
-            triple_integrator(), 1.0, mode="dual_rate", m=4, theta=0.01, horizon=plan.horizon
+            plant, build_lifted(plant, 1.0, 4), theta=0.01, horizon=plan.horizon
         )
         trace = run_dual_rate(dataclasses.replace(dcfg, attack=plan))
         assert trace.verdict.detected
@@ -100,7 +105,8 @@ class TestActuatorSynthesis:
 
 class TestSensorSynthesis:
     def test_unstable_plant_stealthy(self):
-        cfg, factors = standard_loop(unstable_scalar(), 1.0, theta=0.01, horizon=200)
+        plant = unstable_scalar()
+        cfg, factors = standard_loop(plant, discretize(plant, 1.0), theta=0.01, horizon=200)
         plan = synth_sensor_attack(cfg, factors=factors)
         assert abs(plan.zeta - 2.0) <= 1e-9
         trace = run_single_rate(dataclasses.replace(cfg, attack=plan, horizon=plan.horizon))
@@ -110,7 +116,8 @@ class TestSensorSynthesis:
         assert d[-1] >= 1e3 * d[0]
 
     def test_stable_plant_not_vulnerable(self):
-        cfg, factors = standard_loop(stable_two_state(), 0.5, theta=0.01)
+        plant = stable_two_state()
+        cfg, factors = standard_loop(plant, discretize(plant, 0.5), theta=0.01)
         with pytest.raises(CapabilityError, match="stable"):
             synth_sensor_attack(cfg, factors=factors)
 
@@ -118,7 +125,7 @@ class TestSensorSynthesis:
         from liftguard import ContinuousPlant
 
         integ = ContinuousPlant(Ac=[[0.0]], Bc=[[1.0]], Cc=[[1.0]], Dc=[[0.0]])
-        cfg, factors = standard_loop(integ, 1.0, theta=0.01)
+        cfg, factors = standard_loop(integ, discretize(integ, 1.0), theta=0.01)
         with pytest.raises(CapabilityError, match="boundary"):
             synth_sensor_attack(cfg, factors=factors)
 
@@ -127,7 +134,8 @@ class TestSensorSynthesis:
     def test_dual_rate_plan_rides_the_lifted_pole(self, m):
         # the plan lives on the m stacked outputs of a base step and grows
         # by the lifted pole once per base step
-        cfg, factors = standard_loop(unstable_scalar(), 1.0, mode="dual_rate", m=m, theta=0.01)
+        plant = unstable_scalar()
+        cfg, factors = standard_loop(plant, build_lifted(plant, 1.0, m), theta=0.01)
         plan = synth_sensor_attack(cfg, factors=factors)
         assert abs(plan.zeta - 2.0) <= 1e-9 and len(plan.direction) == m
         trace = run_dual_rate(dataclasses.replace(cfg, attack=plan, horizon=plan.horizon))
@@ -139,15 +147,16 @@ class TestSensorSynthesis:
 
 
 def test_calibration_builds_no_sampled_system(monkeypatch):
-    # standard_loop builds each loop's system once; synthesis and every
-    # calibration run read it from the configuration
+    # each loop's sampled system is built once, before standard_loop;
+    # synthesis and every calibration run read it from the configuration
     from liftguard import attack, lift, model, sim
 
+    tri, pole2 = triple_integrator(), unstable_scalar()
     loops = [
-        (standard_loop(triple_integrator(), 1.0)[0], synth_actuator_attack),
-        (standard_loop(triple_integrator(), 1.0, mode="dual_rate")[0], synth_actuator_attack),
-        (standard_loop(unstable_scalar(), 1.0)[0], synth_sensor_attack),
-        (standard_loop(unstable_scalar(), 1.0, mode="dual_rate")[0], synth_sensor_attack),
+        (standard_loop(tri, discretize(tri, 1.0))[0], synth_actuator_attack),
+        (standard_loop(tri, build_lifted(tri, 1.0))[0], synth_actuator_attack),
+        (standard_loop(pole2, discretize(pole2, 1.0))[0], synth_sensor_attack),
+        (standard_loop(pole2, build_lifted(pole2, 1.0))[0], synth_sensor_attack),
     ]
 
     def refuse(*args, **kwargs):
@@ -173,8 +182,9 @@ class TestCoordinatedMasking:
         assert not np.any(d_s)
 
     def test_ramp_masked_on_stable_plant(self):
-        cfg, _ = standard_loop(stable_two_state(), 0.5, theta=0.01, horizon=500)
-        P = discretize(stable_two_state(), 0.5)
+        plant = stable_two_state()
+        P = discretize(plant, 0.5)
+        cfg, _ = standard_loop(plant, P, theta=0.01, horizon=500)
         d_a, d_s = synth_coordinated_attack(P, np.arange(500, dtype=float))
         plan = make_coordinated_plan(d_a, d_s, 500)
         attacked = run_single_rate(dataclasses.replace(cfg, attack=plan))
@@ -183,8 +193,9 @@ class TestCoordinatedMasking:
 
     def test_masking_works_on_unstable_minimum_phase_plant(self):
         # masking needs neither unstable zeros nor stable dynamics
-        cfg, _ = standard_loop(triple_integrator(), 1.0, theta=0.01, horizon=60)
-        P = discretize(triple_integrator(), 1.0)
+        plant = triple_integrator()
+        P = discretize(plant, 1.0)
+        cfg, _ = standard_loop(plant, P, theta=0.01, horizon=60)
         d_a, d_s = synth_coordinated_attack(P, np.arange(60, dtype=float))
         plan = make_coordinated_plan(d_a, d_s, 60)
         attacked = run_single_rate(dataclasses.replace(cfg, attack=plan))
@@ -306,6 +317,28 @@ def test_non_finite_plan_parameters_rejected(field, value):
         AttackPlan(**fields)
 
 
+@pytest.mark.parametrize(
+    "kind, channel_map, companion, message",
+    [
+        ("actuator_zero", (-1,), None, "does not name 1 distinct"),
+        ("sensor_pole", (1, 1), None, "does not name 2 distinct"),
+        ("sensor_pole", (0, 1, 2), None, "does not name 2 distinct"),
+        ("coordinated", (0,), {"d_a": np.ones((5, 2)), "d_s": np.ones((5, 1))},
+         "does not name 2 distinct"),
+        ("coordinated", (0,), None, "companion matrices"),
+        ("coordinated", (0,), {"d_a": np.ones((5, 1)), "d_s": np.ones(5)}, "companion matrices"),
+        ("fat_masking", (0,), {"d_a": np.ones(5)}, "companion matrices"),
+    ],
+    ids=["negative", "repeated", "too_long", "short_of_companion", "no_companion",
+         "vector_d_s", "vector_d_a"],
+)
+def test_channel_map_must_fit_the_signal(kind, channel_map, companion, message):
+    direction = [1.0] if kind == "actuator_zero" else [1.0, 0.5]
+    with pytest.raises(ValueError, match=message):
+        AttackPlan(kind=kind, zeta=2.0, direction=direction, epsilon=1.0, horizon=5,
+                   channel_map=channel_map, companion=companion)
+
+
 def test_non_finite_companion_signal_rejected():
     plan = make_coordinated_plan(np.ones((5, 1)), -np.ones((5, 1)), 5)
     d_a = plan.companion["d_a"].copy()
@@ -316,7 +349,8 @@ def test_non_finite_companion_signal_rejected():
 
 class TestPlanSerialization:
     def test_round_trip(self):
-        cfg, _ = standard_loop(triple_integrator(), 1.0, theta=0.01)
+        plant = triple_integrator()
+        cfg, _ = standard_loop(plant, discretize(plant, 1.0), theta=0.01)
         plan = synth_actuator_attack(cfg)
         doc = plan_to_dict(plan)
         clone = plan_from_dict(json.loads(json.dumps(doc)))

@@ -172,6 +172,72 @@ class TestAttackAndSimulate:
         assert "finite" in json.loads(capsys.readouterr().err)["message"]
         assert not (tmp_path / "sim" / "verdict.json").exists()
 
+    @pytest.mark.parametrize(
+        "loop, channel_map, message",
+        [
+            ((), [-1], "[-1] does not name 1 distinct"),
+            (("--mode", "dual_rate", "--m", "2"), [0, 0], "[0, 0] does not name 2 distinct"),
+            ((), [0, 1], "[0, 1] does not name 1 distinct"),
+        ],
+        ids=["negative", "repeated", "longer_than_direction"],
+    )
+    def test_bad_channel_map_exit_2(
+        self, plant_files, tmp_path, capsys, loop, channel_map, message
+    ):
+        # a negative channel used to replay on the last channel, a repeated
+        # one to overwrite a column, and a long map to end in an IndexError
+        from liftguard import cli
+
+        out = tmp_path / "out"
+        argv = ["--plant", plant_files["unstable"], *loop]
+        assert cli.main(["attack", "--kind", "sensor", *argv, "--out", str(out)]) == 0
+        plan_doc = json.loads((out / "plan.json").read_text())
+        assert plan_doc["plan"]["channel_map"] == list(range(len(plan_doc["plan"]["direction"])))
+        plan_doc["plan"]["channel_map"] = channel_map
+        (out / "plan.json").write_text(json.dumps(plan_doc))
+        capsys.readouterr()
+        sim = tmp_path / "sim"
+        assert cli.main(["simulate", *argv, "--plan", str(out / "plan.json"),
+                         "--out", str(sim)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert f"plan channel_map {message}" in err["message"]
+        assert not (sim / "verdict.json").exists()
+
+    @pytest.mark.parametrize(
+        "target, edit, field",
+        [
+            ("plant", lambda doc: doc.update(Ac={"a": 1}), "'Ac'"),
+            ("plant", lambda doc: doc.update(T=None), "'T'"),
+            ("plan", lambda doc: doc["plan"].update(direction=[1.0]), "'direction'"),
+            ("plan", lambda doc: doc["plan"].update(zeta=2.0), "'zeta'"),
+            ("plan", lambda doc: [doc["plan"]], "JSON object"),
+        ],
+        ids=["plant_Ac_object", "plant_T_null", "plan_direction_numbers", "plan_zeta_number",
+             "plan_file_list"],
+    )
+    def test_malformed_input_file_exit_2(
+        self, plant_files, tmp_path, capsys, target, edit, field
+    ):
+        # a field of the wrong type used to end in an uncaught TypeError
+        from liftguard import cli
+
+        plant = tmp_path / "plant.json"
+        plant.write_text(open(plant_files["unstable"]).read())
+        plan = tmp_path / "plan.json"
+        assert cli.main(["attack", "--kind", "sensor", "--plant", str(plant),
+                         "--out", str(tmp_path)]) == 0
+        path = plant if target == "plant" else plan
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps(edit(doc) or doc))
+        capsys.readouterr()
+        sim = tmp_path / "sim"
+        argv = ["simulate", "--plant", str(plant), "--plan", str(plan), "--out", str(sim)]
+        assert cli.main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and field in err["message"]
+        assert not (sim / "verdict.json").exists()
+
     def test_attack_rejects_horizon(self, plant_files, tmp_path):
         # a plan's horizon follows from its growth ratio, so attack takes none
         res = run_cli(
@@ -341,6 +407,23 @@ class TestLift:
                 "--out", str(tmp_path)]
         assert cli.main(argv) == code
         assert calls == [4]
+
+
+    @pytest.mark.parametrize("m, expm_calls", [("4", 1), ("auto", 3)])
+    def test_dual_rate_loop_samples_the_plant_once(
+        self, plant_files, tmp_path, monkeypatch, m, expm_calls
+    ):
+        # an explicit m samples T/m once, for the rank check and the loop
+        # alike; the automatic choice samples each candidate m = 2, 3, 4 once
+        from liftguard import cli, linalg
+
+        calls = []
+        expm = linalg.expm
+        monkeypatch.setattr(linalg, "expm", lambda M: calls.append(M.shape) or expm(M))
+        argv = ["simulate", "--plant", plant_files["triple"], "--mode", "dual_rate",
+                "--m", m, "--horizon", "20", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert len(calls) == expm_calls
 
 
 class TestVerify:

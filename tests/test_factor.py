@@ -210,7 +210,8 @@ class TestObserverController:
         assert spectral_radius(closed_loop_matrix(sys, K)) < 1.0
 
     def test_double_integrator_loop_bounded(self):
-        cfg, _ = standard_loop(double_integrator(), 0.1, theta=1e6, horizon=1000)
+        plant = double_integrator()
+        cfg, _ = standard_loop(plant, discretize(plant, 0.1), theta=1e6, horizon=1000)
         # step disturbance on the actuator: the stable loop keeps signals bounded
         step = AttackPlan(
             kind="coordinated",
@@ -240,13 +241,15 @@ class TestObserverController:
 
 class TestResidualGenerator:
     def test_attack_free_residual_zero(self):
-        cfg, factors = standard_loop(triple_integrator(), 1.0, horizon=100)
+        plant = triple_integrator()
+        cfg, factors = standard_loop(plant, discretize(plant, 1.0), horizon=100)
         trace = run_single_rate(cfg)
         r = ss_response(residual_generator(factors), np.hstack([trace.y, trace.u]))
         assert np.max(np.abs(r)) <= 1e-9
 
     def test_zero_direction_attack_residual_small(self):
-        cfg, factors = standard_loop(triple_integrator(), 1.0, theta=0.01, horizon=200)
+        plant = triple_integrator()
+        cfg, factors = standard_loop(plant, discretize(plant, 1.0), theta=0.01, horizon=200)
         plan = synth_actuator_attack(cfg)
         trace = run_single_rate(dataclasses.replace(cfg, attack=plan, horizon=plan.horizon))
         r = ss_response(residual_generator(factors), np.hstack([trace.y, trace.u]))
@@ -254,7 +257,8 @@ class TestResidualGenerator:
         assert np.max(np.abs(r)) <= cfg.theta
 
     def test_wrong_mode_attack_residual_grows(self):
-        cfg, factors = standard_loop(triple_integrator(), 1.0, theta=0.01, horizon=200)
+        plant = triple_integrator()
+        cfg, factors = standard_loop(plant, discretize(plant, 1.0), theta=0.01, horizon=200)
         plan = synth_actuator_attack(cfg)
         bad = dataclasses.replace(plan, zeta=plan.zeta * 1.1)
         trace = run_single_rate(dataclasses.replace(cfg, attack=bad, horizon=plan.horizon))
@@ -263,8 +267,9 @@ class TestResidualGenerator:
 
     def test_linearity(self):
         rng = np.random.default_rng(31)
-        cfg, factors = standard_loop(triple_integrator(), 1.0, horizon=60)
-        P = discretize(triple_integrator(), 1.0)
+        plant = triple_integrator()
+        P = discretize(plant, 1.0)
+        cfg, factors = standard_loop(plant, P, horizon=60)
         d_a = rng.standard_normal((60, 1))
         d_s = rng.standard_normal((60, 1))
 

@@ -5,6 +5,7 @@ import pytest
 
 from liftguard import (
     ContinuousPlant,
+    DiscretePlant,
     StateSpace,
     build_lifted,
     check_assumptions,
@@ -91,6 +92,12 @@ class TestBuildLifted:
         L = build_lifted(triple_integrator(), 1.0, 4)
         assert isinstance(L, StateSpace)
         assert (L.n, L.n_u, L.n_y) == (3, 1, 4)
+
+    @pytest.mark.parametrize("T, m", [(1.0, 4), (0.01, 3)])
+    def test_lifted_is_a_plant_at_the_hold_period(self, T, m):
+        L = build_lifted(triple_integrator(), T, m)
+        assert isinstance(L, DiscretePlant)
+        assert L.period == T and L.m == m and L.fast_plant.period == T / m
 
     def test_hand_built_wrong_shape_rejected(self):
         L = build_lifted(triple_integrator(), 1.0, 4)

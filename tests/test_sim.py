@@ -29,6 +29,7 @@ from helpers import (
     reference_closed_loop,
     reference_trace_to_csv,
     run_lifted_closed_loop,
+    sampled,
     stable_two_state,
     triple_integrator,
     unstable_scalar,
@@ -62,7 +63,8 @@ class TestMonitor:
 
 class TestSingleRate:
     def test_no_attack_zero_traces(self):
-        cfg, _ = standard_loop(triple_integrator(), 1.0, horizon=50)
+        plant = triple_integrator()
+        cfg, _ = standard_loop(plant, discretize(plant, 1.0), horizon=50)
         trace = run_single_rate(cfg)
         assert not np.any(trace.y) and not np.any(trace.u)
         assert trace.verdict.stealthy
@@ -85,16 +87,18 @@ class TestSingleRate:
 
     def test_intersample_rows_match_samples_exactly(self):
         rng = np.random.default_rng(3)
-        cfg, _ = standard_loop(stable_two_state(), 0.5, horizon=40, oversample=4)
+        plant = stable_two_state()
+        cfg, _ = standard_loop(plant, discretize(plant, 0.5), horizon=40)
         x0 = rng.standard_normal(2)
-        cfg = dataclasses.replace(cfg, x0_plant=x0)
+        cfg = dataclasses.replace(cfg, x0_plant=x0, oversample=4)
         trace = run_single_rate(cfg)
         # with no sensor attack the measured samples are the physical outputs
         np.testing.assert_array_equal(trace.y_intersample[::4], trace.y)
         np.testing.assert_allclose(trace.intersample_times[::4], trace.times, atol=0)
 
     def test_deviation_linear_in_epsilon(self):
-        cfg, _ = standard_loop(stable_two_state(), 0.5, theta=1e9, horizon=120)
+        plant = stable_two_state()
+        cfg, _ = standard_loop(plant, discretize(plant, 0.5), theta=1e9, horizon=120)
         base = run_single_rate(cfg)
 
         def deviation(eps):
@@ -119,7 +123,8 @@ class TestSingleRate:
 
 class TestDualRate:
     def test_no_attack_zero_traces(self):
-        cfg, _ = standard_loop(triple_integrator(), 1.0, mode="dual_rate", m=4, horizon=30)
+        plant = triple_integrator()
+        cfg, _ = standard_loop(plant, build_lifted(plant, 1.0, 4), horizon=30)
         trace = run_dual_rate(cfg)
         assert not np.any(trace.y) and not np.any(trace.u)
         assert trace.y.shape == (30 * 4, 1)
@@ -130,7 +135,8 @@ class TestDualRate:
             plant = random_continuous(rng, n=int(rng.integers(2, 4)), n_u=1, n_y=1)
             m = int(rng.integers(2, 4))
             try:
-                cfg, factors = standard_loop(plant, 0.8, mode="dual_rate", m=m, horizon=100)
+                L = build_lifted(plant, 0.8, m)
+                cfg, factors = standard_loop(plant, L, horizon=100)
             except Exception:
                 continue
             x0 = rng.standard_normal(plant.n) * 0.1
@@ -146,7 +152,6 @@ class TestDualRate:
             )
             cfg = dataclasses.replace(cfg, x0_plant=x0, attack=plan, theta=1e9, oversample=1)
             trace = run_dual_rate(cfg)
-            L = build_lifted(plant, 0.8, m)
             u_ref, y_ref = run_lifted_closed_loop(
                 L, cfg.controller, 100, d_a=d_a, x0=x0
             )
@@ -179,6 +184,15 @@ class TestDualRate:
         np.testing.assert_allclose(tr_d.u, tr_s.u, atol=1e-9)
         np.testing.assert_allclose(tr_d.y[::m], tr_s.y, atol=1e-9)
 
+    @pytest.mark.parametrize("m", [None, 3])
+    def test_loop_reads_mode_period_and_m_off_its_system(self, m):
+        plant = triple_integrator()
+        single, _ = standard_loop(plant, discretize(plant, 0.5), horizon=5)
+        assert (single.mode, single.T, single.m) == ("single_rate", 0.5, None)
+        dual, factors = standard_loop(plant, build_lifted(plant, 0.5, m), horizon=5)
+        assert (dual.mode, dual.T, dual.m) == ("dual_rate", 0.5, m or 4)
+        assert factors.base is dual.system
+
     def test_requires_lifted_controller(self):
         P = discretize(stable_two_state(), 0.6)
         K = observer_controller(coprime_factorize(P))
@@ -193,7 +207,8 @@ class TestDualRate:
 @pytest.mark.parametrize("make_plant", [triple_integrator, light_oscillator])
 def test_kilohertz_loop(make_plant, mode):
     # T = 1 ms puts the open-loop poles within 1e-3 of the unit circle
-    cfg, factors = standard_loop(make_plant(), 1e-3, mode=mode, horizon=200)
+    plant = make_plant()
+    cfg, factors = standard_loop(plant, sampled(plant, 1e-3, mode), horizon=200)
     trace = run_dual_rate(cfg) if mode == "dual_rate" else run_single_rate(cfg)
     assert not trace.verdict.detected
     base = factors.base
@@ -208,7 +223,7 @@ def _coordinated(d_a, d_s):
         direction=[1.0],
         epsilon=1.0,
         horizon=d_a.shape[0],
-        channel_map=(0,),
+        channel_map=tuple(range(d_a.shape[1])),
         companion={"d_a": d_a, "d_s": d_s},
     )
 
@@ -231,8 +246,9 @@ def _reference_grid(trace, r):
 
 class TestIntersample:
     def test_not_computed_until_read(self):
-        cfg, _ = standard_loop(stable_two_state(), 0.5, horizon=20, oversample=4)
-        trace = run_single_rate(dataclasses.replace(cfg, x0_plant=[1.0, -1.0]))
+        plant = stable_two_state()
+        cfg, _ = standard_loop(plant, discretize(plant, 0.5), horizon=20)
+        trace = run_single_rate(dataclasses.replace(cfg, x0_plant=[1.0, -1.0], oversample=4))
         assert "y_intersample" not in vars(trace)
         assert "intersample_times" not in vars(trace)
         assert trace.y_intersample.shape == (20 * 4, 1)
@@ -245,16 +261,17 @@ class TestIntersample:
         r, N = 5, 60
         if case == "single_rate":
             plant, m = stable_two_state(), 1
-            cfg, _ = standard_loop(plant, 0.5, horizon=N, oversample=r)
+            cfg, _ = standard_loop(plant, discretize(plant, 0.5), horizon=N)
         else:
             plant, m = triple_integrator(), 4
-            cfg, _ = standard_loop(plant, 1.0, mode="dual_rate", m=m, horizon=N, oversample=r)
+            cfg, _ = standard_loop(plant, build_lifted(plant, 1.0, m), horizon=N)
         d_a = 0.1 * rng.standard_normal((N, 1))
         d_s = np.zeros((N * m, 1))
         if case == "dual_rate_sensor":
             d_s = 0.1 * rng.standard_normal((N * m, 1))
         cfg = dataclasses.replace(
-            cfg, x0_plant=rng.standard_normal(plant.n), attack=_coordinated(d_a, d_s), theta=1e9
+            cfg, x0_plant=rng.standard_normal(plant.n), attack=_coordinated(d_a, d_s), theta=1e9,
+            oversample=r,
         )
         trace = run_dual_rate(cfg) if m > 1 else run_single_rate(cfg)
         ref, ends = _reference_grid(trace, r)
@@ -313,7 +330,8 @@ def _run(cfg):
 @functools.cache
 def _actuator_plan(T):
     """The calibrated actuator plan of the single-rate triple integrator at T."""
-    return synth_actuator_attack(standard_loop(triple_integrator(), T)[0])
+    plant = triple_integrator()
+    return synth_actuator_attack(standard_loop(plant, discretize(plant, T))[0])
 
 
 @pytest.fixture(scope="module")
@@ -326,8 +344,9 @@ def overflow_plan():
 def test_overflowed_run_equals_unstopped_recursion(mode, overflow_plan):
     # the T = 0.01 actuator plan replayed over 2000 steps drives the loop
     # state to NaN long before the end, where the engine stops stepping
+    plant = triple_integrator()
     cfg, _ = standard_loop(
-        triple_integrator(), 0.01, mode=mode, horizon=2000, attack=overflow_plan
+        plant, sampled(plant, 0.01, mode), horizon=2000, attack=overflow_plan
     )
     with np.errstate(all="ignore"):
         trace = _run(cfg)
@@ -338,18 +357,21 @@ def test_overflowed_run_equals_unstopped_recursion(mode, overflow_plan):
 
 
 def _oscillator_dual_rate():
-    return standard_loop(light_oscillator(), 0.01, mode="dual_rate", m=3, horizon=2000)[0]
+    plant = light_oscillator()
+    return standard_loop(plant, build_lifted(plant, 0.01, 3), horizon=2000)[0]
 
 
 def _pole_at_2_sensor_plan():
-    cfg, factors = standard_loop(unstable_scalar(), 1.0, mode="dual_rate", m=2)
+    plant = unstable_scalar()
+    cfg, factors = standard_loop(plant, build_lifted(plant, 1.0, 2))
     plan = synth_sensor_attack(cfg, factors=factors)
     return dataclasses.replace(cfg, attack=plan, horizon=plan.horizon)
 
 
 def _single_rate_from_x0():
     rng = np.random.default_rng(5)
-    cfg, _ = standard_loop(stable_two_state(), 0.5, horizon=300)
+    plant = stable_two_state()
+    cfg, _ = standard_loop(plant, discretize(plant, 0.5), horizon=300)
     plan = _coordinated(0.1 * rng.standard_normal((300, 1)), 0.1 * rng.standard_normal((300, 1)))
     return dataclasses.replace(cfg, x0_plant=[1.5, -0.7], attack=plan, theta=1e9)
 
@@ -378,7 +400,8 @@ def test_run_equals_reference_recursion(make_cfg):
 def test_divergence_guard(mode, v, step):
     # an attack-free loop started far out is refused at the first step
     # whose monitored signals pass the guard
-    cfg, _ = standard_loop(triple_integrator(), 1.0, mode=mode, horizon=50)
+    plant = triple_integrator()
+    cfg, _ = standard_loop(plant, sampled(plant, 1.0, mode), horizon=50)
     cfg = dataclasses.replace(cfg, x0_plant=[0.0, 0.0, v])
     if step is None:
         trace = _run(cfg)
@@ -391,8 +414,9 @@ def test_divergence_guard(mode, v, step):
 @pytest.mark.parametrize("mode", ["single_rate", "dual_rate"])
 def test_overflow_replay_raises_no_warning(mode, overflow_plan):
     # the overflow is reported through the trace, not as a RuntimeWarning
+    plant = triple_integrator()
     cfg, _ = standard_loop(
-        triple_integrator(), 0.01, mode=mode, horizon=2000, attack=overflow_plan
+        plant, sampled(plant, 0.01, mode), horizon=2000, attack=overflow_plan
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -403,10 +427,11 @@ def test_overflow_replay_raises_no_warning(mode, overflow_plan):
 def _odd_values_trace(mode):
     """A 20-row trace (m = 4 in dual rate) carrying NaN, +-inf, -0.0, the
     smallest subnormal and the extremes in every float column."""
+    plant = triple_integrator()
     if mode == "dual_rate":
-        cfg, _ = standard_loop(triple_integrator(), 1.0, mode="dual_rate", m=4, horizon=5)
+        cfg, _ = standard_loop(plant, build_lifted(plant, 1.0, 4), horizon=5)
     else:
-        cfg, _ = standard_loop(triple_integrator(), 1.0, horizon=20)
+        cfg, _ = standard_loop(plant, discretize(plant, 1.0), horizon=20)
     trace = _run(cfg)
     odd = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1 + 0.2, -1.7976931348623157e308]
     u, y, d_a, d_s = trace.u.copy(), trace.y.copy(), trace.d_a.copy(), trace.d_s.copy()
@@ -418,14 +443,15 @@ def _odd_values_trace(mode):
 
 
 def _replay(T, mode, horizon=None):
-    plan = _actuator_plan(T)
+    plan, plant = _actuator_plan(T), triple_integrator()
     return standard_loop(
-        triple_integrator(), T, mode=mode, horizon=horizon or plan.horizon, attack=plan
+        plant, sampled(plant, T, mode), horizon=horizon or plan.horizon, attack=plan
     )[0]
 
 
 def _pole_at_2_single_rate_sensor_plan():
-    cfg, factors = standard_loop(unstable_scalar(), 1.0)
+    plant = unstable_scalar()
+    cfg, factors = standard_loop(plant, discretize(plant, 1.0))
     plan = synth_sensor_attack(cfg, factors=factors)
     return dataclasses.replace(cfg, attack=plan, horizon=plan.horizon)
 
@@ -433,7 +459,7 @@ def _pole_at_2_single_rate_sensor_plan():
 def _random_fat_plant():
     rng = np.random.default_rng(23)
     plant = random_continuous(rng, n=4, n_u=3, n_y=2)
-    cfg, _ = standard_loop(plant, 0.2, mode="dual_rate", m=3, horizon=150)
+    cfg, _ = standard_loop(plant, build_lifted(plant, 0.2, 3), horizon=150)
     plan = _coordinated(0.1 * rng.standard_normal((150, 3)), 0.1 * rng.standard_normal((450, 2)))
     return dataclasses.replace(cfg, x0_plant=rng.standard_normal(4), attack=plan, theta=1e9)
 
@@ -442,7 +468,7 @@ def _one_column_controller_output():
     # one controller state and two inputs: u = K.C @ xk multiplies a 2x1
     # matrix by a subnormal state, and the products underflow to +-0
     plant = ContinuousPlant(Ac=[[-0.5]], Bc=[[1.0, -0.7]], Cc=[[1.0]], Dc=[[0.0, 0.0]])
-    cfg, _ = standard_loop(plant, 0.5, horizon=40)
+    cfg, _ = standard_loop(plant, discretize(plant, 0.5), horizon=40)
     return dataclasses.replace(cfg, x0_plant=[1e-323])
 
 
@@ -510,7 +536,8 @@ class TestBitExactOracles:
 
 class TestTraceExport:
     def test_csv_layout(self, tmp_path):
-        cfg, _ = standard_loop(triple_integrator(), 1.0, mode="dual_rate", m=4, horizon=5)
+        plant = triple_integrator()
+        cfg, _ = standard_loop(plant, build_lifted(plant, 1.0, 4), horizon=5)
         trace = run_dual_rate(cfg)
         path = tmp_path / "trace.csv"
         trace_to_csv(trace, path)
@@ -538,7 +565,8 @@ class TestTraceExport:
         assert rows[12][-1] == "1"  # the NaN monitor row
 
     def test_metadata(self):
-        cfg, _ = standard_loop(triple_integrator(), 1.0, horizon=5)
+        plant = triple_integrator()
+        cfg, _ = standard_loop(plant, discretize(plant, 1.0), horizon=5)
         meta = trace_metadata(run_single_rate(cfg))
         assert meta["verdict"] == "stealthy"
         assert meta["horizon"] == 5
