@@ -33,7 +33,7 @@ cfg, factors = standard_loop(plant, discretize(plant, T=1.0), theta=THETA, horiz
 
 # =============================================================================
 # Synthesize.  The amplitude is calibrated by simulation so the monitor
-# peaks at half the threshold.
+# peaks just under half the threshold, in (7/8, 1] of it.
 
 plan = synth_actuator_attack(cfg)
 print(f"attack kind      : {plan.kind}")

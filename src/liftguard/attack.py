@@ -8,11 +8,13 @@ null direction.  Coordinated and fat-plant attacks are masking
 constructions that compute one injected sequence from another so the
 visible output never moves.
 
-Signal amplitudes are calibrated empirically: the loop is simulated once
-with a unit-amplitude plan, and the amplitude is set to keep the monitor
-peak at half the detection threshold (the factor two covers horizon
-truncation).  The peak scales linearly with the amplitude, so the margin
-is exact up to rounding.
+Signal amplitudes are calibrated empirically: a probe run of the loop
+with a unit-amplitude plan measures the monitor peak per unit amplitude,
+and one more run at the amplitude aimed at the centre of the acceptance
+band, (7/8, 1] times half the detection threshold (the factor two covers
+horizon truncation), confirms the delivered peak.  The peak scales
+linearly with the amplitude up to rounding, so that run is the last one
+unless the rounding floor moves the peak out of the band.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .errors import CapabilityError, DimensionError, NumericError
 from .factor import coprime_factorize, eval_lambda
-from .model import StateSpace, _field, abcd, ss_response
+from .model import StateSpace, _field, _integer, abcd, ss_response
 from .sim import LoopConfig, run_dual_rate, run_single_rate
 from .zeros import poles, transmission_zeros
 
@@ -179,15 +181,18 @@ def _run(cfg: LoopConfig):
 
 
 def _calibrate(cfg: LoopConfig, unit_plan: AttackPlan):
-    """Per-unit peak of the monitored signals, measured at the operating point.
+    """Amplitude and per-unit peak of the monitored signals, measured at
+    the operating point.
 
     A probe run fixes the scale (rescaled by an exact power of two on
-    overflow, which commutes with floating-point simulation).  The
-    amplitude is then adjusted with measurement feedback until the
-    delivered peak verifiably sits in (7/8, 1] times half the threshold:
-    over long horizons the monitor floor is accumulated rounding noise
-    quantized at the ulp of the internal states, so a single rescale only
-    tracks the target to a few percent.
+    overflow, which commutes with floating-point simulation).  Each
+    further run aims the amplitude at the centre of the acceptance band
+    (7/8, 1] times half the threshold, and the first run whose delivered
+    peak lands in the band is the last.  Over long horizons the monitor
+    floor is accumulated rounding noise quantized at the ulp of the
+    internal states, so a run can land a few percent off its aim; aiming
+    at the centre leaves that much slack on either side, and a run that
+    still misses is corrected from its own peak, at most 8 times.
     """
 
     def peak_at(eps):
@@ -204,12 +209,13 @@ def _calibrate(cfg: LoopConfig, unit_plan: AttackPlan):
         raise NumericError("calibration simulation overflowed even after rescaling")
 
     target = cfg.theta / 2.0
-    epsilon = target / max(c0_raw, np.finfo(float).tiny)
+    aim = target * (15.0 / 16.0)  # centre of the band (7/8, 1] * target
+    epsilon = aim / max(c0_raw, np.finfo(float).tiny)
     peak = peak_at(epsilon)
     for _ in range(8):
         if target * (7.0 / 8.0) < peak <= target:
             break
-        epsilon = epsilon * (target / peak) * (1.0 - 1.0 / 64.0)
+        epsilon = epsilon * (aim / peak)
         peak = peak_at(epsilon)
     if peak > target:
         raise NumericError(
@@ -407,8 +413,8 @@ def plan_from_dict(doc: dict) -> AttackPlan:
         zeta=field("zeta", lambda z: complex(z["re"], z["im"])),
         direction=field("direction", lambda d: [complex(z["re"], z["im"]) for z in d]),
         epsilon=field("epsilon", float),
-        horizon=field("horizon", int),
-        channel_map=field("channel_map", lambda c: [int(ch) for ch in c]),
+        horizon=field("horizon", _integer),
+        channel_map=field("channel_map", lambda c: [_integer(ch) for ch in c]),
         companion=companion,
         calibration=doc.get("calibration"),
     )

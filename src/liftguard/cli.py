@@ -30,7 +30,7 @@ from .errors import (
     NumericError,
 )
 from .lift import build_lifted, check_assumptions, shift_consistency_check
-from .model import check_pathological, discretize, load_plant
+from .model import _field, _integer, check_pathological, discretize, load_plant
 from .sim import run_dual_rate, run_single_rate, standard_loop, trace_metadata, trace_to_csv
 from .zeros import classify_vulnerability, transmission_zeros
 from . import verify as verify_suite
@@ -278,6 +278,18 @@ def cmd_attack(args) -> int:
     return EXIT_OK
 
 
+def _recorded_m(plan_doc: dict):
+    """The m of the loop a ``plan.json`` records in its ``loop`` object
+    (None for a single-rate loop or a bare plan); a ``loop`` that is not
+    an object, or an m that is not an integer, is a ValueError naming it."""
+    loop = plan_doc.get("loop")
+    if loop is None:
+        return None
+    if not isinstance(loop, dict):
+        raise ValueError(f"plan field 'loop' must be an object, not {type(loop).__name__}")
+    return None if loop.get("m") is None else _field("plan loop", loop, "m", _integer)
+
+
 def _check_replay_loop(plan, plan_m, n_y: int, cfg) -> None:
     """A sensor plan whose channels reach past the plant's ``n_y`` outputs
     rides the lifted outputs of the dual-rate loop at ``plan_m`` (the m its
@@ -301,7 +313,7 @@ def cmd_simulate(args) -> int:
             plan_doc = json.load(fh)
         wrapped = isinstance(plan_doc, dict) and "plan" in plan_doc
         plan = plan_from_dict(plan_doc["plan"] if wrapped else plan_doc)
-        plan_m = (plan_doc.get("loop") or {}).get("m")
+        plan_m = _recorded_m(plan_doc)
     horizon = args.horizon
     if horizon is None:
         horizon = plan.horizon if plan is not None else DEFAULT_HORIZON

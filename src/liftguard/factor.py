@@ -135,8 +135,13 @@ def coprime_factorize(sys, F=None, H=None, Q=None, R=None, minimality=None) -> C
 
 def _bezout_defect_scaled(factors: CoprimeFactors):
     """Largest 2-norm of Ml*X - Nl*Y - I, and of either product, over 16
-    unit-circle samples, from one stacked SVD."""
-    lam = np.exp(2j * np.pi * np.arange(16) / 16)
+    unit-circle samples, from one stacked SVD.
+
+    The factors are real, so their maps at conjugate points are conjugate
+    and share their 2-norms: the upper half circle, k = 0..8 with both
+    lambda = 1 and lambda = -1, covers all 16 samples.
+    """
+    lam = np.exp(2j * np.pi * np.arange(9) / 16)
     P1 = eval_lambda(factors.Ml, lam) @ eval_lambda(factors.X, lam)
     P2 = eval_lambda(factors.Nl, lam) @ eval_lambda(factors.Y, lam)
     norms = np.linalg.svd(
@@ -146,7 +151,9 @@ def _bezout_defect_scaled(factors: CoprimeFactors):
 
 
 def bezout_defect(factors: CoprimeFactors) -> float:
-    """Largest deviation of Ml*X - Nl*Y from identity on 16 unit-circle samples."""
+    """Largest deviation of Ml*X - Nl*Y from identity on 16 unit-circle
+    samples, the 16th roots of unity (evaluated on the 9 of them with
+    non-negative imaginary part, which carry every norm)."""
     return _bezout_defect_scaled(factors)[0]
 
 

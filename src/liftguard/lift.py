@@ -167,17 +167,20 @@ def check_assumptions(L: LiftedSystem) -> AssumptionReport:
 def choose_m(plant: ContinuousPlant, T: float, samples=None) -> int:
     """Smallest sub-sampling factor satisfying both rank assumptions.
 
-    Searches m = 2, 3, ..., n+1 (n+1 suffices for an observable fast
-    pair), running the rank tests of :func:`check_assumptions` on the fast
-    plant at T/m; no lifted system is assembled.  Each fast plant it
-    samples is stored under its m in ``samples`` when a dict is given.
+    Searches m up to n+1 (n+1 suffices for an observable fast pair),
+    running the rank tests of :func:`check_assumptions` on the fast plant
+    at T/m; no lifted system is assembled.  The search starts at
+    max(2, ceil(n/n_y) + 1): below that the stack C, ..., CA^{m-2} has
+    fewer than n rows and cannot have rank n, so those m are never
+    sampled.  Each fast plant it samples is stored under its m in
+    ``samples`` when a dict is given.
     Raises :class:`ModelError` when no admissible m exists (the input
     matrix is rank deficient or the fast pair is unobservable).
     """
     if samples is None:
         samples = {}
     upper = plant.n + 1
-    for m in range(2, upper + 1):
+    for m in range(max(2, -(-plant.n // plant.n_y) + 1), upper + 1):
         samples[m] = discretize(plant, T / m)
         if _assumption_report(samples[m], m).satisfied:
             return m

@@ -14,6 +14,7 @@ buffer, so an array passed in must not be mutated afterwards.
 from __future__ import annotations
 
 import json
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -337,6 +338,17 @@ def _field(what: str, doc: dict, key: str, convert):
         raise ValueError(f"{what} field {key!r}: {type(exc).__name__}: {exc}") from None
 
 
+def _integer(value) -> int:
+    """``value`` as an int: an integral number, never a boolean."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    if isinstance(value, float):
+        if not value.is_integer():
+            raise ValueError(f"expected an integer, got {value!r}")
+        return int(value)
+    return operator.index(value)
+
+
 def load_plant(source):
     """Load a plant spec from a dict, JSON string, or file path.
 
@@ -365,7 +377,7 @@ def load_plant(source):
         raise ValueError(f"T must be positive, got {T}")
     m = doc.get("m")
     if m is not None:
-        m = _field("plant", doc, "m", int)
+        m = _field("plant", doc, "m", _integer)
         if m < 1:
             raise ValueError(f"m must be a positive integer, got {m}")
     matrices = {k: _field("plant", doc, k, partial(np.asarray, dtype=float))

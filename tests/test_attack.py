@@ -175,6 +175,86 @@ def test_calibration_builds_no_sampled_system(monkeypatch):
         assert plan.calibration["theta"] == cfg.theta
 
 
+def _counted_runs(monkeypatch):
+    """Peaks of the closed-loop runs ``attack._run`` makes from now on."""
+    from liftguard import attack
+
+    peaks = []
+    run = attack._run
+
+    def counted(cfg):
+        trace = run(cfg)
+        peaks.append(float(np.max(trace.monitor)))
+        return trace
+
+    monkeypatch.setattr(attack, "_run", counted)
+    return peaks
+
+
+def _stub_runs(monkeypatch, peak_of):
+    """Replace the closed-loop run by ``peak_of(epsilon)``; returns the
+    amplitudes it was called with."""
+    from types import SimpleNamespace
+
+    from liftguard import attack
+
+    calls = []
+
+    def stub(cfg):
+        calls.append(cfg.attack.epsilon)
+        return SimpleNamespace(monitor=np.array([peak_of(cfg.attack.epsilon)]))
+
+    monkeypatch.setattr(attack, "_run", stub)
+    return calls
+
+
+class TestCalibration:
+    @pytest.mark.parametrize(
+        "plant, system, synth",
+        [
+            (triple_integrator, lambda p: discretize(p, 1.0), synth_actuator_attack),
+            (triple_integrator, lambda p: discretize(p, 0.01), synth_actuator_attack),
+            (unstable_scalar, lambda p: discretize(p, 1.0), synth_sensor_attack),
+            (unstable_scalar, lambda p: build_lifted(p, 1.0, 2), synth_sensor_attack),
+        ],
+        ids=["triple_T1", "triple_T0.01", "pole2_single_rate", "pole2_dual_rate_m2"],
+    )
+    def test_probe_and_one_run_land_in_the_band(self, monkeypatch, plant, system, synth):
+        # the run aimed at the band's centre is the last: the rounding
+        # floor moves these peaks by well under the band's 1/16 half-width
+        p = plant()
+        cfg, _ = standard_loop(p, system(p), theta=0.01)
+        peaks = _counted_runs(monkeypatch)
+        plan = synth(cfg)
+        target = cfg.theta / 2.0
+        assert len(peaks) == 2
+        assert 7.0 / 8.0 * target < peaks[-1] <= target
+        assert plan.calibration["empirical_peak"] * plan.epsilon == pytest.approx(peaks[-1])
+
+    @pytest.fixture
+    def triple_loop(self):
+        p = triple_integrator()
+        return standard_loop(p, discretize(p, 1.0), theta=0.01)[0]
+
+    def test_run_off_its_aim_is_corrected_to_the_centre(self, monkeypatch, triple_loop):
+        # past the probe every run peaks 1.1 times its linear prediction,
+        # above the band; the correction aims from that run's own peak
+        calls = _stub_runs(monkeypatch, lambda eps: 3.0 * eps * (1.0 if eps == 1.0 else 1.1))
+        plan = synth_actuator_attack(triple_loop)
+        target = triple_loop.theta / 2.0
+        delivered = plan.calibration["empirical_peak"] * plan.epsilon
+        assert len(calls) == 3
+        assert 7.0 / 8.0 * target < delivered <= target
+        assert delivered == pytest.approx(15.0 / 16.0 * target, rel=1e-12)
+
+    def test_peak_that_never_settles_is_an_error(self, monkeypatch, triple_loop):
+        target = triple_loop.theta / 2.0
+        calls = _stub_runs(monkeypatch, lambda eps: 3.0 if eps == 1.0 else 2.0 * target)
+        with pytest.raises(NumericError, match="did not settle"):
+            synth_actuator_attack(triple_loop)
+        assert len(calls) == 1 + 1 + 8  # probe, aimed run, 8 corrections
+
+
 class TestCoordinatedMasking:
     def test_zero_in_zero_out(self):
         P = discretize(stable_two_state(), 0.5)

@@ -212,14 +212,28 @@ class TestAttackAndSimulate:
             ("plan", lambda doc: doc["plan"].update(direction=[1.0]), "'direction'"),
             ("plan", lambda doc: doc["plan"].update(zeta=2.0), "'zeta'"),
             ("plan", lambda doc: [doc["plan"]], "JSON object"),
+            ("plan", lambda doc: doc.update(loop=[1]), "'loop' must be an object"),
+            ("plan", lambda doc: doc.update(loop="x"), "'loop' must be an object"),
+            ("plan", lambda doc: doc["loop"].update(m=2.5), "loop field 'm'"),
+            ("plan", lambda doc: doc["loop"].update(m="2"), "loop field 'm'"),
+            ("plant", lambda doc: doc.update(m=2.5), "plant field 'm'"),
+            ("plant", lambda doc: doc.update(m=True), "plant field 'm'"),
+            ("plan", lambda doc: doc["plan"].update(horizon=2.5), "'horizon'"),
+            ("plan", lambda doc: doc["plan"].update(horizon=True), "'horizon'"),
+            ("plan", lambda doc: doc["plan"].update(channel_map=[0.7]), "'channel_map'"),
+            ("plan", lambda doc: doc["plan"].update(channel_map=[False]), "'channel_map'"),
         ],
         ids=["plant_Ac_object", "plant_T_null", "plan_direction_numbers", "plan_zeta_number",
-             "plan_file_list"],
+             "plan_file_list", "plan_loop_list", "plan_loop_string", "plan_loop_m_fraction",
+             "plan_loop_m_string", "plant_m_fraction", "plant_m_boolean",
+             "plan_horizon_fraction", "plan_horizon_boolean", "plan_channel_map_fraction",
+             "plan_channel_map_boolean"],
     )
     def test_malformed_input_file_exit_2(
         self, plant_files, tmp_path, capsys, target, edit, field
     ):
-        # a field of the wrong type used to end in an uncaught TypeError
+        # a field of the wrong type used to end in an uncaught TypeError or
+        # AttributeError, and a non-integral integer field was truncated
         from liftguard import cli
 
         plant = tmp_path / "plant.json"
@@ -409,12 +423,13 @@ class TestLift:
         assert calls == [4]
 
 
-    @pytest.mark.parametrize("m, expm_calls", [("4", 1), ("auto", 3)])
+    @pytest.mark.parametrize("m, expm_calls", [("4", 1), ("auto", 1)])
     def test_dual_rate_loop_samples_the_plant_once(
         self, plant_files, tmp_path, monkeypatch, m, expm_calls
     ):
         # an explicit m samples T/m once, for the rank check and the loop
-        # alike; the automatic choice samples each candidate m = 2, 3, 4 once
+        # alike; the automatic choice samples each candidate m once, and
+        # for n = 3 and one output the first candidate is m = 4
         from liftguard import cli, linalg
 
         calls = []

@@ -200,7 +200,7 @@ class TestChooseM:
         plant = triple_integrator()
         samples = {}
         assert choose_m(plant, 1.0, samples) == 4
-        assert sorted(samples) == [2, 3, 4]
+        assert sorted(samples) == [4]  # m = 2, 3 give fewer than n = 3 stacked rows
         for m, fast in samples.items():
             ref = discretize(plant, 1.0 / m)
             assert fast.period == ref.period
@@ -213,9 +213,9 @@ class TestChooseM:
         monkeypatch.setattr(linalg, "expm", lambda M: calls.append(M.shape) or expm(M))
         plant = triple_integrator()
         lifted = build_lifted(plant, 1.0)
-        assert lifted.m == 4 and len(calls) == 3  # m = 2, 3, 4, each sampled once
+        assert lifted.m == 4 and len(calls) == 1  # the search starts at m = 4
         explicit = build_lifted(plant, 1.0, 4)
-        assert len(calls) == 4
+        assert len(calls) == 2
         for got, want in zip(abcd(lifted), abcd(explicit)):
             assert got.tobytes() == want.tobytes()
 
