@@ -40,7 +40,6 @@ from .zeros import (
     ZeroRecord,
     ZeroReport,
     classify_vulnerability,
-    has_zero_at,
     multiplicity_at_one,
     poles,
     transmission_zeros,
@@ -51,8 +50,8 @@ from .factor import (
     bezout_defect,
     coprime_factorize,
     eval_lambda,
+    left_factors,
     observer_controller,
-    residual_generator,
 )
 from .lift import (
     AssumptionReport,

@@ -26,7 +26,7 @@ from functools import partial
 import numpy as np
 
 from .errors import CapabilityError, DimensionError, NumericError
-from .factor import coprime_factorize, eval_lambda
+from .factor import eval_lambda, left_factors
 from .model import StateSpace, _field, _integer, abcd, ss_response
 from .sim import LoopConfig, run_dual_rate, run_single_rate
 from .zeros import poles, transmission_zeros
@@ -287,9 +287,8 @@ def synth_sensor_attack(cfg: LoopConfig, factors=None) -> AttackPlan:
         raise CapabilityError("plant not vulnerable: no unstable pole" + hint)
     witness = max(unstable, key=lambda p: abs(p.value))
     zeta = complex(witness.value)
-    if factors is None:
-        factors = coprime_factorize(sys)
-    Ml_at_pole = eval_lambda(factors.Ml, 1.0 / zeta)
+    Ml = left_factors(sys)[2] if factors is None else factors.Ml
+    Ml_at_pole = eval_lambda(Ml, 1.0 / zeta)
     _, svals, Vh = np.linalg.svd(Ml_at_pole)
     if svals[-1] > 1e-6 * svals[0]:
         raise NumericError(

@@ -29,7 +29,7 @@ from .errors import (
     ModelError,
     NumericError,
 )
-from .lift import build_lifted, check_assumptions, shift_consistency_check
+from .lift import build_lifted, check_assumptions
 from .model import _field, _integer, check_pathological, discretize, load_plant
 from .sim import run_dual_rate, run_single_rate, standard_loop, trace_metadata, trace_to_csv
 from .zeros import classify_vulnerability, transmission_zeros
@@ -192,24 +192,26 @@ def _explicit_m(args, m_file):
     return m
 
 
-def _lifted(plant, T, m):
-    """The lifted system at m (None: the smallest admissible) and its rank
-    report; an explicit m that violates the rank assumptions is rejected."""
-    lifted = build_lifted(plant, T, m)
-    report = check_assumptions(lifted)
-    if m is not None and not report.satisfied:
+def _lifted(plant, T, m, report=True):
+    """The lifted system at m (None: the smallest admissible), its block
+    certificate and its rank report (None for an automatic m unless
+    ``report``); an explicit m that fails the rank tests is rejected."""
+    certificate = []
+    lifted = build_lifted(plant, T, m, certificate)
+    assumptions = check_assumptions(lifted) if report or m is not None else None
+    if m is not None and not assumptions.satisfied:
         raise ConfigurationError(
             f"explicit m={m} violates the rank assumptions: "
-            + json.dumps(_assumption_dict(report), sort_keys=True)
+            + json.dumps(_assumption_dict(assumptions), sort_keys=True)
         )
-    return lifted, report
+    return lifted, certificate[0], assumptions
 
 
 def _standard_loop(args, plant, T, m_file, horizon, attack=None):
     """``standard_loop`` on the sampled system the loop flags of ``attack``
     and ``simulate`` ask for: the ZOH plant at T, or the lifted system."""
     if args.mode == "dual_rate":
-        system = _lifted(plant, T, _explicit_m(args, m_file))[0]
+        system = _lifted(plant, T, _explicit_m(args, m_file), report=False)[0]
     else:
         system = discretize(plant, T)
     return standard_loop(
@@ -245,8 +247,8 @@ def cmd_analyze(args) -> int:
 
     try:
         m = _explicit_m(args, m_file)
-        lifted, assumptions = _lifted(plant, T, m)
-        lifted_report = transmission_zeros(lifted)
+        lifted, _, assumptions = _lifted(plant, T, m)
+        lifted_report = transmission_zeros(lifted, assumptions=assumptions)
         lifted_verdict = classify_vulnerability(lifted_report, system=lifted)
         doc["dual_rate"] = {
             "m": lifted.m,
@@ -336,8 +338,7 @@ def cmd_lift(args) -> int:
     seed = _resolve_seed(args)
     plant, T, m_file = _load(args)
     m = _explicit_m(args, m_file)
-    lifted, assumptions = _lifted(plant, T, m)
-    shift = shift_consistency_check(lifted)
+    lifted, shift, assumptions = _lifted(plant, T, m)
     doc = _base_doc(args, seed)
     doc["lifted"] = {
         "m": lifted.m,

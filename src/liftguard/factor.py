@@ -1,5 +1,5 @@
-"""Coprime factorizations over the stable ring, the observer-based
-stabilizing controller, and the residual generator they imply.
+"""Coprime factorizations over the stable ring and the observer-based
+stabilizing controller they imply.
 
 With a state-feedback gain F (A+BF Schur) and an output-injection gain H
 (A+HC Schur) the factor realizations are the standard ones,
@@ -11,7 +11,10 @@ With a state-feedback gain F (A+BF Schur) and an output-injection gain H
 which satisfy the Bezout identity Ml*X - Nl*Y = I exactly (so the unit in
 the closed-loop disturbance maps is the identity).  The plant factors as
 Ml^{-1} Nl = Nr Mr^{-1}, the zeros of Ml are the plant poles, and Nl
-shares the plant's non-minimum-phase zeros.
+shares the plant's non-minimum-phase zeros.  The left pair needs H alone
+(Nett, Jacobson & Balas, IEEE TAC 29(9), 1984): :func:`left_factors` builds
+it from one Riccati solve; the Bezout certificate needs all six factors.
+[Ml, -Nl] run on [y, u] is the plant's residual filter.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ __all__ = [
     "CoprimeFactors",
     "Controller",
     "coprime_factorize",
+    "left_factors",
     "observer_controller",
-    "residual_generator",
     "bezout_defect",
     "eval_lambda",
     "closed_loop_matrix",
@@ -73,22 +76,46 @@ class CoprimeFactors:
     base: object  # the factored plant (discrete or lifted)
 
 
-def coprime_factorize(sys, F=None, H=None, Q=None, R=None, minimality=None) -> CoprimeFactors:
-    """Doubly-coprime factorization of a minimal discrete system.
-
-    Omitted gains come from the Riccati solver, which checks the Schur
-    condition itself: F with weights ``Q``/``R`` (identity when omitted),
-    H from the dual problem with identity weights.  A supplied F or H is
-    checked here for its shape and its Schur condition.  ``minimality`` is
-    ``check_minimal(sys)`` when the caller already has it.
-    """
-    A, B, C, D = abcd(sys)
+def _require_minimal(sys, minimality):
     rep = check_minimal(sys) if minimality is None else minimality
     if not rep.minimal:
         raise ModelError(
             "coprime factorization requires a minimal realization "
             f"(controllable={rep.controllable}, observable={rep.observable})"
         )
+    return rep
+
+
+def left_factors(sys, H=None, minimality=None):
+    """Left coprime pair ``(H, Nl, Ml)`` of a minimal discrete system, H
+    from the dual Riccati problem (identity weights) when omitted.  A
+    supplied H is checked for its shape and its Schur condition;
+    ``minimality`` is ``check_minimal(sys)`` when the caller has it."""
+    A, B, C, D = abcd(sys)
+    _require_minimal(sys, minimality)
+    if H is None:
+        H = linalg.dare_gain(A.T, C.T).T
+    else:
+        H = np.atleast_2d(np.asarray(H, dtype=float))
+        if H.shape != (A.shape[0], C.shape[0]):
+            raise DimensionError(f"H must have shape {(A.shape[0], C.shape[0])}, got {H.shape}")
+        if linalg.spectral_radius(A + H @ C) >= 1.0:
+            raise ModelError("output-injection gain H does not make A+HC Schur stable")
+    AHC = A + H @ C
+    return H, StateSpace(AHC, B + H @ D, C, D), StateSpace(AHC, H, C, np.eye(C.shape[0]))
+
+
+def coprime_factorize(sys, F=None, H=None, Q=None, R=None, minimality=None) -> CoprimeFactors:
+    """Doubly-coprime factorization of a minimal discrete system.
+
+    Omitted gains come from the Riccati solver, which checks the Schur
+    condition itself: F with weights ``Q``/``R`` (identity when omitted),
+    H and the left pair by :func:`left_factors`.  A supplied F or H is
+    checked for its shape and its Schur condition.  ``minimality`` is
+    ``check_minimal(sys)`` when the caller already has it.
+    """
+    A, B, C, D = abcd(sys)
+    rep = _require_minimal(sys, minimality)
     n = A.shape[0]
     if F is None:
         F = linalg.dare_gain(A, B, Q, R)
@@ -98,23 +125,15 @@ def coprime_factorize(sys, F=None, H=None, Q=None, R=None, minimality=None) -> C
             raise DimensionError(f"F must have shape {(B.shape[1], n)}, got {F.shape}")
         if linalg.spectral_radius(A + B @ F) >= 1.0:
             raise ModelError("state-feedback gain F does not make A+BF Schur stable")
-    if H is None:
-        H = linalg.dare_gain(A.T, C.T).T
-    else:
-        H = np.atleast_2d(np.asarray(H, dtype=float))
-        if H.shape != (n, C.shape[0]):
-            raise DimensionError(f"H must have shape {(n, C.shape[0])}, got {H.shape}")
-        if linalg.spectral_radius(A + H @ C) >= 1.0:
-            raise ModelError("output-injection gain H does not make A+HC Schur stable")
+    H, Nl, Ml = left_factors(sys, H, minimality=rep)
 
-    AHC = A + H @ C
     ABF = A + B @ F
     CDF = C + D @ F
     factors = CoprimeFactors(
         F=F,
         H=H,
-        Nl=StateSpace(AHC, B + H @ D, C, D),
-        Ml=StateSpace(AHC, H, C, np.eye(C.shape[0])),
+        Nl=Nl,
+        Ml=Ml,
         Nr=StateSpace(ABF, B, CDF, D),
         Mr=StateSpace(ABF, B, F, np.eye(B.shape[1])),
         X=StateSpace(ABF, -H, CDF, np.eye(C.shape[0])),
@@ -198,19 +217,3 @@ def observer_controller(factors: CoprimeFactors) -> Controller:
             "this should be impossible with exact gains and signals conditioning problems"
         )
     return K
-
-
-def residual_generator(factors: CoprimeFactors) -> StateSpace:
-    """Residual filter of the factored plant over the stacked input [y, u].
-
-    The quadruple is (A+HC, [H, -(B+HD)], C, [I, -D]); run it with
-    ``ss_response(residual_generator(f), np.hstack([y, u]))``.  In an
-    attack-free closed loop started from zero states the residual is
-    identically zero; injected actuator and sensor disturbances appear in
-    it filtered by the stable left factors.
-    """
-    A, B, C, D = abcd(factors.base)
-    H = factors.H
-    return StateSpace(
-        A + H @ C, np.hstack([H, -(B + H @ D)]), C, np.hstack([np.eye(C.shape[0]), -D])
-    )

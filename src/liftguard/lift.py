@@ -109,14 +109,16 @@ def _lifted_blocks(A, B, C, D, m):
     return A_pow, A_sum @ B, np.vstack(C_rows), np.vstack(D_rows)
 
 
-def build_lifted(plant: ContinuousPlant, T: float, m=None) -> LiftedSystem:
+def build_lifted(plant: ContinuousPlant, T: float, m=None, certificate=None) -> LiftedSystem:
     """Assemble the lifted dual-rate system for hold period T and m sub-samples.
 
     The fast plant is the zero-order-hold discretization at T/m; the
     lifted blocks are assembled from it and certified by
     :func:`shift_consistency_check` before the object is returned.  With
     m None, m is the smallest admissible factor (:func:`choose_m`), and
-    the fast plant its search sampled at T/m is the one lifted.
+    the fast plant its search sampled at T/m is the one lifted.  A list
+    ``certificate`` receives the check's result (a ``dataclasses.replace``
+    copy of the system would carry a stored one stale).
     """
     if m is None:
         samples = {}
@@ -138,6 +140,8 @@ def build_lifted(plant: ContinuousPlant, T: float, m=None) -> LiftedSystem:
         raise ModelError(
             f"lifted blocks disagree with the fast plant (error {check.max_error:.3e})"
         )
+    if certificate is not None:
+        certificate.append(check)
     return lifted
 
 

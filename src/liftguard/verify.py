@@ -18,7 +18,7 @@ import warnings
 import numpy as np
 
 from .errors import LiftguardError
-from .factor import bezout_defect, coprime_factorize
+from .factor import bezout_defect, coprime_factorize, left_factors
 from .lift import block_difference_matrix, build_lifted, shift_consistency_check
 from .model import (
     ContinuousPlant,
@@ -130,8 +130,8 @@ def _prop_bezout(rng, trial_seed):
 
 def _prop_factor_sets(rng, trial_seed):
     sys, rep = _minimal_discrete(rng)
-    factors = coprime_factorize(sys, minimality=rep)
-    denom_zeros = _zero_set(transmission_zeros(factors.Ml))
+    _, _, Ml = left_factors(sys, minimality=rep)
+    denom_zeros = _zero_set(transmission_zeros(Ml))
     plant_poles = sorted(
         (complex(z) for z in np.linalg.eigvals(sys.A)), key=lambda z: (z.real, z.imag)
     )
@@ -169,7 +169,7 @@ def _prop_lifted_zero_containment(rng, trial_seed):
         for r in report.zeros
         if r.z_value is not None and abs(r.z_value) > 1.0 + 1e-7
     ]
-    mult = multiplicity_at_one(coprime_factorize(L, minimality=rep).Nl)
+    mult = multiplicity_at_one(left_factors(L, minimality=rep)[1])
     if bad or mult == "multiple":
         return plant, f"outside zeros {bad}, multiplicity {mult}"
     return None

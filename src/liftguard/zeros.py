@@ -29,7 +29,7 @@ import scipy.linalg
 
 from . import linalg
 from .errors import ModelError
-from .factor import coprime_factorize, eval_lambda
+from .factor import eval_lambda, left_factors
 from .lift import LiftedSystem, check_assumptions
 from .model import StateSpace, abcd, check_minimal
 
@@ -42,7 +42,6 @@ __all__ = [
     "poles",
     "multiplicity_at_one",
     "classify_vulnerability",
-    "has_zero_at",
     "pencil_matrix",
     "BOUNDARY_TOL",
     "CONFIRM_RTOL",
@@ -149,7 +148,7 @@ def _pencil_normal_rank(sys) -> int:
     return max(r.rank for r in linalg.rank_svd(pencil_matrix(sys, _PROBE_POINTS)))
 
 
-def _rank_tests(sys):
+def _rank_tests(sys, assumptions=None):
     """(system, normal rank) of each pencil a zero of ``sys`` must drop
     the rank of, the candidate source first and the full pencil last.  A
     lifted system whose observability stack O has full column rank adds the
@@ -158,7 +157,7 @@ def _rank_tests(sys):
     rank profile, and it stays well scaled as h shrinks and the lifted
     output rows become nearly equal.  Without that rank it would miss zeros."""
     systems = [sys]
-    if isinstance(sys, LiftedSystem) and check_assumptions(sys).obs_full_rank:
+    if isinstance(sys, LiftedSystem) and (assumptions or check_assumptions(sys)).obs_full_rank:
         f = sys.fast_plant
         delta = (f.A - np.eye(f.n)) / f.period
         small = StateSpace(sys.A, sys.B, np.vstack([f.C, delta]), np.vstack([f.D, f.B / f.period]))
@@ -183,13 +182,6 @@ def _confirmed(tests, candidates):
             if r.rank < rank
         ]
     return found
-
-
-def has_zero_at(sys, z: complex) -> bool:
-    """Rank test: does the system pencil (and, for a lifted system, its
-    small pencil) lose column rank at ``z`` (relative tolerance
-    ``CONFIRM_RTOL``)?  A non-finite ``z`` raises ``NumericError``."""
-    return bool(_confirmed(_rank_tests(sys), [z]))
 
 
 def _candidates(sys):
@@ -295,7 +287,7 @@ def _classify(z: complex, multiplicity: int):
     return ("nmp_strict" if side == "outside" else "minimum_phase"), marginal
 
 
-def transmission_zeros(sys, minimality=None) -> ZeroReport:
+def transmission_zeros(sys, minimality=None, assumptions=None) -> ZeroReport:
     """Finite transmission zeros and poles of a discrete state-space system.
 
     The candidates are the eigenvalues of one generalized eigenvalue
@@ -310,7 +302,8 @@ def transmission_zeros(sys, minimality=None) -> ZeroReport:
     rank (zeros at z-infinity, reciprocal value 0) are reported as
     ``at_lambda_zero`` records and counted separately in the report.
 
-    ``minimality`` is ``check_minimal(sys)`` when the caller already has it.
+    ``minimality`` is ``check_minimal(sys)`` (``assumptions`` a lifted
+    system's ``check_assumptions(sys)``) when the caller already has it.
     """
     A, B, C, D = abcd(sys)
     n, n_u, n_y = A.shape[0], B.shape[1], C.shape[0]
@@ -321,7 +314,7 @@ def transmission_zeros(sys, minimality=None) -> ZeroReport:
             f"(controllable={rep.controllable}, observable={rep.observable})"
         )
 
-    tests = _rank_tests(sys)
+    tests = _rank_tests(sys, assumptions)
     normal_rank = tests[-1][1]
     shape = "square" if n_y == n_u else ("tall" if n_y > n_u else "fat")
     cands = _candidates(tests[0][0])
@@ -436,7 +429,7 @@ def classify_vulnerability(report: ZeroReport, system=None) -> VulnerabilityVerd
     other); otherwise a strictly non-minimum-phase zero is the witness;
     boundary zeros with multiplicity at frequency one are decided by the
     null-chain test on the stable left-factor numerator of ``system`` (the
-    system ``report`` was computed from), factored only in that case;
+    system ``report`` was computed from), its left pair built only then;
     multiple boundary zeros elsewhere are reported undecided.  Sensor
     side: an unstable pole is the witness; simple boundary poles are
     harmless; repeated boundary poles are undecided.
@@ -468,7 +461,7 @@ def classify_vulnerability(report: ZeroReport, system=None) -> VulnerabilityVerd
                         "to run the null-chain multiplicity test"
                     )
                 else:
-                    mult = multiplicity_at_one(coprime_factorize(system).Nl)
+                    mult = multiplicity_at_one(left_factors(system)[1])
                     if mult == "multiple":
                         actuator, mechanism = "yes", "multiple_zero_at_one"
                         witness = at_one[0]

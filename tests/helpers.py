@@ -6,13 +6,15 @@ from liftguard import (
     ContinuousPlant,
     Controller,
     DiscretePlant,
+    StateSpace,
     build_lifted,
     check_minimal,
     discretize,
+    left_factors,
 )
 from liftguard.errors import DimensionError, LiftguardError
 from liftguard.sim import _render_attack, monitor_eval
-from liftguard.zeros import _match_multisets
+from liftguard.zeros import _confirmed, _match_multisets, _rank_tests
 
 
 def triple_integrator(name="triple-int"):
@@ -96,6 +98,27 @@ def random_discrete(rng, n=None, n_u=1, n_y=1, radius=0.85, max_tries=80, biprop
         if check_minimal(sys).minimal:
             return sys
     raise RuntimeError("could not draw a minimal discrete plant")
+
+
+def residual_generator(sys) -> StateSpace:
+    """Residual filter of ``sys`` over the stacked input [y, u]: its left
+    pair side by side, [Ml, -Nl], realized on their common state.
+
+    The quadruple is (A+HC, [H, -(B+HD)], C, [I, -D]); run it with
+    ``ss_response(residual_generator(sys), np.hstack([y, u]))``.  In an
+    attack-free closed loop started from zero states the residual is
+    identically zero; injected actuator and sensor disturbances appear in
+    it filtered by the stable left factors.
+    """
+    _, Nl, Ml = left_factors(sys)
+    return StateSpace(Ml.A, np.hstack([Ml.B, -Nl.B]), Ml.C, np.hstack([Ml.D, -Nl.D]))
+
+
+def has_zero_at(sys, z: complex) -> bool:
+    """Rank test: does the system pencil (and, for a lifted system, its
+    small pencil) lose column rank at ``z`` (relative tolerance
+    ``CONFIRM_RTOL``)?  A non-finite ``z`` raises ``NumericError``."""
+    return bool(_confirmed(_rank_tests(sys), [z]))
 
 
 def assert_sets_close(actual, expected, tol, label=""):

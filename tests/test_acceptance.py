@@ -19,7 +19,6 @@ from liftguard import (
     choose_m,
     coprime_factorize,
     discretize,
-    has_zero_at,
     multiplicity_at_one,
     plant_to_dict,
     run_dual_rate,
@@ -40,6 +39,7 @@ from liftguard.lift import block_difference_matrix, observability_stack
 from helpers import (
     assert_sets_close,
     double_integrator,
+    has_zero_at,
     random_continuous,
     random_discrete,
     run_lifted_closed_loop,

@@ -8,11 +8,12 @@ from liftguard import (
     StateSpace,
     bezout_defect,
     build_lifted,
+    check_minimal,
     coprime_factorize,
     discretize,
     eval_lambda,
+    left_factors,
     observer_controller,
-    residual_generator,
     run_single_rate,
     ss_response,
     standard_loop,
@@ -20,14 +21,16 @@ from liftguard import (
 )
 from liftguard.attack import AttackPlan, synth_actuator_attack
 from liftguard import factor
-from liftguard.errors import ModelError, NumericError
+from liftguard.errors import DimensionError, ModelError, NumericError
 from liftguard.factor import closed_loop_matrix
 from liftguard.linalg import spectral_radius
 
 from helpers import (
     assert_sets_close,
     double_integrator,
+    random_continuous,
     random_discrete,
+    residual_generator,
     triple_integrator,
     unstable_scalar,
 )
@@ -94,6 +97,69 @@ class TestCoprimeFactorize:
         )
         with pytest.raises(ModelError):
             coprime_factorize(sys)
+
+
+# (n_u, n_y, m) giving a lifted system with more, as many and fewer
+# stacked outputs (m * n_y) than inputs.
+LIFTED_SHAPES = {"tall": (1, 1, 2), "square": (2, 1, 2), "fat": (3, 1, 2)}
+
+
+def _random_lifted(rng, shape, T, count):
+    """``count`` minimal lifted systems of ``shape`` at hold period T."""
+    n_u, n_y, m = LIFTED_SHAPES[shape]
+    out = []
+    while len(out) < count:
+        plant = random_continuous(rng, n=int(rng.integers(3, 5)), n_u=n_u, n_y=n_y)
+        L = build_lifted(plant, T, m)
+        if check_minimal(L).minimal:
+            out.append(L)
+    return out
+
+
+class TestLeftFactors:
+    @staticmethod
+    def _assert_same_left_pair(sys):
+        H, Nl, Ml = left_factors(sys)
+        factors = coprime_factorize(sys)
+        assert np.array_equal(H, factors.H)
+        for mine, theirs in ((Nl, factors.Nl), (Ml, factors.Ml)):
+            for name in "ABCD":
+                assert np.array_equal(getattr(mine, name), getattr(theirs, name)), name
+
+    def test_matches_coprime_factorize_discrete(self):
+        rng = np.random.default_rng(43)
+        for n_u, n_y in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            self._assert_same_left_pair(random_discrete(rng, n_u=n_u, n_y=n_y))
+
+    @pytest.mark.parametrize("shape", sorted(LIFTED_SHAPES))
+    def test_matches_coprime_factorize_lifted(self, shape):
+        for L in _random_lifted(np.random.default_rng(44), shape, 1.0, 3):
+            rows, cols = L.n_y, L.n_u
+            assert {"tall": rows > cols, "square": rows == cols, "fat": rows < cols}[shape]
+            self._assert_same_left_pair(L)
+
+    def test_supplied_gain_and_minimality_checked(self):
+        sys = discretize(unstable_scalar(), 1.0)  # pole at 2
+        with pytest.raises(ModelError, match="A\\+HC"):
+            left_factors(sys, H=np.zeros((1, 1)))
+        with pytest.raises(DimensionError):
+            left_factors(sys, H=np.zeros((2, 1)))
+        nonminimal = DiscretePlant(
+            A=[[0.5, 0.0], [0.0, 0.25]], B=[[1.0], [0.0]], C=[[1.0, 0.0]], D=[[0.0]], period=1.0
+        )
+        with pytest.raises(ModelError, match="minimal realization"):
+            left_factors(nonminimal)
+
+
+@pytest.mark.parametrize("T", [1.0, 0.1])
+@pytest.mark.parametrize("shape", sorted(LIFTED_SHAPES))
+def test_bezout_certificate_on_random_lifted_systems(shape, T):
+    # The lifted products grow with the plant's amplification over a hold
+    # period (up to ~1e5 here), so the defect is judged against their
+    # magnitude, a hundredfold tighter than the construction-time check.
+    for L in _random_lifted(np.random.default_rng(45), shape, T, 6):
+        defect, scale = factor._bezout_defect_scaled(coprime_factorize(L))
+        assert defect <= 1e-10 * max(1.0, scale), (defect, scale)
 
 
 def _scalar_formula(sys, lam):
@@ -242,34 +308,34 @@ class TestObserverController:
 class TestResidualGenerator:
     def test_attack_free_residual_zero(self):
         plant = triple_integrator()
-        cfg, factors = standard_loop(plant, discretize(plant, 1.0), horizon=100)
+        cfg, _ = standard_loop(plant, discretize(plant, 1.0), horizon=100)
         trace = run_single_rate(cfg)
-        r = ss_response(residual_generator(factors), np.hstack([trace.y, trace.u]))
+        r = ss_response(residual_generator(cfg.system), np.hstack([trace.y, trace.u]))
         assert np.max(np.abs(r)) <= 1e-9
 
     def test_zero_direction_attack_residual_small(self):
         plant = triple_integrator()
-        cfg, factors = standard_loop(plant, discretize(plant, 1.0), theta=0.01, horizon=200)
+        cfg, _ = standard_loop(plant, discretize(plant, 1.0), theta=0.01, horizon=200)
         plan = synth_actuator_attack(cfg)
         trace = run_single_rate(dataclasses.replace(cfg, attack=plan, horizon=plan.horizon))
-        r = ss_response(residual_generator(factors), np.hstack([trace.y, trace.u]))
+        r = ss_response(residual_generator(cfg.system), np.hstack([trace.y, trace.u]))
         # the stable numerator factor annihilates the geometric mode
         assert np.max(np.abs(r)) <= cfg.theta
 
     def test_wrong_mode_attack_residual_grows(self):
         plant = triple_integrator()
-        cfg, factors = standard_loop(plant, discretize(plant, 1.0), theta=0.01, horizon=200)
+        cfg, _ = standard_loop(plant, discretize(plant, 1.0), theta=0.01, horizon=200)
         plan = synth_actuator_attack(cfg)
         bad = dataclasses.replace(plan, zeta=plan.zeta * 1.1)
         trace = run_single_rate(dataclasses.replace(cfg, attack=bad, horizon=plan.horizon))
-        r = ss_response(residual_generator(factors), np.hstack([trace.y, trace.u]))
+        r = ss_response(residual_generator(cfg.system), np.hstack([trace.y, trace.u]))
         assert np.max(np.abs(r)) > 100.0 * cfg.theta
 
     def test_linearity(self):
         rng = np.random.default_rng(31)
         plant = triple_integrator()
         P = discretize(plant, 1.0)
-        cfg, factors = standard_loop(plant, P, horizon=60)
+        cfg, _ = standard_loop(plant, P, horizon=60)
         d_a = rng.standard_normal((60, 1))
         d_s = rng.standard_normal((60, 1))
 
@@ -286,7 +352,7 @@ class TestResidualGenerator:
             tr = run_single_rate(
                 dataclasses.replace(cfg, attack=plan, theta=1e9)
             )
-            return ss_response(residual_generator(factors), np.hstack([tr.y, tr.u]))
+            return ss_response(residual_generator(cfg.system), np.hstack([tr.y, tr.u]))
 
         r_both = residual(d_a, d_s)
         r_sum = residual(d_a, np.zeros_like(d_s)) + residual(np.zeros_like(d_a), d_s)

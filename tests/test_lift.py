@@ -12,7 +12,6 @@ from liftguard import (
     check_minimal,
     choose_m,
     discretize,
-    has_zero_at,
     shift_consistency_check,
     spectral_radius,
     ss_response,
@@ -25,6 +24,7 @@ from liftguard.model import abcd
 
 from helpers import (
     assert_sets_close,
+    has_zero_at,
     random_continuous,
     random_tall_continuous,
     triple_integrator,

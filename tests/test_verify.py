@@ -1,6 +1,6 @@
 import numpy as np
 
-from liftguard import factor, model, verify, zeros
+from liftguard import factor, linalg, model, verify, zeros
 
 
 def test_nan_bezout_defect_is_a_failure(monkeypatch):
@@ -38,3 +38,24 @@ def test_each_system_checked_for_minimality_once(monkeypatch):
         monkeypatch.setattr(mod, "check_minimal", counted)
     assert all(p["status"] == "pass" for p in verify.run_suite(trials=3, seed=0))
     assert len({id(s) for s in checked}) == len(checked) > 0
+
+
+def test_suite_factors_only_what_it_reads(monkeypatch):
+    # The Bezout property (10 trials) factors fully, two Riccati solves
+    # each; the factor-set (10) and lifted (5) properties read one left
+    # factor, built from the dual solve alone: 20 + 10 + 5 solves.
+    counts = {"dare_gain": 0, "coprime_factorize": 0}
+
+    def count(mod, name):
+        fn = getattr(mod, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, counted)
+
+    count(linalg, "dare_gain")
+    count(verify, "coprime_factorize")
+    assert all(p["status"] == "pass" for p in verify.run_suite(trials=10, seed=0))
+    assert counts == {"dare_gain": 35, "coprime_factorize": 10}

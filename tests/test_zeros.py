@@ -7,7 +7,6 @@ from liftguard import (
     classify_vulnerability,
     coprime_factorize,
     discretize,
-    has_zero_at,
     multiplicity_at_one,
     poles,
     transmission_zeros,
@@ -19,6 +18,7 @@ from liftguard.zeros import pencil_matrix
 from helpers import (
     assert_sets_close,
     double_integrator,
+    has_zero_at,
     random_discrete,
     triple_integrator,
     unstable_scalar,
