@@ -43,6 +43,7 @@ from .zeros import (
     multiplicity_at_one,
     poles,
     transmission_zeros,
+    zero_values,
 )
 from .factor import (
     Controller,

@@ -20,6 +20,7 @@ __all__ = [
     "RankResult",
     "expm",
     "rank_svd",
+    "rank_of",
     "eig",
     "spectral_radius",
     "dare_gain",
@@ -100,7 +101,7 @@ class RankResult:
 
 def rank_svd(M, rel_tol: float = DEFAULT_RANK_RTOL, scale: float | None = None):
     """Numerical rank via singular values; every rank decision in the
-    package goes through here.
+    package goes through here or through ``rank_of``, which holds its rule.
 
     The rank is the number of singular values exceeding ``rel_tol *
     scale``, where ``scale`` defaults to sigma_max; an explicit absolute
@@ -113,11 +114,14 @@ def rank_svd(M, rel_tol: float = DEFAULT_RANK_RTOL, scale: float | None = None):
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     if scale is not None and not 0.0 < scale < np.inf:
         raise ValueError(f"scale must be positive and finite, got {scale}")
-    out = []
-    for s in np.atleast_2d(np.linalg.svd(A, compute_uv=False)):
-        tol = rel_tol * (s[0] if scale is None else scale)
-        out.append(RankResult(int(np.count_nonzero(s > tol)), s, float(tol)))
+    out = [rank_of(s, rel_tol, scale) for s in np.atleast_2d(np.linalg.svd(A, compute_uv=False))]
     return out if A.ndim == 3 else out[0]
+
+
+def rank_of(s, rel_tol: float = DEFAULT_RANK_RTOL, scale: float | None = None) -> RankResult:
+    """``rank_svd``'s decision on computed, descending singular values ``s``."""
+    tol = rel_tol * (s[0] if scale is None else scale)
+    return RankResult(int(np.count_nonzero(s > tol)), s, float(tol))
 
 
 def eig(M, vectors: bool = False):

@@ -27,7 +27,7 @@ from .model import (
     observability_stack,
     plant_to_dict,
 )
-from .zeros import _match_multisets, multiplicity_at_one, transmission_zeros
+from .zeros import _match_multisets, multiplicity_at_one, zero_values
 
 __all__ = ["run_suite", "random_minimal_plant"]
 
@@ -99,22 +99,19 @@ def _counterexample(plant, trial_seed, detail):
     return doc
 
 
-def _zero_set(report):
-    return sorted(
-        (r.z_value for r in report.zeros if r.z_value is not None),
-        key=lambda z: (z.real, z.imag),
-    )
+def _zero_set(values):
+    return sorted(values, key=lambda z: (z.real, z.imag))
 
 
 def _prop_zero_similarity(rng, trial_seed):
     sys, rep = _minimal_discrete(rng)
-    base = _zero_set(transmission_zeros(sys, minimality=rep))
+    base = _zero_set(zero_values(sys, minimality=rep))
     S = rng.standard_normal((sys.n, sys.n)) + 2.0 * np.eye(sys.n)
     Si = np.linalg.inv(S)
     sim = DiscretePlant(
         A=S @ sys.A @ Si, B=S @ sys.B, C=sys.C @ Si, D=sys.D, period=1.0
     )
-    transformed = _zero_set(transmission_zeros(sim))
+    transformed = _zero_set(zero_values(sim))
     if _match_multisets(base, transformed, 1e-6) is None:
         return sys, f"{base} vs {transformed}"
     return None
@@ -131,7 +128,7 @@ def _prop_bezout(rng, trial_seed):
 def _prop_factor_sets(rng, trial_seed):
     sys, rep = _minimal_discrete(rng)
     _, _, Ml = left_factors(sys, minimality=rep)
-    denom_zeros = _zero_set(transmission_zeros(Ml))
+    denom_zeros = _zero_set(zero_values(Ml))
     plant_poles = sorted(
         (complex(z) for z in np.linalg.eigvals(sys.A)), key=lambda z: (z.real, z.imag)
     )
@@ -163,12 +160,7 @@ def _prop_lifted_zero_containment(rng, trial_seed):
     rep = check_minimal(L)
     if not rep.minimal:
         return None  # pathological fast sampling; excluded by assumption
-    report = transmission_zeros(L, minimality=rep)
-    bad = [
-        r.z_value
-        for r in report.zeros
-        if r.z_value is not None and abs(r.z_value) > 1.0 + 1e-7
-    ]
+    bad = [z for z in zero_values(L, minimality=rep) if abs(z) > 1.0 + 1e-7]
     mult = multiplicity_at_one(left_factors(L, minimality=rep)[1])
     if bad or mult == "multiple":
         return plant, f"outside zeros {bad}, multiplicity {mult}"
@@ -177,7 +169,9 @@ def _prop_lifted_zero_containment(rng, trial_seed):
 
 def _prop_shift_consistency(rng, trial_seed):
     plant = random_minimal_plant(rng)
-    result = shift_consistency_check(build_lifted(plant, 1.0))
+    certificate = []
+    build_lifted(plant, 1.0, certificate=certificate)
+    result = certificate[0]
     if not result.consistent:
         return plant, f"max error {result.max_error:.3e}"
     return None

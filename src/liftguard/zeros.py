@@ -39,6 +39,7 @@ __all__ = [
     "ZeroReport",
     "VulnerabilityVerdict",
     "transmission_zeros",
+    "zero_values",
     "poles",
     "multiplicity_at_one",
     "classify_vulnerability",
@@ -144,44 +145,45 @@ def pencil_matrix(sys, z) -> np.ndarray:
     return M
 
 
-def _pencil_normal_rank(sys) -> int:
-    return max(r.rank for r in linalg.rank_svd(pencil_matrix(sys, _PROBE_POINTS)))
-
-
-def _rank_tests(sys, assumptions=None):
-    """(system, normal rank) of each pencil a zero of ``sys`` must drop
-    the rank of, the candidate source first and the full pencil last.  A
-    lifted system whose observability stack O has full column rank adds the
-    small system ``(A_l, B_l, [C_f; δ], [D_f; B_f/h])``, ``δ = (A_f - I)/h``:
-    by ``X·C_l = O(I - A_f)`` and ``X·D_l = -O·B_f`` it has the lifted pencil's
-    rank profile, and it stays well scaled as h shrinks and the lifted
-    output rows become nearly equal.  Without that rank it would miss zeros."""
+def _confirmed(sys, candidates=None, assumptions=None):
+    """(normal rank of the pencil of ``sys``, [(z, residual)] for each
+    candidate, by default the first pencil's finite eigenvalues, that drops
+    the rank of every pencil a zero of ``sys`` must drop).  A lifted system
+    whose observability stack O has full column rank adds, first, the small
+    system ``(A_l, B_l, [C_f; δ], [D_f; B_f/h])``, ``δ = (A_f - I)/h``: by
+    ``X·C_l = O(I - A_f)`` and ``X·D_l = -O·B_f`` it has the lifted pencil's
+    rank profile, and it stays well scaled as h shrinks and the lifted output
+    rows nearly coincide.  One stacked SVD per pencil over the probe points
+    and the candidates still standing gives its normal rank and confirms
+    candidates at ``CONFIRM_RTOL``; the residual is the full pencil's."""
     systems = [sys]
     if isinstance(sys, LiftedSystem) and (assumptions or check_assumptions(sys)).obs_full_rank:
         f = sys.fast_plant
         delta = (f.A - np.eye(f.n)) / f.period
         small = StateSpace(sys.A, sys.B, np.vstack([f.C, delta]), np.vstack([f.D, f.B / f.period]))
         systems.insert(0, small)
-    return [(s, _pencil_normal_rank(s)) for s in systems]
-
-
-def _confirmed(tests, candidates):
-    """(z, residual) for each candidate that drops the rank of every pencil
-    in ``tests`` (relative tolerance ``CONFIRM_RTOL``), with one stacked SVD
-    per pencil over the candidates still standing.  The residual is the
-    singular value of the last (full) pencil that must vanish for its column
-    rank to fall below the normal rank."""
+    if candidates is None:
+        candidates = [z for z in _candidates(systems[0]) if abs(z) <= _Z_INFINITY_CUTOFF]
     found = [(complex(z), 0.0) for z in candidates]
-    for pencil_sys, rank in tests:
-        if not found:
-            break
-        pencils = pencil_matrix(pencil_sys, [z for z, _ in found])
+    for pencil_sys in systems:
+        pencils = pencil_matrix(pencil_sys, [*_PROBE_POINTS, *(z for z, _ in found)])
+        results = linalg.rank_svd(pencils)
+        rank = max(r.rank for r in results[: len(_PROBE_POINTS)])
         found = [
             (z, float(r.singular_values[rank - 1]))
-            for (z, _), r in zip(found, linalg.rank_svd(pencils, rel_tol=CONFIRM_RTOL))
-            if r.rank < rank
+            for (z, _), r in zip(found, results[len(_PROBE_POINTS) :])
+            if linalg.rank_of(r.singular_values, CONFIRM_RTOL).rank < rank
         ]
-    return found
+    return rank, found
+
+
+def _require_minimal(sys, minimality):
+    rep = check_minimal(sys) if minimality is None else minimality
+    if not rep.minimal:
+        raise ModelError(
+            "transmission zeros require a minimal realization "
+            f"(controllable={rep.controllable}, observable={rep.observable})"
+        )
 
 
 def _candidates(sys):
@@ -307,18 +309,9 @@ def transmission_zeros(sys, minimality=None, assumptions=None) -> ZeroReport:
     """
     A, B, C, D = abcd(sys)
     n, n_u, n_y = A.shape[0], B.shape[1], C.shape[0]
-    rep = check_minimal(sys) if minimality is None else minimality
-    if not rep.minimal:
-        raise ModelError(
-            "transmission zeros require a minimal realization "
-            f"(controllable={rep.controllable}, observable={rep.observable})"
-        )
-
-    tests = _rank_tests(sys, assumptions)
-    normal_rank = tests[-1][1]
+    _require_minimal(sys, minimality)
+    normal_rank, found = _confirmed(sys, assumptions=assumptions)
     shape = "square" if n_y == n_u else ("tall" if n_y > n_u else "fat")
-    cands = _candidates(tests[0][0])
-    found = _confirmed(tests, [z for z in cands if abs(z) <= _Z_INFINITY_CUTOFF])
 
     # Conjugate-pair and multiplicity bookkeeping, then record assembly.
     zs = [z for z, _ in found]
@@ -375,6 +368,14 @@ def transmission_zeros(sys, minimality=None, assumptions=None) -> ZeroReport:
         system_shape=shape,
         n_zeros_at_lambda_zero=n_at_lambda_zero,
     )
+
+
+def zero_values(sys, minimality=None) -> list:
+    """The finite zeros of ``transmission_zeros(sys)``, in its order, as
+    complex values: no directions, classification, poles or zeros at
+    z-infinity.  Same minimality check, same ``ModelError``."""
+    _require_minimal(sys, minimality)
+    return [z for z, _ in _confirmed(sys)[1]]
 
 
 def poles(sys) -> tuple:

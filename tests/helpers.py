@@ -6,15 +6,26 @@ from liftguard import (
     ContinuousPlant,
     Controller,
     DiscretePlant,
+    LiftedSystem,
     StateSpace,
     build_lifted,
+    check_assumptions,
     check_minimal,
     discretize,
     left_factors,
+    linalg,
 )
 from liftguard.errors import DimensionError, LiftguardError
 from liftguard.sim import _render_attack, monitor_eval
-from liftguard.zeros import _confirmed, _match_multisets, _rank_tests
+from liftguard.zeros import (
+    _PROBE_POINTS,
+    _Z_INFINITY_CUTOFF,
+    CONFIRM_RTOL,
+    _candidates,
+    _confirmed,
+    _match_multisets,
+    pencil_matrix,
+)
 
 
 def triple_integrator(name="triple-int"):
@@ -118,7 +129,46 @@ def has_zero_at(sys, z: complex) -> bool:
     """Rank test: does the system pencil (and, for a lifted system, its
     small pencil) lose column rank at ``z`` (relative tolerance
     ``CONFIRM_RTOL``)?  A non-finite ``z`` raises ``NumericError``."""
-    return bool(_confirmed(_rank_tests(sys), [z]))
+    return bool(_confirmed(sys, [z])[1])
+
+
+def reference_rank_systems(sys):
+    """The systems whose pencils a zero of ``sys`` must drop the rank of,
+    the candidate source first: a lifted system whose observability stack
+    has full column rank adds its small system ``(A_l, B_l, [C_f; δ],
+    [D_f; B_f/h])``, ``δ = (A_f - I)/h``."""
+    systems = [sys]
+    if isinstance(sys, LiftedSystem) and check_assumptions(sys).obs_full_rank:
+        f = sys.fast_plant
+        delta = (f.A - np.eye(f.n)) / f.period
+        small = StateSpace(sys.A, sys.B, np.vstack([f.C, delta]), np.vstack([f.D, f.B / f.period]))
+        systems.insert(0, small)
+    return systems
+
+
+def reference_confirmed_zeros(sys):
+    """The two-pass confirmation ``zeros`` used before its one stacked SVD
+    per pencil: the normal rank of every pencil at the probe points first,
+    then the candidates confirmed pencil by pencil at ``CONFIRM_RTOL``.
+    The exact oracle for ``transmission_zeros``: ``(normal rank,
+    [(z, residual)])`` of a minimal ``sys``."""
+
+    def normal_rank(s):
+        return max(r.rank for r in linalg.rank_svd(pencil_matrix(s, _PROBE_POINTS)))
+
+    tests = [(s, normal_rank(s)) for s in reference_rank_systems(sys)]
+    cands = [z for z in _candidates(tests[0][0]) if abs(z) <= _Z_INFINITY_CUTOFF]
+    found = [(complex(z), 0.0) for z in cands]
+    for pencil_sys, rank in tests:
+        if not found:
+            break
+        pencils = pencil_matrix(pencil_sys, [z for z, _ in found])
+        found = [
+            (z, float(r.singular_values[rank - 1]))
+            for (z, _), r in zip(found, linalg.rank_svd(pencils, rel_tol=CONFIRM_RTOL))
+            if r.rank < rank
+        ]
+    return tests[-1][1], found
 
 
 def assert_sets_close(actual, expected, tol, label=""):

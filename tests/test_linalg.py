@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liftguard.errors import DimensionError, ModelError, NumericError
-from liftguard.linalg import dare_gain, eig, expm, rank_svd, spectral_radius
+from liftguard.linalg import dare_gain, eig, expm, rank_of, rank_svd, spectral_radius
 
 
 class TestExpm:
@@ -114,6 +114,15 @@ class TestRank:
             assert r.tolerance_used == one.tolerance_used
             np.testing.assert_array_equal(r.singular_values, one.singular_values)
         assert [r.rank for r in results][:4] == ([4, 3, 4, 0] if scale is None else [4, 3, 0, 0])
+
+    @pytest.mark.parametrize("rel_tol", [1e-9, 1e-3])
+    @pytest.mark.parametrize("scale", [None, 1.0])
+    def test_rank_of_is_rank_svd_rule(self, rel_tol, scale):
+        M = np.diag([1.0, 1e-2, 1e-6, 1e-12])
+        s = rank_svd(M).singular_values
+        r, one = rank_of(s, rel_tol, scale), rank_svd(M, rel_tol, scale)
+        assert (r.rank, r.tolerance_used) == (one.rank, one.tolerance_used)
+        assert rank_of(np.zeros(3), rel_tol, scale).rank == 0
 
     def test_scale_replaces_largest_singular_value(self):
         # relative to itself the matrix has rank 2; against scale 1 only

@@ -1,6 +1,6 @@
 import numpy as np
 
-from liftguard import factor, linalg, model, verify, zeros
+from liftguard import factor, lift, linalg, model, verify, zeros
 
 
 def test_nan_bezout_defect_is_a_failure(monkeypatch):
@@ -59,3 +59,36 @@ def test_suite_factors_only_what_it_reads(monkeypatch):
     count(verify, "coprime_factorize")
     assert all(p["status"] == "pass" for p in verify.run_suite(trials=10, seed=0))
     assert counts == {"dare_gain": 35, "coprime_factorize": 10}
+
+
+def test_suite_reads_zeros_as_values_and_certifies_once(monkeypatch):
+    # The zero properties read values only: 20 + 10 discrete pencils and
+    # 5 lifted systems with a small and a full pencil, one pencil_matrix
+    # call each.  Each of the 5 + 5 + 3 lifted systems is certified once
+    # by build_lifted; the negative control certifies its own and the
+    # corrupted copy.
+    counts = dict.fromkeys(
+        ["transmission_zeros", "poles", "_null_directions", "pencil_matrix",
+         "shift_consistency_check"],
+        0,
+    )
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    for mod in (zeros, lift, verify):
+        for name in counts:
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    assert all(p["status"] == "pass" for p in verify.run_suite(trials=10, seed=0))
+    assert counts == {
+        "transmission_zeros": 0,
+        "poles": 0,
+        "_null_directions": 0,
+        "pencil_matrix": 40,
+        "shift_consistency_check": 15,
+    }

@@ -4,12 +4,14 @@ import pytest
 from liftguard import (
     DiscretePlant,
     build_lifted,
+    check_assumptions,
     classify_vulnerability,
     coprime_factorize,
     discretize,
     multiplicity_at_one,
     poles,
     transmission_zeros,
+    zero_values,
 )
 from liftguard.errors import ModelError, NumericError
 from liftguard.model import StateSpace
@@ -19,7 +21,11 @@ from helpers import (
     assert_sets_close,
     double_integrator,
     has_zero_at,
+    random_continuous,
     random_discrete,
+    reference_confirmed_zeros,
+    reference_rank_systems,
+    sampled,
     triple_integrator,
     unstable_scalar,
 )
@@ -292,6 +298,68 @@ class TestNonMinimalRejected:
         )
         with pytest.raises(ModelError):
             transmission_zeros(sys)
+
+
+# (n, n_u, n_y) per shape; the square plant has two sampling zeros.
+_SHAPES = {"tall": (3, 1, 2), "square": (3, 1, 1), "fat": (3, 2, 1)}
+
+
+def _equivalence_system(shape, T, mode):
+    """A sampled random plant of ``shape`` at ``T``: the ZOH plant, the
+    lifted one with the smallest admissible m, or (``lifted_m2``) the
+    fat plant lifted at m = 2, whose one-row observability stack C is rank
+    deficient, so it has no small pencil."""
+    n, n_u, n_y = _SHAPES[shape]
+    plant = random_continuous(np.random.default_rng([n, n_u, n_y, round(1 / T)]), n, n_u, n_y)
+    return build_lifted(plant, T, m=2) if mode == "lifted_m2" else sampled(plant, T, mode)
+
+
+_EQUIVALENCE_CASES = [
+    (shape, T, mode)
+    for shape in _SHAPES
+    for T in (1.0, 0.1, 0.01)
+    for mode in ("single_rate", "dual_rate")
+] + [("fat", T, "lifted_m2") for T in (1.0, 0.1, 0.01)]
+
+
+class TestStackedConfirmation:
+    """One stacked SVD per pencil decides exactly as the two-pass
+    confirmation it replaced, kept as an oracle in ``tests/helpers.py``."""
+
+    @pytest.mark.parametrize("shape, T, mode", _EQUIVALENCE_CASES)
+    def test_matches_two_pass_oracle(self, shape, T, mode):
+        sys = _equivalence_system(shape, T, mode)
+        rank, found = reference_confirmed_zeros(sys)
+        report = transmission_zeros(sys)
+        assert report.normal_rank == rank
+        finite = [(r.z_value, r.residual) for r in report.zeros if r.z_value is not None]
+        assert finite == found
+        assert zero_values(sys) == [z for z, _ in found]
+
+    @pytest.mark.parametrize("T", [1.0, 0.1, 0.01])
+    def test_lifted_m2_has_no_small_pencil_and_keeps_its_zeros(self, T):
+        L = _equivalence_system("fat", T, "lifted_m2")
+        assert not check_assumptions(L).obs_full_rank
+        assert len(zero_values(L)) == 2
+
+    def test_cases_confirm_zeros_of_every_rank_system_count(self):
+        # Zeros confirmed through one pencil and through two (the small
+        # lifted pencil first), so the equivalence is not vacuous.
+        confirmed = {1: 0, 2: 0}
+        for case in _EQUIVALENCE_CASES:
+            sys = _equivalence_system(*case)
+            confirmed[len(reference_rank_systems(sys))] += len(reference_confirmed_zeros(sys)[1])
+        assert confirmed[1] >= 6 and confirmed[2] >= 3
+
+    def test_zero_values_rejects_non_minimal_as_transmission_zeros_does(self):
+        sys = DiscretePlant(
+            A=[[0.5, 0.0], [0.0, 0.25]], B=[[1.0], [0.0]], C=[[1.0, 0.0]], D=[[0.0]], period=1.0
+        )
+        with pytest.raises(ModelError) as full:
+            transmission_zeros(sys)
+        with pytest.raises(ModelError) as values:
+            zero_values(sys)
+        assert str(values.value) == str(full.value)
 
 
 class TestNonFinitePoint:
