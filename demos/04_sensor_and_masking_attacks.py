@@ -5,18 +5,27 @@ Three separate mechanisms beyond the actuator-zero attack:
 
 * an unstable pole lets a sensor attack grow while the loop absorbs it,
 * coordinated actuator+sensor injection masks anything on any plant,
-* with more inputs than outputs, one actuator can hide another.
+* with more inputs than outputs the plant's pencil has a null vector at
+  every point, so `synth_actuator_attack` rides a free growth ratio
+  (`FREE_ZETA`) along it: stealthy at single rate, detected at dual rate.
 """
 
 import dataclasses
 
 import numpy as np
 
-from liftguard import ContinuousPlant, DiscretePlant, discretize, run_single_rate, ss_response, standard_loop
+from liftguard import (
+    ContinuousPlant,
+    build_lifted,
+    discretize,
+    run_dual_rate,
+    run_single_rate,
+    standard_loop,
+)
 from liftguard.attack import (
     AttackPlan,
+    synth_actuator_attack,
     synth_coordinated_attack,
-    synth_fat_masking,
     synth_sensor_attack,
 )
 from liftguard.errors import CapabilityError
@@ -72,23 +81,28 @@ print(f"\ncoordinated masking: ramp to {d_a[-1,0]:.0f} on the actuator, "
 assert dev <= 1e-10
 
 # =============================================================================
-# Fat plant: two inputs, one output.  The second channel's injection is
-# the first channel's response filtered through the negated channel
-# inverse, so the output never sees either.
+# Fat plant: two inputs, one output.  The pencil [zI - A, -B; C, D] has
+# more columns than rows, so at any growth ratio it has a null vector
+# (xi, nu): the input nu * zeta^k keeps the output at zero from state xi.
+# The plan rides FREE_ZETA = 1.1 along nu; from zero state the transient
+# is damped by the loop.  The dual-rate loop sees it.
 
-fat = DiscretePlant(
-    A=[[0.3, 0.1], [0.0, -0.2]],
-    B=[[1.0, 0.2], [0.0, 1.0]],
-    C=[[0.5, 0.3]],
-    D=[[0.7, 1.1]],
-    period=1.0,
+fat = ContinuousPlant(
+    Ac=[[-0.4, 0.2], [0.1, -0.8]], Bc=[[1.0, 0.3], [0.2, 1.0]], Cc=[[1.0, 0.5]],
+    Dc=[[0.0, 0.0]], name="fat-plant",
 )
-d1 = 1.05 ** np.arange(120)  # growing injection on channel one
-u1, u2 = synth_fat_masking(fat, d1)
-y = ss_response(fat, np.column_stack([u1, u2]))
-print(f"\nfat-plant masking: channel-1 injection grew to {d1[-1]:.1f}, "
-      f"output peak {np.max(np.abs(y)):.2e}")
-assert np.max(np.abs(y)) <= 1e-8
+fcfg, _ = standard_loop(fat, discretize(fat, T=0.5), theta=THETA)
+fplan = synth_actuator_attack(fcfg)
+single = run_single_rate(dataclasses.replace(fcfg, attack=fplan, horizon=fplan.horizon))
+dcfg, _ = standard_loop(fat, build_lifted(fat, T=0.5), theta=THETA, horizon=fplan.horizon)
+dual = run_dual_rate(dataclasses.replace(dcfg, attack=fplan))
+grew = np.max(np.abs(single.d_a[-1])) / np.max(np.abs(single.d_a[0]))
+print(f"\nfat-plant plan: ratio {fplan.zeta.real:.1f} per step along "
+      f"{np.round(fplan.direction.real, 3)}, injection grew {grew:.2e}x")
+print(f"  single rate: {'stealthy' if single.verdict.stealthy else 'detected'}, "
+      f"monitor peak {np.max(single.monitor):.4e}")
+print(f"  dual rate (m={dcfg.m}): detected at sample {dual.verdict.step}")
+assert single.verdict.stealthy and dual.verdict.detected
 
 print("\nConclusion: secure at least one output channel and keep the plant "
       "observable from it, or coordination makes detection hopeless.")

@@ -68,10 +68,8 @@ from .attack import (
     geometric_sequence,
     plan_from_dict,
     plan_to_dict,
-    ramp_sequence,
     synth_actuator_attack,
     synth_coordinated_attack,
-    synth_fat_masking,
     synth_sensor_attack,
 )
 from .sim import (

@@ -1,12 +1,15 @@
 """Synthesis of stealthy attack signals.
 
-Unbounded actuator plans ride a geometric mode at a strictly
-non-minimum-phase zero along its input direction, so the closed loop's
-monitored signals stay bounded while the injected signal grows.  Sensor
-plans do the same with an unstable pole and the left denominator factor's
-null direction.  Coordinated and fat-plant attacks are masking
-constructions that compute one injected sequence from another so the
-visible output never moves.
+Unbounded actuator plans ride a geometric mode along a right null
+vector of the system pencil, so the closed loop's monitored signals stay
+bounded while the injected signal grows: at a strictly non-minimum-phase
+zero, or, on a fat plant, whose pencil has a null vector at every point,
+at the fixed ratio ``FREE_ZETA``.  Which of the two applies is
+``zeros.classify_vulnerability``'s decision.  Sensor plans do the same
+with an unstable pole and the left denominator factor's null direction.
+A coordinated attack computes the sensor sequence that cancels an
+arbitrary actuator sequence at the output, so the visible output never
+moves.
 
 Signal amplitudes are calibrated empirically: a probe run of the loop
 with a unit-amplitude plan measures the monitor peak per unit amplitude,
@@ -27,24 +30,38 @@ import numpy as np
 
 from .errors import CapabilityError, DimensionError, NumericError
 from .factor import eval_lambda, left_factors
-from .model import StateSpace, _field, _integer, abcd, ss_response
+from .model import _field, _integer, ss_response
 from .sim import LoopConfig, run_dual_rate, run_single_rate
-from .zeros import poles, transmission_zeros
+from .zeros import (
+    _normalize_direction,
+    _null_directions,
+    classify_vulnerability,
+    poles,
+    transmission_zeros,
+)
 
 __all__ = [
     "AttackPlan",
     "synth_actuator_attack",
     "synth_sensor_attack",
     "synth_coordinated_attack",
-    "synth_fat_masking",
-    "ramp_sequence",
     "geometric_sequence",
     "plan_to_dict",
     "plan_from_dict",
+    "FREE_ZETA",
 ]
 
 _PARAMETRIC_KINDS = ("actuator_zero", "sensor_pole")
-_SEQUENCE_KINDS = ("coordinated", "fat_masking")
+_SEQUENCE_KINDS = ("coordinated",)
+# Growth ratio of a fat plant's plan.  Its pencil has a right null vector
+# at every point, so the ratio is free.  Measured on the first 40 fat
+# plants of the benchmark's ``random_plant`` from ``default_rng([0, 7])``
+# at T = 1, 0.5 and 0.1: at 1.5 calibration raises NumericError (the peak
+# never settles below half the threshold) for 2 plants at T = 0.5 and 3 at
+# T = 0.1; at 1.05 the dual-rate replay of 1 or 2 plants per period is not
+# detected within the horizon; at 1.1 every plan replays stealthy at
+# single rate and detected at dual rate.
+FREE_ZETA = 1.1
 
 
 def geometric_sequence(direction, ratio: complex, epsilon: float, n_steps: int) -> np.ndarray:
@@ -62,13 +79,6 @@ def geometric_sequence(direction, ratio: complex, epsilon: float, n_steps: int) 
         return epsilon * np.real(np.outer(modes, direction))
 
 
-def ramp_sequence(direction, epsilon: float, n_steps: int) -> np.ndarray:
-    """Polynomial-growth signal eps * k * direction (for a double boundary
-    zero at frequency one, where geometric plans do not exist)."""
-    direction = np.asarray(direction, dtype=float).reshape(-1)
-    return epsilon * np.outer(np.arange(n_steps, dtype=float), direction)
-
-
 @dataclass(frozen=True)
 class AttackPlan:
     """Parametric or sequence-carrying attack description.
@@ -76,8 +86,8 @@ class AttackPlan:
     Parametric kinds (``actuator_zero``, ``sensor_pole``) generate
     ``epsilon * Re(direction * zeta^k)`` on their channels; ``zeta`` has
     modulus above one for every unbounded plan and ``direction`` has
-    max-norm one.  Sequence kinds (``coordinated``, ``fat_masking``)
-    carry their explicit signals in ``companion`` as matrices.  Every
+    max-norm one.  The sequence kind ``coordinated`` carries its explicit
+    signals ``d_a`` and ``d_s`` in ``companion`` as matrices.  Every
     parameter and companion signal must be finite.  ``channel_map`` names
     one distinct, non-negative channel per entry of ``direction`` or
     column of ``d_a``.
@@ -112,7 +122,7 @@ class AttackPlan:
                 raise ValueError("plan direction must have max-norm one")
             width = len(self.direction)
         else:
-            needs = ["d_a", "d_s"] if self.kind == "coordinated" else ["d_a"]
+            needs = ["d_a", "d_s"]
             if any(np.ndim((self.companion or {}).get(k)) != 2 for k in needs):
                 raise ValueError(f"a {self.kind} plan needs companion matrices {needs}")
             width = np.shape(self.companion["d_a"])[1]
@@ -139,7 +149,7 @@ class AttackPlan:
         if self.kind == "actuator_zero":
             seq = geometric_sequence(self.direction, self.zeta, self.epsilon, n_steps)
             return self._scatter(seq, n_steps, n_channels)
-        if self.kind in _SEQUENCE_KINDS:
+        if self.kind == "coordinated":
             stored = np.asarray(self.companion["d_a"], dtype=float)
             return self._scatter(stored, n_steps, n_channels)
         return None
@@ -245,26 +255,40 @@ def _calibrated_plan(cfg: LoopConfig, kind: str, zeta: complex, direction, n_cha
 
 
 def synth_actuator_attack(cfg: LoopConfig) -> AttackPlan:
-    """Unbounded stealthy actuator plan for the configured loop.
+    """Unbounded stealthy actuator plan for the configured loop, built for
+    the mechanism ``classify_vulnerability`` reports on the loop's
+    discrete (or lifted) plant.
 
-    Requires a strictly non-minimum-phase zero of the loop's discrete (or
-    lifted) plant; zeros of the feedthrough at reciprocal frequency zero
-    have no causal geometric input and never qualify.  The amplitude is
-    calibrated so the monitor peaks at half the threshold.
+    ``nmp_zero`` rides its witness, the strictly non-minimum-phase zero of
+    largest modulus, along the zero's input direction; zeros of the
+    feedthrough at reciprocal frequency zero have no causal geometric input
+    and never qualify.  ``fat_plant`` rides ``FREE_ZETA`` along the input
+    part of the pencil's right null vector there.  ``multiple_zero_at_one``
+    calls for a ramp, which no plan kind renders, and is a
+    ``CapabilityError`` naming it, as is a verdict other than "yes".  The
+    amplitude is calibrated so the monitor peaks at half the threshold.
     """
     sys = cfg.system
     report = transmission_zeros(sys)
-    strict = [r for r in report.zeros if r.classification == "nmp_strict"]
-    if not strict:
+    verdict = classify_vulnerability(report, system=sys)
+    if verdict.actuator_mechanism == "nmp_zero":
+        witness = verdict.actuator_witness
+        zeta, direction = complex(witness.z_value), witness.input_direction
+    elif verdict.actuator_mechanism == "fat_plant":
+        zeta = FREE_ZETA
+        direction = _normalize_direction(*_null_directions(sys, [zeta])[0])[1]
+    elif verdict.actuator_mechanism == "multiple_zero_at_one":
+        raise CapabilityError(
+            "plant vulnerable through a multiple zero at frequency one "
+            "(multiple_zero_at_one): its attack is a ramp, which no plan kind renders"
+        )
+    else:
         boundary = [r for r in report.zeros if r.classification.startswith("boundary")]
         hint = "; only boundary zeros found" if boundary else ""
         raise CapabilityError(
             "plant not vulnerable: no strictly non-minimum-phase zero to ride" + hint
         )
-    witness = max(strict, key=lambda r: abs(r.z_value))
-    return _calibrated_plan(
-        cfg, "actuator_zero", complex(witness.z_value), witness.input_direction, sys.n_u
-    )
+    return _calibrated_plan(cfg, "actuator_zero", zeta, direction, sys.n_u)
 
 
 def synth_sensor_attack(cfg: LoopConfig, factors=None) -> AttackPlan:
@@ -313,69 +337,6 @@ def synth_coordinated_attack(sys, d_a):
         d_a = d_a.reshape(-1, 1)
     d_s = -ss_response(sys, d_a)
     return d_a, d_s
-
-
-def synth_fat_masking(sys, d_a1):
-    """Second-channel injection masking the first on a one-output two-input plant.
-
-    The second channel's response is inverted as a causal filter; when it
-    is strictly proper the first signal is delayed by the relative-degree
-    gap so the inverse stays causal.  Both relative degrees are read off
-    the Markov parameters of one impulse response.  Returns
-    ``(d_a1_used, d_a2)``.
-    """
-    A, B, C, D = abcd(sys)
-    if C.shape[0] != 1 or B.shape[1] != 2:
-        raise DimensionError("fat masking construction expects a 1-output 2-input plant")
-    d_a1 = np.asarray(d_a1, dtype=float).reshape(-1)
-    N = d_a1.shape[0]
-    if N == 0:
-        raise DimensionError("fat masking needs a non-empty first-channel signal")
-    tol_scale = 1e-10 * max(
-        1.0,
-        float(np.max(np.abs(C)) * np.max(np.abs(B))) if B.size and C.size else 1.0,
-    )
-    # markov[k, j]: D[0, j] at k = 0, then C A^(k-1) B[:, j]; a channel's
-    # relative degree is its first entry above tol_scale (-1: none).
-    impulse = np.zeros((2 * A.shape[0] + 2, 2, 2))
-    impulse[0] = np.eye(2)
-    markov = ss_response(sys, impulse)[:, 0, :]
-    r1, r2 = (int(np.argmax(big)) if big.any() else -1 for big in (np.abs(markov) > tol_scale).T)
-    if r2 < 0:
-        raise CapabilityError("second input channel has identically zero response")
-    gap = max(0, r2 - r1) if r1 >= 0 else 0
-
-    d1_used = np.zeros(N)
-    if gap:
-        d1_used[gap:] = d_a1[: N - gap]
-    else:
-        d1_used[:] = d_a1
-
-    # Response of channel one, extended so the advanced target is available.
-    P1 = StateSpace(A, B[:, :1], C, D[:, :1])
-    w = ss_response(P1, np.concatenate([d1_used, np.zeros(r2)]))[:, 0]
-    target = -w[r2 : r2 + N]
-
-    # Advance channel two by its relative degree to make it biproper, then invert.
-    b2 = B[:, 1]
-    c_adv = C[0] @ np.linalg.matrix_power(A, r2)
-    d_adv = float(markov[r2, 1])
-    inv = StateSpace(
-        A - np.outer(b2, c_adv) / d_adv,
-        b2[:, None] / d_adv,
-        (-c_adv / d_adv).reshape(1, -1),
-        np.array([[1.0 / d_adv]]),
-    )
-    # Overflow is reported below as an error, not as a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        d_a2 = ss_response(inv, target)[:, 0]
-        overflowed = np.flatnonzero(~(np.abs(d_a2) <= 1e300))
-    if overflowed.size:
-        raise NumericError(
-            f"unstable channel inverse overflowed at step {overflowed[0]}; "
-            "the masking signal cannot be realized over this horizon"
-        )
-    return d1_used, d_a2
 
 
 def plan_to_dict(plan: AttackPlan) -> dict:

@@ -2,10 +2,10 @@
 and the randomized property-verification suite, over JSON plant specs.
 
 Exit codes: 0 success, 2 parse/validation failure, 3 capability failure
-("not vulnerable"), 4 numeric failure, 5 configuration failure.  Every
-output embeds the tool version, the seed, and the input file hash; the
-timestamp is isolated in a single field so reruns are byte-identical
-otherwise.
+("not vulnerable"), 4 numeric failure or a failing ``verify`` property, 5
+configuration failure.  Every output embeds the tool version, the seed,
+and the input file hash; the timestamp is isolated in a single field so
+reruns are byte-identical otherwise.
 """
 
 from __future__ import annotations
@@ -132,11 +132,6 @@ def _assumption_dict(report):
     }
 
 
-def _file_sha256(path) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
 def _emit(doc: dict, args, default_name: str) -> None:
     doc["timestamp"] = datetime.now(timezone.utc).isoformat()
     text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
@@ -150,12 +145,8 @@ def _emit(doc: dict, args, default_name: str) -> None:
         sys.stdout.write(text)
 
 
-def _base_doc(args, seed) -> dict:
-    return {
-        "version": __version__,
-        "seed": seed,
-        "input_sha256": _file_sha256(args.plant),
-    }
+def _base_doc(seed, sha256) -> dict:
+    return {"version": __version__, "seed": seed, "input_sha256": sha256}
 
 
 def _resolve_seed(args) -> int:
@@ -166,9 +157,13 @@ def _resolve_seed(args) -> int:
 
 
 def _load(args):
-    plant, T_file, m_file = load_plant(args.plant)
+    """Plant, hold period and file m of ``--plant``, and the SHA-256 of
+    the bytes parsed: the file is read once."""
+    with open(args.plant, "rb") as fh:
+        data = fh.read()
+    plant, T_file, m_file = load_plant(data)
     T = args.T if args.T is not None else T_file
-    return plant, T, m_file
+    return plant, T, m_file, hashlib.sha256(data).hexdigest()
 
 
 def _parse_weight(text):
@@ -222,8 +217,8 @@ def _standard_loop(args, plant, T, m_file, horizon, attack=None):
 
 def cmd_analyze(args) -> int:
     seed = _resolve_seed(args)
-    plant, T, m_file = _load(args)
-    doc = _base_doc(args, seed)
+    plant, T, m_file, sha256 = _load(args)
+    doc = _base_doc(seed, sha256)
 
     P = discretize(plant, T)
     pathology = check_pathological(plant, T)
@@ -267,13 +262,13 @@ def cmd_analyze(args) -> int:
 
 def cmd_attack(args) -> int:
     seed = _resolve_seed(args)
-    plant, T, m_file = _load(args)
+    plant, T, m_file, sha256 = _load(args)
     cfg, factors = _standard_loop(args, plant, T, m_file, DEFAULT_HORIZON)
     if args.kind == "actuator":
         plan = synth_actuator_attack(cfg)
     else:
         plan = synth_sensor_attack(cfg, factors=factors)
-    doc = _base_doc(args, seed)
+    doc = _base_doc(seed, sha256)
     doc["plan"] = plan_to_dict(plan)
     doc["loop"] = {"mode": cfg.mode, "T": T, "m": cfg.m, "theta": args.theta}
     _emit(doc, args, "plan.json")
@@ -308,7 +303,7 @@ def _check_replay_loop(plan, plan_m, n_y: int, cfg) -> None:
 
 def cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
-    plant, T, m_file = _load(args)
+    plant, T, m_file, sha256 = _load(args)
     plan = plan_m = None
     if args.plan:
         with open(args.plan, "r", encoding="utf-8") as fh:
@@ -323,7 +318,7 @@ def cmd_simulate(args) -> int:
     if plan is not None:
         _check_replay_loop(plan, plan_m, plant.n_y, cfg)
     trace = run_dual_rate(cfg) if args.mode == "dual_rate" else run_single_rate(cfg)
-    doc = _base_doc(args, seed)
+    doc = _base_doc(seed, sha256)
     doc["result"] = trace_metadata(trace)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -336,10 +331,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_lift(args) -> int:
     seed = _resolve_seed(args)
-    plant, T, m_file = _load(args)
+    plant, T, m_file, sha256 = _load(args)
     m = _explicit_m(args, m_file)
     lifted, shift, assumptions = _lifted(plant, T, m)
-    doc = _base_doc(args, seed)
+    doc = _base_doc(seed, sha256)
     doc["lifted"] = {
         "m": lifted.m,
         "m_auto": m is None,
@@ -369,7 +364,7 @@ def cmd_verify(args) -> int:
     }
     doc["all_passed"] = all(p["status"] == "pass" for p in doc["properties"])
     _emit(doc, args, "verify.json")
-    return EXIT_OK
+    return EXIT_OK if doc["all_passed"] else EXIT_NUMERIC
 
 
 def build_parser() -> argparse.ArgumentParser:

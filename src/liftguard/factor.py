@@ -105,14 +105,20 @@ def left_factors(sys, H=None, minimality=None):
     return H, StateSpace(AHC, B + H @ D, C, D), StateSpace(AHC, H, C, np.eye(C.shape[0]))
 
 
-def coprime_factorize(sys, F=None, H=None, Q=None, R=None, minimality=None) -> CoprimeFactors:
+def coprime_factorize(
+    sys, F=None, H=None, Q=None, R=None, minimality=None, certificate=None
+) -> CoprimeFactors:
     """Doubly-coprime factorization of a minimal discrete system.
 
     Omitted gains come from the Riccati solver, which checks the Schur
     condition itself: F with weights ``Q``/``R`` (identity when omitted),
     H and the left pair by :func:`left_factors`.  A supplied F or H is
     checked for its shape and its Schur condition.  ``minimality`` is
-    ``check_minimal(sys)`` when the caller already has it.
+    ``check_minimal(sys)`` when the caller already has it.  The factors
+    are checked against the Bezout identity before they are returned; a
+    list ``certificate`` receives that check's :func:`bezout_defect` (a
+    ``dataclasses.replace`` copy of the factors would carry a stored one
+    stale).
     """
     A, B, C, D = abcd(sys)
     rep = _require_minimal(sys, minimality)
@@ -149,6 +155,8 @@ def coprime_factorize(sys, F=None, H=None, Q=None, R=None, minimality=None) -> C
             f"Bezout identity violated by the constructed factors (defect {defect:.3e} "
             f"at product magnitude {scale:.3e}); this signals an algebra error"
         )
+    if certificate is not None:
+        certificate.append(defect)
     return factors
 
 

@@ -350,7 +350,8 @@ def _integer(value) -> int:
 
 
 def load_plant(source):
-    """Load a plant spec from a dict, JSON string, or file path.
+    """Load a plant spec from a dict, the bytes of a JSON file (UTF-8), a
+    JSON string, or a file path.
 
     The document must be an object carrying ``Ac``, ``Bc``, ``Cc``, ``Dc``
     as nested number arrays and ``T`` as a positive number; ``m`` (integer
@@ -360,6 +361,8 @@ def load_plant(source):
     """
     if isinstance(source, dict):
         doc = source
+    elif isinstance(source, bytes):
+        doc = json.loads(source.decode("utf-8"))
     else:
         text = str(source)
         if text.lstrip().startswith("{"):

@@ -18,7 +18,7 @@ import warnings
 import numpy as np
 
 from .errors import LiftguardError
-from .factor import bezout_defect, coprime_factorize, left_factors
+from .factor import coprime_factorize, left_factors
 from .lift import block_difference_matrix, build_lifted, shift_consistency_check
 from .model import (
     ContinuousPlant,
@@ -119,7 +119,9 @@ def _prop_zero_similarity(rng, trial_seed):
 
 def _prop_bezout(rng, trial_seed):
     sys, rep = _minimal_discrete(rng)
-    defect = bezout_defect(coprime_factorize(sys, minimality=rep))
+    certificate = []
+    coprime_factorize(sys, minimality=rep, certificate=certificate)
+    defect = certificate[0]
     if not defect <= 1e-8:
         return sys, f"defect {defect:.3e}"
     return None

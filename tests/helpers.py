@@ -1,5 +1,9 @@
 """Shared fixtures-as-functions for the test suite."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from liftguard import (
@@ -26,6 +30,21 @@ from liftguard.zeros import (
     _match_multisets,
     pencil_matrix,
 )
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def bench_module(name):
+    """The benchmark harness module ``bench/<name>.py``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve their module by name
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
 
 def triple_integrator(name="triple-int"):

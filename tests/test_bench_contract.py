@@ -8,29 +8,15 @@ these fails here instead of in the traced benchmark.
 """
 
 import importlib
-import importlib.util
 import inspect
-import sys
-from pathlib import Path
 
 import pytest
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+from helpers import bench_module
 
 
-def _load(name):
-    spec = importlib.util.spec_from_file_location(f"_bench_{name}", BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses resolve their module by name
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module
-
-
-LAYERS = _load("tracer").LAYERS
-WORKLOADS = _load("workloads").WORKLOADS
+LAYERS = bench_module("tracer").LAYERS
+WORKLOADS = bench_module("workloads").WORKLOADS
 PROFILED = sorted({name for w in WORKLOADS.values() for name in w.profile})
 
 

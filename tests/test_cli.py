@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -105,6 +106,51 @@ class TestAnalyze:
     def test_missing_file_exit_2(self):
         res = run_cli("analyze", "--plant", "/nonexistent/plant.json")
         assert res.returncode == 2
+
+    @pytest.mark.parametrize(
+        "content, error, message",
+        [
+            (None, "FileNotFoundError", "[Errno 2] No such file or directory: '{path}'"),
+            (b'\xff\xfe{"T": 1}', "UnicodeDecodeError",
+             "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+            (b"{not json", "JSONDecodeError",
+             "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+            (b"[1, 2]", "ValueError", "a plant spec must be a JSON object, not list"),
+        ],
+        ids=["missing", "not_utf8", "malformed", "not_object"],
+    )
+    @pytest.mark.parametrize("command", ["analyze", "attack", "simulate", "lift"])
+    def test_unreadable_plant_file_exit_2(self, tmp_path, capsys, command, content, error, message):
+        from liftguard import cli
+
+        path = tmp_path / "plant.json"
+        if content is not None:
+            path.write_bytes(content)
+        assert cli.main([command, "--plant", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": error, "message": message.format(path=path)}
+        assert not (tmp_path / "out").exists()
+
+    def test_plant_file_read_once_and_hashed(self, plant_files, tmp_path, monkeypatch):
+        # input_sha256 is the hash of the bytes that were parsed
+        import builtins
+
+        from liftguard import cli, model
+
+        opened = []
+
+        def counted(file, *args, **kwargs):
+            opened.append(str(file))
+            return builtins.open(file, *args, **kwargs)
+
+        for module in (cli, model):
+            monkeypatch.setattr(module, "open", counted, raising=False)
+        path = plant_files["triple"]
+        assert cli.main(["analyze", "--plant", path, "--out", str(tmp_path)]) == 0
+        assert opened.count(path) == 1
+        doc = json.loads((tmp_path / "analyze.json").read_text())
+        with open(path, "rb") as fh:
+            assert doc["input_sha256"] == hashlib.sha256(fh.read()).hexdigest()
 
 
 class TestAttackAndSimulate:
@@ -291,6 +337,28 @@ class TestAttackAndSimulate:
         assert not math.isfinite(float(rows[first][-2]))
         assert all(row[-1] == "1" for row in rows[first:])
 
+    def test_fat_plant_attack_agrees_with_analyze(self, plant_files, tmp_path):
+        # analyze's fat_plant "yes" gets a plan: FREE_ZETA along the pencil's
+        # null vector, stealthy at single rate and detected at dual rate
+        fat = plant_files["fat"]
+        res = run_cli("analyze", "--plant", fat)
+        verdict = json.loads(res.stdout)["single_rate"]["verdict"]
+        assert (verdict["actuator_stealthy"], verdict["actuator_mechanism"]) == ("yes", "fat_plant")
+        out = str(tmp_path / "fat")
+        res = run_cli("attack", "--plant", fat, "--out", out)
+        assert res.returncode == 0, res.stderr
+        plan = json.load(open(f"{out}/plan.json"))["plan"]
+        assert plan["kind"] == "actuator_zero" and plan["zeta"] == {"re": 1.1, "im": 0.0}
+        results = {}
+        for mode in ("single_rate", "dual_rate"):
+            res = run_cli("simulate", "--plant", fat, "--plan", f"{out}/plan.json",
+                          "--mode", mode, "--out", out)
+            assert res.returncode == 0, res.stderr
+            results[mode] = json.load(open(f"{out}/verdict.json"))["result"]
+        assert results["single_rate"]["verdict"] == "stealthy"
+        assert results["single_rate"]["max_monitor"] <= 0.01 / 2.0
+        assert results["dual_rate"]["verdict"] == "detected"
+
     def test_invulnerable_plant_exit_3(self, plant_files):
         res = run_cli("attack", "--plant", plant_files["double"], "--seed", "1")
         assert res.returncode == 3
@@ -464,7 +532,7 @@ class TestVerify:
         from liftguard import cli, lift
 
         monkeypatch.setattr(lift, "SHIFT_CONSISTENCY_TOL", -1.0)
-        assert cli.main(["verify", "--trials", "2", "--out", str(tmp_path)]) == 0
+        assert cli.main(["verify", "--trials", "2", "--out", str(tmp_path)]) == 4
         doc = json.loads((tmp_path / "verify.json").read_text())
         assert doc["all_passed"] is False
         failing = {p["name"]: p["failures"] for p in doc["properties"] if p["status"] == "fail"}
@@ -473,6 +541,26 @@ class TestVerify:
             for entry in failures:
                 assert isinstance(entry["seed"], int)
                 assert entry["detail"].startswith("ModelError: lifted blocks disagree")
+
+    def test_failing_property_exit_4(self, tmp_path, monkeypatch, capsys):
+        # the report is written and the exit code says a property failed
+        from liftguard import cli, verify
+
+        def forced(rng, trial_seed):
+            return None, "forced failure"
+
+        props = [(name, forced if i == 1 else prop, scale)
+                 for i, (name, prop, scale) in enumerate(verify._PROPERTIES)]
+        monkeypatch.setattr(verify, "_PROPERTIES", tuple(props))
+        assert cli.main(["verify", "--trials", "2", "--out", str(tmp_path)]) == 4
+        assert capsys.readouterr().err == ""
+        doc = json.loads((tmp_path / "verify.json").read_text())
+        assert doc["all_passed"] is False
+        status = {p["name"]: p["status"] for p in doc["properties"]}
+        assert status.pop("bezout_identity_on_unit_circle") == "fail"
+        assert set(status.values()) == {"pass"}
+        failure = doc["properties"][1]["failures"][0]
+        assert failure["detail"] == "forced failure" and "plant" not in failure
 
     def test_seed_env_fallback(self, plant_files):
         import os

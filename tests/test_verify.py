@@ -4,7 +4,15 @@ from liftguard import factor, lift, linalg, model, verify, zeros
 
 
 def test_nan_bezout_defect_is_a_failure(monkeypatch):
-    monkeypatch.setattr(verify, "bezout_defect", lambda factors: float("nan"))
+    # the property reads the defect the factorization's own check computed
+    factorize = verify.coprime_factorize
+
+    def nan_defect(*args, certificate, **kwargs):
+        factors = factorize(*args, certificate=certificate, **kwargs)
+        certificate[0] = float("nan")
+        return factors
+
+    monkeypatch.setattr(verify, "coprime_factorize", nan_defect)
     found = verify._prop_bezout(np.random.default_rng(0), 0)
     assert found is not None and found[1] == "defect nan"
 
@@ -59,6 +67,21 @@ def test_suite_factors_only_what_it_reads(monkeypatch):
     count(verify, "coprime_factorize")
     assert all(p["status"] == "pass" for p in verify.run_suite(trials=10, seed=0))
     assert counts == {"dare_gain": 35, "coprime_factorize": 10}
+
+
+def test_suite_computes_each_bezout_defect_once(monkeypatch):
+    # each of the 10 Bezout trials reads the defect that coprime_factorize's
+    # construction check computed instead of evaluating the factors again
+    calls = []
+    scaled = factor._bezout_defect_scaled
+
+    def counted(factors):
+        calls.append(factors)
+        return scaled(factors)
+
+    monkeypatch.setattr(factor, "_bezout_defect_scaled", counted)
+    assert all(p["status"] == "pass" for p in verify.run_suite(trials=10, seed=0))
+    assert len(calls) == 10
 
 
 def test_suite_reads_zeros_as_values_and_certifies_once(monkeypatch):
