@@ -1,15 +1,15 @@
 """Synthesis of stealthy attack signals.
 
-Unbounded actuator plans ride a geometric mode along a right null
-vector of the system pencil, so the closed loop's monitored signals stay
-bounded while the injected signal grows: at a strictly non-minimum-phase
-zero, or, on a fat plant, whose pencil has a null vector at every point,
-at the fixed ratio ``FREE_ZETA``.  Which of the two applies is
-``zeros.classify_vulnerability``'s decision.  Sensor plans do the same
-with an unstable pole and the left denominator factor's null direction.
-A coordinated attack computes the sensor sequence that cancels an
-arbitrary actuator sequence at the output, so the visible output never
-moves.
+Every plan rides a growth ratio zeta along the channel part ``a0`` of a
+right null vector ``(x0, a0)`` of the pencil ``[zeta I - A, -B_att; C,
+D_att]`` of the loop's sampled system: ``(B, D)`` for the actuators,
+``(0, I)`` for the sensors, ``([B, 0], [D, I])`` for both.  From zero
+state the injection ``eps * Re(a0 * zeta^k)`` leaves the measured output
+equal to the closed loop's free response from ``-eps * x0``, which the
+stabilizing controller damps, for any plant.  Actuator plans ride the
+zero or the ratio ``FREE_ZETA`` that ``zeros.classify_vulnerability``
+reports, sensor plans the witness pole of its sensor verdict, and
+coordinated plans ``FREE_ZETA``.
 
 Signal amplitudes are calibrated empirically: a probe run of the loop
 with a unit-amplitude plan measures the monitor peak per unit amplitude,
@@ -29,13 +29,14 @@ from functools import partial
 import numpy as np
 
 from .errors import CapabilityError, DimensionError, NumericError
-from .factor import eval_lambda, left_factors
-from .model import _field, _integer, ss_response
+from .model import StateSpace, _field, _integer
 from .sim import LoopConfig, run_dual_rate, run_single_rate
 from .zeros import (
     _normalize_direction,
     _null_directions,
+    _sensor_verdict,
     classify_vulnerability,
+    pencil_matrix,
     poles,
     transmission_zeros,
 )
@@ -51,16 +52,16 @@ __all__ = [
     "FREE_ZETA",
 ]
 
-_PARAMETRIC_KINDS = ("actuator_zero", "sensor_pole")
-_SEQUENCE_KINDS = ("coordinated",)
-# Growth ratio of a fat plant's plan.  Its pencil has a right null vector
-# at every point, so the ratio is free.  Measured on the first 40 fat
-# plants of the benchmark's ``random_plant`` from ``default_rng([0, 7])``
-# at T = 1, 0.5 and 0.1: at 1.5 calibration raises NumericError (the peak
-# never settles below half the threshold) for 2 plants at T = 0.5 and 3 at
-# T = 0.1; at 1.05 the dual-rate replay of 1 or 2 plants per period is not
-# detected within the horizon; at 1.1 every plan replays stealthy at
-# single rate and detected at dual rate.
+_KINDS = ("actuator_zero", "sensor_pole", "coordinated")
+# Growth ratio of a plan whose pencil has a right null vector at every
+# point, so the ratio is free: a fat plant's actuator plan and every
+# coordinated plan.  Measured on the first 40 fat plants of the
+# benchmark's ``random_plant`` from ``default_rng([0, 7])`` at T = 1, 0.5
+# and 0.1: at 1.5 calibration raises NumericError (the peak never settles
+# below half the threshold) for 2 plants at T = 0.5 and 3 at T = 0.1; at
+# 1.05 the dual-rate replay of 1 or 2 plants per period is not detected
+# within the horizon; at 1.1 every plan replays stealthy at single rate
+# and detected at dual rate.
 FREE_ZETA = 1.1
 
 
@@ -81,16 +82,15 @@ def geometric_sequence(direction, ratio: complex, epsilon: float, n_steps: int) 
 
 @dataclass(frozen=True)
 class AttackPlan:
-    """Parametric or sequence-carrying attack description.
+    """Parametric attack description: ``epsilon * Re(direction * zeta^k)``.
 
-    Parametric kinds (``actuator_zero``, ``sensor_pole``) generate
-    ``epsilon * Re(direction * zeta^k)`` on their channels; ``zeta`` has
-    modulus above one for every unbounded plan and ``direction`` has
-    max-norm one.  The sequence kind ``coordinated`` carries its explicit
-    signals ``d_a`` and ``d_s`` in ``companion`` as matrices.  Every
-    parameter and companion signal must be finite.  ``channel_map`` names
-    one distinct, non-negative channel per entry of ``direction`` or
-    column of ``d_a``.
+    ``zeta`` has modulus above one and ``direction`` max-norm one; every
+    parameter must be finite.  An ``actuator_zero`` plan injects on the
+    actuators, a ``sensor_pole`` plan on the sensors, one distinct,
+    non-negative channel of ``channel_map`` per entry of ``direction``.  A
+    ``coordinated`` plan injects on both: ``channel_map`` names its
+    actuator channels, one per leading entry of ``direction``, and the
+    rest of ``direction`` is its sensor part, on sensor channels 0, 1, ...
     """
 
     kind: str
@@ -99,86 +99,76 @@ class AttackPlan:
     epsilon: float
     horizon: int
     channel_map: tuple
-    companion: dict | None = None
     calibration: dict | None = None
 
     def __post_init__(self):
-        if self.kind not in _PARAMETRIC_KINDS + _SEQUENCE_KINDS:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown attack kind {self.kind!r}")
         object.__setattr__(self, "direction", np.asarray(self.direction, dtype=complex).reshape(-1))
         object.__setattr__(self, "zeta", complex(self.zeta))
         object.__setattr__(self, "channel_map", tuple(int(c) for c in self.channel_map))
         if not (np.isfinite(self.zeta) and np.isfinite(self.direction).all()):
             raise ValueError("plan zeta and direction must be finite")
-        if self.companion is not None and not all(
-            np.isfinite(seq).all() for seq in self.companion.values()
-        ):
-            raise ValueError("plan companion signals must be finite")
-        if self.kind in _PARAMETRIC_KINDS:
-            if abs(self.zeta) <= 1.0:
-                raise ValueError("unbounded plans require |zeta| > 1")
-            mags = np.abs(self.direction)
-            if abs(float(np.max(mags)) - 1.0) > 1e-9:
-                raise ValueError("plan direction must have max-norm one")
-            width = len(self.direction)
-        else:
-            needs = ["d_a", "d_s"]
-            if any(np.ndim((self.companion or {}).get(k)) != 2 for k in needs):
-                raise ValueError(f"a {self.kind} plan needs companion matrices {needs}")
-            width = np.shape(self.companion["d_a"])[1]
+        if abs(self.zeta) <= 1.0:
+            raise ValueError("unbounded plans require |zeta| > 1")
+        if abs(float(np.max(np.abs(self.direction))) - 1.0) > 1e-9:
+            raise ValueError("plan direction must have max-norm one")
         if not 0 < self.epsilon < np.inf:
             raise ValueError("epsilon must be positive and finite")
-        ch = self.channel_map
-        if len(ch) != width or len(set(ch)) < width or min(ch, default=0) < 0:
-            raise ValueError(f"plan channel_map {list(ch)} does not name {width} distinct, "
-                             "non-negative channels, one per signal column")
+        ch, width = self.channel_map, len(self.direction)
+        if self.kind == "coordinated":
+            # the actuator channels; the rest of the direction is the sensor part
+            fits, wanted = 0 < len(ch) < width, f"1 to {width - 1}"
+        else:
+            fits, wanted = len(ch) == width, str(width)
+        if not fits or len(set(ch)) < len(ch) or min(ch, default=0) < 0:
+            raise ValueError(f"plan channel_map {list(ch)} does not name {wanted} distinct, "
+                             "non-negative channels, one per direction entry it places")
 
-    def _scatter(self, seq: np.ndarray, n_steps: int, n_channels: int) -> np.ndarray:
-        out = np.zeros((n_steps, n_channels))
-        take = min(n_steps, seq.shape[0])
-        for col, ch in enumerate(self.channel_map):
-            if ch >= n_channels:
-                raise DimensionError(
-                    f"plan channel {ch} out of range for {n_channels} channels"
-                )
-            out[:take, ch] = seq[:take, col]
+    def _part(self, sensor: bool):
+        """(direction, channels) of the plan's sensor or actuator part, or
+        None when it injects on no such channel."""
+        d, ch = self.direction, self.channel_map
+        if self.kind == "coordinated":
+            k = len(ch)
+            return (d[k:], tuple(range(len(d) - k))) if sensor else (d[:k], ch)
+        return (d, ch) if (self.kind == "sensor_pole") == sensor else None
+
+    @property
+    def sensor_channels(self) -> tuple:
+        """Sensor channels the plan injects on (empty for an actuator plan)."""
+        return (self._part(True) or ((), ()))[1]
+
+    def _render(self, sensor: bool, n_rows: int, n_channels: int):
+        part = self._part(sensor)
+        if part is None:
+            return None
+        direction, channels = part
+        if max(channels) >= n_channels:
+            raise DimensionError(
+                f"plan channel {max(channels)} out of range for {n_channels} channels"
+            )
+        out = np.zeros((n_rows, n_channels))
+        out[:, list(channels)] = geometric_sequence(direction, self.zeta, self.epsilon, n_rows)
         return out
 
     def actuator_sequence(self, n_steps: int, n_channels: int):
         """Actuator injection, one row per base step (None for sensor plans)."""
-        if self.kind == "actuator_zero":
-            seq = geometric_sequence(self.direction, self.zeta, self.epsilon, n_steps)
-            return self._scatter(seq, n_steps, n_channels)
-        if self.kind == "coordinated":
-            stored = np.asarray(self.companion["d_a"], dtype=float)
-            return self._scatter(stored, n_steps, n_channels)
-        return None
+        return self._render(False, n_steps, n_channels)
 
     def sensor_sequence(self, n_steps: int, n_channels: int, m: int = 1):
         """Sensor injection over ``n_steps`` base steps of ``m`` samples
         each, one row per sample (None for actuator plans).
 
-        A ``sensor_pole`` plan whose channels reach past ``n_channels``
-        rides a pole of the lifted system: its channels are the
-        ``m * n_channels`` outputs stacked over one base step, so it is
-        rendered one base step at a time and each row is unstacked into
-        its m samples.
+        A sensor part whose channels reach past ``n_channels`` rides the
+        lifted system: its channels are the ``m * n_channels`` outputs
+        stacked over one base step, so it is rendered one base step at a
+        time and each row is unstacked into its m samples.
         """
-        n_samples = n_steps * m
-        if self.kind == "sensor_pole":
-            if max(self.channel_map, default=-1) >= n_channels:
-                rows, width = n_steps, m * n_channels
-            else:
-                rows, width = n_samples, n_channels
-            seq = geometric_sequence(self.direction, self.zeta, self.epsilon, rows)
-            return self._scatter(seq, rows, width).reshape(n_samples, n_channels)
-        if self.kind == "coordinated":
-            stored = np.asarray(self.companion["d_s"], dtype=float)
-            out = np.zeros((n_samples, n_channels))
-            take = min(n_samples, stored.shape[0])
-            out[:take, : stored.shape[1]] = stored[:take]
-            return out
-        return None
+        lifted = max(self.sensor_channels, default=-1) >= n_channels
+        rows, width = (n_steps, m * n_channels) if lifted else (n_steps * m, n_channels)
+        seq = self._render(True, rows, width)
+        return None if seq is None else seq.reshape(n_steps * m, n_channels)
 
 
 def default_horizon(ratio: complex) -> int:
@@ -235,16 +225,19 @@ def _calibrate(cfg: LoopConfig, unit_plan: AttackPlan):
     return epsilon, peak / epsilon
 
 
-def _calibrated_plan(cfg: LoopConfig, kind: str, zeta: complex, direction, n_channels: int):
-    """Plan of ``kind`` over all ``n_channels`` channels at the default
-    horizon for ``zeta``, with its amplitude calibrated on ``cfg``."""
+def _pencil_plan(cfg: LoopConfig, kind: str, zeta: complex, channels: StateSpace, n_named: int):
+    """Plan of ``kind`` riding ``zeta`` along the channel part of the right
+    null vector of the pencil of ``channels``, the loop's sampled system
+    with the attacked channels as its inputs, at the default horizon for
+    ``zeta`` and with its amplitude calibrated on ``cfg``; its
+    ``channel_map`` names the first ``n_named`` channels."""
     unit = AttackPlan(
         kind=kind,
         zeta=zeta,
-        direction=direction,
+        direction=_normalize_direction(*_null_directions(channels, [zeta])[0])[1],
         epsilon=1.0,
         horizon=default_horizon(zeta),
-        channel_map=tuple(range(n_channels)),
+        channel_map=tuple(range(n_named)),
     )
     epsilon, c0 = _calibrate(cfg, unit)
     return replace(
@@ -260,23 +253,21 @@ def synth_actuator_attack(cfg: LoopConfig) -> AttackPlan:
     discrete (or lifted) plant.
 
     ``nmp_zero`` rides its witness, the strictly non-minimum-phase zero of
-    largest modulus, along the zero's input direction; zeros of the
-    feedthrough at reciprocal frequency zero have no causal geometric input
-    and never qualify.  ``fat_plant`` rides ``FREE_ZETA`` along the input
-    part of the pencil's right null vector there.  ``multiple_zero_at_one``
-    calls for a ramp, which no plan kind renders, and is a
-    ``CapabilityError`` naming it, as is a verdict other than "yes".  The
-    amplitude is calibrated so the monitor peaks at half the threshold.
+    largest modulus; zeros of the feedthrough at reciprocal frequency zero
+    have no causal geometric input and never qualify.  ``fat_plant`` rides
+    ``FREE_ZETA``.  Either way the direction is the input part of the
+    pencil's right null vector there.  ``multiple_zero_at_one`` calls for
+    a ramp, which no plan kind renders, and is a ``CapabilityError``
+    naming it, as is a verdict other than "yes".  The amplitude is
+    calibrated so the monitor peaks at half the threshold.
     """
     sys = cfg.system
     report = transmission_zeros(sys)
     verdict = classify_vulnerability(report, system=sys)
     if verdict.actuator_mechanism == "nmp_zero":
-        witness = verdict.actuator_witness
-        zeta, direction = complex(witness.z_value), witness.input_direction
+        zeta = complex(verdict.actuator_witness.z_value)
     elif verdict.actuator_mechanism == "fat_plant":
         zeta = FREE_ZETA
-        direction = _normalize_direction(*_null_directions(sys, [zeta])[0])[1]
     elif verdict.actuator_mechanism == "multiple_zero_at_one":
         raise CapabilityError(
             "plant vulnerable through a multiple zero at frequency one "
@@ -288,75 +279,66 @@ def synth_actuator_attack(cfg: LoopConfig) -> AttackPlan:
         raise CapabilityError(
             "plant not vulnerable: no strictly non-minimum-phase zero to ride" + hint
         )
-    return _calibrated_plan(cfg, "actuator_zero", zeta, direction, sys.n_u)
+    return _pencil_plan(cfg, "actuator_zero", zeta, sys, sys.n_u)
 
 
-def synth_sensor_attack(cfg: LoopConfig, factors=None) -> AttackPlan:
-    """Unbounded stealthy sensor plan riding an unstable pole.
+def synth_sensor_attack(cfg: LoopConfig) -> AttackPlan:
+    """Unbounded stealthy sensor plan riding the witness pole of the
+    sensor verdict ``classify_vulnerability`` reports, the unstable pole
+    of largest modulus.
 
-    The growth ratio is the unstable pole; the direction is the null
-    vector of the left denominator factor evaluated at the pole's
-    reciprocal frequency, so the factor annihilates the injected mode.
+    The direction is the sensor part of the null vector of
+    ``[zeta I - A, 0; C, I]``: ``-C v`` for the pole's eigenvector v.  A
+    verdict other than "yes" is a ``CapabilityError`` naming it, and a
+    pencil that is not singular at the pole a ``NumericError``.
     """
     sys = cfg.system
-    records = poles(sys)
-    unstable = [p for p in records if p.classification == "unstable"]
-    if not unstable:
-        boundary = [p for p in records if p.classification == "boundary"]
-        hint = (
-            "; only boundary poles found, which admit no unbounded plan"
-            if boundary
-            else "; the plant is stable"
+    verdict, witness, notes = _sensor_verdict(poles(sys))
+    if verdict == "undecided":
+        raise CapabilityError("no sensor plan: " + "; ".join(notes))
+    if verdict == "no":
+        # a "no" has a note only when it rests on simple boundary poles
+        why = "only boundary poles found, which admit no unbounded plan"
+        raise CapabilityError(
+            "plant not vulnerable: no unstable pole; " + (why if notes else "the plant is stable")
         )
-        raise CapabilityError("plant not vulnerable: no unstable pole" + hint)
-    witness = max(unstable, key=lambda p: abs(p.value))
     zeta = complex(witness.value)
-    Ml = left_factors(sys)[2] if factors is None else factors.Ml
-    Ml_at_pole = eval_lambda(Ml, 1.0 / zeta)
-    _, svals, Vh = np.linalg.svd(Ml_at_pole)
+    sensors = StateSpace(sys.A, np.zeros((sys.n, sys.n_y)), sys.C, np.eye(sys.n_y))
+    svals = np.linalg.svd(pencil_matrix(sensors, zeta), compute_uv=False)
     if svals[-1] > 1e-6 * svals[0]:
         raise NumericError(
-            "left denominator factor is not singular at the pole's reciprocal "
-            f"frequency (smallest singular value {svals[-1]:.3e}); pole data inconsistent"
+            "sensor pencil is not singular at the witness pole "
+            f"(smallest singular value {svals[-1]:.3e}); pole data inconsistent"
         )
-    d0 = Vh[-1].conj()
-    idx = int(np.argmax(np.abs(d0)))
-    d0 = d0 / (d0[idx] / abs(d0[idx])) / abs(d0[idx])
-    return _calibrated_plan(cfg, "sensor_pole", zeta, d0, sys.n_y)
+    return _pencil_plan(cfg, "sensor_pole", zeta, sensors, sys.n_y)
 
 
-def synth_coordinated_attack(sys, d_a):
-    """Sensor sequence canceling an arbitrary actuator sequence at the output.
+def synth_coordinated_attack(cfg: LoopConfig) -> AttackPlan:
+    """Unbounded stealthy plan on every actuator and every sensor at once.
 
-    Returns the pair ``(d_a, d_s)`` with ``d_s = -(P d_a)`` computed from
-    zero state; injecting both leaves the measured output identical to
-    the attack-free run, for any plant, stable or not.
+    The pencil ``[zeta I - A, -B, 0; C, D, I]`` has a right null vector at
+    every point, so the plan rides ``FREE_ZETA`` for any plant, stable or
+    not.  In a dual-rate loop the sensor part covers the m stacked outputs
+    of a base step, so the plan stays stealthy there too.  The direction
+    is the actuator part, one entry per input, then the sensor part.
     """
-    d_a = np.asarray(d_a, dtype=float)
-    if d_a.ndim == 1:
-        d_a = d_a.reshape(-1, 1)
-    d_s = -ss_response(sys, d_a)
-    return d_a, d_s
+    sys = cfg.system
+    both = StateSpace(sys.A, np.hstack([sys.B, np.zeros((sys.n, sys.n_y))]),
+                      sys.C, np.hstack([sys.D, np.eye(sys.n_y)]))
+    return _pencil_plan(cfg, "coordinated", FREE_ZETA, both, sys.n_u)
 
 
 def plan_to_dict(plan: AttackPlan) -> dict:
     """JSON-ready plan representation (round-trips via plan_from_dict)."""
-    out = {
+    return {
         "kind": plan.kind,
         "zeta": {"re": plan.zeta.real, "im": plan.zeta.imag},
         "direction": [{"re": z.real, "im": z.imag} for z in plan.direction],
         "epsilon": plan.epsilon,
         "horizon": plan.horizon,
         "channel_map": list(plan.channel_map),
-        "companion": None,
         "calibration": plan.calibration,
     }
-    if plan.companion is not None:
-        out["companion"] = {
-            key: np.asarray(value, dtype=float).tolist()
-            for key, value in plan.companion.items()
-        }
-    return out
 
 
 def plan_from_dict(doc: dict) -> AttackPlan:
@@ -365,9 +347,6 @@ def plan_from_dict(doc: dict) -> AttackPlan:
     if not isinstance(doc, dict):
         raise ValueError(f"an attack plan must be a JSON object, not {type(doc).__name__}")
     field = partial(_field, "plan", doc)
-    companion = doc.get("companion")
-    if companion is not None:
-        companion = field("companion", lambda c: {k: np.asarray(v, float) for k, v in c.items()})
     return AttackPlan(
         kind=doc["kind"],
         zeta=field("zeta", lambda z: complex(z["re"], z["im"])),
@@ -375,6 +354,5 @@ def plan_from_dict(doc: dict) -> AttackPlan:
         epsilon=field("epsilon", float),
         horizon=field("horizon", _integer),
         channel_map=field("channel_map", lambda c: [_integer(ch) for ch in c]),
-        companion=companion,
         calibration=doc.get("calibration"),
     )

@@ -2,10 +2,11 @@
 and the randomized property-verification suite, over JSON plant specs.
 
 Exit codes: 0 success, 2 parse/validation failure, 3 capability failure
-("not vulnerable"), 4 numeric failure or a failing ``verify`` property, 5
-configuration failure.  Every output embeds the tool version, the seed,
-and the input file hash; the timestamp is isolated in a single field so
-reruns are byte-identical otherwise.
+(no plan for the verdict: "not vulnerable", "undecided"), 4 numeric
+failure or a failing ``verify`` property, 5 configuration failure.  Every
+output embeds the tool version, the seed, and the input file hash; the
+timestamp is isolated in a single field so reruns are byte-identical
+otherwise.
 """
 
 from __future__ import annotations
@@ -263,11 +264,9 @@ def cmd_analyze(args) -> int:
 def cmd_attack(args) -> int:
     seed = _resolve_seed(args)
     plant, T, m_file, sha256 = _load(args)
-    cfg, factors = _standard_loop(args, plant, T, m_file, DEFAULT_HORIZON)
-    if args.kind == "actuator":
-        plan = synth_actuator_attack(cfg)
-    else:
-        plan = synth_sensor_attack(cfg, factors=factors)
+    cfg, _ = _standard_loop(args, plant, T, m_file, DEFAULT_HORIZON)
+    synth = synth_actuator_attack if args.kind == "actuator" else synth_sensor_attack
+    plan = synth(cfg)
     doc = _base_doc(seed, sha256)
     doc["plan"] = plan_to_dict(plan)
     doc["loop"] = {"mode": cfg.mode, "T": T, "m": cfg.m, "theta": args.theta}
@@ -288,10 +287,10 @@ def _recorded_m(plan_doc: dict):
 
 
 def _check_replay_loop(plan, plan_m, n_y: int, cfg) -> None:
-    """A sensor plan whose channels reach past the plant's ``n_y`` outputs
+    """A plan whose sensor channels reach past the plant's ``n_y`` outputs
     rides the lifted outputs of the dual-rate loop at ``plan_m`` (the m its
     ``plan.json`` records), so it replays only in that loop."""
-    if plan.kind != "sensor_pole" or max(plan.channel_map, default=-1) < n_y:
+    if max(plan.sensor_channels, default=-1) < n_y:
         return
     loop_m = cfg.m or 1  # single rate is the loop at m = 1
     if loop_m != plan_m:

@@ -423,6 +423,26 @@ def multiplicity_at_one(left_numerator) -> str:
     return "multiple" if rT < n_u + r1 else "simple"
 
 
+def _sensor_verdict(records):
+    """(verdict, witness, notes) of the sensor channel from pole records:
+    an unstable pole is the witness (the one of largest modulus); simple
+    boundary poles are harmless; repeated boundary poles are undecided."""
+    unstable = [p for p in records if p.classification == "unstable"]
+    if unstable:
+        witness = max(unstable, key=lambda p: abs(p.value))
+        marginal = "sensor witness pole is marginal (near the boundary tolerance)"
+        return "yes", witness, (marginal,) if witness.marginal else ()
+    boundary = [p.value for p in records if p.classification == "boundary"]
+    if not boundary:
+        return "no", None, ()
+    if any(s > 1 for s in _cluster_sizes(boundary, MATCH_TOL)):
+        return "undecided", None, (
+            "repeated boundary poles: undecided (out of scope: "
+            "invariant-factor multiplicity analysis)",
+        )
+    return "no", None, ("boundary poles are simple: no unbounded sensor plan",)
+
+
 def classify_vulnerability(report: ZeroReport, system=None) -> VulnerabilityVerdict:
     """Stealthy-attack verdicts per channel from a zero/pole report.
 
@@ -432,8 +452,8 @@ def classify_vulnerability(report: ZeroReport, system=None) -> VulnerabilityVerd
     null-chain test on the stable left-factor numerator of ``system`` (the
     system ``report`` was computed from), its left pair built only then;
     multiple boundary zeros elsewhere are reported undecided.  Sensor
-    side: an unstable pole is the witness; simple boundary poles are
-    harmless; repeated boundary poles are undecided.
+    side: ``_sensor_verdict`` of the report's poles, the decision
+    ``attack.synth_sensor_attack`` builds its plan from.
     """
     notes = []
 
@@ -475,26 +495,8 @@ def classify_vulnerability(report: ZeroReport, system=None) -> VulnerabilityVerd
                     "(out of scope: invariant-factor multiplicity analysis)"
                 )
 
-    sensor = "no"
-    sensor_witness = None
-    unstable = [p for p in report.poles if p.classification == "unstable"]
-    if unstable:
-        sensor_witness = max(unstable, key=lambda p: abs(p.value))
-        sensor = "yes"
-        if sensor_witness.marginal:
-            notes.append("sensor witness pole is marginal (near the boundary tolerance)")
-    else:
-        boundary = [p for p in report.poles if p.classification == "boundary"]
-        if boundary:
-            sizes = _cluster_sizes([p.value for p in boundary], MATCH_TOL)
-            if any(s > 1 for s in sizes):
-                sensor = "undecided"
-                notes.append(
-                    "repeated boundary poles: undecided (out of scope: "
-                    "invariant-factor multiplicity analysis)"
-                )
-            else:
-                notes.append("boundary poles are simple: no unbounded sensor plan")
+    sensor, sensor_witness, sensor_notes = _sensor_verdict(report.poles)
+    notes.extend(sensor_notes)
 
     return VulnerabilityVerdict(
         actuator=actuator,

@@ -16,6 +16,7 @@ from liftguard import (
     check_assumptions,
     check_minimal,
     discretize,
+    eval_lambda,
     left_factors,
     linalg,
 )
@@ -142,6 +143,43 @@ def residual_generator(sys) -> StateSpace:
     """
     _, Nl, Ml = left_factors(sys)
     return StateSpace(Ml.A, np.hstack([Ml.B, -Nl.B]), Ml.C, np.hstack([Ml.D, -Nl.D]))
+
+
+def reference_sensor_direction(sys, zeta: complex) -> np.ndarray:
+    """Sensor plan direction from the left denominator factor ``Ml``: its
+    null vector at the pole's reciprocal frequency, so the factor
+    annihilates the injected mode, scaled to max-norm one with its largest
+    entry real positive.  The oracle for ``synth_sensor_attack``'s
+    pencil construction."""
+    Ml = left_factors(sys)[2]
+    _, _, Vh = np.linalg.svd(eval_lambda(Ml, 1.0 / zeta))
+    d0 = Vh[-1].conj()
+    idx = int(np.argmax(np.abs(d0)))
+    return d0 / (d0[idx] / abs(d0[idx])) / abs(d0[idx])
+
+
+class Injector:
+    """Fixed attack signals for a loop run: it answers the two calls
+    ``sim._render_attack`` makes of a plan.  ``d_a`` has one row per base
+    step and ``d_s`` one per sample; each is cut or zero-padded to the
+    run's length and placed on the leading channels."""
+
+    def __init__(self, d_a, d_s):
+        self.d_a = np.asarray(d_a, dtype=float)
+        self.d_s = np.asarray(d_s, dtype=float)
+
+    @staticmethod
+    def _fit(seq, n_rows, n_channels):
+        out = np.zeros((n_rows, n_channels))
+        take = min(n_rows, seq.shape[0])
+        out[:take, : seq.shape[1]] = seq[:take]
+        return out
+
+    def actuator_sequence(self, n_steps, n_channels):
+        return self._fit(self.d_a, n_steps, n_channels)
+
+    def sensor_sequence(self, n_steps, n_channels, m=1):
+        return self._fit(self.d_s, n_steps * m, n_channels)
 
 
 def has_zero_at(sys, z: complex) -> bool:

@@ -24,19 +24,16 @@ from liftguard import (
     run_dual_rate,
     run_single_rate,
     shift_consistency_check,
+    ss_response,
     standard_loop,
     transmission_zeros,
 )
-from liftguard.attack import (
-    AttackPlan,
-    synth_actuator_attack,
-    synth_coordinated_attack,
-    synth_sensor_attack,
-)
+from liftguard.attack import synth_actuator_attack, synth_sensor_attack
 from liftguard.errors import CapabilityError, LiftguardError, ModelError
 from liftguard.lift import block_difference_matrix, observability_stack
 
 from helpers import (
+    Injector,
     assert_sets_close,
     double_integrator,
     has_zero_at,
@@ -141,17 +138,17 @@ def test_criterion_03_actuator_attack_end_to_end(single_rate_attack):
 
 def test_criterion_04_sensor_attack_end_to_end():
     plant = unstable_scalar()
-    cfg, factors = standard_loop(plant, discretize(plant, 1.0), theta=THETA, horizon=200)
-    plan = synth_sensor_attack(cfg, factors=factors)
+    cfg, _ = standard_loop(plant, discretize(plant, 1.0), theta=THETA, horizon=200)
+    plan = synth_sensor_attack(cfg)
     assert abs(plan.zeta - 2.0) <= 1e-9
     trace = run_single_rate(dataclasses.replace(cfg, attack=plan, horizon=plan.horizon))
     assert trace.verdict.stealthy
     d = np.abs(trace.d_s[:, 0])
     assert d[-1] >= 1e3 * d[0]
     stable = stable_two_state()
-    stable_cfg, stable_factors = standard_loop(stable, discretize(stable, 0.5), theta=THETA)
+    stable_cfg, _ = standard_loop(stable, discretize(stable, 0.5), theta=THETA)
     with pytest.raises(CapabilityError):
-        synth_sensor_attack(stable_cfg, factors=stable_factors)
+        synth_sensor_attack(stable_cfg)
     report(4, "sensor attack on the pole-2 plant is stealthy with growth "
               f"{d[-1]/d[0]:.1e}; the stable plant raises a capability error")
 
@@ -160,12 +157,11 @@ def test_criterion_05_coordinated_masking():
     plant = stable_two_state()
     P = discretize(plant, 0.5)
     cfg, _ = standard_loop(plant, P, theta=THETA, horizon=500)
-    d_a, d_s = synth_coordinated_attack(P, np.arange(500, dtype=float))
-    plan = AttackPlan(
-        kind="coordinated", zeta=1.0, direction=[1.0], epsilon=1.0, horizon=500,
-        channel_map=(0,), companion={"d_a": d_a, "d_s": d_s},
-    )
-    attacked = run_single_rate(dataclasses.replace(cfg, attack=plan))
+    # the sensor injection cancels the actuator injection's effect at the
+    # output: d_s = -P d_a from zero state
+    d_a = np.arange(500, dtype=float).reshape(-1, 1)
+    d_s = -ss_response(P, d_a)
+    attacked = run_single_rate(dataclasses.replace(cfg, attack=Injector(d_a, d_s)))
     free = run_single_rate(cfg)
     dev = float(np.max(np.abs(attacked.y - free.y)))
     assert dev <= 1e-10
@@ -357,10 +353,7 @@ def test_criterion_11_lifting_equivalence():
             continue
         x0 = rng.standard_normal(plant.n) * 0.1
         d_a = rng.standard_normal((100, 1)) * 0.01
-        plan = AttackPlan(
-            kind="coordinated", zeta=1.0, direction=[1.0], epsilon=1.0, horizon=100,
-            channel_map=(0,), companion={"d_a": d_a, "d_s": np.zeros((100 * m, 1))},
-        )
+        plan = Injector(d_a, np.zeros((100 * m, 1)))
         cfg = dataclasses.replace(cfg, x0_plant=x0, attack=plan, theta=1e9, oversample=1)
         trace = run_dual_rate(cfg)
         u_ref, y_ref = run_lifted_closed_loop(L, cfg.controller, 100, d_a=d_a, x0=x0)

@@ -31,24 +31,23 @@ from liftguard.errors import CapabilityError, NumericError
 from liftguard.sim import LoopConfig
 
 from helpers import (
+    Injector,
     bench_module,
     double_integrator,
+    light_oscillator,
+    reference_sensor_direction,
     stable_two_state,
     triple_integrator,
     unstable_scalar,
 )
 
 
-def make_coordinated_plan(d_a, d_s, horizon):
-    return AttackPlan(
-        kind="coordinated",
-        zeta=1.0,
-        direction=[1.0],
-        epsilon=1.0,
-        horizon=horizon,
-        channel_map=(0,),
-        companion={"d_a": np.asarray(d_a), "d_s": np.asarray(d_s)},
-    )
+def population(shape, count):
+    """The first ``count`` plants of ``shape`` that the benchmark's
+    ``random_plant`` draws from ``default_rng([0, 7])``."""
+    random_plant = bench_module("workloads").random_plant
+    rng = np.random.default_rng([0, 7])
+    return [load_plant(random_plant(rng, shape))[0] for _ in range(count)]
 
 
 @pytest.fixture(scope="module")
@@ -116,8 +115,8 @@ class TestActuatorSynthesis:
 class TestSensorSynthesis:
     def test_unstable_plant_stealthy(self):
         plant = unstable_scalar()
-        cfg, factors = standard_loop(plant, discretize(plant, 1.0), theta=0.01, horizon=200)
-        plan = synth_sensor_attack(cfg, factors=factors)
+        cfg, _ = standard_loop(plant, discretize(plant, 1.0), theta=0.01, horizon=200)
+        plan = synth_sensor_attack(cfg)
         assert abs(plan.zeta - 2.0) <= 1e-9
         trace = run_single_rate(dataclasses.replace(cfg, attack=plan, horizon=plan.horizon))
         assert trace.verdict.stealthy
@@ -127,26 +126,64 @@ class TestSensorSynthesis:
 
     def test_stable_plant_not_vulnerable(self):
         plant = stable_two_state()
-        cfg, factors = standard_loop(plant, discretize(plant, 0.5), theta=0.01)
+        cfg, _ = standard_loop(plant, discretize(plant, 0.5), theta=0.01)
         with pytest.raises(CapabilityError, match="stable"):
-            synth_sensor_attack(cfg, factors=factors)
+            synth_sensor_attack(cfg)
 
     def test_simple_boundary_pole_not_vulnerable(self):
         from liftguard import ContinuousPlant
 
         integ = ContinuousPlant(Ac=[[0.0]], Bc=[[1.0]], Cc=[[1.0]], Dc=[[0.0]])
-        cfg, factors = standard_loop(integ, discretize(integ, 1.0), theta=0.01)
+        cfg, _ = standard_loop(integ, discretize(integ, 1.0), theta=0.01)
         with pytest.raises(CapabilityError, match="boundary"):
-            synth_sensor_attack(cfg, factors=factors)
+            synth_sensor_attack(cfg)
 
+    def test_repeated_boundary_poles_are_undecided(self):
+        # the verdict classify_vulnerability reports, not "not vulnerable"
+        plant = double_integrator()
+        P = discretize(plant, 1.0)
+        assert classify_vulnerability(transmission_zeros(P), system=P).sensor == "undecided"
+        cfg, _ = standard_loop(plant, P, theta=0.01)
+        with pytest.raises(CapabilityError, match="undecided") as exc:
+            synth_sensor_attack(cfg)
+        assert "not vulnerable" not in str(exc.value)
+
+    def test_pencil_not_singular_at_the_pole_is_an_error(self, monkeypatch):
+        # a witness that is not a pole of the loop's system: the sensor
+        # pencil has no null vector there
+        from liftguard import attack
+        from liftguard.zeros import PoleRecord
+
+        plant = unstable_scalar()
+        cfg, _ = standard_loop(plant, discretize(plant, 1.0), theta=0.01)
+        monkeypatch.setattr(attack, "poles", lambda sys: (PoleRecord(3.0, "unstable"),))
+        with pytest.raises(NumericError, match="not singular"):
+            synth_sensor_attack(cfg)
+
+    @pytest.mark.parametrize("m", [None, 2, 3], ids=["single_rate", "m2", "m3"])
+    def test_direction_matches_the_left_factor_oracle_on_pole_at_2(self, m):
+        plant = unstable_scalar()
+        system = discretize(plant, 1.0) if m is None else build_lifted(plant, 1.0, m)
+        plan = synth_sensor_attack(standard_loop(plant, system)[0])
+        want = reference_sensor_direction(system, plan.zeta)
+        assert np.max(np.abs(plan.direction - want)) <= 1e-12
+
+    @pytest.mark.parametrize("shape", ["tall", "square", "fat"])
+    def test_direction_matches_the_left_factor_oracle_on_the_population(self, shape):
+        # the first plant of each shape has an unstable pole at T = 1
+        plant = population(shape, 1)[0]
+        for system in (discretize(plant, 1.0), build_lifted(plant, 1.0)):
+            plan = synth_sensor_attack(standard_loop(plant, system)[0])
+            want = reference_sensor_direction(system, plan.zeta)
+            assert np.max(np.abs(plan.direction - want)) <= 1e-12
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_dual_rate_plan_rides_the_lifted_pole(self, m):
         # the plan lives on the m stacked outputs of a base step and grows
         # by the lifted pole once per base step
         plant = unstable_scalar()
-        cfg, factors = standard_loop(plant, build_lifted(plant, 1.0, m), theta=0.01)
-        plan = synth_sensor_attack(cfg, factors=factors)
+        cfg, _ = standard_loop(plant, build_lifted(plant, 1.0, m), theta=0.01)
+        plan = synth_sensor_attack(cfg)
         assert abs(plan.zeta - 2.0) <= 1e-9 and len(plan.direction) == m
         trace = run_dual_rate(dataclasses.replace(cfg, attack=plan, horizon=plan.horizon))
         assert trace.verdict.stealthy
@@ -266,18 +303,16 @@ class TestCalibration:
 
 
 class TestCoordinatedMasking:
-    def test_zero_in_zero_out(self):
-        P = discretize(stable_two_state(), 0.5)
-        d_a, d_s = synth_coordinated_attack(P, np.zeros((20, 1)))
-        assert not np.any(d_s)
+    # the sensor injection d_s = -P d_a from zero state cancels an
+    # arbitrary actuator injection at the output
 
     def test_ramp_masked_on_stable_plant(self):
         plant = stable_two_state()
         P = discretize(plant, 0.5)
         cfg, _ = standard_loop(plant, P, theta=0.01, horizon=500)
-        d_a, d_s = synth_coordinated_attack(P, np.arange(500, dtype=float))
-        plan = make_coordinated_plan(d_a, d_s, 500)
-        attacked = run_single_rate(dataclasses.replace(cfg, attack=plan))
+        d_a = np.arange(500, dtype=float).reshape(-1, 1)
+        masked = Injector(d_a, -ss_response(P, d_a))
+        attacked = run_single_rate(dataclasses.replace(cfg, attack=masked))
         free = run_single_rate(cfg)
         assert np.max(np.abs(attacked.y - free.y)) <= 1e-10
 
@@ -286,19 +321,64 @@ class TestCoordinatedMasking:
         plant = triple_integrator()
         P = discretize(plant, 1.0)
         cfg, _ = standard_loop(plant, P, theta=0.01, horizon=60)
-        d_a, d_s = synth_coordinated_attack(P, np.arange(60, dtype=float))
-        plan = make_coordinated_plan(d_a, d_s, 60)
-        attacked = run_single_rate(dataclasses.replace(cfg, attack=plan))
+        d_a = np.arange(60, dtype=float).reshape(-1, 1)
+        masked = Injector(d_a, -ss_response(P, d_a))
+        attacked = run_single_rate(dataclasses.replace(cfg, attack=masked))
         free = run_single_rate(cfg)
         assert np.max(np.abs(attacked.y - free.y)) <= 1e-8
+
+
+FIXED_PLANTS = [triple_integrator, stable_two_state, unstable_scalar, light_oscillator,
+                double_integrator]
+
+
+class TestCoordinatedPlan:
+    @pytest.mark.parametrize("T", [1.0, 0.1])
+    @pytest.mark.parametrize(
+        "plants",
+        [lambda: [make() for make in FIXED_PLANTS]]
+        + [lambda shape=shape: population(shape, 5) for shape in ("tall", "square", "fat")],
+        ids=["fixed", "tall", "square", "fat"],
+    )
+    def test_stealthy_at_both_rates(self, plants, T):
+        # every actuator and every sensor attacked: the plan rides FREE_ZETA
+        # and stays stealthy in the dual-rate loop too
+        for plant in plants():
+            for system, run in ((discretize(plant, T), run_single_rate),
+                                (build_lifted(plant, T), run_dual_rate)):
+                cfg, _ = standard_loop(plant, system, theta=0.01)
+                plan = synth_coordinated_attack(cfg)
+                assert plan.kind == "coordinated" and plan.zeta == FREE_ZETA
+                assert plan.channel_map == tuple(range(plant.n_u))
+                assert len(plan.direction) == system.n_u + system.n_y
+                trace = run(dataclasses.replace(cfg, attack=plan, horizon=plan.horizon))
+                assert trace.verdict.stealthy
+                assert np.max(trace.monitor) <= cfg.theta / 2.0
+                assert np.max(np.abs(trace.d_a[-1])) >= 1e3 * np.max(np.abs(trace.d_a[0]))
+                assert np.max(np.abs(trace.d_s[-1])) >= 1e3 * np.max(np.abs(trace.d_s[0]))
+
+    def test_round_trip(self):
+        plant = triple_integrator()
+        cfg, _ = standard_loop(plant, build_lifted(plant, 1.0), theta=0.01)
+        plan = synth_coordinated_attack(cfg)
+        doc = json.loads(json.dumps(plan_to_dict(plan)))
+        assert "companion" not in doc
+        clone = plan_from_dict(doc)
+        assert (clone.kind, clone.zeta, clone.epsilon, clone.channel_map) == (
+            plan.kind, plan.zeta, plan.epsilon, plan.channel_map
+        )
+        np.testing.assert_array_equal(clone.direction, plan.direction)
+        for n_steps in (1, 7):
+            np.testing.assert_array_equal(clone.actuator_sequence(n_steps, 1),
+                                          plan.actuator_sequence(n_steps, 1))
+            np.testing.assert_array_equal(clone.sensor_sequence(n_steps, 1, 4),
+                                          plan.sensor_sequence(n_steps, 1, 4))
 
 
 class TestFatPlantPlan:
     @pytest.fixture(scope="class")
     def fat_plants(self):
-        random_plant = bench_module("workloads").random_plant
-        rng = np.random.default_rng([0, 7])
-        return [load_plant(random_plant(rng, "fat"))[0] for _ in range(10)]
+        return population("fat", 10)
 
     @pytest.mark.parametrize("T", [1.0, 0.5, 0.1])
     def test_every_fat_yes_gets_a_plan(self, fat_plants, T):
@@ -382,33 +462,21 @@ def test_non_finite_plan_parameters_rejected(field, value):
 
 
 @pytest.mark.parametrize(
-    "kind, channel_map, companion, message",
+    "kind, channel_map, message",
     [
-        ("actuator_zero", (-1,), None, "does not name 1 distinct"),
-        ("sensor_pole", (1, 1), None, "does not name 2 distinct"),
-        ("sensor_pole", (0, 1, 2), None, "does not name 2 distinct"),
-        ("coordinated", (0,), {"d_a": np.ones((5, 2)), "d_s": np.ones((5, 1))},
-         "does not name 2 distinct"),
-        ("coordinated", (0,), None, "companion matrices"),
-        ("coordinated", (0,), {"d_a": np.ones((5, 1)), "d_s": np.ones(5)}, "companion matrices"),
-        ("coordinated", (0,), {"d_a": np.ones(5), "d_s": np.ones((5, 1))}, "companion matrices"),
+        ("actuator_zero", (-1,), "does not name 1 distinct"),
+        ("sensor_pole", (1, 1), "does not name 2 distinct"),
+        ("sensor_pole", (0, 1, 2), "does not name 2 distinct"),
+        ("coordinated", (0, 1), "does not name 1 to 1 distinct"),
+        ("coordinated", (), "does not name 1 to 1 distinct"),
     ],
-    ids=["negative", "repeated", "too_long", "short_of_companion", "no_companion",
-         "vector_d_s", "vector_d_a"],
+    ids=["negative", "repeated", "too_long", "no_sensor_part", "no_actuator_part"],
 )
-def test_channel_map_must_fit_the_signal(kind, channel_map, companion, message):
+def test_channel_map_must_fit_the_signal(kind, channel_map, message):
     direction = [1.0] if kind == "actuator_zero" else [1.0, 0.5]
     with pytest.raises(ValueError, match=message):
         AttackPlan(kind=kind, zeta=2.0, direction=direction, epsilon=1.0, horizon=5,
-                   channel_map=channel_map, companion=companion)
-
-
-def test_non_finite_companion_signal_rejected():
-    plan = make_coordinated_plan(np.ones((5, 1)), -np.ones((5, 1)), 5)
-    d_a = plan.companion["d_a"].copy()
-    d_a[0, 0] = np.nan
-    with pytest.raises(ValueError, match="companion signals must be finite"):
-        dataclasses.replace(plan, companion={**plan.companion, "d_a": d_a})
+                   channel_map=channel_map)
 
 
 class TestPlanSerialization:
@@ -422,8 +490,3 @@ class TestPlanSerialization:
         assert clone.zeta == plan.zeta
         assert clone.epsilon == plan.epsilon
         np.testing.assert_array_equal(clone.direction, plan.direction)
-
-    def test_sequence_plan_round_trip(self):
-        plan = make_coordinated_plan(np.ones((5, 1)), -np.ones((5, 1)), 5)
-        clone = plan_from_dict(json.loads(json.dumps(plan_to_dict(plan))))
-        np.testing.assert_array_equal(clone.companion["d_a"], plan.companion["d_a"])

@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from liftguard import build_lifted, plant_to_dict
+from liftguard import build_lifted, plant_to_dict, standard_loop
+from liftguard.attack import plan_to_dict, synth_coordinated_attack
 
 from helpers import double_integrator, stable_two_state, triple_integrator, unstable_scalar
 
@@ -416,6 +417,40 @@ class TestAttackAndSimulate:
         assert err["error"] == "ConfigurationError"
         assert "m=2" in err["message"] and f"m={loop_m}" in err["message"]
         assert not (tmp_path / "dual" / "verdict.json").exists()
+
+    @pytest.mark.parametrize(
+        "loop, code",
+        [(("--mode", "dual_rate", "--m", "2"), 0), (("--mode", "dual_rate", "--m", "3"), 5),
+         ((), 5)],
+        ids=["dual_rate_m2", "dual_rate_m3", "single_rate"],
+    )
+    def test_lifted_coordinated_plan_replays_only_at_its_m(self, plant_files, tmp_path, loop, code):
+        # the guard reads the width of the sensor part, whatever the kind:
+        # a coordinated plan of the m = 2 loop rides its stacked outputs
+        plant = unstable_scalar()
+        plan = synth_coordinated_attack(standard_loop(plant, build_lifted(plant, 1.0, 2))[0])
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"plan": plan_to_dict(plan),
+                                    "loop": {"mode": "dual_rate", "T": 1.0, "m": 2}}))
+        out = tmp_path / "replay"
+        res = run_cli("simulate", "--plan", str(path), "--plant", plant_files["unstable"],
+                      *loop, "--out", str(out))
+        assert res.returncode == code, res.stderr
+        if code == 0:
+            assert json.load(open(out / "verdict.json"))["result"]["verdict"] == "stealthy"
+        else:
+            assert json.loads(res.stderr)["error"] == "ConfigurationError"
+            assert not (out / "verdict.json").exists()
+
+    def test_double_integrator_sensor_attack_agrees_with_analyze(self, plant_files):
+        # repeated boundary poles: analyze's sensor verdict is "undecided",
+        # and attack names it instead of calling the plant not vulnerable
+        res = run_cli("analyze", "--plant", plant_files["double"])
+        assert json.loads(res.stdout)["single_rate"]["verdict"]["sensor_stealthy"] == "undecided"
+        res = run_cli("attack", "--plant", plant_files["double"], "--kind", "sensor")
+        assert res.returncode == 3
+        message = json.loads(res.stderr)["message"]
+        assert "undecided" in message and "not vulnerable" not in message
 
     def test_weight_overrides_accepted(self, plant_files, tmp_path):
         out = str(tmp_path / "w")

@@ -19,13 +19,14 @@ from liftguard import (
     standard_loop,
     transmission_zeros,
 )
-from liftguard.attack import AttackPlan, synth_actuator_attack
+from liftguard.attack import synth_actuator_attack
 from liftguard import factor
 from liftguard.errors import DimensionError, ModelError, NumericError
 from liftguard.factor import closed_loop_matrix
 from liftguard.linalg import spectral_radius
 
 from helpers import (
+    Injector,
     assert_sets_close,
     double_integrator,
     random_continuous,
@@ -279,15 +280,7 @@ class TestObserverController:
         plant = double_integrator()
         cfg, _ = standard_loop(plant, discretize(plant, 0.1), theta=1e6, horizon=1000)
         # step disturbance on the actuator: the stable loop keeps signals bounded
-        step = AttackPlan(
-            kind="coordinated",
-            zeta=1.0,
-            direction=[1.0],
-            epsilon=1.0,
-            horizon=1000,
-            channel_map=(0,),
-            companion={"d_a": np.ones((1000, 1)), "d_s": np.zeros((1000, 1))},
-        )
+        step = Injector(np.ones((1000, 1)), np.zeros((1000, 1)))
         trace = run_single_rate(dataclasses.replace(cfg, attack=step))
         assert np.max(np.abs(trace.y)) < 1e3
         assert np.max(np.abs(trace.u)) < 1e3
@@ -340,15 +333,7 @@ class TestResidualGenerator:
         d_s = rng.standard_normal((60, 1))
 
         def residual(da, ds):
-            plan = AttackPlan(
-                kind="coordinated",
-                zeta=1.0,
-                direction=[1.0],
-                epsilon=1.0,
-                horizon=60,
-                channel_map=(0,),
-                companion={"d_a": da, "d_s": ds},
-            )
+            plan = Injector(da, ds)
             tr = run_single_rate(
                 dataclasses.replace(cfg, attack=plan, theta=1e9)
             )

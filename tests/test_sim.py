@@ -18,11 +18,12 @@ from liftguard import (
     standard_loop,
     trace_to_csv,
 )
-from liftguard.attack import AttackPlan, synth_actuator_attack, synth_sensor_attack
+from liftguard.attack import synth_actuator_attack, synth_sensor_attack
 from liftguard.errors import ConfigurationError
 from liftguard.sim import _CSV_BLOCK_ROWS, LoopConfig, trace_metadata
 
 from helpers import (
+    Injector,
     lift_controller,
     light_oscillator,
     random_continuous,
@@ -102,18 +103,7 @@ class TestSingleRate:
         base = run_single_rate(cfg)
 
         def deviation(eps):
-            plan = AttackPlan(
-                kind="coordinated",
-                zeta=1.0,
-                direction=[1.0],
-                epsilon=1.0,
-                horizon=120,
-                channel_map=(0,),
-                companion={
-                    "d_a": eps * np.sin(0.3 * np.arange(120)).reshape(-1, 1),
-                    "d_s": np.zeros((120, 1)),
-                },
-            )
+            plan = Injector(eps * np.sin(0.3 * np.arange(120)).reshape(-1, 1), np.zeros((120, 1)))
             tr = run_single_rate(dataclasses.replace(cfg, attack=plan))
             return tr.y - base.y
 
@@ -141,15 +131,7 @@ class TestDualRate:
                 continue
             x0 = rng.standard_normal(plant.n) * 0.1
             d_a = rng.standard_normal((100, 1)) * 0.01
-            plan = AttackPlan(
-                kind="coordinated",
-                zeta=1.0,
-                direction=[1.0],
-                epsilon=1.0,
-                horizon=100,
-                channel_map=(0,),
-                companion={"d_a": d_a, "d_s": np.zeros((100 * m, 1))},
-            )
+            plan = Injector(d_a, np.zeros((100 * m, 1)))
             cfg = dataclasses.replace(cfg, x0_plant=x0, attack=plan, theta=1e9, oversample=1)
             trace = run_dual_rate(cfg)
             u_ref, y_ref = run_lifted_closed_loop(
@@ -216,18 +198,6 @@ def test_kilohertz_loop(make_plant, mode):
     assert spectral_radius(base.A + factors.H @ base.C) < 1.0
 
 
-def _coordinated(d_a, d_s):
-    return AttackPlan(
-        kind="coordinated",
-        zeta=1.0,
-        direction=[1.0],
-        epsilon=1.0,
-        horizon=d_a.shape[0],
-        channel_map=tuple(range(d_a.shape[1])),
-        companion={"d_a": d_a, "d_s": d_s},
-    )
-
-
 def _reference_grid(trace, r):
     """Fine-grid recursion restarted from each logged sample state, one
     fine sub-step at a time; also returns the state each sampling
@@ -270,7 +240,7 @@ class TestIntersample:
         if case == "dual_rate_sensor":
             d_s = 0.1 * rng.standard_normal((N * m, 1))
         cfg = dataclasses.replace(
-            cfg, x0_plant=rng.standard_normal(plant.n), attack=_coordinated(d_a, d_s), theta=1e9,
+            cfg, x0_plant=rng.standard_normal(plant.n), attack=Injector(d_a, d_s), theta=1e9,
             oversample=r,
         )
         trace = run_dual_rate(cfg) if m > 1 else run_single_rate(cfg)
@@ -363,8 +333,8 @@ def _oscillator_dual_rate():
 
 def _pole_at_2_sensor_plan():
     plant = unstable_scalar()
-    cfg, factors = standard_loop(plant, build_lifted(plant, 1.0, 2))
-    plan = synth_sensor_attack(cfg, factors=factors)
+    cfg, _ = standard_loop(plant, build_lifted(plant, 1.0, 2))
+    plan = synth_sensor_attack(cfg)
     return dataclasses.replace(cfg, attack=plan, horizon=plan.horizon)
 
 
@@ -372,7 +342,7 @@ def _single_rate_from_x0():
     rng = np.random.default_rng(5)
     plant = stable_two_state()
     cfg, _ = standard_loop(plant, discretize(plant, 0.5), horizon=300)
-    plan = _coordinated(0.1 * rng.standard_normal((300, 1)), 0.1 * rng.standard_normal((300, 1)))
+    plan = Injector(0.1 * rng.standard_normal((300, 1)), 0.1 * rng.standard_normal((300, 1)))
     return dataclasses.replace(cfg, x0_plant=[1.5, -0.7], attack=plan, theta=1e9)
 
 
@@ -451,8 +421,8 @@ def _replay(T, mode, horizon=None):
 
 def _pole_at_2_single_rate_sensor_plan():
     plant = unstable_scalar()
-    cfg, factors = standard_loop(plant, discretize(plant, 1.0))
-    plan = synth_sensor_attack(cfg, factors=factors)
+    cfg, _ = standard_loop(plant, discretize(plant, 1.0))
+    plan = synth_sensor_attack(cfg)
     return dataclasses.replace(cfg, attack=plan, horizon=plan.horizon)
 
 
@@ -460,7 +430,7 @@ def _random_fat_plant():
     rng = np.random.default_rng(23)
     plant = random_continuous(rng, n=4, n_u=3, n_y=2)
     cfg, _ = standard_loop(plant, build_lifted(plant, 0.2, 3), horizon=150)
-    plan = _coordinated(0.1 * rng.standard_normal((150, 3)), 0.1 * rng.standard_normal((450, 2)))
+    plan = Injector(0.1 * rng.standard_normal((150, 3)), 0.1 * rng.standard_normal((450, 2)))
     return dataclasses.replace(cfg, x0_plant=rng.standard_normal(4), attack=plan, theta=1e9)
 
 
