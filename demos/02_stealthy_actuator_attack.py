@@ -29,7 +29,7 @@ plant = ContinuousPlant(
     Dc=[[0]],
     name="triple-integrator",
 )
-cfg, factors = standard_loop(plant, discretize(plant, T=1.0), theta=THETA, horizon=200)
+cfg = standard_loop(discretize(plant, T=1.0), theta=THETA, horizon=200)
 
 # =============================================================================
 # Synthesize.  The amplitude is calibrated by simulation so the monitor

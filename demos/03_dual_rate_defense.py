@@ -68,7 +68,7 @@ print(f"multiplicity at frequency one: {multiplicity_at_one(factors.Nl)}")
 # Direct consequence: the attack synthesizer has nothing to ride.  The
 # dual-rate loop is the loop built on the lifted system L.
 
-dual_cfg, _ = standard_loop(plant, L, theta=THETA, horizon=200)
+dual_cfg = standard_loop(L, theta=THETA, horizon=200)
 try:
     synth_actuator_attack(dual_cfg)
     raise AssertionError("synthesis should have failed")
@@ -80,7 +80,7 @@ except CapabilityError as exc:
 # dual-rate loop on the same plant.  The faster output sampling sees the
 # intersample motion the single-rate monitor was blind to.
 
-single_cfg, _ = standard_loop(plant, discretize(plant, T=1.0), theta=THETA, horizon=200)
+single_cfg = standard_loop(discretize(plant, T=1.0), theta=THETA, horizon=200)
 plan = synth_actuator_attack(single_cfg)
 trace = run_dual_rate(dataclasses.replace(dual_cfg, attack=plan, horizon=plan.horizon))
 step = trace.verdict.step

@@ -40,7 +40,7 @@ THETA = 0.01
 unstable = ContinuousPlant(
     Ac=[[np.log(2.0)]], Bc=[[1.0]], Cc=[[1.0]], Dc=[[0.0]], name="pole-at-2"
 )
-cfg, _ = standard_loop(unstable, discretize(unstable, T=1.0), theta=THETA, horizon=200)
+cfg = standard_loop(discretize(unstable, T=1.0), theta=THETA, horizon=200)
 plan = synth_sensor_attack(cfg)
 trace = run_single_rate(dataclasses.replace(cfg, attack=plan, horizon=plan.horizon))
 print(f"sensor attack on {unstable.name}: ratio {plan.zeta.real:.1f} per step")
@@ -55,7 +55,7 @@ stable = ContinuousPlant(
     name="stable-2",
 )
 P = discretize(stable, T=0.5)
-scfg, _ = standard_loop(stable, P, theta=THETA)
+scfg = standard_loop(P, theta=THETA)
 try:
     synth_sensor_attack(scfg)
 except CapabilityError as exc:
@@ -73,7 +73,7 @@ for name, system, run in (
     ("single rate", P, run_single_rate),
     ("dual rate", build_lifted(stable, T=0.5), run_dual_rate),
 ):
-    ccfg, _ = standard_loop(stable, system, theta=THETA)
+    ccfg = standard_loop(system, theta=THETA)
     cplan = synth_coordinated_attack(ccfg)
     masked = run(dataclasses.replace(ccfg, attack=cplan, horizon=cplan.horizon))
     grew = np.max(np.abs(masked.d_a[-1])) / np.max(np.abs(masked.d_a[0]))
@@ -94,10 +94,10 @@ fat = ContinuousPlant(
     Ac=[[-0.4, 0.2], [0.1, -0.8]], Bc=[[1.0, 0.3], [0.2, 1.0]], Cc=[[1.0, 0.5]],
     Dc=[[0.0, 0.0]], name="fat-plant",
 )
-fcfg, _ = standard_loop(fat, discretize(fat, T=0.5), theta=THETA)
+fcfg = standard_loop(discretize(fat, T=0.5), theta=THETA)
 fplan = synth_actuator_attack(fcfg)
 single = run_single_rate(dataclasses.replace(fcfg, attack=fplan, horizon=fplan.horizon))
-dcfg, _ = standard_loop(fat, build_lifted(fat, T=0.5), theta=THETA, horizon=fplan.horizon)
+dcfg = standard_loop(build_lifted(fat, T=0.5), theta=THETA, horizon=fplan.horizon)
 dual = run_dual_rate(dataclasses.replace(dcfg, attack=fplan))
 grew = np.max(np.abs(single.d_a[-1])) / np.max(np.abs(single.d_a[0]))
 print(f"\nfat-plant plan: ratio {fplan.zeta.real:.1f} per step along "

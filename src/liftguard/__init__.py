@@ -46,7 +46,6 @@ from .zeros import (
     zero_values,
 )
 from .factor import (
-    Controller,
     CoprimeFactors,
     bezout_defect,
     coprime_factorize,

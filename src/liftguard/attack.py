@@ -111,6 +111,8 @@ class AttackPlan:
             raise ValueError("plan zeta and direction must be finite")
         if abs(self.zeta) <= 1.0:
             raise ValueError("unbounded plans require |zeta| > 1")
+        if not self.direction.size:
+            raise ValueError("plan direction must not be empty")
         if abs(float(np.max(np.abs(self.direction))) - 1.0) > 1e-9:
             raise ValueError("plan direction must have max-norm one")
         if not 0 < self.epsilon < np.inf:

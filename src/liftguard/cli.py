@@ -3,10 +3,10 @@ and the randomized property-verification suite, over JSON plant specs.
 
 Exit codes: 0 success, 2 parse/validation failure, 3 capability failure
 (no plan for the verdict: "not vulnerable", "undecided"), 4 numeric
-failure or a failing ``verify`` property, 5 configuration failure.  Every
-output embeds the tool version, the seed, and the input file hash; the
-timestamp is isolated in a single field so reruns are byte-identical
-otherwise.
+failure or a failing ``verify`` property, 5 configuration failure (a
+loop whose arrays the host refuses to allocate included).  Every output
+embeds the tool version, the seed, and the input file hash; the timestamp
+is isolated in a single field so reruns are byte-identical otherwise.
 """
 
 from __future__ import annotations
@@ -211,7 +211,7 @@ def _standard_loop(args, plant, T, m_file, horizon, attack=None):
     else:
         system = discretize(plant, T)
     return standard_loop(
-        plant, system, theta=args.theta, horizon=horizon, attack=attack,
+        system, theta=args.theta, horizon=horizon, attack=attack,
         Q=_parse_weight(args.Q), R=_parse_weight(args.R),
     )
 
@@ -264,7 +264,7 @@ def cmd_analyze(args) -> int:
 def cmd_attack(args) -> int:
     seed = _resolve_seed(args)
     plant, T, m_file, sha256 = _load(args)
-    cfg, _ = _standard_loop(args, plant, T, m_file, DEFAULT_HORIZON)
+    cfg = _standard_loop(args, plant, T, m_file, DEFAULT_HORIZON)
     synth = synth_actuator_attack if args.kind == "actuator" else synth_sensor_attack
     plan = synth(cfg)
     doc = _base_doc(seed, sha256)
@@ -313,7 +313,7 @@ def cmd_simulate(args) -> int:
     horizon = args.horizon
     if horizon is None:
         horizon = plan.horizon if plan is not None else DEFAULT_HORIZON
-    cfg, _ = _standard_loop(args, plant, T, m_file, horizon, attack=plan)
+    cfg = _standard_loop(args, plant, T, m_file, horizon, attack=plan)
     if plan is not None:
         _check_replay_loop(plan, plan_m, plant.n_y, cfg)
     trace = run_dual_rate(cfg) if args.mode == "dual_rate" else run_single_rate(cfg)
@@ -435,7 +435,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         _error(exc)
         return EXIT_NUMERIC
-    except ConfigurationError as exc:
+    except (ConfigurationError, MemoryError) as exc:
         _error(exc)
         return EXIT_CONFIG
     except (ModelError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:

@@ -29,7 +29,6 @@ from .model import StateSpace, abcd, check_minimal
 
 __all__ = [
     "CoprimeFactors",
-    "Controller",
     "coprime_factorize",
     "left_factors",
     "observer_controller",
@@ -48,17 +47,6 @@ def eval_lambda(sys, lam) -> np.ndarray:
     A, B, C, D = abcd(sys)
     lam = np.asarray(lam, dtype=complex)[..., None, None]
     return D + lam * (C @ np.linalg.solve(np.eye(A.shape[0]) - lam * A, B))
-
-
-@dataclass(frozen=True)
-class Controller(StateSpace):
-    """Observer-based stabilizing controller (strictly proper)."""
-
-    kind: str = "observer_based_single_rate"
-
-    @property
-    def strictly_proper(self) -> bool:
-        return not np.any(self.D)
 
 
 @dataclass(frozen=True)
@@ -196,27 +184,22 @@ def closed_loop_matrix(plant, controller) -> np.ndarray:
     return np.block([[A, B @ Ck], [Bk @ C, Ak + Bk @ (D @ Ck)]])
 
 
-def observer_controller(factors: CoprimeFactors) -> Controller:
+def observer_controller(factors: CoprimeFactors) -> StateSpace:
     """Observer-based stabilizing controller assembled from the factor gains.
 
     The realization is [A+BF+HC+HDF | -H; F | 0]: strictly proper, so in a
     multirate implementation the control value for a hold interval depends
     only on samples gathered strictly before it starts.  Internal
     stability of the loop with the factored plant is asserted.  A lifted
-    factored plant gives an ``observer_based_lifted`` controller.
+    factored plant gives a controller on its m stacked samples.
     """
     A, B, C, D = abcd(factors.base)
     F, H = factors.F, factors.H
-    K = Controller(
+    K = StateSpace(
         A=A + B @ F + H @ C + H @ D @ F,
         B=-H,
         C=F,
         D=np.zeros((B.shape[1], C.shape[0])),
-        kind=(
-            "observer_based_lifted"
-            if hasattr(factors.base, "fast_plant")
-            else "observer_based_single_rate"
-        ),
     )
     rho = linalg.spectral_radius(closed_loop_matrix(factors.base, K))
     if rho >= 1.0:

@@ -128,8 +128,8 @@ def build_lifted(plant: ContinuousPlant, T: float, m=None, certificate=None) -> 
         if int(m) != m or m < 2:
             raise ValueError(f"m must be an integer >= 2, got {m}")
         m = int(m)
-        if not T > 0:
-            raise ValueError(f"base period must be positive, got {T}")
+        if not 0 < T < np.inf:
+            raise ValueError(f"base period must be positive and finite, got {T}")
         fast = discretize(plant, T / m)
     A_l, B_l, C_l, D_l = _lifted_blocks(fast.A, fast.B, fast.C, fast.D, m)
     lifted = LiftedSystem(

@@ -3,8 +3,8 @@
 A :class:`ContinuousPlant` is a minimal continuous-time state-space model;
 :func:`discretize` converts it to a :class:`DiscretePlant` by zero-order
 hold at a given period.  :func:`ss_response` is the exact discrete state
-recursion used both as the simulation engine and as the time-domain oracle
-throughout the package.
+recursion, the time-domain oracle of the tests (the closed loop runs on
+``sim``'s own recursion).
 
 System matrices are stored as read-only views of the validated arrays:
 nothing writes through a system object, but a view shares the caller's
@@ -85,8 +85,9 @@ def abcd(sys):
 
 @dataclass(frozen=True)
 class StateSpace:
-    """Discrete state-space quadruple, the base of the plant, lifted-system
-    and controller types; bare instances serve as factors and filters."""
+    """Discrete state-space quadruple, the base of the plant and
+    lifted-system types; bare instances serve as factors, filters and
+    controllers."""
 
     A: np.ndarray
     B: np.ndarray
@@ -176,8 +177,8 @@ class DiscretePlant(StateSpace):
 
     def __post_init__(self):
         super().__post_init__()
-        if not self.period > 0:
-            raise ValueError(f"period must be positive, got {self.period}")
+        if not 0 < self.period < np.inf:
+            raise ValueError(f"period must be positive and finite, got {self.period}")
 
 
 def check_pathological(plant: ContinuousPlant, T: float) -> PathologyReport:
@@ -187,8 +188,8 @@ def check_pathological(plant: ContinuousPlant, T: float) -> PathologyReport:
     the imaginary gap is a nonzero integer multiple of 2*pi/T (tolerance
     1e-9 on the multiple).
     """
-    if not T > 0:
-        raise ValueError(f"sampling period must be positive, got {T}")
+    if not 0 < T < np.inf:
+        raise ValueError(f"sampling period must be positive and finite, got {T}")
     lams = linalg.eig(plant.Ac)
     base = 2.0 * np.pi / T
     pairs = []
@@ -242,8 +243,8 @@ def discretize(plant: ContinuousPlant, T: float) -> DiscretePlant:
     Pathological sampling is a warning, not a failure: the caller may be
     studying it deliberately.
     """
-    if not T > 0:
-        raise ValueError(f"sampling period must be positive, got {T}")
+    if not 0 < T < np.inf:
+        raise ValueError(f"sampling period must be positive and finite, got {T}")
     report = check_pathological(plant, T)
     if report.pathological:
         warnings.warn(
@@ -274,35 +275,30 @@ def ss_response(sys, inputs, x0=None, return_states: bool = False):
         The discrete system to step.
     inputs : array_like
         Input sequence, shape (N, n_u) (a 1-D array is accepted for
-        single-input systems), or shape (N, n_u, k) for k independent runs
-        stepped together as one recursion on an (n, k) state.
+        single-input systems).
     x0 : array_like, optional
-        Initial state of dimension n, shared by every run (defaults to zero).
+        Initial state of dimension n (defaults to zero).
     return_states : bool
-        Also return the state trajectory, shape (N + 1, n) (or
-        (N + 1, n, k)), including the final post-update state.
+        Also return the state trajectory, shape (N + 1, n), including the
+        final post-update state.
 
-    Outputs have shape (N, n_y), or (N, n_y, k) for batched inputs.
+    Outputs have shape (N, n_y).
     """
     A, B, C, D = abcd(sys)
     n, n_u = A.shape[0], B.shape[1]
     U = np.asarray(inputs, dtype=float)
     if U.ndim == 1:
         U = U.reshape(-1, 1)
-    if U.ndim not in (2, 3) or U.shape[1] != n_u:
-        raise DimensionError(
-            f"inputs must have shape (N, {n_u}) or (N, {n_u}, k), got {U.shape}"
-        )
+    if U.ndim != 2 or U.shape[1] != n_u:
+        raise DimensionError(f"inputs must have shape (N, {n_u}), got {U.shape}")
     if U.shape[0] < 1:
         raise DimensionError("input sequence must contain at least one sample")
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
     if x.shape[0] != n:
         raise DimensionError(f"x0 must have dimension {n}, got {x.shape[0]}")
-    runs = U.shape[2:]  # () or (k,)
-    x = x.reshape((n,) + (1,) * len(runs))
     N = U.shape[0]
-    Y = np.empty((N, C.shape[0]) + runs)
-    X = np.empty((N + 1, n) + runs) if return_states else None
+    Y = np.empty((N, C.shape[0]))
+    X = np.empty((N + 1, n)) if return_states else None
     for k in range(N):
         if return_states:
             X[k] = x
@@ -354,9 +350,9 @@ def load_plant(source):
     JSON string, or a file path.
 
     The document must be an object carrying ``Ac``, ``Bc``, ``Cc``, ``Dc``
-    as nested number arrays and ``T`` as a positive number; ``m`` (integer
-    >= 1) and ``name`` are optional.  A field of the wrong type is a
-    ValueError that names it.  Returns ``(plant, T, m)`` with ``m``
+    as nested number arrays and ``T`` as a positive finite number; ``m``
+    (integer >= 1) and ``name`` are optional.  A field of the wrong type is
+    a ValueError that names it.  Returns ``(plant, T, m)`` with ``m``
     possibly None.
     """
     if isinstance(source, dict):
@@ -376,8 +372,8 @@ def load_plant(source):
     if missing:
         raise ValueError(f"plant spec is missing fields: {missing}")
     T = _field("plant", doc, "T", float)
-    if not T > 0:
-        raise ValueError(f"T must be positive, got {T}")
+    if not 0 < T < np.inf:
+        raise ValueError(f"T must be positive and finite, got {T}")
     m = doc.get("m")
     if m is not None:
         m = _field("plant", doc, "m", _integer)

@@ -4,13 +4,12 @@ threshold detection monitor.
 All propagation is exact LTI discretization: the plant state advances per
 (sub-)step through the zero-order-hold quadruple, and no ODE solver is
 involved.  Single rate is the dual-rate loop with one output sample per
-hold period, so both modes share one recursion, and a loop is its sampled
-system: the ZOH plant or the lifted system, from which the mode, the hold
-period and m are read.  The monitor watches only the cyber-layer signals,
-i.e. the measured outputs and the controller commands; the continuous
-intersample output is for inspection only and is evaluated from the
-logged states, on an exact finer grid whose points contain the sample
-instants, when it is first read.
+hold period, so both modes share one recursion.  A loop is its sampled
+system (the ZOH plant or the lifted system, from which the mode, the hold
+period and m are read) closed through a strictly proper state-space
+controller.  Every signal is read at the samples; the monitor watches
+only the cyber-layer signals, i.e. the measured outputs and the
+controller commands.
 
 The recursion multiplies by each loop matrix's bound ``dot``, the same
 BLAS call as ``@`` with less dispatch, except that a one-column matrix
@@ -23,15 +22,15 @@ keep as oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
 from . import linalg
 from .errors import ConfigurationError, DimensionError
-from .factor import Controller, closed_loop_matrix, coprime_factorize, observer_controller
-from .lift import LiftedSystem, build_lifted
-from .model import ContinuousPlant, DiscretePlant
+from .factor import closed_loop_matrix, coprime_factorize, observer_controller
+from .lift import LiftedSystem
+from .model import DiscretePlant, StateSpace
 
 __all__ = [
     "LoopConfig",
@@ -68,37 +67,39 @@ class LoopConfig:
     """Closed-loop run description.
 
     ``system`` is the sampled system the loop runs on and its controller
-    is designed for: the ZOH discretization of ``plant`` at the hold
-    period (single rate) or the lifted system of ``plant`` (dual rate).
-    It must be the sampling of ``plant``, which the loop reads only for
-    the intersample grid.  ``mode``, ``T`` and ``m`` are derived from it.
-    ``horizon`` counts base steps.  ``oversample`` is the intersample
-    refinement per (sub-)sampling interval.  ``attack`` is an attack plan
-    (or None); its signals are rendered at the base rate for the actuator
-    channel and at the sampling rate of the sensors (a plan on the lifted
-    outputs is unstacked into its m samples).  The plant starts
-    from ``x0_plant`` (zero when None), the controller always from zero.
+    is designed for: a ZOH plant at the hold period (single rate) or a
+    lifted system (dual rate); ``mode``, ``T`` and ``m`` are derived from
+    it.  ``controller`` is a strictly proper state-space map from the
+    system's outputs (the m stacked samples of a hold period in dual
+    rate) to its inputs; its dimensions are checked here.  ``horizon``
+    counts base steps.  ``attack`` is an attack plan (or None); its
+    signals are rendered at the base rate for the actuator channel and at
+    the sampling rate of the sensors (a plan on the lifted outputs is
+    unstacked into its m samples).  The plant starts from ``x0_plant``
+    (zero when None), the controller always from zero.
     """
 
-    plant: ContinuousPlant
     system: DiscretePlant | LiftedSystem
-    controller: Controller
+    controller: StateSpace
     theta: float
     horizon: int
-    oversample: int = 8
     attack: object = None
     x0_plant: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.mode == "dual_rate" and self.controller.kind != "observer_based_lifted":
-            raise ConfigurationError("dual_rate mode requires a lifted controller")
+        K, sys = self.controller, self.system
+        if K.n_u != sys.n_y or K.n_y != sys.n_u:
+            raise ConfigurationError(
+                f"controller dimensions do not match the loop plant: it maps {K.n_u} "
+                f"outputs to {K.n_y} inputs, the loop has {sys.n_y} and {sys.n_u}"
+                + ("; dual_rate mode requires a lifted controller"
+                   if self.mode == "dual_rate" else "")
+            )
         if not self.theta > 0:
             raise ConfigurationError(f"theta must be positive, got {self.theta}")
         if self.horizon < 1:
             raise ConfigurationError("horizon must be at least one step")
-        if self.oversample < 1:
-            raise ConfigurationError("oversample must be at least 1")
-        if not self.controller.strictly_proper:
+        if np.any(K.D):
             raise ConfigurationError("the loop requires a strictly proper controller")
 
     @property
@@ -123,8 +124,7 @@ class SimTrace:
     mode) of the measured output; ``u`` one row per base step of the
     controller command; ``monitor`` one value per sample row.  ``x`` and
     ``y_physical`` are the plant state and the plant output before the
-    sensor attack at each sample row.  The intersample output is derived
-    from them only when it is read.
+    sensor attack at each sample row.
     """
 
     times: np.ndarray  # per sample row
@@ -140,35 +140,6 @@ class SimTrace:
     samples_per_step: int  # 1 (single rate) or m (dual rate)
     x: np.ndarray  # (horizon * samples_per_step, n)
     y_physical: np.ndarray  # (horizon * samples_per_step, n_y)
-    plant: ContinuousPlant
-    oversample: int
-
-    @cached_property
-    def intersample_times(self) -> np.ndarray:
-        step = self.T / (self.samples_per_step * self.oversample)
-        return np.arange(self.y.shape[0] * self.oversample) * step
-
-    @cached_property
-    def y_intersample(self) -> np.ndarray:
-        """Physical output on a grid ``oversample`` times finer than the
-        samples, with the held input applied; the row at each sample
-        instant is exactly ``y_physical``.
-
-        The fine grid of one sampling interval is its r-fold lifting, so
-        rows 1..r-1 of the lifted ``[C_l, D_l]`` map the interval's state
-        and held input to its off-sample rows in one product.
-        """
-        r = self.oversample
-        n_rows, n_y = self.y_physical.shape
-        rows = np.empty((n_rows, r, n_y))
-        rows[:, 0] = self.y_physical
-        if r > 1:
-            grid = build_lifted(self.plant, self.T / self.samples_per_step, r)
-            blocks = np.hstack([grid.C, grid.D])[n_y:]
-            u_applied = np.repeat(self.u + self.d_a, self.samples_per_step, axis=0)
-            states = np.hstack([self.x, u_applied])
-            rows[:, 1:] = (states @ blocks.T).reshape(n_rows, r - 1, n_y)
-        return rows.reshape(n_rows * r, n_y)
 
 
 def monitor_eval(y_stream, u_stream, theta: float):
@@ -244,9 +215,8 @@ def _matvec(M: np.ndarray):
 def _closed_loop(cfg: LoopConfig, mode: str) -> SimTrace:
     """The sampled-signal recursion behind both loop modes.
 
-    It first checks that ``cfg`` is in ``mode``, that the controller's
-    dimensions fit the loop plant and that the attack-free closed loop is
-    stable.  The fast plant then advances one exact sub-step per output
+    It first checks that ``cfg`` is in ``mode`` and that the attack-free
+    closed loop is stable.  The fast plant then advances one exact sub-step per output
     sample, m sub-steps per hold period while the input is held.  The m
     measured sub-samples (each possibly corrupted by the sensor attack,
     which runs at the sampling rate) are stacked and fed to the
@@ -259,8 +229,6 @@ def _closed_loop(cfg: LoopConfig, mode: str) -> SimTrace:
     if cfg.mode != mode:
         raise ConfigurationError(f"configuration is not {mode}")
     K, sys = cfg.controller, cfg.system
-    if K.B.shape[1] != sys.n_y or K.C.shape[0] != sys.n_u:
-        raise ConfigurationError("controller dimensions do not match the loop plant")
     _assert_stable(sys, K, mode.replace("_", "-"))
     fast, m = (sys.fast_plant, sys.m) if mode == "dual_rate" else (sys, 1)
     N = cfg.horizon
@@ -312,8 +280,6 @@ def _closed_loop(cfg: LoopConfig, mode: str) -> SimTrace:
         samples_per_step=m,
         x=x_log,
         y_physical=y_phys,
-        plant=cfg.plant,
-        oversample=cfg.oversample,
     )
 
 
@@ -337,19 +303,17 @@ def _weight(value, dim: int):
     return arr
 
 
-def standard_loop(plant: ContinuousPlant, system: DiscretePlant | LiftedSystem,
-                  theta: float = 0.01, horizon: int = 200, attack=None, Q=None, R=None):
-    """Assemble a stabilized loop with the default observer controller on
-    ``system``, the sampling of ``plant`` the loop runs on: its ZOH
-    discretization at the hold period (single rate, :func:`discretize`) or
-    its lifted system (dual rate, :func:`build_lifted`).  ``Q``/``R``
-    weight the state-feedback Riccati problem (scalars are taken as
-    multiples of the identity); its observer dual uses identity weights.
-    Returns ``(config, factors)``; ``factors.base`` is ``system``.
+def standard_loop(system: DiscretePlant | LiftedSystem, theta: float = 0.01,
+                  horizon: int = 200, attack=None, Q=None, R=None) -> LoopConfig:
+    """The loop on ``system``, the sampled system it runs on (the ZOH plant
+    from :func:`discretize` or the lifted system from :func:`build_lifted`),
+    closed through the observer controller of its coprime factorization,
+    whose Bezout certificate checks the design.  ``Q``/``R`` weight the
+    state-feedback Riccati problem (scalars are taken as multiples of the
+    identity); its observer dual uses identity weights.
     """
     factors = coprime_factorize(system, Q=_weight(Q, system.n), R=_weight(R, system.n_u))
-    controller = observer_controller(factors)
-    return LoopConfig(plant, system, controller, theta, horizon, attack=attack), factors
+    return LoopConfig(system, observer_controller(factors), theta, horizon, attack=attack)
 
 
 def _repeated(text: list, repeat: int) -> list:

@@ -8,7 +8,6 @@ import numpy as np
 
 from liftguard import (
     ContinuousPlant,
-    Controller,
     DiscretePlant,
     LiftedSystem,
     StateSpace,
@@ -250,12 +249,11 @@ def lift_controller(controller, m):
     n_y = controller.B.shape[1]
     B = np.zeros((controller.A.shape[0], m * n_y))
     B[:, :n_y] = controller.B
-    return Controller(
+    return StateSpace(
         A=controller.A,
         B=B,
         C=controller.C,
         D=np.zeros((controller.C.shape[0], m * n_y)),
-        kind="observer_based_lifted",
     )
 
 

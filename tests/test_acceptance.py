@@ -56,7 +56,7 @@ def report(num, text):
 def single_rate_attack():
     """Criterion 3/7 shared artifact: loop and synthesized plan."""
     plant = triple_integrator()
-    cfg, factors = standard_loop(plant, discretize(plant, 1.0), theta=THETA, horizon=200)
+    cfg = standard_loop(discretize(plant, 1.0), theta=THETA, horizon=200)
     plan = synth_actuator_attack(cfg)
     return cfg, plan
 
@@ -138,7 +138,7 @@ def test_criterion_03_actuator_attack_end_to_end(single_rate_attack):
 
 def test_criterion_04_sensor_attack_end_to_end():
     plant = unstable_scalar()
-    cfg, _ = standard_loop(plant, discretize(plant, 1.0), theta=THETA, horizon=200)
+    cfg = standard_loop(discretize(plant, 1.0), theta=THETA, horizon=200)
     plan = synth_sensor_attack(cfg)
     assert abs(plan.zeta - 2.0) <= 1e-9
     trace = run_single_rate(dataclasses.replace(cfg, attack=plan, horizon=plan.horizon))
@@ -146,7 +146,7 @@ def test_criterion_04_sensor_attack_end_to_end():
     d = np.abs(trace.d_s[:, 0])
     assert d[-1] >= 1e3 * d[0]
     stable = stable_two_state()
-    stable_cfg, _ = standard_loop(stable, discretize(stable, 0.5), theta=THETA)
+    stable_cfg = standard_loop(discretize(stable, 0.5), theta=THETA)
     with pytest.raises(CapabilityError):
         synth_sensor_attack(stable_cfg)
     report(4, "sensor attack on the pole-2 plant is stealthy with growth "
@@ -156,7 +156,7 @@ def test_criterion_04_sensor_attack_end_to_end():
 def test_criterion_05_coordinated_masking():
     plant = stable_two_state()
     P = discretize(plant, 0.5)
-    cfg, _ = standard_loop(plant, P, theta=THETA, horizon=500)
+    cfg = standard_loop(P, theta=THETA, horizon=500)
     # the sensor injection cancels the actuator injection's effect at the
     # output: d_s = -P d_a from zero state
     d_a = np.arange(500, dtype=float).reshape(-1, 1)
@@ -239,7 +239,7 @@ def test_criterion_06_lifted_zeros_confined_at_fast_periods():
 def test_criterion_07_replay_detected_by_dual_rate(single_rate_attack):
     _, plan = single_rate_attack
     plant = triple_integrator()
-    cfg, _ = standard_loop(plant, build_lifted(plant, 1.0, 4), theta=THETA, horizon=plan.horizon)
+    cfg = standard_loop(build_lifted(plant, 1.0, 4), theta=THETA, horizon=plan.horizon)
     trace = run_dual_rate(dataclasses.replace(cfg, attack=plan))
     assert trace.verdict.detected
     assert trace.verdict.step is not None and trace.verdict.step < plan.horizon * 4
@@ -348,13 +348,13 @@ def test_criterion_11_lifting_equivalence():
         m = int(rng.integers(2, 5))
         try:
             L = build_lifted(plant, 0.8, m)
-            cfg, _ = standard_loop(plant, L, horizon=100)
+            cfg = standard_loop(L, horizon=100)
         except LiftguardError:
             continue
         x0 = rng.standard_normal(plant.n) * 0.1
         d_a = rng.standard_normal((100, 1)) * 0.01
         plan = Injector(d_a, np.zeros((100 * m, 1)))
-        cfg = dataclasses.replace(cfg, x0_plant=x0, attack=plan, theta=1e9, oversample=1)
+        cfg = dataclasses.replace(cfg, x0_plant=x0, attack=plan, theta=1e9)
         trace = run_dual_rate(cfg)
         u_ref, y_ref = run_lifted_closed_loop(L, cfg.controller, 100, d_a=d_a, x0=x0)
         scale = max(1.0, float(np.max(np.abs(y_ref))))

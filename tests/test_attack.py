@@ -53,7 +53,7 @@ def population(shape, count):
 @pytest.fixture(scope="module")
 def loop_and_plan():
     plant = triple_integrator()
-    cfg, factors = standard_loop(plant, discretize(plant, 1.0), theta=0.01, horizon=200)
+    cfg = standard_loop(discretize(plant, 1.0), theta=0.01, horizon=200)
     plan = synth_actuator_attack(cfg)
     return cfg, plan
 
@@ -91,22 +91,20 @@ class TestActuatorSynthesis:
 
     def test_double_integrator_not_vulnerable(self):
         plant = double_integrator()
-        cfg, _ = standard_loop(plant, discretize(plant, 1.0), theta=0.01, horizon=200)
+        cfg = standard_loop(discretize(plant, 1.0), theta=0.01, horizon=200)
         with pytest.raises(CapabilityError, match="boundary"):
             synth_actuator_attack(cfg)
 
     def test_dual_rate_loop_not_vulnerable(self):
         plant = triple_integrator()
-        cfg, _ = standard_loop(plant, build_lifted(plant, 1.0, 4), theta=0.01)
+        cfg = standard_loop(build_lifted(plant, 1.0, 4), theta=0.01)
         with pytest.raises(CapabilityError):
             synth_actuator_attack(cfg)
 
     def test_replay_against_dual_rate_detected(self, loop_and_plan):
         _, plan = loop_and_plan
         plant = triple_integrator()
-        dcfg, _ = standard_loop(
-            plant, build_lifted(plant, 1.0, 4), theta=0.01, horizon=plan.horizon
-        )
+        dcfg = standard_loop(build_lifted(plant, 1.0, 4), theta=0.01, horizon=plan.horizon)
         trace = run_dual_rate(dataclasses.replace(dcfg, attack=plan))
         assert trace.verdict.detected
         assert trace.verdict.step < plan.horizon * 4
@@ -115,7 +113,7 @@ class TestActuatorSynthesis:
 class TestSensorSynthesis:
     def test_unstable_plant_stealthy(self):
         plant = unstable_scalar()
-        cfg, _ = standard_loop(plant, discretize(plant, 1.0), theta=0.01, horizon=200)
+        cfg = standard_loop(discretize(plant, 1.0), theta=0.01, horizon=200)
         plan = synth_sensor_attack(cfg)
         assert abs(plan.zeta - 2.0) <= 1e-9
         trace = run_single_rate(dataclasses.replace(cfg, attack=plan, horizon=plan.horizon))
@@ -126,7 +124,7 @@ class TestSensorSynthesis:
 
     def test_stable_plant_not_vulnerable(self):
         plant = stable_two_state()
-        cfg, _ = standard_loop(plant, discretize(plant, 0.5), theta=0.01)
+        cfg = standard_loop(discretize(plant, 0.5), theta=0.01)
         with pytest.raises(CapabilityError, match="stable"):
             synth_sensor_attack(cfg)
 
@@ -134,7 +132,7 @@ class TestSensorSynthesis:
         from liftguard import ContinuousPlant
 
         integ = ContinuousPlant(Ac=[[0.0]], Bc=[[1.0]], Cc=[[1.0]], Dc=[[0.0]])
-        cfg, _ = standard_loop(integ, discretize(integ, 1.0), theta=0.01)
+        cfg = standard_loop(discretize(integ, 1.0), theta=0.01)
         with pytest.raises(CapabilityError, match="boundary"):
             synth_sensor_attack(cfg)
 
@@ -143,7 +141,7 @@ class TestSensorSynthesis:
         plant = double_integrator()
         P = discretize(plant, 1.0)
         assert classify_vulnerability(transmission_zeros(P), system=P).sensor == "undecided"
-        cfg, _ = standard_loop(plant, P, theta=0.01)
+        cfg = standard_loop(P, theta=0.01)
         with pytest.raises(CapabilityError, match="undecided") as exc:
             synth_sensor_attack(cfg)
         assert "not vulnerable" not in str(exc.value)
@@ -155,7 +153,7 @@ class TestSensorSynthesis:
         from liftguard.zeros import PoleRecord
 
         plant = unstable_scalar()
-        cfg, _ = standard_loop(plant, discretize(plant, 1.0), theta=0.01)
+        cfg = standard_loop(discretize(plant, 1.0), theta=0.01)
         monkeypatch.setattr(attack, "poles", lambda sys: (PoleRecord(3.0, "unstable"),))
         with pytest.raises(NumericError, match="not singular"):
             synth_sensor_attack(cfg)
@@ -164,7 +162,7 @@ class TestSensorSynthesis:
     def test_direction_matches_the_left_factor_oracle_on_pole_at_2(self, m):
         plant = unstable_scalar()
         system = discretize(plant, 1.0) if m is None else build_lifted(plant, 1.0, m)
-        plan = synth_sensor_attack(standard_loop(plant, system)[0])
+        plan = synth_sensor_attack(standard_loop(system))
         want = reference_sensor_direction(system, plan.zeta)
         assert np.max(np.abs(plan.direction - want)) <= 1e-12
 
@@ -173,7 +171,7 @@ class TestSensorSynthesis:
         # the first plant of each shape has an unstable pole at T = 1
         plant = population(shape, 1)[0]
         for system in (discretize(plant, 1.0), build_lifted(plant, 1.0)):
-            plan = synth_sensor_attack(standard_loop(plant, system)[0])
+            plan = synth_sensor_attack(standard_loop(system))
             want = reference_sensor_direction(system, plan.zeta)
             assert np.max(np.abs(plan.direction - want)) <= 1e-12
 
@@ -182,7 +180,7 @@ class TestSensorSynthesis:
         # the plan lives on the m stacked outputs of a base step and grows
         # by the lifted pole once per base step
         plant = unstable_scalar()
-        cfg, _ = standard_loop(plant, build_lifted(plant, 1.0, m), theta=0.01)
+        cfg = standard_loop(build_lifted(plant, 1.0, m), theta=0.01)
         plan = synth_sensor_attack(cfg)
         assert abs(plan.zeta - 2.0) <= 1e-9 and len(plan.direction) == m
         trace = run_dual_rate(dataclasses.replace(cfg, attack=plan, horizon=plan.horizon))
@@ -200,10 +198,10 @@ def test_calibration_builds_no_sampled_system(monkeypatch):
 
     tri, pole2 = triple_integrator(), unstable_scalar()
     loops = [
-        (standard_loop(tri, discretize(tri, 1.0))[0], synth_actuator_attack),
-        (standard_loop(tri, build_lifted(tri, 1.0))[0], synth_actuator_attack),
-        (standard_loop(pole2, discretize(pole2, 1.0))[0], synth_sensor_attack),
-        (standard_loop(pole2, build_lifted(pole2, 1.0))[0], synth_sensor_attack),
+        (standard_loop(discretize(tri, 1.0)), synth_actuator_attack),
+        (standard_loop(build_lifted(tri, 1.0)), synth_actuator_attack),
+        (standard_loop(discretize(pole2, 1.0)), synth_sensor_attack),
+        (standard_loop(build_lifted(pole2, 1.0)), synth_sensor_attack),
     ]
 
     def refuse(*args, **kwargs):
@@ -270,7 +268,7 @@ class TestCalibration:
         # the run aimed at the band's centre is the last: the rounding
         # floor moves these peaks by well under the band's 1/16 half-width
         p = plant()
-        cfg, _ = standard_loop(p, system(p), theta=0.01)
+        cfg = standard_loop(system(p), theta=0.01)
         peaks = _counted_runs(monkeypatch)
         plan = synth(cfg)
         target = cfg.theta / 2.0
@@ -281,7 +279,7 @@ class TestCalibration:
     @pytest.fixture
     def triple_loop(self):
         p = triple_integrator()
-        return standard_loop(p, discretize(p, 1.0), theta=0.01)[0]
+        return standard_loop(discretize(p, 1.0), theta=0.01)
 
     def test_run_off_its_aim_is_corrected_to_the_centre(self, monkeypatch, triple_loop):
         # past the probe every run peaks 1.1 times its linear prediction,
@@ -309,7 +307,7 @@ class TestCoordinatedMasking:
     def test_ramp_masked_on_stable_plant(self):
         plant = stable_two_state()
         P = discretize(plant, 0.5)
-        cfg, _ = standard_loop(plant, P, theta=0.01, horizon=500)
+        cfg = standard_loop(P, theta=0.01, horizon=500)
         d_a = np.arange(500, dtype=float).reshape(-1, 1)
         masked = Injector(d_a, -ss_response(P, d_a))
         attacked = run_single_rate(dataclasses.replace(cfg, attack=masked))
@@ -320,7 +318,7 @@ class TestCoordinatedMasking:
         # masking needs neither unstable zeros nor stable dynamics
         plant = triple_integrator()
         P = discretize(plant, 1.0)
-        cfg, _ = standard_loop(plant, P, theta=0.01, horizon=60)
+        cfg = standard_loop(P, theta=0.01, horizon=60)
         d_a = np.arange(60, dtype=float).reshape(-1, 1)
         masked = Injector(d_a, -ss_response(P, d_a))
         attacked = run_single_rate(dataclasses.replace(cfg, attack=masked))
@@ -346,7 +344,7 @@ class TestCoordinatedPlan:
         for plant in plants():
             for system, run in ((discretize(plant, T), run_single_rate),
                                 (build_lifted(plant, T), run_dual_rate)):
-                cfg, _ = standard_loop(plant, system, theta=0.01)
+                cfg = standard_loop(system, theta=0.01)
                 plan = synth_coordinated_attack(cfg)
                 assert plan.kind == "coordinated" and plan.zeta == FREE_ZETA
                 assert plan.channel_map == tuple(range(plant.n_u))
@@ -359,7 +357,7 @@ class TestCoordinatedPlan:
 
     def test_round_trip(self):
         plant = triple_integrator()
-        cfg, _ = standard_loop(plant, build_lifted(plant, 1.0), theta=0.01)
+        cfg = standard_loop(build_lifted(plant, 1.0), theta=0.01)
         plan = synth_coordinated_attack(cfg)
         doc = json.loads(json.dumps(plan_to_dict(plan)))
         assert "companion" not in doc
@@ -390,7 +388,7 @@ class TestFatPlantPlan:
             P = discretize(plant, T)
             verdict = classify_vulnerability(transmission_zeros(P), system=P)
             assert (verdict.actuator, verdict.actuator_mechanism) == ("yes", "fat_plant")
-            cfg, _ = standard_loop(plant, P, theta=0.01)
+            cfg = standard_loop(P, theta=0.01)
             plan = synth_actuator_attack(cfg)
             assert plan.kind == "actuator_zero" and plan.zeta == FREE_ZETA
             assert len(plan.direction) == plant.n_u
@@ -398,7 +396,7 @@ class TestFatPlantPlan:
             assert trace.verdict.stealthy
             assert np.max(trace.monitor) <= cfg.theta / 2.0
             assert np.max(np.abs(trace.d_a[-1])) >= 1e3 * np.max(np.abs(trace.d_a[0]))
-            dcfg, _ = standard_loop(plant, build_lifted(plant, T), horizon=plan.horizon)
+            dcfg = standard_loop(build_lifted(plant, T), horizon=plan.horizon)
             assert run_dual_rate(dataclasses.replace(dcfg, attack=plan)).verdict.detected
 
     def test_direction_is_a_null_vector_of_the_plain_pencil(self, fat_plants):
@@ -437,7 +435,7 @@ class TestRampAttack:
             A=[[0.0, 1.0], [0.0, 0.0]], B=[[-3.0], [1.0]], C=[[1.0, 1.0]], D=[[1.0]], period=1.0
         )
         controller = observer_controller(coprime_factorize(sys))
-        cfg = LoopConfig(plant=None, system=sys, controller=controller, theta=0.01, horizon=200)
+        cfg = LoopConfig(system=sys, controller=controller, theta=0.01, horizon=200)
         with pytest.raises(CapabilityError, match="multiple_zero_at_one"):
             synth_actuator_attack(cfg)
 
@@ -482,7 +480,7 @@ def test_channel_map_must_fit_the_signal(kind, channel_map, message):
 class TestPlanSerialization:
     def test_round_trip(self):
         plant = triple_integrator()
-        cfg, _ = standard_loop(plant, discretize(plant, 1.0), theta=0.01)
+        cfg = standard_loop(discretize(plant, 1.0), theta=0.01)
         plan = synth_actuator_attack(cfg)
         doc = plan_to_dict(plan)
         clone = plan_from_dict(json.loads(json.dumps(doc)))

@@ -132,6 +132,30 @@ class TestAnalyze:
         assert err == {"error": error, "message": message.format(path=path)}
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("analyze", ("--T", "inf"), "sampling period must be positive and finite, got inf"),
+            ("lift", (), "T must be positive and finite, got inf"),
+            ("attack", (), "T must be positive and finite, got inf"),
+        ],
+        ids=["analyze_T_flag", "lift_T_field", "attack_T_field"],
+    )
+    def test_non_finite_period_exit_2(self, plant_files, tmp_path, capsys, command, flags, message):
+        # an infinite period used to reach the pathology test or the matrix
+        # exponential unchecked, which failed without naming the period
+        from liftguard import cli
+
+        doc = json.loads(open(plant_files["unstable"]).read())
+        if not flags:
+            doc["T"] = math.inf  # written as Infinity, which Python's json reads
+        plant = tmp_path / "plant.json"
+        plant.write_text(json.dumps(doc))
+        argv = [command, "--plant", str(plant), *flags, "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
+        assert not (tmp_path / "out").exists()
+
     def test_plant_file_read_once_and_hashed(self, plant_files, tmp_path, monkeypatch):
         # input_sha256 is the hash of the bytes that were parsed
         import builtins
@@ -257,6 +281,7 @@ class TestAttackAndSimulate:
             ("plant", lambda doc: doc.update(Ac={"a": 1}), "'Ac'"),
             ("plant", lambda doc: doc.update(T=None), "'T'"),
             ("plan", lambda doc: doc["plan"].update(direction=[1.0]), "'direction'"),
+            ("plan", lambda doc: doc["plan"].update(direction=[]), "direction must not be empty"),
             ("plan", lambda doc: doc["plan"].update(zeta=2.0), "'zeta'"),
             ("plan", lambda doc: [doc["plan"]], "JSON object"),
             ("plan", lambda doc: doc.update(loop=[1]), "'loop' must be an object"),
@@ -270,7 +295,8 @@ class TestAttackAndSimulate:
             ("plan", lambda doc: doc["plan"].update(channel_map=[0.7]), "'channel_map'"),
             ("plan", lambda doc: doc["plan"].update(channel_map=[False]), "'channel_map'"),
         ],
-        ids=["plant_Ac_object", "plant_T_null", "plan_direction_numbers", "plan_zeta_number",
+        ids=["plant_Ac_object", "plant_T_null", "plan_direction_numbers", "plan_direction_empty",
+             "plan_zeta_number",
              "plan_file_list", "plan_loop_list", "plan_loop_string", "plan_loop_m_fraction",
              "plan_loop_m_string", "plant_m_fraction", "plant_m_boolean",
              "plan_horizon_fraction", "plan_horizon_boolean", "plan_channel_map_fraction",
@@ -298,6 +324,18 @@ class TestAttackAndSimulate:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError" and field in err["message"]
         assert not (sim / "verdict.json").exists()
+
+    def test_refused_allocation_exit_5(self, plant_files, tmp_path, capsys):
+        # 10**17 float rows fit in no 64-bit address space, so the host
+        # refuses the loop's arrays at once instead of granting them lazily
+        from liftguard import cli
+
+        argv = ["simulate", "--plant", plant_files["unstable"], "--horizon", str(10**17),
+                "--out", str(tmp_path)]
+        assert cli.main(argv) == 5
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"].endswith("MemoryError") and "allocate" in err["message"]
+        assert not (tmp_path / "verdict.json").exists()
 
     def test_attack_rejects_horizon(self, plant_files, tmp_path):
         # a plan's horizon follows from its growth ratio, so attack takes none
@@ -428,7 +466,7 @@ class TestAttackAndSimulate:
         # the guard reads the width of the sensor part, whatever the kind:
         # a coordinated plan of the m = 2 loop rides its stacked outputs
         plant = unstable_scalar()
-        plan = synth_coordinated_attack(standard_loop(plant, build_lifted(plant, 1.0, 2))[0])
+        plan = synth_coordinated_attack(standard_loop(build_lifted(plant, 1.0, 2)))
         path = tmp_path / "plan.json"
         path.write_text(json.dumps({"plan": plan_to_dict(plan),
                                     "loop": {"mode": "dual_rate", "T": 1.0, "m": 2}}))
@@ -510,7 +548,7 @@ class TestLift:
     def test_explicit_m_lifted_once(
         self, plant_files, tmp_path, monkeypatch, command, flags, code
     ):
-        from liftguard import cli, sim
+        from liftguard import cli
 
         calls = []
 
@@ -519,7 +557,6 @@ class TestLift:
             return build_lifted(*args)
 
         monkeypatch.setattr(cli, "build_lifted", counted)
-        monkeypatch.setattr(sim, "build_lifted", counted)
         argv = [command, "--plant", plant_files["triple"], "--m", "4", *flags,
                 "--out", str(tmp_path)]
         assert cli.main(argv) == code

@@ -164,25 +164,6 @@ class TestResponse:
         y_sum = ss_response(sys, u1) + ss_response(sys, u2)
         np.testing.assert_allclose(y, y_sum, atol=1e-12)
 
-    def test_batched_runs_match_column_runs(self):
-        rng = np.random.default_rng(41)
-        sys = DiscretePlant(
-            A=rng.standard_normal((4, 4)) * 0.4,
-            B=rng.standard_normal((4, 2)),
-            C=rng.standard_normal((3, 4)),
-            D=rng.standard_normal((3, 2)),
-            period=1.0,
-        )
-        U = rng.standard_normal((25, 2, 6))
-        x0 = rng.standard_normal(4)
-        Y, X = ss_response(sys, U, x0=x0, return_states=True)
-        assert Y.shape == (25, 3, 6) and X.shape == (26, 4, 6)
-        for j in range(U.shape[2]):
-            y, x = ss_response(sys, U[:, :, j], x0=x0, return_states=True)
-            np.testing.assert_allclose(Y[:, :, j], y, rtol=1e-13, atol=1e-13 * np.max(np.abs(y)))
-            np.testing.assert_allclose(X[:, :, j], x, rtol=1e-13, atol=1e-13 * np.max(np.abs(x)))
-        np.testing.assert_array_equal(ss_response(sys, U[:, :, :0]), np.empty((25, 3, 0)))
-
     @pytest.mark.parametrize("with_x0", [False, True])
     def test_single_run_is_the_plain_recursion(self, with_x0):
         rng = np.random.default_rng(43)

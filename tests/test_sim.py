@@ -7,6 +7,7 @@ import pytest
 
 from liftguard import (
     ContinuousPlant,
+    StateSpace,
     build_lifted,
     coprime_factorize,
     discretize,
@@ -65,19 +66,14 @@ class TestMonitor:
 class TestSingleRate:
     def test_no_attack_zero_traces(self):
         plant = triple_integrator()
-        cfg, _ = standard_loop(plant, discretize(plant, 1.0), horizon=50)
+        cfg = standard_loop(discretize(plant, 1.0), horizon=50)
         trace = run_single_rate(cfg)
         assert not np.any(trace.y) and not np.any(trace.u)
         assert trace.verdict.stealthy
 
     def test_unstable_configuration_rejected(self):
-        from liftguard.factor import Controller
-
-        zero_K = Controller(
-            A=[[0.0]], B=[[0.0]], C=[[0.0]], D=[[0.0]], kind="observer_based_single_rate"
-        )
+        zero_K = StateSpace(A=[[0.0]], B=[[0.0]], C=[[0.0]], D=[[0.0]])
         cfg = LoopConfig(
-            plant=unstable_scalar(),
             system=discretize(unstable_scalar(), 1.0),
             controller=zero_K,
             theta=0.01,
@@ -86,20 +82,9 @@ class TestSingleRate:
         with pytest.raises(ConfigurationError, match="unstable"):
             run_single_rate(cfg)
 
-    def test_intersample_rows_match_samples_exactly(self):
-        rng = np.random.default_rng(3)
-        plant = stable_two_state()
-        cfg, _ = standard_loop(plant, discretize(plant, 0.5), horizon=40)
-        x0 = rng.standard_normal(2)
-        cfg = dataclasses.replace(cfg, x0_plant=x0, oversample=4)
-        trace = run_single_rate(cfg)
-        # with no sensor attack the measured samples are the physical outputs
-        np.testing.assert_array_equal(trace.y_intersample[::4], trace.y)
-        np.testing.assert_allclose(trace.intersample_times[::4], trace.times, atol=0)
-
     def test_deviation_linear_in_epsilon(self):
         plant = stable_two_state()
-        cfg, _ = standard_loop(plant, discretize(plant, 0.5), theta=1e9, horizon=120)
+        cfg = standard_loop(discretize(plant, 0.5), theta=1e9, horizon=120)
         base = run_single_rate(cfg)
 
         def deviation(eps):
@@ -114,7 +99,7 @@ class TestSingleRate:
 class TestDualRate:
     def test_no_attack_zero_traces(self):
         plant = triple_integrator()
-        cfg, _ = standard_loop(plant, build_lifted(plant, 1.0, 4), horizon=30)
+        cfg = standard_loop(build_lifted(plant, 1.0, 4), horizon=30)
         trace = run_dual_rate(cfg)
         assert not np.any(trace.y) and not np.any(trace.u)
         assert trace.y.shape == (30 * 4, 1)
@@ -126,13 +111,13 @@ class TestDualRate:
             m = int(rng.integers(2, 4))
             try:
                 L = build_lifted(plant, 0.8, m)
-                cfg, factors = standard_loop(plant, L, horizon=100)
+                cfg = standard_loop(L, horizon=100)
             except Exception:
                 continue
             x0 = rng.standard_normal(plant.n) * 0.1
             d_a = rng.standard_normal((100, 1)) * 0.01
             plan = Injector(d_a, np.zeros((100 * m, 1)))
-            cfg = dataclasses.replace(cfg, x0_plant=x0, attack=plan, theta=1e9, oversample=1)
+            cfg = dataclasses.replace(cfg, x0_plant=x0, attack=plan, theta=1e9)
             trace = run_dual_rate(cfg)
             u_ref, y_ref = run_lifted_closed_loop(
                 L, cfg.controller, 100, d_a=d_a, x0=x0
@@ -153,13 +138,9 @@ class TestDualRate:
         K = observer_controller(factors)
         KL = lift_controller(K, m)
         x0 = rng.standard_normal(2)
-        cfg_s = LoopConfig(
-            plant=plant, system=P, controller=K, theta=1e9,
-            horizon=80, x0_plant=x0, oversample=1,
-        )
+        cfg_s = LoopConfig(system=P, controller=K, theta=1e9, horizon=80, x0_plant=x0)
         cfg_d = LoopConfig(
-            plant=plant, system=build_lifted(plant, 0.6, m), controller=KL, theta=1e9,
-            horizon=80, x0_plant=x0, oversample=1,
+            system=build_lifted(plant, 0.6, m), controller=KL, theta=1e9, horizon=80, x0_plant=x0,
         )
         tr_s = run_single_rate(cfg_s)
         tr_d = run_dual_rate(cfg_d)
@@ -169,18 +150,25 @@ class TestDualRate:
     @pytest.mark.parametrize("m", [None, 3])
     def test_loop_reads_mode_period_and_m_off_its_system(self, m):
         plant = triple_integrator()
-        single, _ = standard_loop(plant, discretize(plant, 0.5), horizon=5)
+        single = standard_loop(discretize(plant, 0.5), horizon=5)
         assert (single.mode, single.T, single.m) == ("single_rate", 0.5, None)
-        dual, factors = standard_loop(plant, build_lifted(plant, 0.5, m), horizon=5)
+        dual = standard_loop(build_lifted(plant, 0.5, m), horizon=5)
         assert (dual.mode, dual.T, dual.m) == ("dual_rate", 0.5, m or 4)
-        assert factors.base is dual.system
+
+    def test_controller_dimensions_checked_at_construction(self):
+        # a lifted controller reads m stacked samples, which a single-rate
+        # loop does not have; the mismatch is refused before any run
+        P = discretize(stable_two_state(), 0.6)
+        KL = lift_controller(observer_controller(coprime_factorize(P)), 3)
+        with pytest.raises(ConfigurationError, match="do not match the loop plant"):
+            LoopConfig(system=P, controller=KL, theta=0.01, horizon=10)
 
     def test_requires_lifted_controller(self):
         P = discretize(stable_two_state(), 0.6)
         K = observer_controller(coprime_factorize(P))
         with pytest.raises(ConfigurationError, match="lifted"):
             LoopConfig(
-                plant=stable_two_state(), system=build_lifted(stable_two_state(), 0.6, 3),
+                system=build_lifted(stable_two_state(), 0.6, 3),
                 controller=K, theta=0.01, horizon=10,
             )
 
@@ -190,80 +178,22 @@ class TestDualRate:
 def test_kilohertz_loop(make_plant, mode):
     # T = 1 ms puts the open-loop poles within 1e-3 of the unit circle
     plant = make_plant()
-    cfg, factors = standard_loop(plant, sampled(plant, 1e-3, mode), horizon=200)
+    cfg = standard_loop(sampled(plant, 1e-3, mode), horizon=200)
     trace = run_dual_rate(cfg) if mode == "dual_rate" else run_single_rate(cfg)
     assert not trace.verdict.detected
-    base = factors.base
+    base = cfg.system
+    factors = coprime_factorize(base)
     assert spectral_radius(base.A + base.B @ factors.F) < 1.0
     assert spectral_radius(base.A + factors.H @ base.C) < 1.0
 
 
-def _reference_grid(trace, r):
-    """Fine-grid recursion restarted from each logged sample state, one
-    fine sub-step at a time; also returns the state each sampling
-    interval ends in."""
-    m = trace.samples_per_step
-    fine = discretize(trace.plant, trace.T / (m * r))
-    rows, ends = [], []
-    for idx, x in enumerate(trace.x):
-        ua = trace.u[idx // m] + trace.d_a[idx // m]
-        for _ in range(r):
-            rows.append(fine.C @ x + fine.D @ ua)
-            x = fine.A @ x + fine.B @ ua
-        ends.append(x)
-    return np.array(rows), np.array(ends)
-
-
-class TestIntersample:
-    def test_not_computed_until_read(self):
-        plant = stable_two_state()
-        cfg, _ = standard_loop(plant, discretize(plant, 0.5), horizon=20)
-        trace = run_single_rate(dataclasses.replace(cfg, x0_plant=[1.0, -1.0], oversample=4))
-        assert "y_intersample" not in vars(trace)
-        assert "intersample_times" not in vars(trace)
-        assert trace.y_intersample.shape == (20 * 4, 1)
-        assert "y_intersample" in vars(trace)
-        assert trace.y_intersample is trace.y_intersample
-
-    @pytest.mark.parametrize("case", ["single_rate", "dual_rate", "dual_rate_sensor"])
-    def test_matches_per_substep_reference(self, case):
-        rng = np.random.default_rng(17)
-        r, N = 5, 60
-        if case == "single_rate":
-            plant, m = stable_two_state(), 1
-            cfg, _ = standard_loop(plant, discretize(plant, 0.5), horizon=N)
-        else:
-            plant, m = triple_integrator(), 4
-            cfg, _ = standard_loop(plant, build_lifted(plant, 1.0, m), horizon=N)
-        d_a = 0.1 * rng.standard_normal((N, 1))
-        d_s = np.zeros((N * m, 1))
-        if case == "dual_rate_sensor":
-            d_s = 0.1 * rng.standard_normal((N * m, 1))
-        cfg = dataclasses.replace(
-            cfg, x0_plant=rng.standard_normal(plant.n), attack=Injector(d_a, d_s), theta=1e9,
-            oversample=r,
-        )
-        trace = run_dual_rate(cfg) if m > 1 else run_single_rate(cfg)
-        ref, ends = _reference_grid(trace, r)
-        got = trace.y_intersample
-        assert got.shape == ref.shape == (N * m * r, 1)
-        tol = 1e-12 * np.max(np.abs(ref))
-        # off-sample rows, the ones the trace derives from its blocks
-        off = np.arange(N * m * r) % r != 0
-        assert np.max(np.abs(got[off] - ref[off])) <= tol
-        # the logged states are the plant trajectory the samples came from
-        np.testing.assert_array_equal(got[::r], trace.y_physical)
-        assert np.max(np.abs(got[::r] - ref[::r])) <= tol
-        assert np.max(np.abs(ends[:-1] - trace.x[1:])) <= 1e-12 * np.max(np.abs(trace.x))
-        np.testing.assert_allclose(trace.intersample_times[::r], trace.times, rtol=1e-12)
-
-
-def _unstopped_loop(cfg):
+def _unstopped_loop(cfg, plant):
     """The loop recursion stepped over the whole horizon with no early
-    exit, from ``cfg.x0_plant`` and with the rendered attack sequences;
-    returns u, y, x, y_physical and the monitor values."""
+    exit, on ``plant`` discretized at the loop's sampling period, from
+    ``cfg.x0_plant`` and with the rendered attack sequences; returns u, y,
+    x, y_physical and the monitor values."""
     m = cfg.m or 1
-    fast = discretize(cfg.plant, cfg.T / m)
+    fast = discretize(plant, cfg.T / m)
     K, N = cfg.controller, cfg.horizon
     d_a, d_s = np.zeros((N, fast.n_u)), np.zeros((N * m, fast.n_y))
     if cfg.attack is not None:
@@ -301,7 +231,7 @@ def _run(cfg):
 def _actuator_plan(T):
     """The calibrated actuator plan of the single-rate triple integrator at T."""
     plant = triple_integrator()
-    return synth_actuator_attack(standard_loop(plant, discretize(plant, T))[0])
+    return synth_actuator_attack(standard_loop(discretize(plant, T)))
 
 
 @pytest.fixture(scope="module")
@@ -315,12 +245,10 @@ def test_overflowed_run_equals_unstopped_recursion(mode, overflow_plan):
     # the T = 0.01 actuator plan replayed over 2000 steps drives the loop
     # state to NaN long before the end, where the engine stops stepping
     plant = triple_integrator()
-    cfg, _ = standard_loop(
-        plant, sampled(plant, 0.01, mode), horizon=2000, attack=overflow_plan
-    )
+    cfg = standard_loop(sampled(plant, 0.01, mode), horizon=2000, attack=overflow_plan)
     with np.errstate(all="ignore"):
         trace = _run(cfg)
-        want = _unstopped_loop(cfg)
+        want = _unstopped_loop(cfg, plant)
     all_nan = np.flatnonzero(np.isnan(trace.x).all(axis=1))
     assert all_nan.size and all_nan[0] < trace.x.shape[0] // 2
     _assert_trace_equals(trace, want)
@@ -328,12 +256,12 @@ def test_overflowed_run_equals_unstopped_recursion(mode, overflow_plan):
 
 def _oscillator_dual_rate():
     plant = light_oscillator()
-    return standard_loop(plant, build_lifted(plant, 0.01, 3), horizon=2000)[0]
+    return standard_loop(build_lifted(plant, 0.01, 3), horizon=2000)
 
 
 def _pole_at_2_sensor_plan():
     plant = unstable_scalar()
-    cfg, _ = standard_loop(plant, build_lifted(plant, 1.0, 2))
+    cfg = standard_loop(build_lifted(plant, 1.0, 2))
     plan = synth_sensor_attack(cfg)
     return dataclasses.replace(cfg, attack=plan, horizon=plan.horizon)
 
@@ -341,19 +269,21 @@ def _pole_at_2_sensor_plan():
 def _single_rate_from_x0():
     rng = np.random.default_rng(5)
     plant = stable_two_state()
-    cfg, _ = standard_loop(plant, discretize(plant, 0.5), horizon=300)
+    cfg = standard_loop(discretize(plant, 0.5), horizon=300)
     plan = Injector(0.1 * rng.standard_normal((300, 1)), 0.1 * rng.standard_normal((300, 1)))
     return dataclasses.replace(cfg, x0_plant=[1.5, -0.7], attack=plan, theta=1e9)
 
 
 @pytest.mark.parametrize(
-    "make_cfg", [_oscillator_dual_rate, _pole_at_2_sensor_plan, _single_rate_from_x0],
+    "make_cfg, make_plant",
+    [(_oscillator_dual_rate, light_oscillator), (_pole_at_2_sensor_plan, unstable_scalar),
+     (_single_rate_from_x0, stable_two_state)],
     ids=["oscillator_dual_rate_m3", "pole_at_2_sensor_m2", "single_rate_x0"],
 )
-def test_run_equals_reference_recursion(make_cfg):
+def test_run_equals_reference_recursion(make_cfg, make_plant):
     # the engine and the plain per-sub-step recursion agree bit for bit
     cfg = make_cfg()
-    _assert_trace_equals(_run(cfg), _unstopped_loop(cfg))
+    _assert_trace_equals(_run(cfg), _unstopped_loop(cfg, make_plant()))
 
 
 @pytest.mark.parametrize(
@@ -371,7 +301,7 @@ def test_divergence_guard(mode, v, step):
     # an attack-free loop started far out is refused at the first step
     # whose monitored signals pass the guard
     plant = triple_integrator()
-    cfg, _ = standard_loop(plant, sampled(plant, 1.0, mode), horizon=50)
+    cfg = standard_loop(sampled(plant, 1.0, mode), horizon=50)
     cfg = dataclasses.replace(cfg, x0_plant=[0.0, 0.0, v])
     if step is None:
         trace = _run(cfg)
@@ -385,9 +315,7 @@ def test_divergence_guard(mode, v, step):
 def test_overflow_replay_raises_no_warning(mode, overflow_plan):
     # the overflow is reported through the trace, not as a RuntimeWarning
     plant = triple_integrator()
-    cfg, _ = standard_loop(
-        plant, sampled(plant, 0.01, mode), horizon=2000, attack=overflow_plan
-    )
+    cfg = standard_loop(sampled(plant, 0.01, mode), horizon=2000, attack=overflow_plan)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         trace = _run(cfg)
@@ -399,9 +327,9 @@ def _odd_values_trace(mode):
     smallest subnormal and the extremes in every float column."""
     plant = triple_integrator()
     if mode == "dual_rate":
-        cfg, _ = standard_loop(plant, build_lifted(plant, 1.0, 4), horizon=5)
+        cfg = standard_loop(build_lifted(plant, 1.0, 4), horizon=5)
     else:
-        cfg, _ = standard_loop(plant, discretize(plant, 1.0), horizon=20)
+        cfg = standard_loop(discretize(plant, 1.0), horizon=20)
     trace = _run(cfg)
     odd = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1 + 0.2, -1.7976931348623157e308]
     u, y, d_a, d_s = trace.u.copy(), trace.y.copy(), trace.d_a.copy(), trace.d_s.copy()
@@ -414,14 +342,12 @@ def _odd_values_trace(mode):
 
 def _replay(T, mode, horizon=None):
     plan, plant = _actuator_plan(T), triple_integrator()
-    return standard_loop(
-        plant, sampled(plant, T, mode), horizon=horizon or plan.horizon, attack=plan
-    )[0]
+    return standard_loop(sampled(plant, T, mode), horizon=horizon or plan.horizon, attack=plan)
 
 
 def _pole_at_2_single_rate_sensor_plan():
     plant = unstable_scalar()
-    cfg, _ = standard_loop(plant, discretize(plant, 1.0))
+    cfg = standard_loop(discretize(plant, 1.0))
     plan = synth_sensor_attack(cfg)
     return dataclasses.replace(cfg, attack=plan, horizon=plan.horizon)
 
@@ -429,7 +355,7 @@ def _pole_at_2_single_rate_sensor_plan():
 def _random_fat_plant():
     rng = np.random.default_rng(23)
     plant = random_continuous(rng, n=4, n_u=3, n_y=2)
-    cfg, _ = standard_loop(plant, build_lifted(plant, 0.2, 3), horizon=150)
+    cfg = standard_loop(build_lifted(plant, 0.2, 3), horizon=150)
     plan = Injector(0.1 * rng.standard_normal((150, 3)), 0.1 * rng.standard_normal((450, 2)))
     return dataclasses.replace(cfg, x0_plant=rng.standard_normal(4), attack=plan, theta=1e9)
 
@@ -438,7 +364,7 @@ def _one_column_controller_output():
     # one controller state and two inputs: u = K.C @ xk multiplies a 2x1
     # matrix by a subnormal state, and the products underflow to +-0
     plant = ContinuousPlant(Ac=[[-0.5]], Bc=[[1.0, -0.7]], Cc=[[1.0]], Dc=[[0.0, 0.0]])
-    cfg, _ = standard_loop(plant, discretize(plant, 0.5), horizon=40)
+    cfg = standard_loop(discretize(plant, 0.5), horizon=40)
     return dataclasses.replace(cfg, x0_plant=[1e-323])
 
 
@@ -507,7 +433,7 @@ class TestBitExactOracles:
 class TestTraceExport:
     def test_csv_layout(self, tmp_path):
         plant = triple_integrator()
-        cfg, _ = standard_loop(plant, build_lifted(plant, 1.0, 4), horizon=5)
+        cfg = standard_loop(build_lifted(plant, 1.0, 4), horizon=5)
         trace = run_dual_rate(cfg)
         path = tmp_path / "trace.csv"
         trace_to_csv(trace, path)
@@ -536,7 +462,7 @@ class TestTraceExport:
 
     def test_metadata(self):
         plant = triple_integrator()
-        cfg, _ = standard_loop(plant, discretize(plant, 1.0), horizon=5)
+        cfg = standard_loop(discretize(plant, 1.0), horizon=5)
         meta = trace_metadata(run_single_rate(cfg))
         assert meta["verdict"] == "stealthy"
         assert meta["horizon"] == 5
