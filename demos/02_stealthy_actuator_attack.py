@@ -23,10 +23,10 @@ THETA = 0.01  # detection threshold of the monitor
 # watching [y; u].
 
 plant = ContinuousPlant(
-    Ac=[[0, 1, 0], [0, 0, 1], [0, 0, 0]],
-    Bc=[[0], [0], [1]],
-    Cc=[[1, 0, 0]],
-    Dc=[[0]],
+    A=[[0, 1, 0], [0, 0, 1], [0, 0, 0]],
+    B=[[0], [0], [1]],
+    C=[[1, 0, 0]],
+    D=[[0]],
     name="triple-integrator",
 )
 cfg = standard_loop(discretize(plant, T=1.0), theta=THETA, horizon=200)

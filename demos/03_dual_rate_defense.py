@@ -28,10 +28,10 @@ from liftguard.errors import CapabilityError
 THETA = 0.01
 
 plant = ContinuousPlant(
-    Ac=[[0, 1, 0], [0, 0, 1], [0, 0, 0]],
-    Bc=[[0], [0], [1]],
-    Cc=[[1, 0, 0]],
-    Dc=[[0]],
+    A=[[0, 1, 0], [0, 0, 1], [0, 0, 0]],
+    B=[[0], [0], [1]],
+    C=[[1, 0, 0]],
+    D=[[0]],
     name="triple-integrator",
 )
 

@@ -38,7 +38,7 @@ THETA = 0.01
 # while the injection explodes.
 
 unstable = ContinuousPlant(
-    Ac=[[np.log(2.0)]], Bc=[[1.0]], Cc=[[1.0]], Dc=[[0.0]], name="pole-at-2"
+    A=[[np.log(2.0)]], B=[[1.0]], C=[[1.0]], D=[[0.0]], name="pole-at-2"
 )
 cfg = standard_loop(discretize(unstable, T=1.0), theta=THETA, horizon=200)
 plan = synth_sensor_attack(cfg)
@@ -51,7 +51,7 @@ assert trace.verdict.stealthy
 
 # A stable plant offers no such channel.
 stable = ContinuousPlant(
-    Ac=[[-1.0, 0.3], [0.0, -0.5]], Bc=[[1.0], [0.5]], Cc=[[1.0, 0.2]], Dc=[[0.0]],
+    A=[[-1.0, 0.3], [0.0, -0.5]], B=[[1.0], [0.5]], C=[[1.0, 0.2]], D=[[0.0]],
     name="stable-2",
 )
 P = discretize(stable, T=0.5)
@@ -91,8 +91,8 @@ for name, system, run in (
 # is damped by the loop.  The dual-rate loop sees it.
 
 fat = ContinuousPlant(
-    Ac=[[-0.4, 0.2], [0.1, -0.8]], Bc=[[1.0, 0.3], [0.2, 1.0]], Cc=[[1.0, 0.5]],
-    Dc=[[0.0, 0.0]], name="fat-plant",
+    A=[[-0.4, 0.2], [0.1, -0.8]], B=[[1.0, 0.3], [0.2, 1.0]], C=[[1.0, 0.5]],
+    D=[[0.0, 0.0]], name="fat-plant",
 )
 fcfg = standard_loop(discretize(fat, T=0.5), theta=THETA)
 fplan = synth_actuator_attack(fcfg)

@@ -32,7 +32,6 @@ from .model import (
     load_plant,
     observability_stack,
     plant_to_dict,
-    ss_response,
 )
 from .zeros import (
     PoleRecord,
@@ -47,7 +46,6 @@ from .zeros import (
 )
 from .factor import (
     CoprimeFactors,
-    bezout_defect,
     coprime_factorize,
     eval_lambda,
     left_factors,

@@ -1,10 +1,12 @@
 """Command-line front end: analysis, attack synthesis, lifting, simulation,
 and the randomized property-verification suite, over JSON plant specs.
 
-Exit codes: 0 success, 2 parse/validation failure, 3 capability failure
-(no plan for the verdict: "not vulnerable", "undecided"), 4 numeric
-failure or a failing ``verify`` property, 5 configuration failure (a
-loop whose arrays the host refuses to allocate included).  Every output
+Exit codes: 0 success; 2 parse/validation failure: a malformed file, period
+or Riccati weight; 3 capability failure (no plan for the verdict: "not
+vulnerable", "undecided"); 4 numeric failure or a failing ``verify``
+property; 5 configuration failure: loop parameters (``theta``, ``horizon``,
+an explicit ``m``) that cannot configure a loop, or a loop that is unstable
+or whose arrays the host refuses to allocate.  Every output
 embeds the tool version, the seed, and the input file hash; the timestamp
 is isolated in a single field so reruns are byte-identical otherwise.
 """
@@ -167,14 +169,22 @@ def _load(args):
     return plant, T, m_file, hashlib.sha256(data).hexdigest()
 
 
-def _parse_weight(text):
-    """Riccati weight from the command line: a scalar or a JSON matrix."""
+def _parse_weight(text, flag):
+    """Riccati weight from the command line: a scalar or a JSON matrix.
+    Anything but finite numbers is a ValueError naming the flag."""
     if text is None:
         return None
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        return json.loads(text)
+        value = json.loads(text)
+    try:
+        finite = np.isfinite(np.asarray(value, dtype=float)).all()
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{flag} must be a number or a matrix of numbers: {exc}") from None
+    if not finite:
+        raise ValueError(f"{flag} must be finite, got {text}")
+    return value
 
 
 def _explicit_m(args, m_file):
@@ -212,7 +222,7 @@ def _standard_loop(args, plant, T, m_file, horizon, attack=None):
         system = discretize(plant, T)
     return standard_loop(
         system, theta=args.theta, horizon=horizon, attack=attack,
-        Q=_parse_weight(args.Q), R=_parse_weight(args.R),
+        Q=_parse_weight(args.Q, "--Q"), R=_parse_weight(args.R, "--R"),
     )
 
 

@@ -25,14 +25,13 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionError, ModelError, NumericError
-from .model import StateSpace, abcd, check_minimal
+from .model import StateSpace, check_minimal
 
 __all__ = [
     "CoprimeFactors",
     "coprime_factorize",
     "left_factors",
     "observer_controller",
-    "bezout_defect",
     "eval_lambda",
     "closed_loop_matrix",
 ]
@@ -44,7 +43,7 @@ def eval_lambda(sys, lam) -> np.ndarray:
     A 1-D array of points gives the maps stacked along a leading axis, from
     one batched solve.
     """
-    A, B, C, D = abcd(sys)
+    A, B, C, D = sys.A, sys.B, sys.C, sys.D
     lam = np.asarray(lam, dtype=complex)[..., None, None]
     return D + lam * (C @ np.linalg.solve(np.eye(A.shape[0]) - lam * A, B))
 
@@ -79,7 +78,7 @@ def left_factors(sys, H=None, minimality=None):
     from the dual Riccati problem (identity weights) when omitted.  A
     supplied H is checked for its shape and its Schur condition;
     ``minimality`` is ``check_minimal(sys)`` when the caller has it."""
-    A, B, C, D = abcd(sys)
+    A, B, C, D = sys.A, sys.B, sys.C, sys.D
     _require_minimal(sys, minimality)
     if H is None:
         H = linalg.dare_gain(A.T, C.T).T
@@ -104,11 +103,12 @@ def coprime_factorize(
     checked for its shape and its Schur condition.  ``minimality`` is
     ``check_minimal(sys)`` when the caller already has it.  The factors
     are checked against the Bezout identity before they are returned; a
-    list ``certificate`` receives that check's :func:`bezout_defect` (a
+    list ``certificate`` receives that check's defect, the largest 2-norm
+    of Ml*X - Nl*Y - I on the 16th roots of unity (a
     ``dataclasses.replace`` copy of the factors would carry a stored one
     stale).
     """
-    A, B, C, D = abcd(sys)
+    A, B, C, D = sys.A, sys.B, sys.C, sys.D
     rep = _require_minimal(sys, minimality)
     n = A.shape[0]
     if F is None:
@@ -165,20 +165,13 @@ def _bezout_defect_scaled(factors: CoprimeFactors):
     return float(np.max(norms[0])), float(np.max(norms[1:]))
 
 
-def bezout_defect(factors: CoprimeFactors) -> float:
-    """Largest deviation of Ml*X - Nl*Y from identity on 16 unit-circle
-    samples, the 16th roots of unity (evaluated on the 9 of them with
-    non-negative imaginary part, which carry every norm)."""
-    return _bezout_defect_scaled(factors)[0]
-
-
 def closed_loop_matrix(plant, controller) -> np.ndarray:
     """State matrix of the positive-feedback interconnection u = K y.
 
     The controller must be strictly proper so no algebraic loop forms.
     """
-    A, B, C, D = abcd(plant)
-    Ak, Bk, Ck, Dk = abcd(controller)
+    A, B, C, D = plant.A, plant.B, plant.C, plant.D
+    Ak, Bk, Ck, Dk = controller.A, controller.B, controller.C, controller.D
     if np.any(Dk):
         raise DimensionError("closed-loop assembly expects a strictly proper controller")
     return np.block([[A, B @ Ck], [Bk @ C, Ak + Bk @ (D @ Ck)]])
@@ -193,7 +186,7 @@ def observer_controller(factors: CoprimeFactors) -> StateSpace:
     stability of the loop with the factored plant is asserted.  A lifted
     factored plant gives a controller on its m stacked samples.
     """
-    A, B, C, D = abcd(factors.base)
+    A, B, C, D = factors.base.A, factors.base.B, factors.base.C, factors.base.D
     F, H = factors.F, factors.H
     K = StateSpace(
         A=A + B @ F + H @ C + H @ D @ F,

@@ -1,10 +1,9 @@
 """Plant representations and the sample/hold bridge between them.
 
-A :class:`ContinuousPlant` is a minimal continuous-time state-space model;
-:func:`discretize` converts it to a :class:`DiscretePlant` by zero-order
-hold at a given period.  :func:`ss_response` is the exact discrete state
-recursion, the time-domain oracle of the tests (the closed loop runs on
-``sim``'s own recursion).
+:class:`StateSpace` is the one quadruple type.  A :class:`ContinuousPlant`
+is a minimal continuous-time state-space model; :func:`discretize`
+converts it to a :class:`DiscretePlant` by zero-order hold at a given
+period.
 
 System matrices are stored as read-only views of the validated arrays:
 nothing writes through a system object, but a view shares the caller's
@@ -34,7 +33,6 @@ __all__ = [
     "check_pathological",
     "check_minimal",
     "observability_stack",
-    "ss_response",
     "load_plant",
     "plant_to_dict",
 ]
@@ -57,37 +55,14 @@ def _matrix(value, rows=None, cols=None, name="matrix"):
     return M
 
 
-def _set_quadruple(obj, names) -> None:
-    """Validate the quadruple stored under ``names`` on a frozen instance
-    and store it back as float matrices: the first square, the others
-    conforming to it, every entry finite."""
-    nA, nB, nC, nD = names
-    A = _matrix(getattr(obj, nA), name=nA)
-    if A.shape[0] != A.shape[1]:
-        raise DimensionError(f"{nA} must be square")
-    n = A.shape[0]
-    B = _matrix(getattr(obj, nB), rows=n, name=nB)
-    C = _matrix(getattr(obj, nC), cols=n, name=nC)
-    D = _matrix(getattr(obj, nD), rows=C.shape[0], cols=B.shape[1], name=nD)
-    for attr, val in zip(names, (A, B, C, D)):
-        object.__setattr__(obj, attr, val)
-
-
-def abcd(sys):
-    """The (A, B, C, D) quadruple of a :class:`StateSpace` or a
-    :class:`ContinuousPlant`."""
-    if isinstance(sys, StateSpace):
-        return sys.A, sys.B, sys.C, sys.D
-    if isinstance(sys, ContinuousPlant):
-        return sys.Ac, sys.Bc, sys.Cc, sys.Dc
-    raise TypeError(f"cannot extract a state-space quadruple from {type(sys)!r}")
-
-
 @dataclass(frozen=True)
 class StateSpace:
-    """Discrete state-space quadruple, the base of the plant and
-    lifted-system types; bare instances serve as factors, filters and
-    controllers."""
+    """State-space quadruple, the base of the plant and lifted-system
+    types; bare instances serve as factors, filters and controllers.
+
+    The quadruple is validated and stored as float matrices: A square, the
+    others conforming to it, every entry finite.
+    """
 
     A: np.ndarray
     B: np.ndarray
@@ -95,7 +70,15 @@ class StateSpace:
     D: np.ndarray
 
     def __post_init__(self):
-        _set_quadruple(self, ("A", "B", "C", "D"))
+        A = _matrix(self.A, name="A")
+        if A.shape[0] != A.shape[1]:
+            raise DimensionError("A must be square")
+        n = A.shape[0]
+        B = _matrix(self.B, rows=n, name="B")
+        C = _matrix(self.C, cols=n, name="C")
+        D = _matrix(self.D, rows=C.shape[0], cols=B.shape[1], name="D")
+        for attr, val in zip("ABCD", (A, B, C, D)):
+            object.__setattr__(self, attr, val)
 
     @property
     def n(self) -> int:
@@ -132,7 +115,7 @@ class PathologyReport:
 
 
 @dataclass(frozen=True)
-class ContinuousPlant:
+class ContinuousPlant(StateSpace):
     """Minimal continuous-time LTI plant.
 
     Minimality is validated at construction and violation is a hard error:
@@ -140,32 +123,16 @@ class ContinuousPlant:
     guarantees) assumes it.
     """
 
-    Ac: np.ndarray
-    Bc: np.ndarray
-    Cc: np.ndarray
-    Dc: np.ndarray
     name: str = ""
 
     def __post_init__(self):
-        _set_quadruple(self, ("Ac", "Bc", "Cc", "Dc"))
+        super().__post_init__()
         rep = check_minimal(self)
         if not rep.minimal:
             raise ModelError(
                 f"continuous plant {self.name!r} is not minimal "
                 f"(controllable={rep.controllable}, observable={rep.observable})"
             )
-
-    @property
-    def n(self) -> int:
-        return self.Ac.shape[0]
-
-    @property
-    def n_u(self) -> int:
-        return self.Bc.shape[1]
-
-    @property
-    def n_y(self) -> int:
-        return self.Cc.shape[0]
 
 
 @dataclass(frozen=True)
@@ -182,7 +149,7 @@ class DiscretePlant(StateSpace):
 
 
 def check_pathological(plant: ContinuousPlant, T: float) -> PathologyReport:
-    """Flag eigenvalue pairs of ``Ac`` that alias under sampling at period ``T``.
+    """Flag eigenvalue pairs of ``A`` that alias under sampling at period ``T``.
 
     A pair is offending when the real parts coincide (tolerance 1e-9) and
     the imaginary gap is a nonzero integer multiple of 2*pi/T (tolerance
@@ -190,7 +157,7 @@ def check_pathological(plant: ContinuousPlant, T: float) -> PathologyReport:
     """
     if not 0 < T < np.inf:
         raise ValueError(f"sampling period must be positive and finite, got {T}")
-    lams = linalg.eig(plant.Ac)
+    lams = linalg.eig(plant.A)
     base = 2.0 * np.pi / T
     pairs = []
     for i in range(len(lams)):
@@ -204,10 +171,9 @@ def check_pathological(plant: ContinuousPlant, T: float) -> PathologyReport:
     return PathologyReport(pathological=bool(pairs), period=float(T), pairs=tuple(pairs))
 
 
-def check_minimal(sys) -> MinimalityReport:
-    """Controllability/observability rank tests on a :class:`StateSpace` or
-    a :class:`ContinuousPlant`."""
-    A, B, C, _ = abcd(sys)
+def check_minimal(sys: StateSpace) -> MinimalityReport:
+    """Controllability/observability rank tests on a :class:`StateSpace`."""
+    A, B, C = sys.A, sys.B, sys.C
     n = A.shape[0]
     blocks_c = [B]
     for _ in range(n - 1):
@@ -237,12 +203,15 @@ def observability_stack(A, C, m: int) -> np.ndarray:
 def discretize(plant: ContinuousPlant, T: float) -> DiscretePlant:
     """Zero-order-hold discretization at period ``T``.
 
-    The state matrix is ``exp(Ac*T)`` and the input matrix is the exact
-    integral of ``exp(Ac*tau)*Bc`` over one period, both read off the
-    exponential of the augmented matrix ``[[Ac, Bc], [0, 0]] * T``.
+    The state matrix is ``exp(A*T)`` and the input matrix is the exact
+    integral of ``exp(A*tau)*B`` over one period, both read off the
+    exponential of the augmented matrix ``[[A, B], [0, 0]] * T``.
     Pathological sampling is a warning, not a failure: the caller may be
-    studying it deliberately.
+    studying it deliberately.  Only a :class:`ContinuousPlant` is sampled:
+    any other system is a TypeError.
     """
+    if not isinstance(plant, ContinuousPlant):
+        raise TypeError(f"discretize samples a ContinuousPlant, not a {type(plant).__name__}")
     if not 0 < T < np.inf:
         raise ValueError(f"sampling period must be positive and finite, got {T}")
     report = check_pathological(plant, T)
@@ -254,69 +223,26 @@ def discretize(plant: ContinuousPlant, T: float) -> DiscretePlant:
         )
     n, n_u = plant.n, plant.n_u
     M = np.zeros((n + n_u, n + n_u))
-    M[:n, :n] = plant.Ac * T
-    M[:n, n:] = plant.Bc * T
+    M[:n, :n] = plant.A * T
+    M[:n, n:] = plant.B * T
     E = linalg.expm(M)
     return DiscretePlant(
         A=E[:n, :n],
         B=E[:n, n:],
-        C=plant.Cc.copy(),
-        D=plant.Dc.copy(),
+        C=plant.C.copy(),
+        D=plant.D.copy(),
         period=float(T),
     )
 
 
-def ss_response(sys, inputs, x0=None, return_states: bool = False):
-    """Exact discrete state recursion x+ = A x + B u, y = C x + D u.
-
-    Parameters
-    ----------
-    sys : StateSpace
-        The discrete system to step.
-    inputs : array_like
-        Input sequence, shape (N, n_u) (a 1-D array is accepted for
-        single-input systems).
-    x0 : array_like, optional
-        Initial state of dimension n (defaults to zero).
-    return_states : bool
-        Also return the state trajectory, shape (N + 1, n), including the
-        final post-update state.
-
-    Outputs have shape (N, n_y).
-    """
-    A, B, C, D = abcd(sys)
-    n, n_u = A.shape[0], B.shape[1]
-    U = np.asarray(inputs, dtype=float)
-    if U.ndim == 1:
-        U = U.reshape(-1, 1)
-    if U.ndim != 2 or U.shape[1] != n_u:
-        raise DimensionError(f"inputs must have shape (N, {n_u}), got {U.shape}")
-    if U.shape[0] < 1:
-        raise DimensionError("input sequence must contain at least one sample")
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
-    if x.shape[0] != n:
-        raise DimensionError(f"x0 must have dimension {n}, got {x.shape[0]}")
-    N = U.shape[0]
-    Y = np.empty((N, C.shape[0]))
-    X = np.empty((N + 1, n)) if return_states else None
-    for k in range(N):
-        if return_states:
-            X[k] = x
-        Y[k] = C @ x + D @ U[k]
-        x = A @ x + B @ U[k]
-    if return_states:
-        X[N] = x
-        return Y, X
-    return Y
-
-
 def plant_to_dict(plant: ContinuousPlant, T: float, m=None) -> dict:
-    """Serialize a plant and its sampling setup to the JSON plant format."""
+    """Serialize a plant and its sampling setup to the JSON plant format,
+    whose keys ``"Ac"``…``"Dc"`` name the continuous quadruple."""
     out = {
-        "Ac": plant.Ac.tolist(),
-        "Bc": plant.Bc.tolist(),
-        "Cc": plant.Cc.tolist(),
-        "Dc": plant.Dc.tolist(),
+        "Ac": plant.A.tolist(),
+        "Bc": plant.B.tolist(),
+        "Cc": plant.C.tolist(),
+        "Dc": plant.D.tolist(),
         "T": float(T),
     }
     if m is not None:
@@ -350,7 +276,7 @@ def load_plant(source):
     JSON string, or a file path.
 
     The document must be an object carrying ``Ac``, ``Bc``, ``Cc``, ``Dc``
-    as nested number arrays and ``T`` as a positive finite number; ``m``
+    (the plant's A, B, C, D) as nested number arrays and ``T`` as a positive finite number; ``m``
     (integer >= 1) and ``name`` are optional.  A field of the wrong type is
     a ValueError that names it.  Returns ``(plant, T, m)`` with ``m``
     possibly None.
@@ -379,6 +305,6 @@ def load_plant(source):
         m = _field("plant", doc, "m", _integer)
         if m < 1:
             raise ValueError(f"m must be a positive integer, got {m}")
-    matrices = {k: _field("plant", doc, k, partial(np.asarray, dtype=float))
-                for k in ("Ac", "Bc", "Cc", "Dc")}
-    return ContinuousPlant(**matrices, name=str(doc.get("name", ""))), T, m
+    matrices = [_field("plant", doc, k, partial(np.asarray, dtype=float))
+                for k in ("Ac", "Bc", "Cc", "Dc")]
+    return ContinuousPlant(*matrices, name=str(doc.get("name", ""))), T, m

@@ -95,8 +95,8 @@ class LoopConfig:
                 + ("; dual_rate mode requires a lifted controller"
                    if self.mode == "dual_rate" else "")
             )
-        if not self.theta > 0:
-            raise ConfigurationError(f"theta must be positive, got {self.theta}")
+        if not 0 < self.theta < np.inf:
+            raise ConfigurationError(f"theta must be positive and finite, got {self.theta}")
         if self.horizon < 1:
             raise ConfigurationError("horizon must be at least one step")
         if np.any(K.D):

@@ -58,10 +58,10 @@ def random_minimal_plant(rng) -> ContinuousPlant:
     n_u = int(rng.integers(1, 3))
     n_y = int(rng.integers(n_u, n_u + 2))
     return ContinuousPlant(
-        Ac=rng.standard_normal((n, n)),
-        Bc=rng.standard_normal((n, n_u)),
-        Cc=rng.standard_normal((n_y, n)),
-        Dc=np.zeros((n_y, n_u)),
+        A=rng.standard_normal((n, n)),
+        B=rng.standard_normal((n, n_u)),
+        C=rng.standard_normal((n_y, n)),
+        D=np.zeros((n_y, n_u)),
     )
 
 

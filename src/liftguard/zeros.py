@@ -31,7 +31,7 @@ from . import linalg
 from .errors import ModelError
 from .factor import eval_lambda, left_factors
 from .lift import LiftedSystem, check_assumptions
-from .model import StateSpace, abcd, check_minimal
+from .model import StateSpace, check_minimal
 
 __all__ = [
     "ZeroRecord",
@@ -128,7 +128,7 @@ def pencil_matrix(sys, z) -> np.ndarray:
 
     A 1-D array of points gives the pencils stacked along a leading axis.
     """
-    A, B, C, D = abcd(sys)
+    A, B, C, D = sys.A, sys.B, sys.C, sys.D
     n, n_u, n_y = A.shape[0], B.shape[1], C.shape[0]
     z = np.asarray(z, dtype=complex)
     # Per point, the coefficients of I and of (A, C): (z, 1) in the plain
@@ -191,7 +191,7 @@ def _candidates(sys):
     non-square pencil is first projected onto the thin SVD of its value at
     ``_SQUARING_POINT``, which keeps every zero; the spurious eigenvalues
     it may add are left to the caller's rank test."""
-    A, B, C, D = abcd(sys)
+    A, B, C, D = sys.A, sys.B, sys.C, sys.D
     n, n_u, n_y = A.shape[0], B.shape[1], C.shape[0]
     F = np.block([[A, B], [-C, -D]])
     E = np.zeros((n + n_y, n + n_u))
@@ -307,7 +307,7 @@ def transmission_zeros(sys, minimality=None, assumptions=None) -> ZeroReport:
     ``minimality`` is ``check_minimal(sys)`` (``assumptions`` a lifted
     system's ``check_assumptions(sys)``) when the caller already has it.
     """
-    A, B, C, D = abcd(sys)
+    A, B, C, D = sys.A, sys.B, sys.C, sys.D
     n, n_u, n_y = A.shape[0], B.shape[1], C.shape[0]
     _require_minimal(sys, minimality)
     normal_rank, found = _confirmed(sys, assumptions=assumptions)
@@ -380,10 +380,9 @@ def zero_values(sys, minimality=None) -> list:
 
 def poles(sys) -> tuple:
     """Eigenvalues of the state matrix, classified against the unit circle."""
-    A, _, _, _ = abcd(sys)
     labels = {"boundary": "boundary", "outside": "unstable", "inside": "stable"}
     out = []
-    for lam in linalg.eig(A):
+    for lam in linalg.eig(sys.A):
         side, marginal = _unit_circle_side(lam)
         out.append(PoleRecord(value=complex(lam), classification=labels[side], marginal=marginal))
     return tuple(out)
@@ -398,7 +397,7 @@ def multiplicity_at_one(left_numerator) -> str:
     matrix whose right null chain certifies multiplicity greater than
     one.  Returns ``"not_a_zero"``, ``"simple"``, or ``"multiple"``.
     """
-    A, B, C, D = abcd(left_numerator)
+    A, B, C, D = left_numerator.A, left_numerator.B, left_numerator.C, left_numerator.D
     if linalg.spectral_radius(A) >= 1.0:
         raise ModelError("left-factor state matrix must be Schur stable")
     n = A.shape[0]

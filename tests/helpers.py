@@ -20,6 +20,7 @@ from liftguard import (
     linalg,
 )
 from liftguard.errors import DimensionError, LiftguardError
+from liftguard.factor import _bezout_defect_scaled
 from liftguard.sim import _render_attack, monitor_eval
 from liftguard.zeros import (
     _PROBE_POINTS,
@@ -49,35 +50,35 @@ def bench_module(name):
 
 def triple_integrator(name="triple-int"):
     return ContinuousPlant(
-        Ac=[[0, 1, 0], [0, 0, 1], [0, 0, 0]],
-        Bc=[[0], [0], [1]],
-        Cc=[[1, 0, 0]],
-        Dc=[[0]],
+        A=[[0, 1, 0], [0, 0, 1], [0, 0, 0]],
+        B=[[0], [0], [1]],
+        C=[[1, 0, 0]],
+        D=[[0]],
         name=name,
     )
 
 
 def double_integrator(name="double-int"):
     return ContinuousPlant(
-        Ac=[[0, 1], [0, 0]], Bc=[[0], [1]], Cc=[[1, 0]], Dc=[[0]], name=name
+        A=[[0, 1], [0, 0]], B=[[0], [1]], C=[[1, 0]], D=[[0]], name=name
     )
 
 
 def unstable_scalar(name="unstable-scalar"):
     # pole at 2 when sampled with T = 1
-    return ContinuousPlant(Ac=[[np.log(2.0)]], Bc=[[1.0]], Cc=[[1.0]], Dc=[[0.0]], name=name)
+    return ContinuousPlant(A=[[np.log(2.0)]], B=[[1.0]], C=[[1.0]], D=[[0.0]], name=name)
 
 
 def light_oscillator(name="light-oscillator"):
     # undamped frequency 2 rad/s, damping ratio 0.01
     return ContinuousPlant(
-        Ac=[[0.0, 1.0], [-4.0, -0.04]], Bc=[[0.0], [1.0]], Cc=[[1.0, 0.0]], Dc=[[0.0]], name=name
+        A=[[0.0, 1.0], [-4.0, -0.04]], B=[[0.0], [1.0]], C=[[1.0, 0.0]], D=[[0.0]], name=name
     )
 
 
 def stable_two_state(name="stable-2"):
     return ContinuousPlant(
-        Ac=[[-1.0, 0.3], [0.0, -0.5]], Bc=[[1.0], [0.5]], Cc=[[1.0, 0.2]], Dc=[[0.0]], name=name
+        A=[[-1.0, 0.3], [0.0, -0.5]], B=[[1.0], [0.5]], C=[[1.0, 0.2]], D=[[0.0]], name=name
     )
 
 
@@ -96,10 +97,10 @@ def random_continuous(rng, n=None, n_u=None, n_y=None, max_tries=80):
         nu = min(nu, nn)
         try:
             return ContinuousPlant(
-                Ac=rng.standard_normal((nn, nn)),
-                Bc=rng.standard_normal((nn, nu)),
-                Cc=rng.standard_normal((ny, nn)),
-                Dc=np.zeros((ny, nu)),
+                A=rng.standard_normal((nn, nn)),
+                B=rng.standard_normal((nn, nu)),
+                C=rng.standard_normal((ny, nn)),
+                D=np.zeros((ny, nu)),
             )
         except LiftguardError:
             continue
@@ -128,6 +129,50 @@ def random_discrete(rng, n=None, n_u=1, n_y=1, radius=0.85, max_tries=80, biprop
         if check_minimal(sys).minimal:
             return sys
     raise RuntimeError("could not draw a minimal discrete plant")
+
+
+def ss_response(sys, inputs, x0=None, return_states: bool = False):
+    """Exact discrete state recursion x+ = A x + B u, y = C x + D u, the
+    time-domain oracle of the tests (the closed loop runs on ``sim``'s own
+    recursion).
+
+    ``inputs`` has shape (N, n_u) (a 1-D array is accepted for
+    single-input systems); ``x0`` is the initial state (zero when None).
+    Outputs have shape (N, n_y); with ``return_states`` the state
+    trajectory, shape (N + 1, n) including the final post-update state,
+    is returned too.
+    """
+    A, B, C, D = sys.A, sys.B, sys.C, sys.D
+    n, n_u = A.shape[0], B.shape[1]
+    U = np.asarray(inputs, dtype=float)
+    if U.ndim == 1:
+        U = U.reshape(-1, 1)
+    if U.ndim != 2 or U.shape[1] != n_u:
+        raise DimensionError(f"inputs must have shape (N, {n_u}), got {U.shape}")
+    if U.shape[0] < 1:
+        raise DimensionError("input sequence must contain at least one sample")
+    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
+    if x.shape[0] != n:
+        raise DimensionError(f"x0 must have dimension {n}, got {x.shape[0]}")
+    N = U.shape[0]
+    Y = np.empty((N, C.shape[0]))
+    X = np.empty((N + 1, n)) if return_states else None
+    for k in range(N):
+        if return_states:
+            X[k] = x
+        Y[k] = C @ x + D @ U[k]
+        x = A @ x + B @ U[k]
+    if return_states:
+        X[N] = x
+        return Y, X
+    return Y
+
+
+def bezout_defect(factors) -> float:
+    """Largest deviation of Ml*X - Nl*Y from identity on 16 unit-circle
+    samples, the 16th roots of unity: the defect ``coprime_factorize``
+    appends to its ``certificate`` list, read off any factors."""
+    return _bezout_defect_scaled(factors)[0]
 
 
 def residual_generator(sys) -> StateSpace:

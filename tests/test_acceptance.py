@@ -14,7 +14,6 @@ import pytest
 from liftguard import (
     ContinuousPlant,
     build_lifted,
-    bezout_defect,
     check_minimal,
     choose_m,
     coprime_factorize,
@@ -24,7 +23,6 @@ from liftguard import (
     run_dual_rate,
     run_single_rate,
     shift_consistency_check,
-    ss_response,
     standard_loop,
     transmission_zeros,
 )
@@ -35,11 +33,13 @@ from liftguard.lift import block_difference_matrix, observability_stack
 from helpers import (
     Injector,
     assert_sets_close,
+    bezout_defect,
     double_integrator,
     has_zero_at,
     random_continuous,
     random_discrete,
     run_lifted_closed_loop,
+    ss_response,
     stable_two_state,
     triple_integrator,
     unstable_scalar,
@@ -71,14 +71,14 @@ def _tall_with_zero_dc_gain(rng, tries=30):
     for _ in range(tries):
         n = int(rng.integers(2, 4))
         n_y = int(rng.integers(1, 3))
-        Ac = rng.standard_normal((n, n))
-        if abs(np.linalg.det(Ac)) < 1e-3:
+        A = rng.standard_normal((n, n))
+        if abs(np.linalg.det(A)) < 1e-3:
             continue
-        Bc = rng.standard_normal((n, 1))
-        Cc = rng.standard_normal((n_y, n))
-        Dc = Cc @ np.linalg.solve(Ac, Bc)
+        B = rng.standard_normal((n, 1))
+        C = rng.standard_normal((n_y, n))
+        D = C @ np.linalg.solve(A, B)
         try:
-            return ContinuousPlant(Ac=Ac, Bc=Bc, Cc=Cc, Dc=Dc)
+            return ContinuousPlant(A, B, C, D)
         except LiftguardError:
             continue
     return None

@@ -14,7 +14,6 @@ from liftguard import (
     observer_controller,
     run_dual_rate,
     run_single_rate,
-    ss_response,
     standard_loop,
     transmission_zeros,
 )
@@ -36,6 +35,7 @@ from helpers import (
     double_integrator,
     light_oscillator,
     reference_sensor_direction,
+    ss_response,
     stable_two_state,
     triple_integrator,
     unstable_scalar,
@@ -131,7 +131,7 @@ class TestSensorSynthesis:
     def test_simple_boundary_pole_not_vulnerable(self):
         from liftguard import ContinuousPlant
 
-        integ = ContinuousPlant(Ac=[[0.0]], Bc=[[1.0]], Cc=[[1.0]], Dc=[[0.0]])
+        integ = ContinuousPlant(A=[[0.0]], B=[[1.0]], C=[[1.0]], D=[[0.0]])
         cfg = standard_loop(discretize(integ, 1.0), theta=0.01)
         with pytest.raises(CapabilityError, match="boundary"):
             synth_sensor_attack(cfg)

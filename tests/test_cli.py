@@ -337,6 +337,25 @@ class TestAttackAndSimulate:
         assert err["error"].endswith("MemoryError") and "allocate" in err["message"]
         assert not (tmp_path / "verdict.json").exists()
 
+    @pytest.mark.parametrize(
+        "command",
+        [("simulate", "--horizon", "5"), ("attack", "--kind", "sensor")],
+        ids=["simulate", "attack_sensor"],
+    )
+    def test_infinite_theta_exit_5(self, plant_files, tmp_path, capsys, command):
+        # theta = inf used to pass the loop check: simulate wrote trace.csv and
+        # then failed on the verdict's JSON, and attack failed on the plan
+        from liftguard import cli
+
+        argv = [*command, "--plant", plant_files["unstable"], "--theta", "inf",
+                "--out", str(tmp_path)]
+        assert cli.main(argv) == 5
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ConfigurationError",
+                       "message": "theta must be positive and finite, got inf"}
+        assert not (tmp_path / "trace.csv").exists()
+        assert not any(tmp_path.iterdir())
+
     def test_attack_rejects_horizon(self, plant_files, tmp_path):
         # a plan's horizon follows from its growth ratio, so attack takes none
         res = run_cli(
@@ -498,6 +517,30 @@ class TestAttackAndSimulate:
         )
         assert res.returncode == 0, res.stderr
         assert json.load(open(f"{out}/verdict.json"))["result"]["verdict"] == "stealthy"
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--Q", "nan", "--Q must be finite, got nan"),
+            ("--Q", "inf", "--Q must be finite, got inf"),
+            ("--R", "nan", "--R must be finite, got nan"),
+            ("--Q", "[[NaN]]", "--Q must be finite, got [[NaN]]"),
+            ("--R", "[[1e999]]", "--R must be finite, got [[1e999]]"),
+            ("--Q", '{"a": 1}', "--Q must be a number or a matrix of numbers"),
+            ("--R", "0", "R must be positive definite"),
+        ],
+    )
+    def test_invalid_weight_exit_2(self, plant_files, tmp_path, capsys, flag, value, message):
+        # every invalid weight is a caller error of one class: non-finite
+        # entries used to exit 4 and a JSON object with a traceback
+        from liftguard import cli
+
+        argv = ["simulate", "--plant", plant_files["unstable"], "--horizon", "5",
+                flag, value, "--out", str(tmp_path)]
+        assert cli.main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and err["message"].startswith(message)
+        assert not any(tmp_path.iterdir())
 
     def test_simulate_without_plan_is_baseline(self, plant_files, tmp_path):
         out = str(tmp_path / "base")

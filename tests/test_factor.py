@@ -6,7 +6,6 @@ import pytest
 from liftguard import (
     DiscretePlant,
     StateSpace,
-    bezout_defect,
     build_lifted,
     check_minimal,
     coprime_factorize,
@@ -15,7 +14,6 @@ from liftguard import (
     left_factors,
     observer_controller,
     run_single_rate,
-    ss_response,
     standard_loop,
     transmission_zeros,
 )
@@ -28,10 +26,12 @@ from liftguard.linalg import spectral_radius
 from helpers import (
     Injector,
     assert_sets_close,
+    bezout_defect,
     double_integrator,
     random_continuous,
     random_discrete,
     residual_generator,
+    ss_response,
     triple_integrator,
     unstable_scalar,
 )

@@ -1,4 +1,5 @@
 import dataclasses
+import operator
 
 import numpy as np
 import pytest
@@ -14,21 +15,22 @@ from liftguard import (
     discretize,
     shift_consistency_check,
     spectral_radius,
-    ss_response,
     transmission_zeros,
 )
 from liftguard import linalg
 from liftguard.errors import DimensionError, ModelError
 from liftguard.lift import SHIFT_CONSISTENCY_TOL, block_difference_matrix, observability_stack
-from liftguard.model import abcd
 
 from helpers import (
     assert_sets_close,
     has_zero_at,
     random_continuous,
     random_tall_continuous,
+    ss_response,
     triple_integrator,
 )
+
+_quadruple = operator.attrgetter("A", "B", "C", "D")
 
 
 class TestBuildLifted:
@@ -135,10 +137,10 @@ class TestAssumptions:
         rng = np.random.default_rng(13)
         b = rng.standard_normal((3, 1))
         plant = ContinuousPlant(
-            Ac=rng.standard_normal((3, 3)),
-            Bc=np.hstack([b, b]),
-            Cc=rng.standard_normal((3, 3)),
-            Dc=np.zeros((3, 2)),
+            A=rng.standard_normal((3, 3)),
+            B=np.hstack([b, b]),
+            C=rng.standard_normal((3, 3)),
+            D=np.zeros((3, 2)),
         )
         L = build_lifted(plant, 1.0, 2)
         rep = check_assumptions(L)
@@ -158,10 +160,10 @@ class TestChooseM:
     def test_full_row_output_gives_two(self):
         rng = np.random.default_rng(17)
         plant = ContinuousPlant(
-            Ac=rng.standard_normal((3, 3)),
-            Bc=rng.standard_normal((3, 1)),
-            Cc=np.eye(3),
-            Dc=np.zeros((3, 1)),
+            A=rng.standard_normal((3, 3)),
+            B=rng.standard_normal((3, 1)),
+            C=np.eye(3),
+            D=np.zeros((3, 1)),
         )
         assert choose_m(plant, 1.0) == 2
 
@@ -169,10 +171,10 @@ class TestChooseM:
         rng = np.random.default_rng(19)
         b = rng.standard_normal((3, 1))
         plant = ContinuousPlant(
-            Ac=rng.standard_normal((3, 3)),
-            Bc=np.hstack([b, b]),
-            Cc=rng.standard_normal((3, 3)),
-            Dc=np.zeros((3, 2)),
+            A=rng.standard_normal((3, 3)),
+            B=np.hstack([b, b]),
+            C=rng.standard_normal((3, 3)),
+            D=np.zeros((3, 2)),
         )
         with pytest.raises(ModelError):
             choose_m(plant, 1.0)
@@ -204,7 +206,7 @@ class TestChooseM:
         for m, fast in samples.items():
             ref = discretize(plant, 1.0 / m)
             assert fast.period == ref.period
-            for got, want in zip(abcd(fast), abcd(ref)):
+            for got, want in zip(_quadruple(fast), _quadruple(ref)):
                 assert got.tobytes() == want.tobytes()
 
     def test_automatic_m_samples_each_fast_period_once(self, monkeypatch):
@@ -216,7 +218,7 @@ class TestChooseM:
         assert lifted.m == 4 and len(calls) == 1  # the search starts at m = 4
         explicit = build_lifted(plant, 1.0, 4)
         assert len(calls) == 2
-        for got, want in zip(abcd(lifted), abcd(explicit)):
+        for got, want in zip(_quadruple(lifted), _quadruple(explicit)):
             assert got.tobytes() == want.tobytes()
 
 
@@ -322,14 +324,14 @@ def _plant_with_blocking_zero_at_origin(rng, tries=20):
     for _ in range(tries):
         n = int(rng.integers(2, 4))
         n_y = int(rng.integers(1, 3))
-        Ac = rng.standard_normal((n, n))
-        if abs(np.linalg.det(Ac)) < 1e-3:
+        A = rng.standard_normal((n, n))
+        if abs(np.linalg.det(A)) < 1e-3:
             continue
-        Bc = rng.standard_normal((n, 1))
-        Cc = rng.standard_normal((n_y, n))
-        Dc = Cc @ np.linalg.solve(Ac, Bc)  # forces zero DC gain
+        B = rng.standard_normal((n, 1))
+        C = rng.standard_normal((n_y, n))
+        D = C @ np.linalg.solve(A, B)  # forces zero DC gain
         try:
-            return ContinuousPlant(Ac=Ac, Bc=Bc, Cc=Cc, Dc=Dc)
+            return ContinuousPlant(A, B, C, D)
         except LiftguardError:
             continue
     return None
@@ -345,8 +347,8 @@ def _choose_m_by_building(plant, T):
 
 def _unstable_plant(plant, rightmost):
     """The plant with its continuous poles shifted so the rightmost real part
-    equals ``rightmost``; a shift of Ac keeps the realization minimal."""
-    shift = rightmost - np.max(np.linalg.eigvals(plant.Ac).real)
+    equals ``rightmost``; a shift of A keeps the realization minimal."""
+    shift = rightmost - np.max(np.linalg.eigvals(plant.A).real)
     return ContinuousPlant(
-        Ac=plant.Ac + shift * np.eye(plant.n), Bc=plant.Bc, Cc=plant.Cc, Dc=plant.Dc
+        A=plant.A + shift * np.eye(plant.n), B=plant.B, C=plant.C, D=plant.D
     )

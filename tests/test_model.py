@@ -5,23 +5,22 @@ from liftguard import (
     ContinuousPlant,
     DiscretePlant,
     StateSpace,
+    build_lifted,
     check_minimal,
     check_pathological,
     discretize,
     load_plant,
     plant_to_dict,
-    ss_response,
 )
 from liftguard.errors import DimensionError, ModelError
 from liftguard.linalg import spectral_radius
-from liftguard.model import abcd
 
-from helpers import double_integrator, random_continuous, triple_integrator
+from helpers import double_integrator, random_continuous, ss_response, triple_integrator
 
 
 class TestDiscretize:
     def test_integrator(self):
-        plant = ContinuousPlant(Ac=[[0.0]], Bc=[[1.0]], Cc=[[1.0]], Dc=[[0.0]])
+        plant = ContinuousPlant(A=[[0.0]], B=[[1.0]], C=[[1.0]], D=[[0.0]])
         P = discretize(plant, 1.0)
         np.testing.assert_allclose(P.A, [[1.0]], atol=1e-14)
         np.testing.assert_allclose(P.B, [[1.0]], atol=1e-14)
@@ -34,7 +33,7 @@ class TestDiscretize:
         np.testing.assert_array_equal(P.C, [[1.0, 0.0]])
 
     def test_scalar_integral(self):
-        plant = ContinuousPlant(Ac=[[-1.0]], Bc=[[1.0]], Cc=[[1.0]], Dc=[[0.0]])
+        plant = ContinuousPlant(A=[[-1.0]], B=[[1.0]], C=[[1.0]], D=[[0.0]])
         P = discretize(plant, np.log(2.0))
         np.testing.assert_allclose(P.A, [[0.5]], rtol=1e-12)
         np.testing.assert_allclose(P.B, [[0.5]], rtol=1e-12)
@@ -58,11 +57,11 @@ class TestDiscretize:
         rng = np.random.default_rng(29)
         for _ in range(15):
             n = int(rng.integers(1, 5))
-            Ac = rng.standard_normal((n, n))
-            Ac = Ac - (np.max(np.linalg.eigvals(Ac).real) + 0.2) * np.eye(n)
+            A = rng.standard_normal((n, n))
+            A = A - (np.max(np.linalg.eigvals(A).real) + 0.2) * np.eye(n)
             try:
                 plant = ContinuousPlant(
-                    Ac=Ac, Bc=rng.standard_normal((n, 1)), Cc=rng.standard_normal((1, n)), Dc=[[0.0]]
+                    A=A, B=rng.standard_normal((n, 1)), C=rng.standard_normal((1, n)), D=[[0.0]]
                 )
             except ModelError:
                 continue
@@ -83,23 +82,23 @@ class TestDiscretize:
 
 class TestPathological:
     def test_distinct_real_parts(self):
-        plant = ContinuousPlant(Ac=[[-1.0, 0.0], [0.0, -2.0]], Bc=[[1.0], [1.0]], Cc=[[1.0, 1.0]], Dc=[[0.0]])
+        plant = ContinuousPlant(A=[[-1.0, 0.0], [0.0, -2.0]], B=[[1.0], [1.0]], C=[[1.0, 1.0]], D=[[0.0]])
         assert not check_pathological(plant, 1.7).pathological
 
     def test_rotation_at_half_period(self):
         w = 3.0
-        plant = ContinuousPlant(Ac=[[0.0, w], [-w, 0.0]], Bc=[[0.0], [1.0]], Cc=[[1.0, 0.0]], Dc=[[0.0]])
+        plant = ContinuousPlant(A=[[0.0, w], [-w, 0.0]], B=[[0.0], [1.0]], C=[[1.0, 0.0]], D=[[0.0]])
         rep = check_pathological(plant, np.pi / w)
         assert rep.pathological
         assert len(rep.pairs) == 1
 
     def test_single_eigenvalue(self):
-        plant = ContinuousPlant(Ac=[[0.0]], Bc=[[1.0]], Cc=[[1.0]], Dc=[[0.0]])
+        plant = ContinuousPlant(A=[[0.0]], B=[[1.0]], C=[[1.0]], D=[[0.0]])
         assert not check_pathological(plant, 5.0).pathological
 
     def test_discretize_warns(self):
         w = 2.0
-        plant = ContinuousPlant(Ac=[[0.0, w], [-w, 0.0]], Bc=[[0.0], [1.0]], Cc=[[1.0, 0.0]], Dc=[[0.0]])
+        plant = ContinuousPlant(A=[[0.0, w], [-w, 0.0]], B=[[0.0], [1.0]], C=[[1.0, 0.0]], D=[[0.0]])
         with pytest.warns(UserWarning, match="pathological"):
             discretize(plant, np.pi / w)
 
@@ -131,7 +130,7 @@ class TestMinimality:
     def test_nonminimal_continuous_rejected_at_load(self):
         with pytest.raises(ModelError):
             ContinuousPlant(
-                Ac=[[1.0, 0.0], [0.0, 2.0]], Bc=[[1.0], [0.0]], Cc=[[1.0, 0.0]], Dc=[[0.0]]
+                A=[[1.0, 0.0], [0.0, 2.0]], B=[[1.0], [0.0]], C=[[1.0, 0.0]], D=[[0.0]]
             )
 
 
@@ -201,7 +200,11 @@ class TestStateSpaceBase:
         P = discretize(triple_integrator(), 1.0)
         assert isinstance(P, StateSpace)
         assert (P.n, P.n_u, P.n_y) == (3, 1, 1)
-        assert all(a is b for a, b in zip(abcd(P), (P.A, P.B, P.C, P.D)))
+
+    def test_continuous_plant_is_state_space(self):
+        plant = triple_integrator()
+        assert isinstance(plant, StateSpace)
+        assert (plant.n, plant.n_u, plant.n_y) == (3, 1, 1)
 
     def test_discrete_plant_validated_before_period(self):
         with pytest.raises(DimensionError, match="D has 2 rows"):
@@ -210,20 +213,22 @@ class TestStateSpaceBase:
             DiscretePlant(A=[[0.5]], B=[[1.0]], C=[[1.0]], D=[[0.0]], period=0.0)
 
     def test_continuous_plant_messages_name_its_fields(self):
-        with pytest.raises(DimensionError, match="Ac must be square"):
-            ContinuousPlant(Ac=[[0.0, 1.0]], Bc=[[1.0]], Cc=[[1.0]], Dc=[[0.0]])
-        with pytest.raises(DimensionError, match="Dc has 1 columns, expected 2"):
-            ContinuousPlant(Ac=[[0.0]], Bc=[[1.0, 0.0]], Cc=[[1.0]], Dc=[[0.0]])
-        with pytest.raises(DimensionError, match="Cc contains non-finite"):
-            ContinuousPlant(Ac=[[0.0]], Bc=[[1.0]], Cc=[[np.nan]], Dc=[[0.0]])
+        with pytest.raises(DimensionError, match="A must be square"):
+            ContinuousPlant(A=[[0.0, 1.0]], B=[[1.0]], C=[[1.0]], D=[[0.0]])
+        with pytest.raises(DimensionError, match="D has 1 columns, expected 2"):
+            ContinuousPlant(A=[[0.0]], B=[[1.0, 0.0]], C=[[1.0]], D=[[0.0]])
+        with pytest.raises(DimensionError, match="C contains non-finite"):
+            ContinuousPlant(A=[[0.0]], B=[[1.0]], C=[[np.nan]], D=[[0.0]])
 
-    def test_abcd_rejects_other_objects(self):
-        with pytest.raises(TypeError):
-            abcd(object())
-        with pytest.raises(TypeError):
-            abcd(([[1.0]], [[1.0]], [[1.0]]))
-        with pytest.raises(TypeError):
-            abcd(([[1.0]], [[1.0]], [[1.0]], [[0.0]]))
+    def test_only_a_continuous_plant_is_sampled(self):
+        # a sampled plant is a StateSpace too; it must not be resampled
+        P = discretize(triple_integrator(), 1.0)
+        with pytest.raises(TypeError, match="not a DiscretePlant"):
+            discretize(P, 0.5)
+        with pytest.raises(TypeError, match="not a DiscretePlant"):
+            build_lifted(P, 1.0)
+        with pytest.raises(TypeError, match="not a StateSpace"):
+            discretize(StateSpace(P.A, P.B, P.C, P.D), 0.5)
 
 
 class TestReadOnlyMatrices:
@@ -238,8 +243,8 @@ class TestReadOnlyMatrices:
             assert sys.A.strides == given.strides
         assert A.flags.writeable
         A[0, 0] = 0.5
-        plant = ContinuousPlant(Ac=[[0.0]], Bc=[[1.0]], Cc=[[1.0]], Dc=[[0.0]])
-        for M in abcd(plant):
+        plant = ContinuousPlant(A=[[0.0]], B=[[1.0]], C=[[1.0]], D=[[0.0]])
+        for M in (plant.A, plant.B, plant.C, plant.D):
             with pytest.raises(ValueError):
                 M[0, 0] = 2.0
 
@@ -254,7 +259,7 @@ class TestPlantIO:
         path.write_text(json.dumps(doc))
         loaded, T, m = load_plant(str(path))
         assert T == 0.5 and m == 4
-        np.testing.assert_array_equal(loaded.Ac, plant.Ac)
+        np.testing.assert_array_equal(loaded.A, plant.A)
 
     def test_missing_field(self):
         with pytest.raises(ValueError, match="missing"):

@@ -363,7 +363,7 @@ def _random_fat_plant():
 def _one_column_controller_output():
     # one controller state and two inputs: u = K.C @ xk multiplies a 2x1
     # matrix by a subnormal state, and the products underflow to +-0
-    plant = ContinuousPlant(Ac=[[-0.5]], Bc=[[1.0, -0.7]], Cc=[[1.0]], Dc=[[0.0, 0.0]])
+    plant = ContinuousPlant(A=[[-0.5]], B=[[1.0, -0.7]], C=[[1.0]], D=[[0.0, 0.0]])
     cfg = standard_loop(discretize(plant, 0.5), horizon=40)
     return dataclasses.replace(cfg, x0_plant=[1e-323])
 

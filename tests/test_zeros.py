@@ -119,7 +119,7 @@ class TestPoles:
     def test_stable_scalar(self):
         from liftguard import ContinuousPlant
 
-        plant = ContinuousPlant(Ac=[[-1.0]], Bc=[[1.0]], Cc=[[1.0]], Dc=[[0.0]])
+        plant = ContinuousPlant(A=[[-1.0]], B=[[1.0]], C=[[1.0]], D=[[0.0]])
         recs = poles(discretize(plant, 1.0))
         assert abs(recs[0].value - np.exp(-1.0)) <= 1e-12
         assert recs[0].classification == "stable"
@@ -226,7 +226,7 @@ class TestMultiplicityAtOne:
         from liftguard import ContinuousPlant
 
         plant = ContinuousPlant(
-            Ac=[[0.0, 1.0], [-2.0, -3.0]], Bc=[[0.0], [1.0]], Cc=[[0.0, 1.0]], Dc=[[0.0]]
+            A=[[0.0, 1.0], [-2.0, -3.0]], B=[[0.0], [1.0]], C=[[0.0, 1.0]], D=[[0.0]]
         )
         L = build_lifted(plant, 1.0, 3)
         factors = coprime_factorize(L)
@@ -286,7 +286,7 @@ class TestClassifyVulnerability:
     def test_boundary_pole_simple_sensor_no(self):
         from liftguard import ContinuousPlant
 
-        integ = ContinuousPlant(Ac=[[0.0]], Bc=[[1.0]], Cc=[[1.0]], Dc=[[0.0]])
+        integ = ContinuousPlant(A=[[0.0]], B=[[1.0]], C=[[1.0]], D=[[0.0]])
         verdict = classify_vulnerability(transmission_zeros(discretize(integ, 1.0)))
         assert verdict.sensor == "no"
 
