@@ -15,15 +15,14 @@ from liftguard import (
     build_lifted,
     check_assumptions,
     choose_m,
-    coprime_factorize,
     discretize,
-    multiplicity_at_one,
     run_dual_rate,
     standard_loop,
     transmission_zeros,
 )
 from liftguard.attack import synth_actuator_attack
 from liftguard.errors import CapabilityError
+from liftguard.zeros import _multiple_at
 
 THETA = 0.01
 
@@ -53,7 +52,8 @@ assert assumptions.satisfied
 
 # =============================================================================
 # The lifted zero picture: nothing strictly outside the unit circle, and a
-# null-chain test certifies that any zero at frequency one is simple.
+# null-chain test on the lifted system pencil at z = 1 certifies that any
+# zero at frequency one is simple.
 
 report = transmission_zeros(L)
 outside = [r.z_value for r in report.zeros
@@ -61,8 +61,9 @@ outside = [r.z_value for r in report.zeros
 print(f"\nlifted zeros outside the unit circle: {outside or 'none'}")
 assert not outside
 
-factors = coprime_factorize(L)
-print(f"multiplicity at frequency one: {multiplicity_at_one(factors.Nl)}")
+at_one = _multiple_at(L, 1.0)
+print(f"multiplicity at frequency one: {at_one}")
+assert at_one != "multiple"
 
 # =============================================================================
 # Direct consequence: the attack synthesizer has nothing to ride.  The

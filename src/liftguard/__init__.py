@@ -39,7 +39,6 @@ from .zeros import (
     ZeroRecord,
     ZeroReport,
     classify_vulnerability,
-    multiplicity_at_one,
     poles,
     transmission_zeros,
     zero_values,

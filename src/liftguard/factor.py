@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimensionError, ModelError, NumericError
-from .model import StateSpace, check_minimal
+from .errors import DimensionError, NumericError
+from .model import StateSpace, _require_minimal
 
 __all__ = [
     "CoprimeFactors",
@@ -63,44 +63,23 @@ class CoprimeFactors:
     base: object  # the factored plant (discrete or lifted)
 
 
-def _require_minimal(sys, minimality):
-    rep = check_minimal(sys) if minimality is None else minimality
-    if not rep.minimal:
-        raise ModelError(
-            "coprime factorization requires a minimal realization "
-            f"(controllable={rep.controllable}, observable={rep.observable})"
-        )
-    return rep
-
-
-def left_factors(sys, H=None, minimality=None):
+def left_factors(sys, minimality=None):
     """Left coprime pair ``(H, Nl, Ml)`` of a minimal discrete system, H
-    from the dual Riccati problem (identity weights) when omitted.  A
-    supplied H is checked for its shape and its Schur condition;
-    ``minimality`` is ``check_minimal(sys)`` when the caller has it."""
+    from the dual Riccati problem (identity weights); ``minimality`` is
+    ``check_minimal(sys)`` when the caller has it."""
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
-    _require_minimal(sys, minimality)
-    if H is None:
-        H = linalg.dare_gain(A.T, C.T).T
-    else:
-        H = np.atleast_2d(np.asarray(H, dtype=float))
-        if H.shape != (A.shape[0], C.shape[0]):
-            raise DimensionError(f"H must have shape {(A.shape[0], C.shape[0])}, got {H.shape}")
-        if linalg.spectral_radius(A + H @ C) >= 1.0:
-            raise ModelError("output-injection gain H does not make A+HC Schur stable")
+    _require_minimal(sys, minimality, "coprime factorization requires")
+    H = linalg.dare_gain(A.T, C.T).T
     AHC = A + H @ C
     return H, StateSpace(AHC, B + H @ D, C, D), StateSpace(AHC, H, C, np.eye(C.shape[0]))
 
 
-def coprime_factorize(
-    sys, F=None, H=None, Q=None, R=None, minimality=None, certificate=None
-) -> CoprimeFactors:
+def coprime_factorize(sys, Q=None, R=None, minimality=None, certificate=None) -> CoprimeFactors:
     """Doubly-coprime factorization of a minimal discrete system.
 
-    Omitted gains come from the Riccati solver, which checks the Schur
+    The gains come from the Riccati solver, which checks the Schur
     condition itself: F with weights ``Q``/``R`` (identity when omitted),
-    H and the left pair by :func:`left_factors`.  A supplied F or H is
-    checked for its shape and its Schur condition.  ``minimality`` is
+    H and the left pair by :func:`left_factors`.  ``minimality`` is
     ``check_minimal(sys)`` when the caller already has it.  The factors
     are checked against the Bezout identity before they are returned; a
     list ``certificate`` receives that check's defect, the largest 2-norm
@@ -109,17 +88,9 @@ def coprime_factorize(
     stale).
     """
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
-    rep = _require_minimal(sys, minimality)
-    n = A.shape[0]
-    if F is None:
-        F = linalg.dare_gain(A, B, Q, R)
-    else:
-        F = np.atleast_2d(np.asarray(F, dtype=float))
-        if F.shape != (B.shape[1], n):
-            raise DimensionError(f"F must have shape {(B.shape[1], n)}, got {F.shape}")
-        if linalg.spectral_radius(A + B @ F) >= 1.0:
-            raise ModelError("state-feedback gain F does not make A+BF Schur stable")
-    H, Nl, Ml = left_factors(sys, H, minimality=rep)
+    rep = _require_minimal(sys, minimality, "coprime factorization requires")
+    F = linalg.dare_gain(A, B, Q, R)
+    H, Nl, Ml = left_factors(sys, minimality=rep)
 
     ABF = A + B @ F
     CDF = C + D @ F

@@ -188,6 +188,26 @@ def check_minimal(sys: StateSpace) -> MinimalityReport:
     )
 
 
+def _require_discrete(sys, needs: str) -> None:
+    """A TypeError for a :class:`ContinuousPlant`, whose matrices are not a
+    system in z; ``needs`` names the work, as in "poles need"."""
+    if isinstance(sys, ContinuousPlant):
+        raise TypeError(f"{needs} a discrete system, not a ContinuousPlant: discretize it first")
+
+
+def _require_minimal(sys, minimality, needs: str) -> MinimalityReport:
+    """``minimality``, or ``check_minimal(sys)`` when it is None, of a
+    discrete ``sys``; a ModelError when ``sys`` is not minimal."""
+    _require_discrete(sys, needs)
+    rep = check_minimal(sys) if minimality is None else minimality
+    if not rep.minimal:
+        raise ModelError(
+            f"{needs} a minimal realization "
+            f"(controllable={rep.controllable}, observable={rep.observable})"
+        )
+    return rep
+
+
 def observability_stack(A, C, m: int) -> np.ndarray:
     """Stack of C, CA, ..., CA^{m-2} (m-1 row blocks)."""
     if m < 2:

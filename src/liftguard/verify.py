@@ -27,7 +27,7 @@ from .model import (
     observability_stack,
     plant_to_dict,
 )
-from .zeros import _match_multisets, multiplicity_at_one, zero_values
+from .zeros import _match_multisets, _multiple_at, zero_values
 
 __all__ = ["run_suite", "random_minimal_plant"]
 
@@ -163,7 +163,7 @@ def _prop_lifted_zero_containment(rng, trial_seed):
     if not rep.minimal:
         return None  # pathological fast sampling; excluded by assumption
     bad = [z for z in zero_values(L, minimality=rep) if abs(z) > 1.0 + 1e-7]
-    mult = multiplicity_at_one(left_factors(L, minimality=rep)[1])
+    mult = _multiple_at(L, 1.0)
     if bad or mult == "multiple":
         return plant, f"outside zeros {bad}, multiplicity {mult}"
     return None

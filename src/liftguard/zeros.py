@@ -12,6 +12,8 @@ fixed point; only candidates confirmed by an explicit rank test on the full
 pencil (and, for a lifted system, on a small pencil of the same rank
 profile) survive.  The reciprocal-frequency form of the pencil is used for
 evaluation outside the unit circle so the rank tests stay well scaled.
+A multiple zero at frequency one is told from a pair of simple ones by a
+null-chain test on the same pencil at z = 1; no coprime factor is built.
 
 Classification lives in the reciprocal domain used by the vulnerability
 rules (w = 1/z): a strictly non-minimum-phase zero has 0 < |w| < 1, the
@@ -28,10 +30,8 @@ import numpy as np
 import scipy.linalg
 
 from . import linalg
-from .errors import ModelError
-from .factor import eval_lambda, left_factors
 from .lift import LiftedSystem, check_assumptions
-from .model import StateSpace, check_minimal
+from .model import StateSpace, _require_discrete, _require_minimal
 
 __all__ = [
     "ZeroRecord",
@@ -41,7 +41,6 @@ __all__ = [
     "transmission_zeros",
     "zero_values",
     "poles",
-    "multiplicity_at_one",
     "classify_vulnerability",
     "pencil_matrix",
     "BOUNDARY_TOL",
@@ -177,15 +176,6 @@ def _confirmed(sys, candidates=None, assumptions=None):
     return rank, found
 
 
-def _require_minimal(sys, minimality):
-    rep = check_minimal(sys) if minimality is None else minimality
-    if not rep.minimal:
-        raise ModelError(
-            "transmission zeros require a minimal realization "
-            f"(controllable={rep.controllable}, observable={rep.observable})"
-        )
-
-
 def _candidates(sys):
     """Finite generalized eigenvalues of the pencil ``zE - F`` of ``sys``.  A
     non-square pencil is first projected onto the thin SVD of its value at
@@ -309,7 +299,7 @@ def transmission_zeros(sys, minimality=None, assumptions=None) -> ZeroReport:
     """
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
     n, n_u, n_y = A.shape[0], B.shape[1], C.shape[0]
-    _require_minimal(sys, minimality)
+    _require_minimal(sys, minimality, "transmission zeros require")
     normal_rank, found = _confirmed(sys, assumptions=assumptions)
     shape = "square" if n_y == n_u else ("tall" if n_y > n_u else "fat")
 
@@ -374,12 +364,13 @@ def zero_values(sys, minimality=None) -> list:
     """The finite zeros of ``transmission_zeros(sys)``, in its order, as
     complex values: no directions, classification, poles or zeros at
     z-infinity.  Same minimality check, same ``ModelError``."""
-    _require_minimal(sys, minimality)
+    _require_minimal(sys, minimality, "transmission zeros require")
     return [z for z, _ in _confirmed(sys)[1]]
 
 
 def poles(sys) -> tuple:
     """Eigenvalues of the state matrix, classified against the unit circle."""
+    _require_discrete(sys, "poles need")
     labels = {"boundary": "boundary", "outside": "unstable", "inside": "stable"}
     out = []
     for lam in linalg.eig(sys.A):
@@ -388,38 +379,26 @@ def poles(sys) -> tuple:
     return tuple(out)
 
 
-def multiplicity_at_one(left_numerator) -> str:
-    """Algebraic multiplicity of a possible zero at frequency one of a
-    stable left-factor numerator.
-
-    The factor's transfer map and its frequency derivative are evaluated
-    in closed form at the point, then stacked into the two-block test
-    matrix whose right null chain certifies multiplicity greater than
-    one.  Returns ``"not_a_zero"``, ``"simple"``, or ``"multiple"``.
+def _multiple_at(sys, z) -> str:
+    """``"not_a_zero"``, ``"simple"`` or ``"multiple"``: whether ``z``, on
+    or inside the unit circle, is a zero of ``sys`` with a null chain of
+    length two.  The chain is a pair with ``P v0 = 0``, ``P' v0 + P v1 = 0``
+    and ``v0`` nonzero, for the pencil ``P`` at ``z`` and its derivative
+    ``P' = [[I, 0], [0, 0]]`` (Gohberg, Lancaster & Rodman, *Matrix
+    Polynomials*, 1982).  Both ranks are judged against ``P``'s scale.
     """
-    A, B, C, D = left_numerator.A, left_numerator.B, left_numerator.C, left_numerator.D
-    if linalg.spectral_radius(A) >= 1.0:
-        raise ModelError("left-factor state matrix must be Schur stable")
-    n = A.shape[0]
-    n_u = B.shape[1]
-    I = np.eye(n)
-    S = np.linalg.solve(I - A, B)  # (I - A)^{-1} B
-    N1 = C @ S + D
-    N1p = C @ np.linalg.solve(I - A, S)  # C (I - A)^{-2} B
-    # Rank decisions need an absolute scale: a numerator that vanishes
-    # entirely at the point would otherwise look full rank relative to its
-    # own largest singular value.  Generic unit-circle samples of the
-    # (stable) factor provide the scale.
-    samples = eval_lambda(left_numerator, np.exp([0.379j, 2.211j]))
-    scale = max(float(np.max(np.linalg.norm(samples, 2, axis=(-2, -1)))), np.finfo(float).tiny)
-    r1 = linalg.rank_svd(N1, scale=scale).rank
-    if r1 == n_u:
+    P = pencil_matrix(sys, z)
+    cols = P.shape[1]
+    r = linalg.rank_svd(P)
+    if r.rank == cols:
         return "not_a_zero"
-    T = np.block([[N1, np.zeros_like(N1)], [N1p, N1]])
-    rT = linalg.rank_svd(T, scale=scale).rank
+    dP = np.zeros_like(P)
+    dP[: sys.n, : sys.n] = np.eye(sys.n)
+    chain = np.block([[P, np.zeros_like(P)], [dP, P]])
     # A null vector with nonzero leading block exists iff the stacked rank
     # falls short of (columns of one block) + rank of one block.
-    return "multiple" if rT < n_u + r1 else "simple"
+    r2 = linalg.rank_svd(chain, scale=r.singular_values[0]).rank
+    return "multiple" if r2 < cols + r.rank else "simple"
 
 
 def _sensor_verdict(records):
@@ -442,14 +421,14 @@ def _sensor_verdict(records):
     return "no", None, ("boundary poles are simple: no unbounded sensor plan",)
 
 
-def classify_vulnerability(report: ZeroReport, system=None) -> VulnerabilityVerdict:
-    """Stealthy-attack verdicts per channel from a zero/pole report.
+def classify_vulnerability(report: ZeroReport, system) -> VulnerabilityVerdict:
+    """Stealthy-attack verdicts per channel from the zero/pole report of
+    ``system``.
 
     Actuator side: fat plants are always vulnerable (one input masks the
     other); otherwise a strictly non-minimum-phase zero is the witness;
     boundary zeros with multiplicity at frequency one are decided by the
-    null-chain test on the stable left-factor numerator of ``system`` (the
-    system ``report`` was computed from), its left pair built only then;
+    null-chain test on the pencil of ``system`` at exactly z = 1;
     multiple boundary zeros elsewhere are reported undecided.  Sensor
     side: ``_sensor_verdict`` of the report's poles, the decision
     ``attack.synth_sensor_attack`` builds its plan from.
@@ -474,19 +453,13 @@ def classify_vulnerability(report: ZeroReport, system=None) -> VulnerabilityVerd
             at_one = [r for r in multi if abs(r.z_value - 1.0) <= MATCH_TOL]
             elsewhere = [r for r in multi if abs(r.z_value - 1.0) > MATCH_TOL]
             if at_one:
-                if system is None:
-                    actuator = "undecided"
-                    notes.append(
-                        "multiple boundary zero at frequency one: supply the system "
-                        "to run the null-chain multiplicity test"
-                    )
+                # at exactly 1: at a computed value 1e-8 off it the chain
+                # test can miss the chain of a double zero
+                if _multiple_at(system, 1.0) == "multiple":
+                    actuator, mechanism = "yes", "multiple_zero_at_one"
+                    witness = at_one[0]
                 else:
-                    mult = multiplicity_at_one(left_factors(system)[1])
-                    if mult == "multiple":
-                        actuator, mechanism = "yes", "multiple_zero_at_one"
-                        witness = at_one[0]
-                    else:
-                        notes.append("boundary zero at frequency one is simple: no unbounded plan")
+                    notes.append("boundary zero at frequency one is simple: no unbounded plan")
             if elsewhere and actuator == "no":
                 actuator = "undecided"
                 notes.append(

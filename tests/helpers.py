@@ -189,6 +189,37 @@ def residual_generator(sys) -> StateSpace:
     return StateSpace(Ml.A, np.hstack([Ml.B, -Nl.B]), Ml.C, np.hstack([Ml.D, -Nl.D]))
 
 
+def multiplicity_at_one(left_numerator) -> str:
+    """Algebraic multiplicity of a possible zero at frequency one of a
+    stable left-factor numerator, such as ``left_factors(sys)[1]``: the
+    oracle for ``zeros._multiple_at(sys, 1.0)``, which runs the same rule
+    on the system pencil.
+
+    The factor's transfer map and its frequency derivative are evaluated
+    in closed form at the point, then stacked into the two-block test
+    matrix whose right null chain certifies multiplicity greater than
+    one.  Returns ``"not_a_zero"``, ``"simple"``, or ``"multiple"``.
+    """
+    A, B, C, D = left_numerator.A, left_numerator.B, left_numerator.C, left_numerator.D
+    n_u = B.shape[1]
+    I = np.eye(A.shape[0])
+    S = np.linalg.solve(I - A, B)  # (I - A)^{-1} B
+    N1 = C @ S + D
+    N1p = C @ np.linalg.solve(I - A, S)  # C (I - A)^{-2} B
+    # Rank decisions need an absolute scale: a numerator that vanishes
+    # entirely at the point would otherwise look full rank relative to its
+    # own largest singular value.  Generic unit-circle samples of the
+    # (stable) factor provide the scale.
+    samples = eval_lambda(left_numerator, np.exp([0.379j, 2.211j]))
+    scale = max(float(np.max(np.linalg.norm(samples, 2, axis=(-2, -1)))), np.finfo(float).tiny)
+    r1 = linalg.rank_svd(N1, scale=scale).rank
+    if r1 == n_u:
+        return "not_a_zero"
+    T = np.block([[N1, np.zeros_like(N1)], [N1p, N1]])
+    rT = linalg.rank_svd(T, scale=scale).rank
+    return "multiple" if rT < n_u + r1 else "simple"
+
+
 def reference_sensor_direction(sys, zeta: complex) -> np.ndarray:
     """Sensor plan direction from the left denominator factor ``Ml``: its
     null vector at the pole's reciprocal frequency, so the factor

@@ -18,7 +18,6 @@ from liftguard import (
     choose_m,
     coprime_factorize,
     discretize,
-    multiplicity_at_one,
     plant_to_dict,
     run_dual_rate,
     run_single_rate,
@@ -29,6 +28,7 @@ from liftguard import (
 from liftguard.attack import synth_actuator_attack, synth_sensor_attack
 from liftguard.errors import CapabilityError, LiftguardError, ModelError
 from liftguard.lift import block_difference_matrix, observability_stack
+from liftguard.zeros import _multiple_at
 
 from helpers import (
     Injector,
@@ -188,7 +188,7 @@ def test_criterion_06_lifted_zeros_confined():
             and abs(r.z_value - 1.0) > 1e-6
         ]
         assert not outside, f"lifted zeros outside the disc: {outside}"
-        mult = multiplicity_at_one(coprime_factorize(L).Nl)
+        mult = _multiple_at(L, 1.0)
         assert mult in ("not_a_zero", "simple")
         if any(
             r.z_value is not None and abs(r.z_value - 1.0) <= 1e-6 for r in rep.zeros

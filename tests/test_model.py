@@ -8,9 +8,14 @@ from liftguard import (
     build_lifted,
     check_minimal,
     check_pathological,
+    coprime_factorize,
     discretize,
+    left_factors,
     load_plant,
     plant_to_dict,
+    poles,
+    transmission_zeros,
+    zero_values,
 )
 from liftguard.errors import DimensionError, ModelError
 from liftguard.linalg import spectral_radius
@@ -229,6 +234,16 @@ class TestStateSpaceBase:
             build_lifted(P, 1.0)
         with pytest.raises(TypeError, match="not a StateSpace"):
             discretize(StateSpace(P.A, P.B, P.C, P.D), 0.5)
+
+    @pytest.mark.parametrize(
+        "analysis", [transmission_zeros, zero_values, poles, coprime_factorize, left_factors]
+    )
+    def test_only_a_sampled_plant_is_analyzed(self, analysis):
+        # the pole +0.5 of a continuous plant is unstable, not "stable"
+        # against the unit circle; its matrices are no system in z
+        plant = ContinuousPlant([[0.5]], [[1.0]], [[1.0]], [[0.0]])
+        with pytest.raises(TypeError, match="not a ContinuousPlant"):
+            analysis(plant)
 
 
 class TestReadOnlyMatrices:

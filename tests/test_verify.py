@@ -42,7 +42,7 @@ def test_each_system_checked_for_minimality_once(monkeypatch):
         checked.append(sys)  # holds every object, so no id is reused
         return check_minimal(sys)
 
-    for mod in (model, zeros, factor, verify):
+    for mod in (model, verify):
         monkeypatch.setattr(mod, "check_minimal", counted)
     assert all(p["status"] == "pass" for p in verify.run_suite(trials=3, seed=0))
     assert len({id(s) for s in checked}) == len(checked) > 0
@@ -50,8 +50,9 @@ def test_each_system_checked_for_minimality_once(monkeypatch):
 
 def test_suite_factors_only_what_it_reads(monkeypatch):
     # The Bezout property (10 trials) factors fully, two Riccati solves
-    # each; the factor-set (10) and lifted (5) properties read one left
-    # factor, built from the dual solve alone: 20 + 10 + 5 solves.
+    # each; the factor-set property (10) reads one left factor, built from
+    # the dual solve alone; the lifted property (5) decides frequency one
+    # on the system pencil, with no factor: 20 + 10 solves.
     counts = {"dare_gain": 0, "coprime_factorize": 0}
 
     def count(mod, name):
@@ -66,7 +67,7 @@ def test_suite_factors_only_what_it_reads(monkeypatch):
     count(linalg, "dare_gain")
     count(verify, "coprime_factorize")
     assert all(p["status"] == "pass" for p in verify.run_suite(trials=10, seed=0))
-    assert counts == {"dare_gain": 35, "coprime_factorize": 10}
+    assert counts == {"dare_gain": 30, "coprime_factorize": 10}
 
 
 def test_suite_computes_each_bezout_defect_once(monkeypatch):
@@ -87,8 +88,9 @@ def test_suite_computes_each_bezout_defect_once(monkeypatch):
 def test_suite_reads_zeros_as_values_and_certifies_once(monkeypatch):
     # The zero properties read values only: 20 + 10 discrete pencils and
     # 5 lifted systems with a small and a full pencil, one pencil_matrix
-    # call each.  Each of the 5 + 5 + 3 lifted systems is certified once
-    # by build_lifted; the negative control certifies its own and the
+    # call each; each lifted system's pencil at frequency one adds one.
+    # Each of the 5 + 5 + 3 lifted systems is certified once by
+    # build_lifted; the negative control certifies its own and the
     # corrupted copy.
     counts = dict.fromkeys(
         ["transmission_zeros", "poles", "_null_directions", "pencil_matrix",
@@ -112,6 +114,6 @@ def test_suite_reads_zeros_as_values_and_certifies_once(monkeypatch):
         "transmission_zeros": 0,
         "poles": 0,
         "_null_directions": 0,
-        "pencil_matrix": 40,
+        "pencil_matrix": 45,
         "shift_consistency_check": 15,
     }

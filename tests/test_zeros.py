@@ -2,25 +2,26 @@ import numpy as np
 import pytest
 
 from liftguard import (
+    ContinuousPlant,
     DiscretePlant,
     build_lifted,
     check_assumptions,
     classify_vulnerability,
-    coprime_factorize,
     discretize,
-    multiplicity_at_one,
+    left_factors,
     poles,
     transmission_zeros,
     zero_values,
 )
 from liftguard.errors import ModelError, NumericError
-from liftguard.model import StateSpace
-from liftguard.zeros import pencil_matrix
+from liftguard.zeros import _multiple_at, pencil_matrix
 
 from helpers import (
     assert_sets_close,
+    bench_module,
     double_integrator,
     has_zero_at,
+    multiplicity_at_one,
     random_continuous,
     random_discrete,
     reference_confirmed_zeros,
@@ -117,8 +118,6 @@ class TestPoles:
         assert recs[0].classification == "unstable"
 
     def test_stable_scalar(self):
-        from liftguard import ContinuousPlant
-
         plant = ContinuousPlant(A=[[-1.0]], B=[[1.0]], C=[[1.0]], D=[[0.0]])
         recs = poles(discretize(plant, 1.0))
         assert abs(recs[0].value - np.exp(-1.0)) <= 1e-12
@@ -215,60 +214,104 @@ def _min_sigma(sys, z):
     return s[-1], s[0]
 
 
+def zero_at_origin_plant():
+    """Transfer s/((s+1)(s+2)): its blocking zero at s = 0 maps to
+    frequency one."""
+    return ContinuousPlant(
+        A=[[0.0, 1.0], [-2.0, -3.0]], B=[[0.0], [1.0]], C=[[0.0, 1.0]], D=[[0.0]]
+    )
+
+
 class TestMultiplicityAtOne:
     def test_lifted_triple_integrator_not_multiple(self):
         L = build_lifted(triple_integrator(), 1.0, 4)
-        factors = coprime_factorize(L)
-        assert multiplicity_at_one(factors.Nl) in ("not_a_zero", "simple")
+        assert _multiple_at(L, 1.0) in ("not_a_zero", "simple")
 
     def test_continuous_zero_at_origin_gives_simple(self):
-        # transfer s/((s+1)(s+2)): blocking zero at s=0 maps to frequency one
-        from liftguard import ContinuousPlant
-
-        plant = ContinuousPlant(
-            A=[[0.0, 1.0], [-2.0, -3.0]], B=[[0.0], [1.0]], C=[[0.0, 1.0]], D=[[0.0]]
-        )
-        L = build_lifted(plant, 1.0, 3)
-        factors = coprime_factorize(L)
-        assert multiplicity_at_one(factors.Nl) == "simple"
+        assert _multiple_at(build_lifted(zero_at_origin_plant(), 1.0, 3), 1.0) == "simple"
 
     def test_double_zero_at_one_is_multiple(self):
         # oracle: the numerator polynomial in the reciprocal variable is
         # (1 - w)^2 = 1 - 2w + w^2, whose roots are both at 1.
-        sys = double_zero_at_one_plant()
         np.testing.assert_allclose(np.roots([1.0, -2.0, 1.0]), [1.0, 1.0])
-        # the plant is stable, so it serves as its own stable numerator (H = 0)
-        assert multiplicity_at_one(StateSpace(sys.A, sys.B, sys.C, sys.D)) == "multiple"
+        assert _multiple_at(double_zero_at_one_plant(), 1.0) == "multiple"
 
-    def test_unstable_state_matrix_rejected(self):
-        with pytest.raises(ModelError):
-            multiplicity_at_one(StateSpace([[1.5]], [[1.0]], [[1.0]], [[0.0]]))
+
+def _population(shape):
+    """The first six benchmark population plants of ``shape``, each sampled
+    at its drawn period and lifted at its smallest admissible m."""
+    random_plant = bench_module("workloads").random_plant
+    rng = np.random.default_rng([0, 7])
+    out = []
+    for _ in range(6):
+        doc = random_plant(rng, shape)
+        plant = ContinuousPlant(doc["Ac"], doc["Bc"], doc["Cc"], doc["Dc"])
+        out += [discretize(plant, doc["T"]), build_lifted(plant, doc["T"])]
+    return out
+
+
+_AGREEMENT_CASES = {
+    "double_zero_at_one": (lambda: [double_zero_at_one_plant()], "multiple"),
+    "lifted_zero_at_origin": (lambda: [build_lifted(zero_at_origin_plant(), 1.0, 3)], "simple"),
+    # transfer (1 - z)/z on both channels: two independent simple zeros
+    "two_zeros_at_one": (
+        lambda: [DiscretePlant(np.zeros((2, 2)), np.eye(2), np.eye(2), -np.eye(2), period=1.0)],
+        "simple",
+    ),
+    "population_tall": (lambda: _population("tall"), None),
+    "population_square": (lambda: _population("square"), None),
+    "population_fat": (lambda: _population("fat"), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_AGREEMENT_CASES))
+def test_pencil_chain_test_agrees_with_left_factor_oracle(case):
+    # The left numerator's pencil is the system pencil times the constant
+    # unimodular [[I, -H], [0, I]], so both see the same null chains.
+    make, expected = _AGREEMENT_CASES[case]
+    for sys in make():
+        got = _multiple_at(sys, 1.0)
+        assert got == multiplicity_at_one(left_factors(sys)[1])
+        assert expected in (None, got)
+
+
+def test_population_fat_includes_lifted_zero_pair_at_one():
+    # the case the agreement test must cover: lifted fat plants whose two
+    # zeros at one are labelled boundary_multiple and decided simple
+    pairs = 0
+    for sys in _population("fat")[1::2]:
+        at_one = [r for r in transmission_zeros(sys).zeros
+                  if r.z_value is not None and abs(r.z_value - 1.0) <= 1e-6]
+        if [r.classification for r in at_one] == ["boundary_multiple"] * 2:
+            assert _multiple_at(sys, 1.0) == "simple"
+            pairs += 1
+    assert pairs >= 2
 
 
 class TestClassifyVulnerability:
     def test_triple_integrator_actuator_yes(self):
-        report = transmission_zeros(discretize(triple_integrator(), 1.0))
-        verdict = classify_vulnerability(report)
+        P = discretize(triple_integrator(), 1.0)
+        verdict = classify_vulnerability(transmission_zeros(P), P)
         assert verdict.actuator == "yes"
         assert verdict.actuator_mechanism == "nmp_zero"
         assert abs(verdict.actuator_witness.lambda_value - (-0.2679491924311227)) <= 1e-6
 
     def test_double_integrator_actuator_no(self):
         # only a simple boundary zero: no unbounded stealthy plan exists
-        report = transmission_zeros(discretize(double_integrator(), 1.0))
-        verdict = classify_vulnerability(report)
+        P = discretize(double_integrator(), 1.0)
+        verdict = classify_vulnerability(transmission_zeros(P), P)
         assert verdict.actuator == "no"
 
     def test_unstable_plant_sensor_yes(self):
-        report = transmission_zeros(discretize(unstable_scalar(), 1.0))
-        verdict = classify_vulnerability(report)
+        P = discretize(unstable_scalar(), 1.0)
+        verdict = classify_vulnerability(transmission_zeros(P), P)
         assert verdict.sensor == "yes"
         assert abs(verdict.sensor_witness.value - 2.0) <= 1e-9
 
     def test_fat_plant_always_actuator_yes(self):
         rng = np.random.default_rng(77)
         sys = random_discrete(rng, n=3, n_u=2, n_y=1)
-        verdict = classify_vulnerability(transmission_zeros(sys))
+        verdict = classify_vulnerability(transmission_zeros(sys), sys)
         assert verdict.actuator == "yes"
         assert verdict.actuator_mechanism == "fat_plant"
 
@@ -280,14 +323,11 @@ class TestClassifyVulnerability:
         verdict = classify_vulnerability(report, system=sys)
         assert verdict.actuator == "yes"
         assert verdict.actuator_mechanism == "multiple_zero_at_one"
-        # without the system the verdict must stay undecided, not guess
-        assert classify_vulnerability(report).actuator == "undecided"
 
     def test_boundary_pole_simple_sensor_no(self):
-        from liftguard import ContinuousPlant
-
         integ = ContinuousPlant(A=[[0.0]], B=[[1.0]], C=[[1.0]], D=[[0.0]])
-        verdict = classify_vulnerability(transmission_zeros(discretize(integ, 1.0)))
+        P = discretize(integ, 1.0)
+        verdict = classify_vulnerability(transmission_zeros(P), P)
         assert verdict.sensor == "no"
 
 
