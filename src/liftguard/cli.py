@@ -231,8 +231,8 @@ def cmd_analyze(args) -> int:
     plant, T, m_file, sha256 = _load(args)
     doc = _base_doc(seed, sha256)
 
-    P = discretize(plant, T)
     pathology = check_pathological(plant, T)
+    P = discretize(plant, T, pathology=pathology)
     report = transmission_zeros(P)
     verdict = classify_vulnerability(report, system=P)
     doc["plant"] = {"name": plant.name, "n": plant.n, "n_u": plant.n_u, "n_y": plant.n_y}

@@ -220,21 +220,22 @@ def observability_stack(A, C, m: int) -> np.ndarray:
     return np.vstack(rows)
 
 
-def discretize(plant: ContinuousPlant, T: float) -> DiscretePlant:
+def discretize(plant: ContinuousPlant, T: float, pathology=None) -> DiscretePlant:
     """Zero-order-hold discretization at period ``T``.
 
     The state matrix is ``exp(A*T)`` and the input matrix is the exact
     integral of ``exp(A*tau)*B`` over one period, both read off the
     exponential of the augmented matrix ``[[A, B], [0, 0]] * T``.
     Pathological sampling is a warning, not a failure: the caller may be
-    studying it deliberately.  Only a :class:`ContinuousPlant` is sampled:
-    any other system is a TypeError.
+    studying it deliberately.  ``pathology`` is ``check_pathological(plant,
+    T)`` when the caller already has it.  Only a :class:`ContinuousPlant`
+    is sampled: any other system is a TypeError.
     """
     if not isinstance(plant, ContinuousPlant):
         raise TypeError(f"discretize samples a ContinuousPlant, not a {type(plant).__name__}")
     if not 0 < T < np.inf:
         raise ValueError(f"sampling period must be positive and finite, got {T}")
-    report = check_pathological(plant, T)
+    report = pathology if pathology is not None else check_pathological(plant, T)
     if report.pathological:
         warnings.warn(
             f"sampling period T={T} is pathological for plant {plant.name!r}: "

@@ -1,9 +1,12 @@
 """Randomized property suite over random plants, used by the command-line
 ``verify`` subcommand.
 
-Each property runs a number of independent trials on freshly drawn random
-minimal plants and reports pass/fail with a counterexample dump (plant
-JSON plus the trial seed) on failure.  A deliberate negative control
+Each property runs a number of trials on freshly drawn random minimal
+plants and reports pass/fail with a counterexample dump (plant JSON plus
+the trial seed) on failure.  Properties that read the same expensive
+object form a family and share each trial's: the Bezout and factor/pole
+properties one ``coprime_factorize``, the four lifted properties one
+``build_lifted`` and its certificate.  A deliberate negative control
 corrupts a lifted block and must be caught by the lifted-block
 certificate (``lift.shift_consistency_check``), guarding the test
 machinery itself.
@@ -13,12 +16,13 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import warnings
 
 import numpy as np
 
 from .errors import LiftguardError
-from .factor import coprime_factorize, left_factors
+from .factor import coprime_factorize
 from .lift import block_difference_matrix, build_lifted, shift_consistency_check
 from .model import (
     ContinuousPlant,
@@ -103,10 +107,36 @@ def _zero_set(values):
     return sorted(values, key=lambda z: (z.real, z.imag))
 
 
-def _prop_zero_similarity(rng, trial_seed):
+def _similar_pair(rng):
+    """Draw of the similarity property: a random minimal discrete plant,
+    its minimality report and a well-conditioned similarity transform."""
     sys, rep = _minimal_discrete(rng)
-    base = _zero_set(zero_values(sys, minimality=rep))
     S = rng.standard_normal((sys.n, sys.n)) + 2.0 * np.eye(sys.n)
+    return sys, rep, S
+
+
+def _factored_plant(rng):
+    """Draw of the factor properties: a random minimal discrete plant, its
+    coprime factors and the Bezout defect their construction check
+    computed."""
+    sys, rep = _minimal_discrete(rng)
+    certificate = []
+    factors = coprime_factorize(sys, minimality=rep, certificate=certificate)
+    return sys, factors, certificate[0]
+
+
+def _lifted_plant(rng):
+    """Draw of the lifted properties: a random minimal continuous plant,
+    its lifted system at T = 1 and the certificate ``build_lifted`` ran."""
+    plant = random_minimal_plant(rng)
+    certificate = []
+    L = build_lifted(plant, 1.0, certificate=certificate)
+    return plant, L, certificate[0]
+
+
+def _prop_zero_similarity(trial):
+    sys, rep, S = trial
+    base = _zero_set(zero_values(sys, minimality=rep))
     Si = np.linalg.inv(S)
     sim = DiscretePlant(
         A=S @ sys.A @ Si, B=S @ sys.B, C=sys.C @ Si, D=sys.D, period=1.0
@@ -117,20 +147,16 @@ def _prop_zero_similarity(rng, trial_seed):
     return None
 
 
-def _prop_bezout(rng, trial_seed):
-    sys, rep = _minimal_discrete(rng)
-    certificate = []
-    coprime_factorize(sys, minimality=rep, certificate=certificate)
-    defect = certificate[0]
+def _prop_bezout(trial):
+    sys, _, defect = trial
     if not defect <= 1e-8:
         return sys, f"defect {defect:.3e}"
     return None
 
 
-def _prop_factor_sets(rng, trial_seed):
-    sys, rep = _minimal_discrete(rng)
-    _, _, Ml = left_factors(sys, minimality=rep)
-    denom_zeros = _zero_set(zero_values(Ml))
+def _prop_factor_sets(trial):
+    sys, factors, _ = trial
+    denom_zeros = _zero_set(zero_values(factors.Ml))
     plant_poles = sorted(
         (complex(z) for z in np.linalg.eigvals(sys.A)), key=lambda z: (z.real, z.imag)
     )
@@ -139,9 +165,8 @@ def _prop_factor_sets(rng, trial_seed):
     return None
 
 
-def _prop_structural_identities(rng, trial_seed):
-    plant = random_minimal_plant(rng)
-    L = build_lifted(plant, 1.0)
+def _prop_structural_identities(trial):
+    plant, L, _ = trial
     fast = L.fast_plant
     X = block_difference_matrix(L.m, fast.n_y)
     O = observability_stack(fast.A, fast.C, L.m)
@@ -156,9 +181,8 @@ def _prop_structural_identities(rng, trial_seed):
     return None
 
 
-def _prop_lifted_zero_containment(rng, trial_seed):
-    plant = random_minimal_plant(rng)
-    L = build_lifted(plant, 1.0)
+def _prop_lifted_zero_containment(trial):
+    plant, L, _ = trial
     rep = check_minimal(L)
     if not rep.minimal:
         return None  # pathological fast sampling; excluded by assumption
@@ -169,69 +193,100 @@ def _prop_lifted_zero_containment(rng, trial_seed):
     return None
 
 
-def _prop_shift_consistency(rng, trial_seed):
-    plant = random_minimal_plant(rng)
-    certificate = []
-    build_lifted(plant, 1.0, certificate=certificate)
-    result = certificate[0]
+def _prop_shift_consistency(trial):
+    plant, _, result = trial
     if not result.consistent:
         return plant, f"max error {result.max_error:.3e}"
     return None
 
 
-def _prop_negative_control(rng, trial_seed):
+def _prop_negative_control(trial):
     """The certificate itself must flag a corrupted lifted block."""
-    plant = random_minimal_plant(rng)
-    L = build_lifted(plant, 1.0)
+    plant, L, _ = trial
     corrupted = dataclasses.replace(L, D=L.D + 1e-3 * (1.0 + np.max(np.abs(L.D))))
     if shift_consistency_check(corrupted).consistent:
         return plant, "corrupted block not detected"
     return None
 
 
+# (name, draw, check, scale).  Consecutive properties with the same draw
+# form a family and read one shared object per trial.
 _PROPERTIES = (
-    ("zero_set_similarity_invariance", _prop_zero_similarity, 1.0),
-    ("bezout_identity_on_unit_circle", _prop_bezout, 1.0),
-    ("denominator_zeros_are_plant_poles", _prop_factor_sets, 1.0),
-    ("lifted_structural_identities", _prop_structural_identities, 0.5),
-    ("lifted_zeros_confined_to_unit_disc", _prop_lifted_zero_containment, 0.5),
-    ("lifted_shift_consistency", _prop_shift_consistency, 0.3),
-    ("negative_control_corrupted_lifted_block", _prop_negative_control, 0.0),
+    ("zero_set_similarity_invariance", _similar_pair, _prop_zero_similarity, 1.0),
+    ("bezout_identity_on_unit_circle", _factored_plant, _prop_bezout, 1.0),
+    ("denominator_zeros_are_plant_poles", _factored_plant, _prop_factor_sets, 1.0),
+    ("lifted_structural_identities", _lifted_plant, _prop_structural_identities, 0.5),
+    ("lifted_zeros_confined_to_unit_disc", _lifted_plant, _prop_lifted_zero_containment, 0.5),
+    ("lifted_shift_consistency", _lifted_plant, _prop_shift_consistency, 0.3),
+    ("negative_control_corrupted_lifted_block", _lifted_plant, _prop_negative_control, 0.0),
 )
+
+
+def _error_detail(exc):
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _run_family(family, trials, rng):
+    """Report of each ``(name, draw, check, scale)`` property of one
+    family: ``draw`` runs once per trial and property p checks the first
+    n_p trials.  A package error raised by the draw fails every property
+    that reads the trial; one raised by a check fails that property."""
+    counts = [max(1, round(trials * scale)) for *_, scale in family]
+    draw = family[0][1]
+    checks = [check for _, _, check, _ in family]
+    failures = [[] for _ in family]
+    for t in range(max(counts)):
+        trial_seed = int(rng.integers(0, 2**31))
+        readers = [p for p, n in enumerate(counts) if t < n]
+        try:
+            trial = draw(np.random.default_rng(trial_seed))
+        except LiftguardError as exc:
+            for p in readers:
+                failures[p].append(_counterexample(None, trial_seed, _error_detail(exc)))
+            continue
+        for p in readers:
+            try:
+                found = checks[p](trial)
+            except LiftguardError as exc:
+                found = None, _error_detail(exc)
+            if found is not None:
+                failures[p].append(_counterexample(found[0], trial_seed, found[1]))
+    return [
+        {
+            "name": name,
+            "trials": n,
+            "status": "pass" if not failed else "fail",
+            "failures": failed[:5],
+        }
+        for (name, *_), n, failed in zip(family, counts, failures)
+    ]
 
 
 def run_suite(trials: int = 100, seed: int = 0) -> list:
     """Run every property; failures are report content, not exceptions.
 
-    Property ``idx`` draws its trial seeds from the stream ``[seed, idx]``.
-    Each trial calls the property with an rng made from the trial seed and
-    the seed itself, and the property returns ``(plant, detail)`` for a
-    counterexample or None.  A package error raised inside a trial is a
-    failure too, recorded with the trial seed and the error.
+    Consecutive properties with the same draw form a family, which draws
+    one object per trial for all of them.  The family whose first property
+    is ``idx`` draws its trial seeds from the stream ``[seed, idx]``, and
+    each trial's draw gets an rng made from the trial seed.  Property p
+    checks the first n_p = max(1, round(trials * scale)) of its family's
+    trials.  So the first property of each family keeps the trial seeds it
+    had when every property drew its own, the others read their family's,
+    and a property appended with its own draw keeps every earlier stream.
+    A check returns ``(plant, detail)`` for a counterexample or None.  A
+    package error is a failure too, recorded with the trial seed and the
+    error; one raised by a draw fails every property that reads the trial.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     out = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for idx, (name, prop, scale) in enumerate(_PROPERTIES):
-            n = max(1, int(round(trials * scale))) if scale else 1
-            rng = np.random.default_rng([seed, idx])
-            failures = []
-            for _ in range(n):
-                trial_seed = int(rng.integers(0, 2**31))
-                try:
-                    found = prop(np.random.default_rng(trial_seed), trial_seed)
-                except LiftguardError as exc:
-                    found = None, f"{type(exc).__name__}: {exc}"
-                if found is not None:
-                    failures.append(_counterexample(found[0], trial_seed, found[1]))
-            out.append(
-                {
-                    "name": name,
-                    "trials": n,
-                    "status": "pass" if not failures else "fail",
-                    "failures": failures[:5],
-                }
-            )
+        families = itertools.groupby(enumerate(_PROPERTIES), key=lambda e: e[1][1])
+        for _, members in families:
+            members = list(members)
+            rng = np.random.default_rng([seed, members[0][0]])
+            out.extend(_run_family([prop for _, prop in members], trials, rng))
     return out

@@ -156,6 +156,25 @@ class TestAnalyze:
         assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
         assert not (tmp_path / "out").exists()
 
+    def test_pathology_checked_once_per_period(self, plant_files, tmp_path, monkeypatch):
+        # analyze hands its pathology report to discretize instead of
+        # checking the hold period twice; choose_m checks each fast period
+        from liftguard import cli, model
+
+        periods = []
+        check = model.check_pathological
+
+        def counted(plant, T):
+            periods.append(T)
+            return check(plant, T)
+
+        for module in (cli, model):
+            monkeypatch.setattr(module, "check_pathological", counted)
+        path = plant_files["triple"]
+        assert cli.main(["analyze", "--plant", path, "--out", str(tmp_path)]) == 0
+        assert periods.count(1.0) == 1
+        assert len(set(periods)) == len(periods) > 1
+
     def test_plant_file_read_once_and_hashed(self, plant_files, tmp_path, monkeypatch):
         # input_sha256 is the hash of the bytes that were parsed
         import builtins
@@ -633,6 +652,18 @@ class TestVerify:
         err = json.loads(res.stderr)
         assert err["error"] == "ValueError" and "trials" in err["message"]
 
+    @pytest.mark.parametrize("where", ["flag", "env"])
+    def test_negative_seed_exit_2_naming_it(self, where):
+        args, env = ("verify", "--trials", "1"), dict(os.environ, LIFTGUARD_SEED="-1")
+        if where == "flag":
+            args, env = args + ("--seed", "-1"), None
+        res = run_cli(*args, env=env)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        err = json.loads(res.stderr)
+        assert err["error"] == "ValueError"
+        assert err["message"] == "seed must be non-negative, got -1"
+
     def test_small_run_passes(self):
         res = run_cli("verify", "--trials", "6", "--seed", "2")
         assert res.returncode == 0, res.stderr
@@ -647,11 +678,21 @@ class TestVerify:
         from liftguard import cli, lift
 
         monkeypatch.setattr(lift, "SHIFT_CONSISTENCY_TOL", -1.0)
-        assert cli.main(["verify", "--trials", "2", "--out", str(tmp_path)]) == 4
+        assert cli.main(["verify", "--trials", "4", "--out", str(tmp_path)]) == 4
         doc = json.loads((tmp_path / "verify.json").read_text())
         assert doc["all_passed"] is False
         failing = {p["name"]: p["failures"] for p in doc["properties"] if p["status"] == "fail"}
-        assert "lifted_shift_consistency" in failing
+        # the four lifted properties read one build per trial, so each
+        # fails on the same trial seeds
+        assert list(failing) == [
+            "lifted_structural_identities",
+            "lifted_zeros_confined_to_unit_disc",
+            "lifted_shift_consistency",
+            "negative_control_corrupted_lifted_block",
+        ]
+        first = [entry["seed"] for entry in failing["lifted_structural_identities"]]
+        seeds = [[entry["seed"] for entry in failures] for failures in failing.values()]
+        assert len(first) == 2 and seeds == [first, first, first[:1], first[:1]]
         for failures in failing.values():
             for entry in failures:
                 assert isinstance(entry["seed"], int)
@@ -661,11 +702,11 @@ class TestVerify:
         # the report is written and the exit code says a property failed
         from liftguard import cli, verify
 
-        def forced(rng, trial_seed):
+        def forced(trial):
             return None, "forced failure"
 
-        props = [(name, forced if i == 1 else prop, scale)
-                 for i, (name, prop, scale) in enumerate(verify._PROPERTIES)]
+        props = [(name, draw, forced if i == 1 else check, scale)
+                 for i, (name, draw, check, scale) in enumerate(verify._PROPERTIES)]
         monkeypatch.setattr(verify, "_PROPERTIES", tuple(props))
         assert cli.main(["verify", "--trials", "2", "--out", str(tmp_path)]) == 4
         assert capsys.readouterr().err == ""

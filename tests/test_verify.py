@@ -13,7 +13,7 @@ def test_nan_bezout_defect_is_a_failure(monkeypatch):
         return factors
 
     monkeypatch.setattr(verify, "coprime_factorize", nan_defect)
-    found = verify._prop_bezout(np.random.default_rng(0), 0)
+    found = verify._prop_bezout(verify._factored_plant(np.random.default_rng(0)))
     assert found is not None and found[1] == "defect nan"
 
 
@@ -22,15 +22,15 @@ def test_nan_identity_error_is_a_failure(monkeypatch):
     # the three errors.
     lifted = verify.build_lifted
 
-    def nan_input_block(*args):
-        L = lifted(*args)
+    def nan_input_block(*args, certificate):
+        L = lifted(*args, certificate=certificate)
         B = np.array(L.B)
         B[0, 0] = np.nan
         object.__setattr__(L, "B", B)
         return L
 
     monkeypatch.setattr(verify, "build_lifted", nan_input_block)
-    found = verify._prop_structural_identities(np.random.default_rng(0), 0)
+    found = verify._prop_structural_identities(verify._lifted_plant(np.random.default_rng(0)))
     assert found is not None and found[1] == "identity error nan"
 
 
@@ -49,10 +49,10 @@ def test_each_system_checked_for_minimality_once(monkeypatch):
 
 
 def test_suite_factors_only_what_it_reads(monkeypatch):
-    # The Bezout property (10 trials) factors fully, two Riccati solves
-    # each; the factor-set property (10) reads one left factor, built from
-    # the dual solve alone; the lifted property (5) decides frequency one
-    # on the system pencil, with no factor: 20 + 10 solves.
+    # The Bezout and factor-set properties (10 trials) read one full
+    # factorization per trial, two Riccati solves each; the lifted
+    # property (5) decides frequency one on the system pencil, with no
+    # factor: 20 solves.
     counts = {"dare_gain": 0, "coprime_factorize": 0}
 
     def count(mod, name):
@@ -67,7 +67,7 @@ def test_suite_factors_only_what_it_reads(monkeypatch):
     count(linalg, "dare_gain")
     count(verify, "coprime_factorize")
     assert all(p["status"] == "pass" for p in verify.run_suite(trials=10, seed=0))
-    assert counts == {"dare_gain": 30, "coprime_factorize": 10}
+    assert counts == {"dare_gain": 20, "coprime_factorize": 10}
 
 
 def test_suite_computes_each_bezout_defect_once(monkeypatch):
@@ -89,9 +89,9 @@ def test_suite_reads_zeros_as_values_and_certifies_once(monkeypatch):
     # The zero properties read values only: 20 + 10 discrete pencils and
     # 5 lifted systems with a small and a full pencil, one pencil_matrix
     # call each; each lifted system's pencil at frequency one adds one.
-    # Each of the 5 + 5 + 3 lifted systems is certified once by
-    # build_lifted; the negative control certifies its own and the
-    # corrupted copy.
+    # The four lifted properties share 5 lifted systems, each certified
+    # once by build_lifted; the negative control certifies the corrupted
+    # copy of the first.
     counts = dict.fromkeys(
         ["transmission_zeros", "poles", "_null_directions", "pencil_matrix",
          "shift_consistency_check"],
@@ -115,5 +115,29 @@ def test_suite_reads_zeros_as_values_and_certifies_once(monkeypatch):
         "poles": 0,
         "_null_directions": 0,
         "pencil_matrix": 45,
-        "shift_consistency_check": 15,
+        "shift_consistency_check": 6,
     }
+
+
+def _stream(seed, idx, n):
+    rng = np.random.default_rng([seed, idx])
+    return [int(rng.integers(0, 2**31)) for _ in range(n)]
+
+
+def test_families_share_their_trials(monkeypatch):
+    # With every check forced to fail, each property reports the first
+    # (at most 5) trial seeds it checked.  The similarity property and the
+    # first of each family keep their own [seed, idx] streams; the factor
+    # family shares the stream [0, 1] and the lifted family [0, 3].
+    def forced(trial):
+        return trial[0], "forced failure"
+
+    props = [(name, draw, forced, scale) for name, draw, _, scale in verify._PROPERTIES]
+    monkeypatch.setattr(verify, "_PROPERTIES", tuple(props))
+    report = verify.run_suite(trials=10, seed=0)
+    assert [p["trials"] for p in report] == [10, 10, 10, 5, 5, 3, 1]
+    seeds = [[f["seed"] for f in p["failures"]] for p in report]
+    assert seeds[0] == _stream(0, 0, 5)
+    assert seeds[1] == seeds[2] == _stream(0, 1, 5)
+    lifted = _stream(0, 3, 5)
+    assert seeds[3:] == [lifted, lifted, lifted[:3], lifted[:1]]
