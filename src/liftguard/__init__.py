@@ -47,7 +47,6 @@ from .factor import (
     CoprimeFactors,
     coprime_factorize,
     eval_lambda,
-    left_factors,
     observer_controller,
 )
 from .lift import (

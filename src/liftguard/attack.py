@@ -28,6 +28,7 @@ from functools import partial
 
 import numpy as np
 
+from . import linalg
 from .errors import CapabilityError, DimensionError, NumericError
 from .model import StateSpace, _field, _integer
 from .sim import LoopConfig, run_dual_rate, run_single_rate
@@ -236,7 +237,7 @@ def _pencil_plan(cfg: LoopConfig, kind: str, zeta: complex, channels: StateSpace
     unit = AttackPlan(
         kind=kind,
         zeta=zeta,
-        direction=_normalize_direction(*_null_directions(channels, [zeta])[0])[1],
+        direction=_normalize_direction(*_null_directions(channels, [zeta])[0]),
         epsilon=1.0,
         horizon=default_horizon(zeta),
         channel_map=tuple(range(n_named)),
@@ -306,11 +307,12 @@ def synth_sensor_attack(cfg: LoopConfig) -> AttackPlan:
         )
     zeta = complex(witness.value)
     sensors = StateSpace(sys.A, np.zeros((sys.n, sys.n_y)), sys.C, np.eye(sys.n_y))
-    svals = np.linalg.svd(pencil_matrix(sensors, zeta), compute_uv=False)
-    if svals[-1] > 1e-6 * svals[0]:
+    P = pencil_matrix(sensors, zeta)
+    r = linalg.rank_svd(P, rel_tol=1e-6)
+    if r.rank == P.shape[1]:
         raise NumericError(
             "sensor pencil is not singular at the witness pole "
-            f"(smallest singular value {svals[-1]:.3e}); pole data inconsistent"
+            f"(smallest singular value {r.singular_values[-1]:.3e}); pole data inconsistent"
         )
     return _pencil_plan(cfg, "sensor_pole", zeta, sensors, sys.n_y)
 

@@ -232,7 +232,7 @@ def cmd_analyze(args) -> int:
     doc = _base_doc(seed, sha256)
 
     pathology = check_pathological(plant, T)
-    P = discretize(plant, T, pathology=pathology)
+    P = discretize(plant, T)
     report = transmission_zeros(P)
     verdict = classify_vulnerability(report, system=P)
     doc["plant"] = {"name": plant.name, "n": plant.n, "n_u": plant.n_u, "n_y": plant.n_y}

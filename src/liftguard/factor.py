@@ -5,16 +5,15 @@ With a state-feedback gain F (A+BF Schur) and an output-injection gain H
 (A+HC Schur) the factor realizations are the standard ones,
 
     left:   Ml = [A+HC | H; C | I]       Nl = [A+HC | B+HD; C | D]
-    right:  Mr = [A+BF | B; F | I]       Nr = [A+BF | B; C+DF | D]
     unit:   X  = [A+BF | -H; C+DF | I]   Y  = [A+BF | -H; F | 0]
 
 which satisfy the Bezout identity Ml*X - Nl*Y = I exactly (so the unit in
 the closed-loop disturbance maps is the identity).  The plant factors as
-Ml^{-1} Nl = Nr Mr^{-1}, the zeros of Ml are the plant poles, and Nl
-shares the plant's non-minimum-phase zeros.  The left pair needs H alone
-(Nett, Jacobson & Balas, IEEE TAC 29(9), 1984): :func:`left_factors` builds
-it from one Riccati solve; the Bezout certificate needs all six factors.
-[Ml, -Nl] run on [y, u] is the plant's residual filter.
+Ml^{-1} Nl, the zeros of Ml are the plant poles, and Nl shares the plant's
+non-minimum-phase zeros (Nett, Jacobson & Balas, IEEE TAC 29(9), 1984).
+The right pair [A+BF | B; C+DF | D] and [A+BF | B; F | I] is not built:
+nothing reads it, and the Bezout certificate reads the four factors Ml,
+X, Nl and Y.  [Ml, -Nl] run on [y, u] is the plant's residual filter.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from .model import StateSpace, _require_minimal
 __all__ = [
     "CoprimeFactors",
     "coprime_factorize",
-    "left_factors",
     "observer_controller",
     "eval_lambda",
     "closed_loop_matrix",
@@ -50,36 +48,24 @@ def eval_lambda(sys, lam) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CoprimeFactors:
-    """Doubly-coprime factor realizations plus the gains that built them."""
+    """Left coprime pair and Bezout unit of a doubly-coprime factorization,
+    plus the gains that built them."""
 
     F: np.ndarray
     H: np.ndarray
     Nl: StateSpace
     Ml: StateSpace
-    Nr: StateSpace
-    Mr: StateSpace
     X: StateSpace
     Y: StateSpace
     base: object  # the factored plant (discrete or lifted)
-
-
-def left_factors(sys, minimality=None):
-    """Left coprime pair ``(H, Nl, Ml)`` of a minimal discrete system, H
-    from the dual Riccati problem (identity weights); ``minimality`` is
-    ``check_minimal(sys)`` when the caller has it."""
-    A, B, C, D = sys.A, sys.B, sys.C, sys.D
-    _require_minimal(sys, minimality, "coprime factorization requires")
-    H = linalg.dare_gain(A.T, C.T).T
-    AHC = A + H @ C
-    return H, StateSpace(AHC, B + H @ D, C, D), StateSpace(AHC, H, C, np.eye(C.shape[0]))
 
 
 def coprime_factorize(sys, Q=None, R=None, minimality=None, certificate=None) -> CoprimeFactors:
     """Doubly-coprime factorization of a minimal discrete system.
 
     The gains come from the Riccati solver, which checks the Schur
-    condition itself: F with weights ``Q``/``R`` (identity when omitted),
-    H and the left pair by :func:`left_factors`.  ``minimality`` is
+    condition itself: F with weights ``Q``/``R`` (identity when omitted), H
+    from the dual problem with identity weights.  ``minimality`` is
     ``check_minimal(sys)`` when the caller already has it.  The factors
     are checked against the Bezout identity before they are returned; a
     list ``certificate`` receives that check's defect, the largest 2-norm
@@ -88,19 +74,18 @@ def coprime_factorize(sys, Q=None, R=None, minimality=None, certificate=None) ->
     stale).
     """
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
-    rep = _require_minimal(sys, minimality, "coprime factorization requires")
+    _require_minimal(sys, minimality, "coprime factorization requires")
     F = linalg.dare_gain(A, B, Q, R)
-    H, Nl, Ml = left_factors(sys, minimality=rep)
+    H = linalg.dare_gain(A.T, C.T).T
 
+    AHC = A + H @ C
     ABF = A + B @ F
     CDF = C + D @ F
     factors = CoprimeFactors(
         F=F,
         H=H,
-        Nl=Nl,
-        Ml=Ml,
-        Nr=StateSpace(ABF, B, CDF, D),
-        Mr=StateSpace(ABF, B, F, np.eye(B.shape[1])),
+        Nl=StateSpace(AHC, B + H @ D, C, D),
+        Ml=StateSpace(AHC, H, C, np.eye(C.shape[0])),
         X=StateSpace(ABF, -H, CDF, np.eye(C.shape[0])),
         Y=StateSpace(ABF, -H, F, np.zeros((B.shape[1], C.shape[0]))),
         base=sys,

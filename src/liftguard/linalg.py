@@ -124,13 +124,10 @@ def rank_of(s, rel_tol: float = DEFAULT_RANK_RTOL, scale: float | None = None) -
     return RankResult(int(np.count_nonzero(s > tol)), s, float(tol))
 
 
-def eig(M, vectors: bool = False):
-    """Eigenvalues (and optionally right eigenvectors) of a square matrix."""
+def eig(M) -> np.ndarray:
+    """Eigenvalues of a square matrix."""
     A = _square(M, "eig input")
     try:
-        if vectors:
-            w, V = np.linalg.eig(A)
-            return w, V
         return np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericError(f"eigenvalue iteration failed: {exc}") from exc

@@ -3,7 +3,9 @@
 :class:`StateSpace` is the one quadruple type.  A :class:`ContinuousPlant`
 is a minimal continuous-time state-space model; :func:`discretize`
 converts it to a :class:`DiscretePlant` by zero-order hold at a given
-period.
+period, and only that.  :func:`check_pathological` reports the eigenvalue
+pairs that sampling at a given period aliases; a sampled system that loses
+minimality that way is refused by the code that reads it.
 
 System matrices are stored as read-only views of the validated arrays:
 nothing writes through a system object, but a view shares the caller's
@@ -14,7 +16,6 @@ from __future__ import annotations
 
 import json
 import operator
-import warnings
 from dataclasses import dataclass
 from functools import partial
 
@@ -110,7 +111,6 @@ class PathologyReport:
     """Verdict of the pathological-sampling test with offending eigenvalue pairs."""
 
     pathological: bool
-    period: float
     pairs: tuple = ()
 
 
@@ -168,7 +168,7 @@ def check_pathological(plant: ContinuousPlant, T: float) -> PathologyReport:
             k = round(q)
             if k != 0 and abs(q - k) <= 1e-9 * max(1.0, abs(q)):
                 pairs.append((complex(lams[i]), complex(lams[j]), int(k)))
-    return PathologyReport(pathological=bool(pairs), period=float(T), pairs=tuple(pairs))
+    return PathologyReport(pathological=bool(pairs), pairs=tuple(pairs))
 
 
 def check_minimal(sys: StateSpace) -> MinimalityReport:
@@ -220,28 +220,20 @@ def observability_stack(A, C, m: int) -> np.ndarray:
     return np.vstack(rows)
 
 
-def discretize(plant: ContinuousPlant, T: float, pathology=None) -> DiscretePlant:
+def discretize(plant: ContinuousPlant, T: float) -> DiscretePlant:
     """Zero-order-hold discretization at period ``T``.
 
     The state matrix is ``exp(A*T)`` and the input matrix is the exact
     integral of ``exp(A*tau)*B`` over one period, both read off the
-    exponential of the augmented matrix ``[[A, B], [0, 0]] * T``.
-    Pathological sampling is a warning, not a failure: the caller may be
-    studying it deliberately.  ``pathology`` is ``check_pathological(plant,
-    T)`` when the caller already has it.  Only a :class:`ContinuousPlant`
-    is sampled: any other system is a TypeError.
+    exponential of the augmented matrix ``[[A, B], [0, 0]] * T``.  The
+    period is not checked for pathological sampling: a caller that wants
+    the report calls :func:`check_pathological`.  Only a
+    :class:`ContinuousPlant` is sampled: any other system is a TypeError.
     """
     if not isinstance(plant, ContinuousPlant):
         raise TypeError(f"discretize samples a ContinuousPlant, not a {type(plant).__name__}")
     if not 0 < T < np.inf:
         raise ValueError(f"sampling period must be positive and finite, got {T}")
-    report = pathology if pathology is not None else check_pathological(plant, T)
-    if report.pathological:
-        warnings.warn(
-            f"sampling period T={T} is pathological for plant {plant.name!r}: "
-            f"aliasing eigenvalue pairs {report.pairs}",
-            stacklevel=2,
-        )
     n, n_u = plant.n, plant.n_u
     M = np.zeros((n + n_u, n + n_u))
     M[:n, :n] = plant.A * T

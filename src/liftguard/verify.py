@@ -17,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
-import warnings
 
 import numpy as np
 
@@ -282,11 +281,9 @@ def run_suite(trials: int = 100, seed: int = 0) -> list:
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     out = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        families = itertools.groupby(enumerate(_PROPERTIES), key=lambda e: e[1][1])
-        for _, members in families:
-            members = list(members)
-            rng = np.random.default_rng([seed, members[0][0]])
-            out.extend(_run_family([prop for _, prop in members], trials, rng))
+    families = itertools.groupby(enumerate(_PROPERTIES), key=lambda e: e[1][1])
+    for _, members in families:
+        members = list(members)
+        rng = np.random.default_rng([seed, members[0][0]])
+        out.extend(_run_family([prop for _, prop in members], trials, rng))
     return out

@@ -79,6 +79,8 @@ class ZeroRecord:
 
     ``z_value`` is None for a zero at z-infinity (reciprocal value 0);
     ``lambda_value`` is None ("lambda-infinity") for a zero at z = 0.
+    ``input_direction`` is the input part of the pencil's null vector at
+    the zero, scaled to max-norm one with its largest entry real positive.
     ``residual`` is the singular value of the (well-scaled) pencil that
     certifies the rank drop at this point.
     """
@@ -86,7 +88,6 @@ class ZeroRecord:
     z_value: complex | None
     lambda_value: complex | None
     input_direction: np.ndarray
-    state_direction: np.ndarray
     classification: str
     residual: float
     marginal: bool = False
@@ -213,14 +214,14 @@ def _null_directions(sys, zs):
 
 
 def _normalize_direction(xi, nu):
-    """Scale the pair so the input direction has max-norm one with its
-    largest component real positive (the monitor's norm)."""
+    """The input direction ``nu`` of the null vector ``(xi, nu)`` scaled to
+    max-norm one with its largest component real positive (the monitor's
+    norm)."""
     mags = np.abs(nu)
     idx = int(np.argmax(mags))
     if mags[idx] < 1e-12 * max(1.0, float(np.max(np.abs(xi)))):
-        return xi, nu  # degenerate: leave unscaled rather than blow up
-    scale = nu[idx] / abs(nu[idx]) * mags[idx]
-    return xi / scale, nu / scale
+        return nu  # degenerate: leave unscaled rather than blow up
+    return nu / (nu[idx] / abs(nu[idx]) * mags[idx])
 
 
 def _match_multisets(a, b, tol):
@@ -308,15 +309,13 @@ def transmission_zeros(sys, minimality=None, assumptions=None) -> ZeroReport:
     sizes = _cluster_sizes(zs, MATCH_TOL)
     records = []
     for (z, residual), mult, (xi, nu) in zip(found, sizes, _null_directions(sys, zs)):
-        xi, nu = _normalize_direction(xi, nu)
         classification, marginal = _classify(z, mult)
         lam = None if abs(z) <= 1e-9 else 1.0 / z  # None encodes "lambda-infinity"
         records.append(
             ZeroRecord(
                 z_value=z,
                 lambda_value=lam,
-                input_direction=nu,
-                state_direction=xi,
+                input_direction=_normalize_direction(xi, nu),
                 classification=classification,
                 residual=residual,
                 marginal=marginal,
@@ -337,14 +336,11 @@ def transmission_zeros(sys, minimality=None, assumptions=None) -> ZeroReport:
         null_D = Vh[rank_D:].conj()
         # normal_rank <= n + n_u, so null_D has n_at_lambda_zero rows or more
         for nu in null_D[:n_at_lambda_zero]:
-            xi = (B @ nu).astype(complex)
-            xi, nu = _normalize_direction(xi, nu)
             records.append(
                 ZeroRecord(
                     z_value=None,
                     lambda_value=0j,
-                    input_direction=nu,
-                    state_direction=xi,
+                    input_direction=_normalize_direction(B @ nu, nu),
                     classification="at_lambda_zero",
                     residual=residual0,
                     marginal=False,

@@ -14,9 +14,9 @@ from liftguard import (
     build_lifted,
     check_assumptions,
     check_minimal,
+    coprime_factorize,
     discretize,
     eval_lambda,
-    left_factors,
     linalg,
 )
 from liftguard.errors import DimensionError, LiftguardError
@@ -185,13 +185,13 @@ def residual_generator(sys) -> StateSpace:
     identically zero; injected actuator and sensor disturbances appear in
     it filtered by the stable left factors.
     """
-    _, Nl, Ml = left_factors(sys)
-    return StateSpace(Ml.A, np.hstack([Ml.B, -Nl.B]), Ml.C, np.hstack([Ml.D, -Nl.D]))
+    f = coprime_factorize(sys)
+    return StateSpace(f.Ml.A, np.hstack([f.Ml.B, -f.Nl.B]), f.Ml.C, np.hstack([f.Ml.D, -f.Nl.D]))
 
 
 def multiplicity_at_one(left_numerator) -> str:
     """Algebraic multiplicity of a possible zero at frequency one of a
-    stable left-factor numerator, such as ``left_factors(sys)[1]``: the
+    stable left-factor numerator, such as ``coprime_factorize(sys).Nl``: the
     oracle for ``zeros._multiple_at(sys, 1.0)``, which runs the same rule
     on the system pencil.
 
@@ -226,7 +226,7 @@ def reference_sensor_direction(sys, zeta: complex) -> np.ndarray:
     annihilates the injected mode, scaled to max-norm one with its largest
     entry real positive.  The oracle for ``synth_sensor_attack``'s
     pencil construction."""
-    Ml = left_factors(sys)[2]
+    Ml = coprime_factorize(sys).Ml
     _, _, Vh = np.linalg.svd(eval_lambda(Ml, 1.0 / zeta))
     d0 = Vh[-1].conj()
     idx = int(np.argmax(np.abs(d0)))

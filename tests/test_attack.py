@@ -407,7 +407,11 @@ class TestFatPlantPlan:
 
         for plant in fat_plants:
             P = discretize(plant, 1.0)
-            xi, nu = _normalize_direction(*_null_directions(P, [FREE_ZETA])[0])
+            xi, nu = _null_directions(P, [FREE_ZETA])[0]
+            direction = _normalize_direction(xi, nu)
+            # the direction is nu rescaled: rescale xi with it
+            k = int(np.argmax(np.abs(nu)))
+            xi, nu = xi * (direction[k] / nu[k]), direction
             state = (FREE_ZETA * np.eye(P.n) - P.A) @ xi - P.B @ nu
             output = P.C @ xi + P.D @ nu
             scale = max(1.0, np.max(np.abs(xi)))

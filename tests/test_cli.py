@@ -46,6 +46,22 @@ def plant_files(tmp_path_factory):
         )
     )
     paths["fat"] = str(fat)
+    # sampling at T = pi/2 aliases the eigenvalues +-2j of the rotation; the
+    # two inputs keep the sampled system minimal
+    oscillator = root / "oscillator.json"
+    oscillator.write_text(
+        json.dumps(
+            {
+                "Ac": [[0.0, 2.0], [-2.0, 0.0]],
+                "Bc": [[1.0, 0.0], [0.0, 1.0]],
+                "Cc": [[1.0, 0.0], [0.0, 1.0]],
+                "Dc": [[0.0, 0.0], [0.0, 0.0]],
+                "T": math.pi / 2,
+                "name": "two-input-oscillator",
+            }
+        )
+    )
+    paths["oscillator"] = str(oscillator)
     bad = root / "bad.json"
     bad.write_text("{not json")
     paths["bad"] = str(bad)
@@ -156,9 +172,16 @@ class TestAnalyze:
         assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
         assert not (tmp_path / "out").exists()
 
+    def test_pathological_period_reported(self, plant_files):
+        res = run_cli("analyze", "--plant", plant_files["oscillator"])
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == ""
+        report = json.loads(res.stdout)["single_rate"]["pathological_sampling"]
+        assert report["pathological"] is True
+        assert [pair["multiple"] for pair in report["pairs"]] == [1]
+
     def test_pathology_checked_once_per_period(self, plant_files, tmp_path, monkeypatch):
-        # analyze hands its pathology report to discretize instead of
-        # checking the hold period twice; choose_m checks each fast period
+        # analyze checks its hold period once; nothing else checks a period
         from liftguard import cli, model
 
         periods = []
@@ -172,8 +195,7 @@ class TestAnalyze:
             monkeypatch.setattr(module, "check_pathological", counted)
         path = plant_files["triple"]
         assert cli.main(["analyze", "--plant", path, "--out", str(tmp_path)]) == 0
-        assert periods.count(1.0) == 1
-        assert len(set(periods)) == len(periods) > 1
+        assert periods == [1.0]
 
     def test_plant_file_read_once_and_hashed(self, plant_files, tmp_path, monkeypatch):
         # input_sha256 is the hash of the bytes that were parsed

@@ -11,7 +11,6 @@ from liftguard import (
     coprime_factorize,
     discretize,
     eval_lambda,
-    left_factors,
     observer_controller,
     run_single_rate,
     standard_loop,
@@ -73,7 +72,7 @@ class TestCoprimeFactorize:
         sys = DiscretePlant(
             A=[[0.5, 0.0], [0.0, 0.25]], B=[[1.0], [0.0]], C=[[1.0, 0.0]], D=[[0.0]], period=1.0
         )
-        with pytest.raises(ModelError):
+        with pytest.raises(ModelError, match="coprime factorization requires a minimal realization"):
             coprime_factorize(sys)
 
 
@@ -92,36 +91,6 @@ def _random_lifted(rng, shape, T, count):
         if check_minimal(L).minimal:
             out.append(L)
     return out
-
-
-class TestLeftFactors:
-    @staticmethod
-    def _assert_same_left_pair(sys):
-        H, Nl, Ml = left_factors(sys)
-        factors = coprime_factorize(sys)
-        assert np.array_equal(H, factors.H)
-        for mine, theirs in ((Nl, factors.Nl), (Ml, factors.Ml)):
-            for name in "ABCD":
-                assert np.array_equal(getattr(mine, name), getattr(theirs, name)), name
-
-    def test_matches_coprime_factorize_discrete(self):
-        rng = np.random.default_rng(43)
-        for n_u, n_y in ((1, 1), (1, 2), (2, 1), (2, 2)):
-            self._assert_same_left_pair(random_discrete(rng, n_u=n_u, n_y=n_y))
-
-    @pytest.mark.parametrize("shape", sorted(LIFTED_SHAPES))
-    def test_matches_coprime_factorize_lifted(self, shape):
-        for L in _random_lifted(np.random.default_rng(44), shape, 1.0, 3):
-            rows, cols = L.n_y, L.n_u
-            assert {"tall": rows > cols, "square": rows == cols, "fat": rows < cols}[shape]
-            self._assert_same_left_pair(L)
-
-    def test_minimality_checked(self):
-        nonminimal = DiscretePlant(
-            A=[[0.5, 0.0], [0.0, 0.25]], B=[[1.0], [0.0]], C=[[1.0, 0.0]], D=[[0.0]], period=1.0
-        )
-        with pytest.raises(ModelError, match="minimal realization"):
-            left_factors(nonminimal)
 
 
 @pytest.mark.parametrize("T", [1.0, 0.1])

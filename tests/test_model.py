@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from liftguard import (
     check_pathological,
     coprime_factorize,
     discretize,
-    left_factors,
     load_plant,
     plant_to_dict,
     poles,
@@ -101,11 +102,24 @@ class TestPathological:
         plant = ContinuousPlant(A=[[0.0]], B=[[1.0]], C=[[1.0]], D=[[0.0]])
         assert not check_pathological(plant, 5.0).pathological
 
-    def test_discretize_warns(self):
+    def test_discretize_only_samples(self, monkeypatch):
+        # a pathological period is sampled like any other, with no check
+        # and no warning; analyze reports the pathology itself
+        from liftguard import model
+
+        calls = []
+        check = model.check_pathological
+        monkeypatch.setattr(
+            model, "check_pathological", lambda plant, T: calls.append(T) or check(plant, T)
+        )
         w = 2.0
         plant = ContinuousPlant(A=[[0.0, w], [-w, 0.0]], B=[[0.0], [1.0]], C=[[1.0, 0.0]], D=[[0.0]])
-        with pytest.warns(UserWarning, match="pathological"):
-            discretize(plant, np.pi / w)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            P = discretize(plant, np.pi / w)
+        assert calls == []
+        assert isinstance(P, DiscretePlant) and P.period == np.pi / w
+        np.testing.assert_allclose(P.A, -np.eye(2), atol=1e-12)
 
 
 class TestMinimality:
@@ -236,7 +250,7 @@ class TestStateSpaceBase:
             discretize(StateSpace(P.A, P.B, P.C, P.D), 0.5)
 
     @pytest.mark.parametrize(
-        "analysis", [transmission_zeros, zero_values, poles, coprime_factorize, left_factors]
+        "analysis", [transmission_zeros, zero_values, poles, coprime_factorize]
     )
     def test_only_a_sampled_plant_is_analyzed(self, analysis):
         # the pole +0.5 of a continuous plant is unstable, not "stable"
