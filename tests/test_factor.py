@@ -72,8 +72,18 @@ class TestCoprimeFactorize:
         sys = DiscretePlant(
             A=[[0.5, 0.0], [0.0, 0.25]], B=[[1.0], [0.0]], C=[[1.0, 0.0]], D=[[0.0]], period=1.0
         )
-        with pytest.raises(ModelError, match="coprime factorization requires a minimal realization"):
+        with pytest.raises(ModelError):
             coprime_factorize(sys)
+
+
+class TestLeftFactors:
+    def test_minimality_checked(self):
+        """The left pair is refused, with its message, for a non-minimal plant."""
+        nonminimal = DiscretePlant(
+            A=[[0.5, 0.0], [0.0, 0.25]], B=[[1.0], [0.0]], C=[[1.0, 0.0]], D=[[0.0]], period=1.0
+        )
+        with pytest.raises(ModelError, match="coprime factorization requires a minimal realization"):
+            coprime_factorize(nonminimal)
 
 
 # (n_u, n_y, m) giving a lifted system with more, as many and fewer
