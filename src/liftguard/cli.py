@@ -6,9 +6,10 @@ or Riccati weight; 3 capability failure (no plan for the verdict: "not
 vulnerable", "undecided"); 4 numeric failure or a failing ``verify``
 property; 5 configuration failure: loop parameters (``theta``, ``horizon``,
 an explicit ``m``) that cannot configure a loop, or a loop that is unstable
-or whose arrays the host refuses to allocate.  Every output
-embeds the tool version, the seed, and the input file hash; the timestamp
-is isolated in a single field so reruns are byte-identical otherwise.
+or whose arrays the host refuses to allocate.  A usage error is a parse
+failure, and every failure is one JSON error line on stderr.  Every output
+embeds the tool version and the input file hash (``verify``: its seed); the
+timestamp is isolated in a single field so reruns are byte-identical otherwise.
 """
 
 from __future__ import annotations
@@ -148,25 +149,16 @@ def _emit(doc: dict, args, default_name: str) -> None:
         sys.stdout.write(text)
 
 
-def _base_doc(seed, sha256) -> dict:
-    return {"version": __version__, "seed": seed, "input_sha256": sha256}
-
-
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("LIFTGUARD_SEED")
-    return int(env) if env else 0
-
-
 def _load(args):
-    """Plant, hold period and file m of ``--plant``, and the SHA-256 of
-    the bytes parsed: the file is read once."""
+    """Plant, hold period and file m of ``--plant``, and the head of the
+    output document: the version and the SHA-256 of the bytes parsed (the
+    file is read once)."""
     with open(args.plant, "rb") as fh:
         data = fh.read()
     plant, T_file, m_file = load_plant(data)
     T = args.T if args.T is not None else T_file
-    return plant, T, m_file, hashlib.sha256(data).hexdigest()
+    head = {"version": __version__, "input_sha256": hashlib.sha256(data).hexdigest()}
+    return plant, T, m_file, head
 
 
 def _parse_weight(text, flag):
@@ -227,13 +219,17 @@ def _standard_loop(args, plant, T, m_file, horizon, attack=None):
 
 
 def cmd_analyze(args) -> int:
-    seed = _resolve_seed(args)
-    plant, T, m_file, sha256 = _load(args)
-    doc = _base_doc(seed, sha256)
+    plant, T, m_file, doc = _load(args)
 
     pathology = check_pathological(plant, T)
     P = discretize(plant, T)
-    report = transmission_zeros(P)
+    try:
+        report = transmission_zeros(P)
+    except ModelError as exc:
+        if not pathology.pathological:
+            raise
+        aliased = ", ".join(f"{a:.6g} and {b:.6g} (multiple {k})" for a, b, k in pathology.pairs)
+        raise ModelError(f"{exc}; T={T} aliases the eigenvalue pairs {aliased}") from None
     verdict = classify_vulnerability(report, system=P)
     doc["plant"] = {"name": plant.name, "n": plant.n, "n_u": plant.n_u, "n_y": plant.n_y}
     doc["single_rate"] = {
@@ -272,12 +268,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    seed = _resolve_seed(args)
-    plant, T, m_file, sha256 = _load(args)
+    plant, T, m_file, doc = _load(args)
     cfg = _standard_loop(args, plant, T, m_file, DEFAULT_HORIZON)
     synth = synth_actuator_attack if args.kind == "actuator" else synth_sensor_attack
     plan = synth(cfg)
-    doc = _base_doc(seed, sha256)
     doc["plan"] = plan_to_dict(plan)
     doc["loop"] = {"mode": cfg.mode, "T": T, "m": cfg.m, "theta": args.theta}
     _emit(doc, args, "plan.json")
@@ -286,11 +280,9 @@ def cmd_attack(args) -> int:
 
 def _recorded_m(plan_doc: dict):
     """The m of the loop a ``plan.json`` records in its ``loop`` object
-    (None for a single-rate loop or a bare plan); a ``loop`` that is not
-    an object, or an m that is not an integer, is a ValueError naming it."""
+    (None for a single-rate loop); a ``loop`` that is not an object, or
+    an m that is not an integer, is a ValueError naming it."""
     loop = plan_doc.get("loop")
-    if loop is None:
-        return None
     if not isinstance(loop, dict):
         raise ValueError(f"plan field 'loop' must be an object, not {type(loop).__name__}")
     return None if loop.get("m") is None else _field("plan loop", loop, "m", _integer)
@@ -311,14 +303,15 @@ def _check_replay_loop(plan, plan_m, n_y: int, cfg) -> None:
 
 
 def cmd_simulate(args) -> int:
-    seed = _resolve_seed(args)
-    plant, T, m_file, sha256 = _load(args)
+    plant, T, m_file, doc = _load(args)
     plan = plan_m = None
     if args.plan:
         with open(args.plan, "r", encoding="utf-8") as fh:
             plan_doc = json.load(fh)
-        wrapped = isinstance(plan_doc, dict) and "plan" in plan_doc
-        plan = plan_from_dict(plan_doc["plan"] if wrapped else plan_doc)
+        if not isinstance(plan_doc, dict) or "plan" not in plan_doc:
+            raise ValueError("a plan file must be the JSON object that `attack` writes, "
+                             "with a 'plan' field")
+        plan = plan_from_dict(plan_doc["plan"])
         plan_m = _recorded_m(plan_doc)
     horizon = args.horizon
     if horizon is None:
@@ -327,7 +320,6 @@ def cmd_simulate(args) -> int:
     if plan is not None:
         _check_replay_loop(plan, plan_m, plant.n_y, cfg)
     trace = run_dual_rate(cfg) if args.mode == "dual_rate" else run_single_rate(cfg)
-    doc = _base_doc(seed, sha256)
     doc["result"] = trace_metadata(trace)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -339,11 +331,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_lift(args) -> int:
-    seed = _resolve_seed(args)
-    plant, T, m_file, sha256 = _load(args)
+    plant, T, m_file, doc = _load(args)
     m = _explicit_m(args, m_file)
     lifted, shift, assumptions = _lifted(plant, T, m)
-    doc = _base_doc(seed, sha256)
     doc["lifted"] = {
         "m": lifted.m,
         "m_auto": m is None,
@@ -364,20 +354,26 @@ def cmd_lift(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    seed = _resolve_seed(args)
     doc = {
         "version": __version__,
-        "seed": seed,
+        "seed": args.seed,
         "trials": args.trials,
-        "properties": verify_suite.run_suite(trials=args.trials, seed=seed),
+        "properties": verify_suite.run_suite(trials=args.trials, seed=args.seed),
     }
     doc["all_passed"] = all(p["status"] == "pass" for p in doc["properties"])
     _emit(doc, args, "verify.json")
     return EXIT_OK if doc["all_passed"] else EXIT_NUMERIC
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are ValueErrors, which ``main`` reports as parse failures."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="liftguard",
         description="Analyze sampled-data loops for stealthy-attack vulnerability, "
         "synthesize the attacks, and build the dual-rate defense.",
@@ -385,12 +381,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, plant_required=True):
-        if plant_required:
-            p.add_argument("--plant", required=True, help="plant spec JSON file")
-            p.add_argument("--T", type=float, default=None, help="override hold period")
-            p.add_argument("--m", default=None, help="sub-sampling factor or 'auto'")
-        p.add_argument("--seed", type=int, default=None, help="random seed (env LIFTGUARD_SEED)")
+    def common(p):
+        p.add_argument("--plant", required=True, help="plant spec JSON file")
+        p.add_argument("--T", type=float, default=None, help="override hold period")
+        p.add_argument("--m", default=None, help="sub-sampling factor or 'auto'")
         p.add_argument("--out", default=None, help="output directory")
 
     p = sub.add_parser("analyze", help="poles/zeros, vulnerability verdicts, dual-rate check")
@@ -419,7 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("verify", help="randomized property suite over random plants")
-    common(p, plant_required=False)
+    p.add_argument("--seed", type=int, default=0, help="random seed of the plant draws")
+    p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--trials", type=int, default=100)
     return parser
 
@@ -432,10 +427,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    # looked up per call, so a replaced module attribute is what runs
-    command = globals()[f"cmd_{args.command}"]
     try:
+        args = _parser().parse_args(argv)
+        # looked up per call, so a replaced module attribute is what runs
+        command = globals()[f"cmd_{args.command}"]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             return command(args)

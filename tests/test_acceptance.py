@@ -372,7 +372,7 @@ def test_criterion_12_cli_determinism(tmp_path):
 
     def run(*args):
         res = subprocess.run(
-            [sys.executable, "-m", "liftguard", *args, "--seed", "21"],
+            [sys.executable, "-m", "liftguard", *args],
             capture_output=True, text=True,
         )
         assert res.returncode == 0, res.stderr
@@ -383,7 +383,7 @@ def test_criterion_12_cli_determinism(tmp_path):
     for args in (
         ("analyze", "--plant", str(plant_path)),
         ("attack", "--plant", str(plant_path), "--theta", "0.01"),
-        ("verify", "--trials", "5"),
+        ("verify", "--trials", "5", "--seed", "21"),
     ):
         assert run(*args) == run(*args), f"nondeterministic output for {args[0]}"
     report(12, "analyze/attack/verify outputs are byte-identical across reruns "

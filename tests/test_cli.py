@@ -79,7 +79,7 @@ def _m_one(plant_files, tmp_path, source):
 
 class TestAnalyze:
     def test_triple_integrator_verdicts(self, plant_files):
-        res = run_cli("analyze", "--plant", plant_files["triple"], "--seed", "1")
+        res = run_cli("analyze", "--plant", plant_files["triple"])
         assert res.returncode == 0, res.stderr
         doc = json.loads(res.stdout)
         assert doc["single_rate"]["verdict"]["actuator_stealthy"] == "yes"
@@ -87,20 +87,20 @@ class TestAnalyze:
         assert doc["dual_rate"]["verdict"]["actuator_stealthy"] == "no"
 
     def test_triple_integrator_at_khz(self, plant_files):
-        res = run_cli("analyze", "--plant", plant_files["triple"], "--T", "1e-3", "--seed", "1")
+        res = run_cli("analyze", "--plant", plant_files["triple"], "--T", "1e-3")
         assert res.returncode == 0, res.stderr
         doc = json.loads(res.stdout)
         assert doc["single_rate"]["verdict"]["actuator_stealthy"] == "yes"
         assert doc["dual_rate"]["verdict"]["actuator_stealthy"] == "no"
 
     def test_stable_minimum_phase_all_no(self, plant_files):
-        res = run_cli("analyze", "--plant", plant_files["stable"], "--seed", "1")
+        res = run_cli("analyze", "--plant", plant_files["stable"])
         doc = json.loads(res.stdout)
         assert doc["single_rate"]["verdict"]["actuator_stealthy"] == "no"
         assert doc["single_rate"]["verdict"]["sensor_stealthy"] == "no"
 
     def test_fat_plant_masking_verdict(self, plant_files):
-        res = run_cli("analyze", "--plant", plant_files["fat"], "--seed", "1")
+        res = run_cli("analyze", "--plant", plant_files["fat"])
         doc = json.loads(res.stdout)
         assert doc["single_rate"]["verdict"]["actuator_stealthy"] == "yes"
         assert doc["single_rate"]["verdict"]["actuator_mechanism"] == "fat_plant"
@@ -180,6 +180,26 @@ class TestAnalyze:
         assert report["pathological"] is True
         assert [pair["multiple"] for pair in report["pairs"]] == [1]
 
+    def test_pathological_period_named_when_minimality_is_lost(self, tmp_path, capsys):
+        # with one input the aliased pair +-2j costs the sampled oscillator
+        # its minimality; the refusal names the pair and its multiple
+        from liftguard import cli
+
+        path = tmp_path / "oscillator.json"
+        path.write_text(json.dumps({"Ac": [[0, 2], [-2, 0]], "Bc": [[0], [1]], "Cc": [[1, 0]],
+                                    "Dc": [[0]], "T": math.pi / 2}))
+        assert cli.main(["analyze", "--plant", str(path), "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ModelError"
+        assert err["message"] == (
+            "transmission zeros require a minimal realization (controllable=False, "
+            f"observable=False); T={math.pi / 2} aliases the eigenvalue pairs "
+            "0+2j and 0-2j (multiple 1)"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_pathology_checked_once_per_period(self, plant_files, tmp_path, monkeypatch):
         # analyze checks its hold period once; nothing else checks a period
         from liftguard import cli, model
@@ -224,7 +244,7 @@ class TestAttackAndSimulate:
         out = str(tmp_path / "out")
         res = run_cli(
             "attack", "--plant", plant_files["triple"], "--theta", "0.01",
-            "--seed", "5", "--out", out,
+            "--out", out,
         )
         assert res.returncode == 0, res.stderr
         plan_doc = json.load(open(f"{out}/plan.json"))
@@ -233,7 +253,7 @@ class TestAttackAndSimulate:
 
         res = run_cli(
             "simulate", "--plant", plant_files["triple"], "--plan", f"{out}/plan.json",
-            "--theta", "0.01", "--seed", "5", "--out", out,
+            "--theta", "0.01", "--out", out,
         )
         assert res.returncode == 0, res.stderr
         verdict = json.load(open(f"{out}/verdict.json"))
@@ -243,7 +263,7 @@ class TestAttackAndSimulate:
 
         res = run_cli(
             "simulate", "--plant", plant_files["triple"], "--plan", f"{out}/plan.json",
-            "--mode", "dual_rate", "--theta", "0.01", "--seed", "5", "--out", out,
+            "--mode", "dual_rate", "--theta", "0.01", "--out", out,
         )
         verdict = json.load(open(f"{out}/verdict.json"))
         assert verdict["result"]["verdict"] == "detected"
@@ -253,13 +273,13 @@ class TestAttackAndSimulate:
         # without the flag the replay runs for the plan's horizon; either
         # spelling argparse accepts for the flag overrides it
         out = str(tmp_path / "h")
-        res = run_cli("attack", "--plant", plant_files["triple"], "--seed", "5", "--out", out)
+        res = run_cli("attack", "--plant", plant_files["triple"], "--out", out)
         assert res.returncode == 0, res.stderr
         plan_horizon = json.load(open(f"{out}/plan.json"))["plan"]["horizon"]
         assert plan_horizon != 50
         res = run_cli(
             "simulate", "--plant", plant_files["triple"], "--plan", f"{out}/plan.json",
-            *flags, "--seed", "5", "--out", out,
+            *flags, "--out", out,
         )
         assert res.returncode == 0, res.stderr
         horizon = json.load(open(f"{out}/verdict.json"))["result"]["horizon"]
@@ -325,6 +345,8 @@ class TestAttackAndSimulate:
             ("plan", lambda doc: doc["plan"].update(direction=[]), "direction must not be empty"),
             ("plan", lambda doc: doc["plan"].update(zeta=2.0), "'zeta'"),
             ("plan", lambda doc: [doc["plan"]], "JSON object"),
+            ("plan", lambda doc: doc["plan"], "'plan' field"),
+            ("plan", lambda doc: doc.pop("loop") and None, "'loop' must be an object"),
             ("plan", lambda doc: doc.update(loop=[1]), "'loop' must be an object"),
             ("plan", lambda doc: doc.update(loop="x"), "'loop' must be an object"),
             ("plan", lambda doc: doc["loop"].update(m=2.5), "loop field 'm'"),
@@ -338,7 +360,7 @@ class TestAttackAndSimulate:
         ],
         ids=["plant_Ac_object", "plant_T_null", "plan_direction_numbers", "plan_direction_empty",
              "plan_zeta_number",
-             "plan_file_list", "plan_loop_list", "plan_loop_string", "plan_loop_m_fraction",
+             "plan_file_list", "plan_file_bare", "plan_loop_missing", "plan_loop_list", "plan_loop_string", "plan_loop_m_fraction",
              "plan_loop_m_string", "plant_m_fraction", "plant_m_boolean",
              "plan_horizon_fraction", "plan_horizon_boolean", "plan_channel_map_fraction",
              "plan_channel_map_boolean"],
@@ -459,7 +481,7 @@ class TestAttackAndSimulate:
         assert results["dual_rate"]["verdict"] == "detected"
 
     def test_invulnerable_plant_exit_3(self, plant_files):
-        res = run_cli("attack", "--plant", plant_files["double"], "--seed", "1")
+        res = run_cli("attack", "--plant", plant_files["double"])
         assert res.returncode == 3
         err = json.loads(res.stderr)
         assert "not vulnerable" in err["message"]
@@ -468,7 +490,7 @@ class TestAttackAndSimulate:
         out = str(tmp_path / "sens")
         res = run_cli(
             "attack", "--plant", plant_files["unstable"], "--kind", "sensor",
-            "--theta", "0.01", "--seed", "5", "--out", out,
+            "--theta", "0.01", "--out", out,
         )
         assert res.returncode == 0, res.stderr
         plan_doc = json.load(open(f"{out}/plan.json"))
@@ -554,7 +576,7 @@ class TestAttackAndSimulate:
         out = str(tmp_path / "w")
         res = run_cli(
             "simulate", "--plant", plant_files["triple"], "--horizon", "20",
-            "--Q", "5", "--R", "[[0.5]]", "--seed", "1", "--out", out,
+            "--Q", "5", "--R", "[[0.5]]", "--out", out,
         )
         assert res.returncode == 0, res.stderr
         assert json.load(open(f"{out}/verdict.json"))["result"]["verdict"] == "stealthy"
@@ -587,7 +609,7 @@ class TestAttackAndSimulate:
         out = str(tmp_path / "base")
         res = run_cli(
             "simulate", "--plant", plant_files["stable"], "--horizon", "20",
-            "--seed", "1", "--out", out,
+            "--out", out,
         )
         assert res.returncode == 0
         verdict = json.load(open(f"{out}/verdict.json"))
@@ -597,7 +619,7 @@ class TestAttackAndSimulate:
 
 class TestLift:
     def test_lift_report(self, plant_files):
-        res = run_cli("lift", "--plant", plant_files["triple"], "--seed", "1")
+        res = run_cli("lift", "--plant", plant_files["triple"])
         assert res.returncode == 0, res.stderr
         doc = json.loads(res.stdout)
         assert doc["lifted"]["m"] == 4
@@ -674,12 +696,8 @@ class TestVerify:
         err = json.loads(res.stderr)
         assert err["error"] == "ValueError" and "trials" in err["message"]
 
-    @pytest.mark.parametrize("where", ["flag", "env"])
-    def test_negative_seed_exit_2_naming_it(self, where):
-        args, env = ("verify", "--trials", "1"), dict(os.environ, LIFTGUARD_SEED="-1")
-        if where == "flag":
-            args, env = args + ("--seed", "-1"), None
-        res = run_cli(*args, env=env)
+    def test_negative_seed_exit_2_naming_it(self):
+        res = run_cli("verify", "--trials", "1", "--seed", "-1")
         assert res.returncode == 2
         assert res.stdout == ""
         err = json.loads(res.stderr)
@@ -740,14 +758,6 @@ class TestVerify:
         failure = doc["properties"][1]["failures"][0]
         assert failure["detail"] == "forced failure" and "plant" not in failure
 
-    def test_seed_env_fallback(self, plant_files):
-        import os
-
-        env = dict(os.environ, LIFTGUARD_SEED="99")
-        res = run_cli("analyze", "--plant", plant_files["double"], env=env)
-        doc = json.loads(res.stdout)
-        assert doc["seed"] == 99
-
 
 class TestDeterminism:
     @pytest.mark.parametrize("command", ["analyze", "attack", "verify"])
@@ -755,28 +765,32 @@ class TestDeterminism:
         args = {
             "analyze": ("analyze", "--plant", plant_files["triple"]),
             "attack": ("attack", "--plant", plant_files["triple"], "--theta", "0.01"),
-            "verify": ("verify", "--trials", "4"),
+            "verify": ("verify", "--trials", "4", "--seed", "11"),
         }[command]
         outs = []
         for _ in range(2):
-            res = run_cli(*args, "--seed", "11")
+            res = run_cli(*args)
             assert res.returncode == 0, res.stderr
             doc = json.loads(res.stdout)
             doc.pop("timestamp")
             outs.append(json.dumps(doc, sort_keys=True))
         assert outs[0] == outs[1]
 
-    @pytest.mark.parametrize("command", ["analyze", "lift"])
+    @pytest.mark.parametrize("command", ["analyze", "lift", "verify"])
     def test_analyze_does_not_depend_on_seed(self, plant_files, command):
+        # only verify's --seed sets a seed: the environment sets none, and
+        # the deterministic commands record none
+        args = ("verify", "--trials", "3") if command == "verify" else (
+            command, "--plant", plant_files["fat"])
         outs = []
-        for seed in ("0", "7"):
-            res = run_cli(command, "--plant", plant_files["fat"], "--seed", seed)
+        for env in (None, dict(os.environ, LIFTGUARD_SEED="7")):
+            res = run_cli(*args, env=env)
             assert res.returncode == 0, res.stderr
             doc = json.loads(res.stdout)
-            doc.pop("seed")
-            doc.pop("timestamp")
-            outs.append(json.dumps(doc, sort_keys=True))
+            assert ("seed" in doc) == (command == "verify")
+            outs.append(_untimed(res.stdout))
         assert outs[0] == outs[1]
+        assert command != "verify" or doc["seed"] == 0
 
 
 def _untimed(text):
@@ -786,31 +800,73 @@ def _untimed(text):
 class TestParserCache:
     """``main`` builds its parser once per process and reuses it."""
 
-    def test_calls_in_one_process_match_fresh_processes(self, plant_files, capsys, monkeypatch):
+    def test_calls_in_one_process_match_fresh_processes(self, plant_files, capsys):
         from liftguard import cli
 
-        monkeypatch.delenv("LIFTGUARD_SEED", raising=False)
-        env = {k: v for k, v in os.environ.items() if k != "LIFTGUARD_SEED"}
         calls = [
-            ("analyze", "--plant", plant_files["triple"], "--T", "0.5", "--m", "5", "--seed", "7"),
+            ("analyze", "--plant", plant_files["triple"], "--T", "0.5", "--m", "5"),
             ("lift", "--plant", plant_files["triple"], "--T", "2.0", "--no-such-flag"),
             ("lift", "--plant", plant_files["double"], "--m", "3"),
+            ("verify", "--trials", "3", "--seed", "7"),
             ("verify", "--trials", "3"),
         ]
         codes = []
         for argv in calls:
-            try:
-                codes.append(cli.main(list(argv)))
-            except SystemExit as exc:
-                codes.append(exc.code)
+            codes.append(cli.main(list(argv)))
             got = capsys.readouterr()
-            fresh = run_cli(*argv, env=env)
+            fresh = run_cli(*argv)
             assert codes[-1] == fresh.returncode, argv
             assert _untimed(got.out) == _untimed(fresh.stdout), argv
             assert got.err == fresh.stderr, argv
-        assert codes == [0, 2, 0, 0]
+        assert codes == [0, 2, 0, 0, 0]
         doc = json.loads(got.out)
-        assert doc["seed"] == 0  # the first call's --seed 7 did not stay
+        assert doc["seed"] == 0  # the --seed 7 of the call before did not stay
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("analyze", "@triple", "--T", "abc"), "argument --T: invalid float value: 'abc'"),
+            (("analyze", "@triple", "--bogus"), "unrecognized arguments: --bogus"),
+            (("verify", "--trials", "x"), "argument --trials: invalid int value: 'x'"),
+            (("analyze", "@triple", "--seed", "1"), "unrecognized arguments: --seed 1"),
+            (("attack", "@triple", "--seed", "1"), "unrecognized arguments: --seed 1"),
+            (("simulate", "@triple", "--seed", "1"), "unrecognized arguments: --seed 1"),
+            (("lift", "@triple", "--seed", "1"), "unrecognized arguments: --seed 1"),
+            (("simulate", "@triple", "--T", "abc"), "argument --T: invalid float value: 'abc'"),
+            (("lift",), "the following arguments are required: --plant"),
+            (("scan",), "argument command: invalid choice: 'scan'"),
+        ],
+        ids=["analyze_T_word", "analyze_unknown_flag", "verify_trials_word", "analyze_seed",
+             "attack_seed", "simulate_seed", "lift_seed", "simulate_T_word", "lift_no_plant",
+             "unknown_command"],
+    )
+    def test_usage_error_is_one_json_line(self, plant_files, tmp_path, capsys, argv, message):
+        from liftguard import cli
+
+        argv = [a for arg in argv
+                for a in (("--plant", plant_files["triple"]) if arg == "@triple" else (arg,))]
+        argv += ["--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        got = capsys.readouterr()
+        fresh = run_cli(*argv)
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == (2, got.out, got.err)
+        assert got.out == ""
+        lines = got.err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ValueError" and err["message"].startswith(message)
+        assert not (tmp_path / "out").exists()
+
+    def test_help_lists_seed_for_verify_only(self, capsys):
+        from liftguard import cli
+
+        for command in ("analyze", "attack", "simulate", "lift", "verify"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, "--help"])
+            assert exc.value.code == 0
+            got = capsys.readouterr()
+            assert got.err == "" and got.out.startswith(f"usage: liftguard {command}")
+            assert ("--seed" in got.out) == (command == "verify")
 
     def test_dispatch_reads_the_module_attribute(self, plant_files, monkeypatch, capsys):
         from liftguard import cli
