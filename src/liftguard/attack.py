@@ -195,7 +195,9 @@ def _calibrate(cfg: LoopConfig, unit_plan: AttackPlan):
     floor is accumulated rounding noise quantized at the ulp of the
     internal states, so a run can land a few percent off its aim; aiming
     at the centre leaves that much slack on either side, and a run that
-    still misses is corrected from its own peak, at most 8 times.
+    still misses is corrected from its own peak, at most 8 times.  An aimed
+    amplitude outside the float range (a tiny threshold) or an aimed run
+    that overflows (a huge one) is a :class:`NumericError`.
     """
 
     def peak_at(eps):
@@ -211,15 +213,25 @@ def _calibrate(cfg: LoopConfig, unit_plan: AttackPlan):
     if c0_raw is None:
         raise NumericError("calibration simulation overflowed even after rescaling")
 
+    def aimed_peak(eps):
+        if not 0 < eps < np.inf:
+            raise NumericError(f"amplitude calibration at theta={cfg.theta:g} aims at "
+                               f"epsilon={eps:.3e}, outside the float range")
+        peak = peak_at(eps)
+        if not np.isfinite(peak):
+            raise NumericError(f"amplitude calibration at theta={cfg.theta:g} overflowed: "
+                               f"the run aimed at epsilon={eps:.3e} peaks at {peak}")
+        return peak
+
     target = cfg.theta / 2.0
     aim = target * (15.0 / 16.0)  # centre of the band (7/8, 1] * target
     epsilon = aim / max(c0_raw, np.finfo(float).tiny)
-    peak = peak_at(epsilon)
+    peak = aimed_peak(epsilon)
     for _ in range(8):
         if target * (7.0 / 8.0) < peak <= target:
             break
         epsilon = epsilon * (aim / peak)
-        peak = peak_at(epsilon)
+        peak = aimed_peak(epsilon)
     if peak > target:
         raise NumericError(
             f"amplitude calibration did not settle below half the threshold "

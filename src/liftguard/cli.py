@@ -184,7 +184,10 @@ def _explicit_m(args, m_file):
     raw = args.m if args.m is not None else (str(m_file) if m_file else "auto")
     if raw == "auto":
         return None
-    m = int(raw)
+    try:
+        m = int(raw)
+    except ValueError:
+        raise ValueError(f"argument --m: expected an integer or 'auto', got {raw!r}") from None
     if m < 2:
         raise ConfigurationError(f"explicit m={m}: the dual-rate factor must be at least 2")
     return m

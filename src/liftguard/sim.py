@@ -1,35 +1,32 @@
 """Closed-loop sampled-data simulation with attack injection and a
 threshold detection monitor.
 
-All propagation is exact LTI discretization: the plant state advances per
-(sub-)step through the zero-order-hold quadruple, and no ODE solver is
-involved.  Single rate is the dual-rate loop with one output sample per
-hold period, so both modes share one recursion.  A loop is its sampled
-system (the ZOH plant or the lifted system, from which the mode, the hold
-period and m are read) closed through a strictly proper state-space
-controller.  Every signal is read at the samples; the monitor watches
-only the cyber-layer signals, i.e. the measured outputs and the
+A loop is its sampled system (the ZOH plant or the lifted system, from
+which the mode, the hold period and m are read) closed through a strictly
+proper state-space controller designed for it, and it runs on that
+system.  Single rate is the dual-rate loop with one output sample per
+hold period.  One hold period is one step of the loop state ξ = [x; x_K],
+``ξ' = Mξ + drive``, with M the closed-loop matrix and the drive the
+attack injected in that period (exact LTI discretization, no ODE
+solver); the command, the m output samples and the m plant states of
+the period are products on the logged ξ.  Every signal is read at the
+samples; the monitor watches only the measured outputs and the
 controller commands.
 
-The recursion multiplies by each loop matrix's bound ``dot``, the same
-BLAS call as ``@`` with less dispatch, except that a one-column matrix
-keeps ``np.matmul`` (see ``_matvec``).  The CSV export formats the trace
-column by column, in blocks of whole hold periods.  Both give the bytes of
-the plain ``@`` recursion and of the row-by-row writer, which the tests
-keep as oracles.
+The CSV export formats the trace column by column, in blocks of whole
+hold periods, with the bytes of the row-by-row writer the tests keep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from . import linalg
 from .errors import ConfigurationError, DimensionError
 from .factor import closed_loop_matrix, coprime_factorize, observer_controller
-from .lift import LiftedSystem
+from .lift import LiftedSystem, _lifted_blocks
 from .model import DiscretePlant, StateSpace
 
 __all__ = [
@@ -75,8 +72,9 @@ class LoopConfig:
     counts base steps.  ``attack`` is an attack plan (or None); its
     signals are rendered at the base rate for the actuator channel and at
     the sampling rate of the sensors (a plan on the lifted outputs is
-    unstacked into its m samples).  The plant starts from ``x0_plant``
-    (zero when None), the controller always from zero.
+    unstacked into its m samples).  The plant starts from ``x0_plant``, a
+    finite vector of length ``system.n`` (zero when None), the controller
+    always from zero.
     """
 
     system: DiscretePlant | LiftedSystem
@@ -101,6 +99,11 @@ class LoopConfig:
             raise ConfigurationError("horizon must be at least one step")
         if np.any(K.D):
             raise ConfigurationError("the loop requires a strictly proper controller")
+        if self.x0_plant is not None:
+            x0 = np.asarray(self.x0_plant, dtype=float)
+            if x0.shape != (sys.n,) or not np.isfinite(x0).all():
+                raise ConfigurationError(
+                    f"x0_plant must be a finite vector of length {sys.n}, got {x0.tolist()}")
 
     @property
     def mode(self) -> str:
@@ -174,15 +177,6 @@ def _render_attack(attack, n_base: int, n_u: int, m: int, n_y: int):
     return d_a, d_s
 
 
-def _assert_stable(plant_like, controller, what: str):
-    rho = linalg.spectral_radius(closed_loop_matrix(plant_like, controller))
-    if rho >= 1.0:
-        raise ConfigurationError(
-            f"{what} closed loop is unstable (spectral radius {rho:.6f}); "
-            "refusing to simulate"
-        )
-
-
 def _check_divergence(Y: np.ndarray, U: np.ndarray) -> None:
     """Refuse an attack-free run at the first hold period whose stacked
     measurements ``Y[k]`` or command ``U[k]`` pass the divergence guard.
@@ -198,30 +192,14 @@ def _check_divergence(Y: np.ndarray, U: np.ndarray) -> None:
         )
 
 
-def _matvec(M: np.ndarray):
-    """``v -> M @ v`` with the least dispatch that keeps its bits.
-
-    With two or more columns that is the bound ``M.dot``: it makes the
-    same BLAS call as ``@`` (gemv, or ddot for one row) at half the call
-    cost.  A one-column matrix keeps ``np.matmul``, because ``dot`` treats
-    a length-1 vector as a scalar and scales by it, which returns ``-0.0``
-    where ``@`` returns ``+0.0`` (a 1x1 product of a negative entry and
-    ``+0.0``, or any product that underflows to zero) and ``0`` where
-    ``@`` returns NaN (``0 * inf``).
-    """
-    return M.dot if M.shape[1] > 1 else partial(np.matmul, M)
-
-
 def _closed_loop(cfg: LoopConfig, mode: str) -> SimTrace:
     """The sampled-signal recursion behind both loop modes.
 
     It first checks that ``cfg`` is in ``mode`` and that the attack-free
-    closed loop is stable.  The fast plant then advances one exact sub-step per output
-    sample, m sub-steps per hold period while the input is held.  The m
-    measured sub-samples (each possibly corrupted by the sensor attack,
-    which runs at the sampling rate) are stacked and fed to the
-    controller, which emits the next held command.  Single rate is the
-    case m = 1 with the plant discretized at the hold period.  The
+    closed loop is stable.  Each hold period then steps ξ once with the
+    drive ``[d_a, stacked d_s] @ [[B, 0], [K.B·D, K.B]]ᵀ``: the held
+    command plus the actuator attack drives the system, and its m stacked
+    output samples plus the sensor attack feed the controller.  The
     monitor is evaluated per sample against the held command; an
     attack-free run is then refused at the first step past
     ``DIVERGENCE_GUARD``.
@@ -229,39 +207,38 @@ def _closed_loop(cfg: LoopConfig, mode: str) -> SimTrace:
     if cfg.mode != mode:
         raise ConfigurationError(f"configuration is not {mode}")
     K, sys = cfg.controller, cfg.system
-    _assert_stable(sys, K, mode.replace("_", "-"))
+    M = closed_loop_matrix(sys, K)
+    rho = linalg.spectral_radius(M)
+    if rho >= 1.0:
+        raise ConfigurationError(f"{mode.replace('_', '-')} closed loop is unstable "
+                                 f"(spectral radius {rho:.6f}); refusing to simulate")
     fast, m = (sys.fast_plant, sys.m) if mode == "dual_rate" else (sys, 1)
-    N = cfg.horizon
-    d_a, d_s = _render_attack(cfg.attack, N, fast.n_u, m, fast.n_y)
-
-    x = np.zeros(fast.n) if cfg.x0_plant is None else np.asarray(cfg.x0_plant, dtype=float)
-    xk = np.zeros(K.n)
-    u_log = np.empty((N, fast.n_u))
-    x_log = np.empty((N * m, fast.n))
-    y_phys = np.empty((N * m, fast.n_y))
-    # one row per hold period of the m stacked samples; Ys is a view
-    Ys, Ds = y_phys.reshape(N, -1), d_s.reshape(N, -1)
-    A, B, C, D = map(_matvec, (fast.A, fast.B, fast.C, fast.D))
-    KA, KB, KC = map(_matvec, (K.A, K.B, K.C))
+    N, n = cfg.horizon, sys.n
+    d_a, d_s = _render_attack(cfg.attack, N, sys.n_u, m, fast.n_y)
+    xi = np.zeros((N, n + K.n))  # ξ at the start of each hold period
+    if cfg.x0_plant is not None:
+        xi[0, :n] = cfg.x0_plant
+    drive_map = np.block([[sys.B, np.zeros((n, sys.n_y))], [K.B @ sys.D, K.B]])
 
     # Overflow is reported through the trace (non-finite rows), not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(N):
-            if xk[0] != xk[0] and np.isnan(xk).all() and np.isnan(x).all():
-                # An all-NaN loop state makes every later row NaN.
-                u_log[k:] = x_log[k * m :] = y_phys[k * m :] = np.nan
+        drive = np.hstack([d_a, d_s.reshape(N, -1)]) @ drive_map.T
+        for k in range(N - 1):
+            now = xi[k]
+            if now[0] != now[0] and np.isnan(now).all():
+                # M times an all-NaN loop state is all NaN, and so is every later row.
+                xi[k + 1 :] = np.nan
                 break
-            u_k = KC(xk)
-            u_applied = u_k + d_a[k]
-            u_log[k] = u_k
-            # the input is held over the m sub-steps
-            Du, Bu = D(u_applied), B(u_applied)
-            for idx in range(k * m, (k + 1) * m):
-                x_log[idx] = x
-                y_phys[idx] = C(x) + Du
-                x = A(x) + Bu
-            xk = KA(xk) + KB(Ys[k] + Ds[k])
+            xi[k + 1] = M @ now + drive[k]
 
+        x, u_log = xi[:, :n], xi[:, n:] @ K.C.T
+        u_applied = u_log + d_a
+        y_phys = (x @ sys.C.T + u_applied @ sys.D.T).reshape(N * m, -1)
+        # plant states at the samples: x itself, then rows [A^i, sum_{j<i} A^j B]
+        # of the fast plant (a product would turn inf * 0 into NaN in x)
+        _, _, Cx, Dx = _lifted_blocks(fast.A, fast.B, np.eye(n), np.zeros((n, sys.n_u)), m)
+        x_sub = (x @ Cx[n:].T + u_applied @ Dx[n:].T).reshape(N, m - 1, n)
+        x_log = np.concatenate([x[:, None], x_sub], axis=1).reshape(N * m, n)
         y_log = y_phys + d_s
         if cfg.attack is None:
             _check_divergence(y_log.reshape(N, -1), u_log)

@@ -21,7 +21,7 @@ from liftguard import (
 )
 from liftguard.errors import DimensionError, LiftguardError
 from liftguard.factor import _bezout_defect_scaled
-from liftguard.sim import _render_attack, monitor_eval
+from liftguard.sim import monitor_eval
 from liftguard.zeros import (
     _PROBE_POINTS,
     _Z_INFINITY_CUTOFF,
@@ -360,43 +360,35 @@ def run_lifted_closed_loop(L, controller, n_steps, d_a=None, d_s_stacked=None, x
 
 
 def reference_closed_loop(cfg):
-    """The recursion of ``sim._closed_loop`` with every product written
-    as ``@``: the bit-exact oracle for the engine's product calls.
-    Returns ``(u, y, x, y_physical, monitor)``.
+    """The loop stepped one fast sub-step per output sample, every product
+    written as ``@``, over the whole horizon with no early exit: the
+    oracle for ``sim``'s one step per hold period.  It runs on the fast
+    plant (the ZOH plant itself in single rate) with the held input and
+    the attack sequences the plan renders.  Returns ``(u, y, x,
+    y_physical, monitor)``.
     """
-    sys = cfg.system
-    K = cfg.controller
+    sys, K, N = cfg.system, cfg.controller, cfg.horizon
     fast, m = (sys.fast_plant, sys.m) if cfg.mode == "dual_rate" else (sys, 1)
-    N = cfg.horizon
-    d_a, d_s = _render_attack(cfg.attack, N, fast.n_u, m, fast.n_y)
-
+    d_a, d_s = np.zeros((N, fast.n_u)), np.zeros((N * m, fast.n_y))
+    if cfg.attack is not None:
+        seq_a = cfg.attack.actuator_sequence(N, fast.n_u)
+        seq_s = cfg.attack.sensor_sequence(N, fast.n_y, m)
+        d_a = d_a if seq_a is None else seq_a
+        d_s = d_s if seq_s is None else seq_s
     x = np.zeros(fast.n) if cfg.x0_plant is None else np.asarray(cfg.x0_plant, dtype=float)
     xk = np.zeros(K.n)
-    u_log = np.empty((N, fast.n_u))
-    x_log = np.empty((N * m, fast.n))
-    y_phys = np.empty((N * m, fast.n_y))
-    Ys, Ds = y_phys.reshape(N, -1), d_s.reshape(N, -1)
-    A, B, C, D = fast.A, fast.B, fast.C, fast.D
-    KA, KB, KC = K.A, K.B, K.C
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(N):
-            if xk[0] != xk[0] and np.isnan(xk).all() and np.isnan(x).all():
-                u_log[k:] = x_log[k * m :] = y_phys[k * m :] = np.nan
-                break
-            u_k = KC @ xk
-            u_applied = u_k + d_a[k]
-            u_log[k] = u_k
-            Du, Bu = D @ u_applied, B @ u_applied
-            for idx in range(k * m, (k + 1) * m):
-                x_log[idx] = x
-                y_phys[idx] = C @ x + Du
-                x = A @ x + Bu
-            xk = KA @ xk + KB @ (Ys[k] + Ds[k])
-
-        y_log = y_phys + d_s
-        _, monitor = monitor_eval(y_log, np.repeat(u_log, m, axis=0), cfg.theta)
-    return u_log, y_log, x_log, y_phys, monitor
+    u, xs, y_phys = np.empty((N, fast.n_u)), np.empty((N * m, fast.n)), np.empty((N * m, fast.n_y))
+    for k in range(N):
+        u[k] = K.C @ xk
+        ua = u[k] + d_a[k]
+        for i in range(k * m, (k + 1) * m):
+            xs[i] = x
+            y_phys[i] = fast.C @ x + fast.D @ ua
+            x = fast.A @ x + fast.B @ ua
+        xk = K.A @ xk + K.B @ (y_phys[k * m : (k + 1) * m] + d_s[k * m : (k + 1) * m]).ravel()
+    y = y_phys + d_s
+    _, monitor = monitor_eval(y, np.repeat(u, m, axis=0), cfg.theta)
+    return u, y, xs, y_phys, monitor
 
 
 def reference_trace_to_csv(trace, path):

@@ -419,6 +419,28 @@ class TestAttackAndSimulate:
         assert not (tmp_path / "trace.csv").exists()
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "theta, message",
+        [("1e300", "theta=1e+300 overflowed: the run aimed at epsilon=1.282e+254 peaks at nan"),
+         ("1e-300", "theta=1e-300 aims at epsilon=0.000e+00, outside the float range")],
+        ids=["huge", "tiny"],
+    )
+    def test_calibration_out_of_float_range_exit_4(self, plant_files, tmp_path, capsys,
+                                                  theta, message):
+        # the run aimed at half of a huge theta overflows, and half of a tiny
+        # one over the unit peak underflows; either used to reach the plan as
+        # an epsilon that is not positive and finite (exit 2, naming epsilon)
+        from liftguard import cli
+
+        argv = ["attack", "--plant", plant_files["unstable"], "--kind", "sensor",
+                "--theta", theta, "--out", str(tmp_path)]
+        assert cli.main(argv) == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "NumericError", "message": f"amplitude calibration at {message}"}
+        assert not (tmp_path / "plan.json").exists()
+
     def test_attack_rejects_horizon(self, plant_files, tmp_path):
         # a plan's horizon follows from its growth ratio, so attack takes none
         res = run_cli(
@@ -835,10 +857,14 @@ class TestParserCache:
             (("simulate", "@triple", "--T", "abc"), "argument --T: invalid float value: 'abc'"),
             (("lift",), "the following arguments are required: --plant"),
             (("scan",), "argument command: invalid choice: 'scan'"),
+            (("analyze", "@triple", "--m", "x"),
+             "argument --m: expected an integer or 'auto', got 'x'"),
+            (("simulate", "@triple", "--mode", "dual_rate", "--m", "1.5"),
+             "argument --m: expected an integer or 'auto', got '1.5'"),
         ],
         ids=["analyze_T_word", "analyze_unknown_flag", "verify_trials_word", "analyze_seed",
              "attack_seed", "simulate_seed", "lift_seed", "simulate_T_word", "lift_no_plant",
-             "unknown_command"],
+             "unknown_command", "analyze_m_word", "simulate_m_fraction"],
     )
     def test_usage_error_is_one_json_line(self, plant_files, tmp_path, capsys, argv, message):
         from liftguard import cli

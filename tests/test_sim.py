@@ -163,6 +163,18 @@ class TestDualRate:
         with pytest.raises(ConfigurationError, match="do not match the loop plant"):
             LoopConfig(system=P, controller=KL, theta=0.01, horizon=10)
 
+    @pytest.mark.parametrize(
+        "x0", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [[1.0], [2.0], [3.0]], [1.0, np.nan, 0.0],
+               [np.inf, 0.0, 0.0]],
+        ids=["short", "long", "column", "nan", "inf"],
+    )
+    def test_initial_state_checked_at_construction(self, x0):
+        # a wrong length used to fail at run time in numpy's broadcasting,
+        # and a NaN entry ran silently
+        cfg = standard_loop(discretize(triple_integrator(), 1.0), horizon=5)
+        with pytest.raises(ConfigurationError, match="x0_plant must be a finite vector of length 3"):
+            dataclasses.replace(cfg, x0_plant=x0)
+
     def test_requires_lifted_controller(self):
         P = discretize(stable_two_state(), 0.6)
         K = observer_controller(coprime_factorize(P))
@@ -187,40 +199,30 @@ def test_kilohertz_loop(make_plant, mode):
     assert spectral_radius(base.A + factors.H @ base.C) < 1.0
 
 
-def _unstopped_loop(cfg, plant):
-    """The loop recursion stepped over the whole horizon with no early
-    exit, on ``plant`` discretized at the loop's sampling period, from
-    ``cfg.x0_plant`` and with the rendered attack sequences; returns u, y,
-    x, y_physical and the monitor values."""
-    m = cfg.m or 1
-    fast = discretize(plant, cfg.T / m)
-    K, N = cfg.controller, cfg.horizon
-    d_a, d_s = np.zeros((N, fast.n_u)), np.zeros((N * m, fast.n_y))
-    if cfg.attack is not None:
-        seq_a = cfg.attack.actuator_sequence(N, fast.n_u)
-        seq_s = cfg.attack.sensor_sequence(N, fast.n_y, m)
-        d_a = d_a if seq_a is None else seq_a
-        d_s = d_s if seq_s is None else seq_s
-    x = np.zeros(fast.n) if cfg.x0_plant is None else np.asarray(cfg.x0_plant, dtype=float)
-    xk = np.zeros(K.n)
-    u, xs, y_phys = np.empty((N, fast.n_u)), np.empty((N * m, fast.n)), np.empty((N * m, fast.n_y))
-    for k in range(N):
-        u[k] = K.C @ xk
-        ua = u[k] + d_a[k]
-        for i in range(k * m, (k + 1) * m):
-            xs[i] = x
-            y_phys[i] = fast.C @ x + fast.D @ ua
-            x = fast.A @ x + fast.B @ ua
-        xk = K.A @ xk + K.B @ (y_phys[k * m : (k + 1) * m] + d_s[k * m : (k + 1) * m]).ravel()
-    y = y_phys + d_s
-    _, monitor = monitor_eval(y, np.repeat(u, m, axis=0), cfg.theta)
-    return u, y, xs, y_phys, monitor
+# Largest disagreement of a finite logged entry with the per-sub-step
+# oracle, relative to max(1, running max |x| of the oracle's plant state up
+# to the end of its hold period).  The worst case measured over
+# ORACLE_LOOPS and the loops of test_run_equals_reference_recursion is
+# 1.6e-15 (random_fat); the bound leaves a margin of about 60.
+LOOP_ORACLE_RTOL = 1e-13
 
 
-def _assert_trace_equals(trace, want):
+def _assert_trace_close(trace, want):
+    """``trace`` has the non-finite pattern of the oracle's ``want`` in
+    every logged array, and its finite entries agree within
+    ``LOOP_ORACLE_RTOL`` of the running state scale."""
+    m = trace.samples_per_step
+    x = want[2]
+    size = np.max(np.where(np.isfinite(x), np.abs(x), 0.0), axis=1).reshape(-1, m).max(axis=1)
+    per_step = np.maximum(1.0, np.maximum.accumulate(size))
     got = (trace.u, trace.y, trace.x, trace.y_physical, trace.monitor)
     for name, g, w in zip(("u", "y", "x", "y_physical", "monitor"), got, want):
-        np.testing.assert_array_equal(g, w, err_msg=name)
+        finite = np.isfinite(w)
+        assert g.shape == w.shape and np.array_equal(np.isfinite(g), finite), name
+        scale = per_step if g.shape[0] == per_step.size else np.repeat(per_step, m)
+        err = np.abs(np.where(finite, g, 0.0) - np.where(finite, w, 0.0))
+        err = np.max(err.reshape(g.shape[0], -1) / scale[:, None], initial=0.0)
+        assert err <= LOOP_ORACLE_RTOL, (name, err)
 
 
 def _run(cfg):
@@ -248,10 +250,10 @@ def test_overflowed_run_equals_unstopped_recursion(mode, overflow_plan):
     cfg = standard_loop(sampled(plant, 0.01, mode), horizon=2000, attack=overflow_plan)
     with np.errstate(all="ignore"):
         trace = _run(cfg)
-        want = _unstopped_loop(cfg, plant)
+        want = reference_closed_loop(cfg)
     all_nan = np.flatnonzero(np.isnan(trace.x).all(axis=1))
     assert all_nan.size and all_nan[0] < trace.x.shape[0] // 2
-    _assert_trace_equals(trace, want)
+    _assert_trace_close(trace, want)
 
 
 def _oscillator_dual_rate():
@@ -275,15 +277,14 @@ def _single_rate_from_x0():
 
 
 @pytest.mark.parametrize(
-    "make_cfg, make_plant",
-    [(_oscillator_dual_rate, light_oscillator), (_pole_at_2_sensor_plan, unstable_scalar),
-     (_single_rate_from_x0, stable_two_state)],
+    "make_cfg",
+    [_oscillator_dual_rate, _pole_at_2_sensor_plan, _single_rate_from_x0],
     ids=["oscillator_dual_rate_m3", "pole_at_2_sensor_m2", "single_rate_x0"],
 )
-def test_run_equals_reference_recursion(make_cfg, make_plant):
-    # the engine and the plain per-sub-step recursion agree bit for bit
+def test_run_equals_reference_recursion(make_cfg):
+    # the engine and the plain per-sub-step recursion agree within the bound
     cfg = make_cfg()
-    _assert_trace_equals(_run(cfg), _unstopped_loop(cfg, make_plant()))
+    _assert_trace_close(_run(cfg), reference_closed_loop(cfg))
 
 
 @pytest.mark.parametrize(
@@ -361,8 +362,8 @@ def _random_fat_plant():
 
 
 def _one_column_controller_output():
-    # one controller state and two inputs: u = K.C @ xk multiplies a 2x1
-    # matrix by a subnormal state, and the products underflow to +-0
+    # one controller state and two inputs, from a subnormal plant state
+    # whose products underflow to +-0
     plant = ContinuousPlant(A=[[-0.5]], B=[[1.0, -0.7]], C=[[1.0]], D=[[0.0, 0.0]])
     cfg = standard_loop(discretize(plant, 0.5), horizon=40)
     return dataclasses.replace(cfg, x0_plant=[1e-323])
@@ -383,8 +384,9 @@ ORACLE_LOOPS = {
 
 
 class TestBitExactOracles:
-    """The engine's product calls and the block-columnar CSV writer give
-    the same bytes as the ``@`` recursion and the row-by-row writer."""
+    """The engine agrees with the per-sub-step ``@`` recursion within
+    ``LOOP_ORACLE_RTOL``, and the block-columnar CSV writer gives the
+    bytes of the row-by-row writer."""
 
     @pytest.mark.parametrize("case", ORACLE_LOOPS)
     def test_loop_matches_matmul_recursion(self, case):
@@ -392,21 +394,7 @@ class TestBitExactOracles:
         with np.errstate(all="ignore"):
             trace = _run(cfg)
             want = reference_closed_loop(cfg)
-        got = (trace.u, trace.y, trace.x, trace.y_physical, trace.monitor)
-        for name, g, w in zip(("u", "y", "x", "y_physical", "monitor"), got, want):
-            assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
-
-    @pytest.mark.parametrize(
-        "case, shape",
-        [("pole_at_2_sensor_single", (1, 1)), ("pole_at_2_sensor_lifted_m2", (1, 1)),
-         ("one_column_underflow", (2, 1))],
-    )
-    def test_sign_of_zero_cases_keep_their_edge(self, case, shape):
-        # a negative one-column gain times the zero (or subnormal) start
-        # state: scaling by the state as a scalar gives -0.0 where ``@``
-        # gives +0.0, so these cases catch a product call that does so
-        gain = ORACLE_LOOPS[case]().controller.C
-        assert gain.shape == shape and np.any(gain < 0)
+        _assert_trace_close(trace, want)
 
     @pytest.mark.parametrize("case", ORACLE_LOOPS)
     def test_csv_matches_row_writer(self, case, tmp_path):
