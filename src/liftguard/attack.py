@@ -188,7 +188,9 @@ def _calibrate(cfg: LoopConfig, unit_plan: AttackPlan):
     the operating point.
 
     A probe run fixes the scale (rescaled by an exact power of two on
-    overflow, which commutes with floating-point simulation).  Each
+    overflow, which commutes with floating-point simulation: from a zero
+    initial state every product and sum of the loop's banded solve scales
+    exactly, short of underflow; tested).  Each
     further run aims the amplitude at the centre of the acceptance band
     (7/8, 1] times half the threshold, and the first run whose delivered
     peak lands in the band is the last.  Over long horizons the monitor

@@ -8,10 +8,12 @@ system.  Single rate is the dual-rate loop with one output sample per
 hold period.  One hold period is one step of the loop state ξ = [x; x_K],
 ``ξ' = Mξ + drive``, with M the closed-loop matrix and the drive the
 attack injected in that period (exact LTI discretization, no ODE
-solver); the command, the m output samples and the m plant states of
-the period are products on the logged ξ.  Every signal is read at the
-samples; the monitor watches only the measured outputs and the
-controller commands.
+solver).  A run solves these steps together, as the unit
+lower-triangular banded system ``[I; −M I; −M I; …]·Ξ = [ξ0; drive…]``
+(LAPACK ``dtbtrs``), a block of whole hold periods at a time; the
+command, the m output samples and the m plant states of each period are
+products on the solved ξ.  Every signal is read at the samples; the
+monitor watches only the measured outputs and the controller commands.
 
 The CSV export formats the trace column by column, in blocks of whole
 hold periods, with the bytes of the row-by-row writer the tests keep.
@@ -22,12 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dtbtrs
 
 from . import linalg
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError, DimensionError, NumericError
 from .factor import closed_loop_matrix, coprime_factorize, observer_controller
 from .lift import LiftedSystem, _lifted_blocks
-from .model import DiscretePlant, StateSpace
+from .model import DiscretePlant, StateSpace, _integer
 
 __all__ = [
     "LoopConfig",
@@ -44,6 +47,7 @@ __all__ = [
 
 DIVERGENCE_GUARD = 1e12
 _CSV_BLOCK_ROWS = 1024  # rows of trace text built before each write
+_SOLVE_BLOCK_STEPS = 128  # hold periods per banded solve of the loop
 
 
 @dataclass(frozen=True)
@@ -95,6 +99,10 @@ class LoopConfig:
             )
         if not 0 < self.theta < np.inf:
             raise ConfigurationError(f"theta must be positive and finite, got {self.theta}")
+        try:
+            object.__setattr__(self, "horizon", _integer(self.horizon))
+        except (TypeError, ValueError):
+            raise ConfigurationError(f"horizon must be an integer, got {self.horizon!r}") from None
         if self.horizon < 1:
             raise ConfigurationError("horizon must be at least one step")
         if np.any(K.D):
@@ -192,15 +200,31 @@ def _check_divergence(Y: np.ndarray, U: np.ndarray) -> None:
         )
 
 
+def _band(M: np.ndarray, steps: int) -> np.ndarray:
+    """LAPACK lower band storage (``dtbtrs``, ``uplo="L"``) of the unit
+    lower-triangular system ``[I; −M I; −M I; …]`` over ``steps`` hold
+    periods: ``band[d, j]`` is entry ``(j + d, j)``.  Its bandwidth is
+    2·n_ξ − 1; the unit diagonal (row 0) is not read."""
+    n = M.shape[0]
+    band = np.zeros((2 * n, steps * n), order="F")
+    for c in range(n):
+        band[n - c : 2 * n - c, c::n] = -M[:, c : c + 1]
+    return band
+
+
 def _closed_loop(cfg: LoopConfig, mode: str) -> SimTrace:
     """The sampled-signal recursion behind both loop modes.
 
     It first checks that ``cfg`` is in ``mode`` and that the attack-free
-    closed loop is stable.  Each hold period then steps ξ once with the
-    drive ``[d_a, stacked d_s] @ [[B, 0], [K.B·D, K.B]]ᵀ``: the held
-    command plus the actuator attack drives the system, and its m stacked
-    output samples plus the sensor attack feed the controller.  The
-    monitor is evaluated per sample against the held command; an
+    closed loop is stable.  Each hold period steps ξ once,
+    ``ξ' = Mξ + drive``, with the drive ``[d_a, stacked d_s] @ [[B, 0],
+    [K.B·D, K.B]]ᵀ``: the held command plus the actuator attack drives the
+    system, and its m stacked output samples plus the sensor attack feed
+    the controller.  The steps are solved by forward substitution in
+    place in ``xi``, ``_SOLVE_BLOCK_STEPS`` hold periods per LAPACK call,
+    each block starting from ``M·ξ_prev + drive``; the band of −M is built
+    once per run.  Past an all-NaN row every later row solves to NaN.
+    The monitor is evaluated per sample against the held command; an
     attack-free run is then refused at the first step past
     ``DIVERGENCE_GUARD``.
     """
@@ -222,14 +246,17 @@ def _closed_loop(cfg: LoopConfig, mode: str) -> SimTrace:
 
     # Overflow is reported through the trace (non-finite rows), not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        drive = np.hstack([d_a, d_s.reshape(N, -1)]) @ drive_map.T
-        for k in range(N - 1):
-            now = xi[k]
-            if now[0] != now[0] and np.isnan(now).all():
-                # M times an all-NaN loop state is all NaN, and so is every later row.
-                xi[k + 1 :] = np.nan
-                break
-            xi[k + 1] = M @ now + drive[k]
+        # right-hand side: ξ0, then drive[k] in the row of ξ_{k+1}
+        np.matmul(np.hstack([d_a, d_s.reshape(N, -1)])[:-1], drive_map.T, out=xi[1:])
+        band = _band(M, min(N, _SOLVE_BLOCK_STEPS))
+        for k0 in range(0, N, _SOLVE_BLOCK_STEPS):
+            block = xi[k0 : k0 + _SOLVE_BLOCK_STEPS]
+            if k0:
+                block[0] = M @ xi[k0 - 1] + block[0]
+            _, info = dtbtrs(band[:, : block.size], block.reshape(-1, 1), uplo="L", diag="U",
+                             overwrite_b=1)
+            if info:
+                raise NumericError(f"closed-loop banded solve failed (LAPACK dtbtrs info={info})")
 
         x, u_log = xi[:, :n], xi[:, n:] @ K.C.T
         u_applied = u_log + d_a

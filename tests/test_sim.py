@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,7 +22,7 @@ from liftguard import (
 )
 from liftguard.attack import synth_actuator_attack, synth_sensor_attack
 from liftguard.errors import ConfigurationError
-from liftguard.sim import _CSV_BLOCK_ROWS, LoopConfig, trace_metadata
+from liftguard.sim import _CSV_BLOCK_ROWS, _SOLVE_BLOCK_STEPS, LoopConfig, trace_metadata
 
 from helpers import (
     Injector,
@@ -175,6 +176,19 @@ class TestDualRate:
         with pytest.raises(ConfigurationError, match="x0_plant must be a finite vector of length 3"):
             dataclasses.replace(cfg, x0_plant=x0)
 
+    @pytest.mark.parametrize("horizon", [2.5, True, "5", None, float("inf")],
+                             ids=["fraction", "bool", "string", "none", "inf"])
+    def test_horizon_checked_at_construction(self, horizon):
+        # a fraction used to fail inside numpy and a boolean with a bare TypeError
+        P = discretize(triple_integrator(), 1.0)
+        with pytest.raises(ConfigurationError, match="horizon must be an integer"):
+            standard_loop(P, horizon=horizon)
+
+    def test_integral_float_horizon_becomes_int(self):
+        cfg = standard_loop(discretize(triple_integrator(), 1.0), horizon=200.0)
+        assert type(cfg.horizon) is int and cfg.horizon == 200
+        assert run_single_rate(cfg).u.shape == (200, 1)
+
     def test_requires_lifted_controller(self):
         P = discretize(stable_two_state(), 0.6)
         K = observer_controller(coprime_factorize(P))
@@ -245,7 +259,8 @@ def overflow_plan():
 @pytest.mark.parametrize("mode", ["single_rate", "dual_rate"])
 def test_overflowed_run_equals_unstopped_recursion(mode, overflow_plan):
     # the T = 0.01 actuator plan replayed over 2000 steps drives the loop
-    # state to NaN long before the end, where the engine stops stepping
+    # state to NaN long before the end; every later row must stay NaN, as
+    # in the recursion that keeps stepping
     plant = triple_integrator()
     cfg = standard_loop(sampled(plant, 0.01, mode), horizon=2000, attack=overflow_plan)
     with np.errstate(all="ignore"):
@@ -321,6 +336,84 @@ def test_overflow_replay_raises_no_warning(mode, overflow_plan):
         warnings.simplefilter("error")
         trace = _run(cfg)
     assert trace_metadata(trace)["first_nonfinite"] is not None
+
+
+BLOCK = _SOLVE_BLOCK_STEPS
+SEAM_LOOPS = {
+    "triple_T0.01_single": lambda h: _replay(0.01, "single_rate", horizon=h),
+    "triple_T0.01_dual": lambda h: _replay(0.01, "dual_rate", horizon=h),
+    "single_rate_x0": lambda h: dataclasses.replace(_single_rate_from_x0(), horizon=h),
+    "random_fat_dual": lambda h: dataclasses.replace(_random_fat_plant(), horizon=h),
+}
+
+
+class TestSolveBlocks:
+    """The run is solved ``_SOLVE_BLOCK_STEPS`` hold periods at a time;
+    the seams between blocks must not show."""
+
+    @pytest.mark.parametrize("horizon", [1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    @pytest.mark.parametrize("case", SEAM_LOOPS)
+    def test_seams_match_reference_recursion(self, case, horizon):
+        cfg = SEAM_LOOPS[case](horizon)
+        trace = _run(cfg)
+        assert trace.u.shape[0] == horizon
+        _assert_trace_close(trace, reference_closed_loop(cfg))
+
+    @pytest.mark.parametrize("mode", ["single_rate", "dual_rate"])
+    def test_overflow_across_a_seam(self, mode, overflow_plan):
+        # the overflow replay delayed so that its first non-finite loop
+        # state is the last row of a block and the first all-NaN one opens
+        # the next
+        cfg = _replay(0.01, mode, horizon=2000)
+
+        def rows(trace):
+            state = np.hstack([trace.x[:: trace.samples_per_step], trace.u])
+            return (np.flatnonzero(~np.isfinite(state).all(axis=1))[0],
+                    np.flatnonzero(np.isnan(state).all(axis=1))[0])
+
+        with np.errstate(all="ignore"):
+            first_bad, _ = rows(_run(cfg))
+            delay = -(first_bad + 1) % BLOCK
+            d_a = overflow_plan.actuator_sequence(2000 - delay, 1)
+            cfg = dataclasses.replace(
+                cfg, attack=Injector(np.vstack([np.zeros((delay, 1)), d_a]), np.zeros((0, 1))))
+            trace = _run(cfg)
+            want = reference_closed_loop(cfg)
+        first_bad, first_nan = rows(trace)
+        assert first_bad % BLOCK == BLOCK - 1 and first_nan == first_bad + 1
+        _assert_trace_close(trace, want)
+
+    @pytest.mark.parametrize("mode", ["single_rate", "dual_rate"])
+    def test_power_of_two_rescaling_commutes_with_the_solve(self, mode, overflow_plan):
+        # attack._calibrate rescales an overflowing probe by 2**-512 and
+        # reads the peak back at full scale
+        cfg = _replay(0.01, mode, horizon=2000)
+        with np.errstate(all="ignore"):
+            full, scaled = (
+                _run(dataclasses.replace(cfg, attack=dataclasses.replace(overflow_plan, epsilon=eps)))
+                for eps in (1.0, 2.0 ** -512))
+        finite = np.isfinite(full.monitor)
+        assert not finite.all() and finite[: 2 * BLOCK * full.samples_per_step].all()
+        assert np.array_equal(full.monitor[finite], scaled.monitor[finite] * 2.0 ** 512)
+
+
+@pytest.mark.parametrize(
+    "mode, parent_peak_mb", [("single_rate", 20.0), ("dual_rate", 51.2)])
+def test_long_run_memory(mode, parent_peak_mb):
+    # the in-place solve holds the logged arrays and one block of band:
+    # its peak may not pass that of the per-period loop (parent_peak_mb,
+    # measured on numpy 2.4) by more than 1 MB
+    plant = triple_integrator()
+    cfg = standard_loop(sampled(plant, 1.0, mode), horizon=100_000)
+    cfg = dataclasses.replace(cfg, x0_plant=1e-3 * np.ones(3))
+    tracemalloc.start()
+    try:
+        trace = _run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.verdict.stealthy and np.isfinite(trace.monitor).all()
+    assert peak <= (parent_peak_mb + 1.0) * 1e6, peak
 
 
 def _odd_values_trace(mode):
