@@ -5,11 +5,24 @@ Exit codes: 0 success; 2 parse/validation failure: a malformed file, period
 or Riccati weight; 3 capability failure (no plan for the verdict: "not
 vulnerable", "undecided"); 4 numeric failure or a failing ``verify``
 property; 5 configuration failure: loop parameters (``theta``, ``horizon``,
-an explicit ``m``) that cannot configure a loop, or a loop that is unstable
-or whose arrays the host refuses to allocate.  A usage error is a parse
+an explicit ``m`` below 2 or above ``MAX_EXPLICIT_M``) that cannot configure
+a loop, or a loop that is unstable or whose arrays the host refuses to
+allocate.  A usage error is a parse
 failure, and every failure is one JSON error line on stderr.  Every output
 embeds the tool version and the input file hash (``verify``: its seed); the
 timestamp is isolated in a single field so reruns are byte-identical otherwise.
+
+Replay contract: ``attack`` records in ``plan.json``'s ``loop`` object the
+loop it calibrated on: its mode, ``T``, ``m``, ``theta``, the parsed
+``Q``/``R`` weights (null when not given) and the observer controller's
+``A``, ``B`` and ``C`` (its ``D`` is zero).  ``simulate --plan`` closes its
+loop through that controller when the loop is the plan's own: the same
+plant-file hash, ``T``, mode, resolved m, ``Q`` and ``R``.  Otherwise, or
+when the plan records no controller, it designs the loop anew.  JSON
+floats round-trip exactly, so a recorded controller is bitwise the one
+``attack`` designed; a hand-edited one is replayed as given, after a shape
+and finiteness check (exit 2 naming ``loop.controller``) and subject to
+the loop's stability refusal (exit 5).
 """
 
 from __future__ import annotations
@@ -34,8 +47,15 @@ from .errors import (
     NumericError,
 )
 from .lift import build_lifted, check_assumptions
-from .model import _field, _integer, check_pathological, discretize, load_plant
-from .sim import run_dual_rate, run_single_rate, standard_loop, trace_metadata, trace_to_csv
+from .model import StateSpace, _field, _integer, check_pathological, discretize, load_plant
+from .sim import (
+    LoopConfig,
+    run_dual_rate,
+    run_single_rate,
+    standard_loop,
+    trace_metadata,
+    trace_to_csv,
+)
 from .zeros import classify_vulnerability, transmission_zeros
 from . import verify as verify_suite
 
@@ -46,6 +66,9 @@ EXIT_NUMERIC = 4
 EXIT_CONFIG = 5
 
 DEFAULT_HORIZON = 200
+# The largest explicit dual-rate factor: a loop design costs (m·n_y)³ and
+# its Bezout certificate (m·n_y)² memory before the loop runs a step.
+MAX_EXPLICIT_M = 256
 
 
 def _complex_dict(z):
@@ -190,6 +213,12 @@ def _explicit_m(args, m_file):
         raise ValueError(f"argument --m: expected an integer or 'auto', got {raw!r}") from None
     if m < 2:
         raise ConfigurationError(f"explicit m={m}: the dual-rate factor must be at least 2")
+    if m > MAX_EXPLICIT_M:
+        raise ConfigurationError(
+            f"explicit m={m}: the dual-rate factor must be at most {MAX_EXPLICIT_M}, since the "
+            "loop design grows like (m*n_y)^3; a design at the state dimension (ROADMAP item 17) "
+            "would lift this bound"
+        )
     return m
 
 
@@ -208,17 +237,23 @@ def _lifted(plant, T, m, report=True):
     return lifted, certificate[0], assumptions
 
 
-def _standard_loop(args, plant, T, m_file, horizon, attack=None):
-    """``standard_loop`` on the sampled system the loop flags of ``attack``
-    and ``simulate`` ask for: the ZOH plant at T, or the lifted system."""
+def _loop_design(args, plant, T, m_file):
+    """The sampled system the loop flags of ``attack`` and ``simulate`` ask
+    for (the ZOH plant at T, or the lifted system) and what its controller
+    design reads besides the plant file: mode, T, m and the parsed
+    ``Q``/``R`` weights, as ``plan.json``'s ``loop`` records them."""
     if args.mode == "dual_rate":
         system = _lifted(plant, T, _explicit_m(args, m_file), report=False)[0]
     else:
         system = discretize(plant, T)
-    return standard_loop(
-        system, theta=args.theta, horizon=horizon, attack=attack,
-        Q=_parse_weight(args.Q, "--Q"), R=_parse_weight(args.R, "--R"),
-    )
+    key = {
+        "mode": args.mode,
+        "T": T,
+        "m": system.m if args.mode == "dual_rate" else None,
+        "Q": _parse_weight(args.Q, "--Q"),
+        "R": _parse_weight(args.R, "--R"),
+    }
+    return system, key
 
 
 def cmd_analyze(args) -> int:
@@ -272,11 +307,18 @@ def cmd_analyze(args) -> int:
 
 def cmd_attack(args) -> int:
     plant, T, m_file, doc = _load(args)
-    cfg = _standard_loop(args, plant, T, m_file, DEFAULT_HORIZON)
+    system, key = _loop_design(args, plant, T, m_file)
+    cfg = standard_loop(system, theta=args.theta, horizon=DEFAULT_HORIZON,
+                        Q=key["Q"], R=key["R"])
     synth = synth_actuator_attack if args.kind == "actuator" else synth_sensor_attack
     plan = synth(cfg)
+    K = cfg.controller
     doc["plan"] = plan_to_dict(plan)
-    doc["loop"] = {"mode": cfg.mode, "T": T, "m": cfg.m, "theta": args.theta}
+    doc["loop"] = {
+        **key,
+        "theta": args.theta,
+        "controller": {"A": K.A.tolist(), "B": K.B.tolist(), "C": K.C.tolist()},
+    }
     _emit(doc, args, "plan.json")
     return EXIT_OK
 
@@ -289,6 +331,28 @@ def _recorded_m(plan_doc: dict):
     if not isinstance(loop, dict):
         raise ValueError(f"plan field 'loop' must be an object, not {type(loop).__name__}")
     return None if loop.get("m") is None else _field("plan loop", loop, "m", _integer)
+
+
+def _recorded_controller(plan_doc: dict, head: dict, system, key: dict):
+    """The controller ``plan_doc`` records under ``loop.controller`` when
+    its loop is the replay's own: the same plant-file hash and the same
+    ``key`` (mode, T, m, Q, R); None when it records none or the loops
+    differ.  A recorded controller whose matrices do not fit ``system``
+    (an observer controller has its order) or hold a non-finite entry is a
+    ValueError naming it."""
+    loop = plan_doc["loop"]
+    if ("controller" not in loop or plan_doc.get("input_sha256") != head["input_sha256"]
+            or any(loop.get(k) != v for k, v in key.items())):
+        return None
+    n, n_u, n_y = system.n, system.n_u, system.n_y
+    try:
+        K = loop["controller"]
+        for name, shape in (("A", (n, n)), ("B", (n, n_y)), ("C", (n_u, n))):
+            if np.shape(K[name]) != shape:
+                raise ValueError(f"{name} has shape {np.shape(K[name])}, expected {shape}")
+        return StateSpace(K["A"], K["B"], K["C"], np.zeros((n_u, n_y)))
+    except (TypeError, ValueError, KeyError) as exc:
+        raise ValueError(f"plan field 'loop.controller': {type(exc).__name__}: {exc}") from None
 
 
 def _check_replay_loop(plan, plan_m, n_y: int, cfg) -> None:
@@ -319,7 +383,13 @@ def cmd_simulate(args) -> int:
     horizon = args.horizon
     if horizon is None:
         horizon = plan.horizon if plan is not None else DEFAULT_HORIZON
-    cfg = _standard_loop(args, plant, T, m_file, horizon, attack=plan)
+    system, key = _loop_design(args, plant, T, m_file)
+    K = _recorded_controller(plan_doc, doc, system, key) if plan is not None else None
+    if K is None:
+        cfg = standard_loop(system, theta=args.theta, horizon=horizon, attack=plan,
+                            Q=key["Q"], R=key["R"])
+    else:
+        cfg = LoopConfig(system, K, args.theta, horizon, attack=plan)
     if plan is not None:
         _check_replay_loop(plan, plan_m, plant.n_y, cfg)
     trace = run_dual_rate(cfg) if args.mode == "dual_rate" else run_single_rate(cfg)

@@ -639,6 +639,139 @@ class TestAttackAndSimulate:
         assert verdict["result"]["max_monitor"] == 0.0
 
 
+def _count_designs(monkeypatch):
+    """Count the loop designs (``coprime_factorize`` as ``standard_loop``
+    calls it) and the Riccati solves (``linalg.dare_gain``) from here on."""
+    from liftguard import linalg, sim
+
+    calls = {"coprime_factorize": 0, "dare_gain": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sim, "coprime_factorize",
+                        counted("coprime_factorize", sim.coprime_factorize))
+    monkeypatch.setattr(linalg, "dare_gain", counted("dare_gain", linalg.dare_gain))
+    return calls
+
+
+class TestRecordedLoop:
+    """``plan.json`` records the controller ``attack`` calibrated on, and
+    ``simulate --plan`` closes its own loop through it when the loop is
+    the plan's: same plant file, T, mode, m, Q and R."""
+
+    @staticmethod
+    def _attack(cli, plant, out, *loop):
+        assert cli.main(["attack", "--plant", plant, *loop, "--out", str(out)]) == 0
+        return json.loads((out / "plan.json").read_text())
+
+    @pytest.mark.parametrize(
+        "plant, loop",
+        [
+            ("triple", ()),
+            ("triple", ("--Q", "2", "--R", "[[0.5]]")),
+            ("fat", ()),
+            ("unstable", ("--kind", "sensor")),
+            ("unstable", ("--kind", "sensor", "--mode", "dual_rate", "--m", "2")),
+        ],
+        ids=["triple", "triple_weighted", "fat", "sensor", "sensor_dual_rate"],
+    )
+    def test_matching_replay_designs_no_loop(
+        self, plant_files, tmp_path, monkeypatch, capsys, plant, loop
+    ):
+        from liftguard import cli
+
+        plan_doc = self._attack(cli, plant_files[plant], tmp_path / "plan", *loop)
+        K = plan_doc["loop"]["controller"]
+        assert sorted(K) == ["A", "B", "C"] and len(K["A"]) == len(K["C"][0])
+        without = tmp_path / "without.json"
+        del plan_doc["loop"]["controller"]
+        without.write_text(json.dumps(plan_doc))
+        flags = [flag for flag in loop if flag not in ("--kind", "sensor")]
+        replays = []
+        for path, designs, solves in [(tmp_path / "plan" / "plan.json", 0, 0), (without, 1, 2)]:
+            calls = _count_designs(monkeypatch)
+            argv = ["simulate", "--plant", plant_files[plant], "--plan", str(path), *flags,
+                    "--out", str(tmp_path / "replay")]
+            assert cli.main(argv) == 0
+            assert calls == {"coprime_factorize": designs, "dare_gain": solves}
+            replays.append([(tmp_path / "replay" / name).read_bytes()
+                            for name in ("trace.csv", "verdict.json")])
+        capsys.readouterr()
+        assert replays[0][0] == replays[1][0]
+        assert _untimed(replays[0][1].decode()) == _untimed(replays[1][1].decode())
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--Q", "2"), ("--mode", "dual_rate"), ("--T", "0.5"), ("edited",)],
+        ids=["Q", "dual_rate", "T", "edited_plant_file"],
+    )
+    def test_other_loop_designs_anew(self, plant_files, tmp_path, monkeypatch, capsys, flags):
+        from liftguard import cli
+
+        assert "controller" in self._attack(cli, plant_files["triple"], tmp_path)["loop"]
+        plant = plant_files["triple"]
+        if flags == ("edited",):
+            # the same plant, other bytes: the plan's input_sha256 no longer matches
+            edited = tmp_path / "triple_edited.json"
+            edited.write_text(json.dumps(json.loads(open(plant).read()), indent=1))
+            plant, flags = str(edited), ()
+        calls = _count_designs(monkeypatch)
+        argv = ["simulate", "--plant", plant, "--plan", str(tmp_path / "plan.json"), *flags,
+                "--horizon", "20", "--out", str(tmp_path / "replay")]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert calls == {"coprime_factorize": 1, "dare_gain": 2}
+
+    @pytest.mark.parametrize(
+        "controller, message",
+        [
+            ("abc", "TypeError"),
+            ({"A": [[0.5, 0.0], [0.0, 0.5]], "B": [[1.0], [1.0]], "C": [[1.0, 1.0]]},
+             "A has shape (2, 2), expected (3, 3)"),
+            ({"A": [[0.5, 0.0, 0.0], [0.0, math.nan, 0.0], [0.0, 0.0, 0.5]],
+              "B": [[1.0], [1.0], [1.0]], "C": [[1.0, 1.0, 1.0]]}, "non-finite"),
+        ],
+        ids=["string", "wrong_order", "non_finite"],
+    )
+    def test_bad_recorded_controller_exit_2(
+        self, plant_files, tmp_path, capsys, controller, message
+    ):
+        from liftguard import cli
+
+        plan_doc = self._attack(cli, plant_files["triple"], tmp_path)
+        plan_doc["loop"]["controller"] = controller
+        (tmp_path / "plan.json").write_text(json.dumps(plan_doc))
+        capsys.readouterr()
+        argv = ["simulate", "--plant", plant_files["triple"], "--plan",
+                str(tmp_path / "plan.json"), "--out", str(tmp_path / "replay")]
+        assert cli.main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "'loop.controller'" in err["message"] and message in err["message"]
+        assert not (tmp_path / "replay").exists()
+
+    def test_destabilizing_controller_exit_5(self, plant_files, tmp_path, capsys):
+        # a hand-edited controller is replayed as given: a zero controller
+        # leaves the pole at 2 in the loop, and the stability refusal holds
+        from liftguard import cli
+
+        plan_doc = self._attack(cli, plant_files["unstable"], tmp_path, "--kind", "sensor")
+        plan_doc["loop"]["controller"] = {"A": [[0.0]], "B": [[0.0]], "C": [[0.0]]}
+        (tmp_path / "plan.json").write_text(json.dumps(plan_doc))
+        capsys.readouterr()
+        argv = ["simulate", "--plant", plant_files["unstable"], "--plan",
+                str(tmp_path / "plan.json"), "--out", str(tmp_path / "replay")]
+        assert cli.main(argv) == 5
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigurationError"
+        assert "closed loop is unstable" in err["message"]
+        assert not (tmp_path / "replay" / "verdict.json").exists()
+
+
 class TestLift:
     def test_lift_report(self, plant_files):
         res = run_cli("lift", "--plant", plant_files["triple"])
@@ -662,6 +795,42 @@ class TestLift:
             res = run_cli(*cmd, "--plant", plant, *extra)
             assert res.returncode == 5, res.stderr
             assert "at least 2" in json.loads(res.stderr)["message"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("lift", "--m", "257"),
+            ("simulate", "--mode", "dual_rate", "--m", "100000"),
+            ("attack", "--mode", "dual_rate", "--m", "257"),
+        ],
+        ids=["lift", "simulate", "attack"],
+    )
+    def test_m_above_bound_exit_5(self, plant_files, tmp_path, monkeypatch, capsys, argv):
+        # refused before anything is lifted: the loop design at m = 1000
+        # did not finish in 60 s
+        from liftguard import cli
+
+        monkeypatch.setattr(cli, "build_lifted", None)
+        command, *flags = argv
+        full = [command, "--plant", plant_files["unstable"], *flags, "--out", str(tmp_path)]
+        assert cli.main(full) == 5
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigurationError"
+        assert f"m={flags[-1]}" in err["message"] and "at most 256" in err["message"]
+        assert "item 17" in err["message"]
+
+    def test_m_above_bound_reported_under_dual_rate(self, plant_files, tmp_path, capsys):
+        from liftguard import cli
+
+        path = tmp_path / "unstable_m.json"
+        path.write_text(json.dumps({**json.loads(open(plant_files["unstable"]).read()),
+                                    "m": 100000}))
+        for argv in (["--plant", plant_files["unstable"], "--m", "100000"],
+                     ["--plant", str(path)]):
+            assert cli.main(["analyze", *argv]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["single_rate"]["verdict"]["sensor_stealthy"] == "yes"
+            assert "at most 256" in doc["dual_rate"]["error"]
 
     @pytest.mark.parametrize(
         "command, flags, code",
