@@ -12,17 +12,23 @@ failure, and every failure is one JSON error line on stderr.  Every output
 embeds the tool version and the input file hash (``verify``: its seed); the
 timestamp is isolated in a single field so reruns are byte-identical otherwise.
 
+Checks run in one order: the plant file and the flags (``--m`` on every
+plant command, ``--Q``/``--R``), then the loop (an explicit m, the rank
+assumptions), then the plan file, then the loop parameters and stability.
+
 Replay contract: ``attack`` records in ``plan.json``'s ``loop`` object the
 loop it calibrated on: its mode, ``T``, ``m``, ``theta``, the parsed
 ``Q``/``R`` weights (null when not given) and the observer controller's
-``A``, ``B`` and ``C`` (its ``D`` is zero).  ``simulate --plan`` closes its
-loop through that controller when the loop is the plan's own: the same
-plant-file hash, ``T``, mode, resolved m, ``Q`` and ``R``.  Otherwise, or
-when the plan records no controller, it designs the loop anew.  JSON
-floats round-trip exactly, so a recorded controller is bitwise the one
-``attack`` designed; a hand-edited one is replayed as given, after a shape
-and finiteness check (exit 2 naming ``loop.controller``) and subject to
-the loop's stability refusal (exit 5).
+``A``, ``B`` and ``C`` (its ``D`` is zero).  ``simulate --plan`` reads that
+record once.  A plan that rides the lifted outputs of the dual-rate loop at
+its recorded m is refused (exit 5) in any other loop before that loop is
+designed.  The replay closes its loop through the recorded controller when
+the loop is the plan's own: the same plant-file hash, ``T``, mode, resolved
+m, ``Q`` and ``R``.  Otherwise, or when the plan records no controller, it
+designs the loop anew.  JSON floats round-trip exactly, so a recorded
+controller is bitwise the one ``attack`` designed; a hand-edited one is
+replayed as given, after a shape and finiteness check (exit 2 naming
+``loop.controller``) and subject to the loop's stability refusal (exit 5).
 """
 
 from __future__ import annotations
@@ -173,20 +179,29 @@ def _emit(doc: dict, args, default_name: str) -> None:
 
 
 def _load(args):
-    """Plant, hold period and file m of ``--plant``, and the head of the
-    output document: the version and the SHA-256 of the bytes parsed (the
-    file is read once)."""
+    """Plant, hold period, dual-rate factor (``--m``, else the file's ``m``;
+    None for ``auto``) and the head of the output document: the version and
+    the SHA-256 of the bytes parsed (the plant file is read once)."""
     with open(args.plant, "rb") as fh:
         data = fh.read()
-    plant, T_file, m_file = load_plant(data)
+    plant, T_file, m = load_plant(data)
     T = args.T if args.T is not None else T_file
+    if args.m == "auto":
+        m = None
+    elif args.m is not None:
+        try:
+            m = int(args.m)
+        except ValueError:
+            raise ValueError(
+                f"argument --m: expected an integer or 'auto', got {args.m!r}") from None
     head = {"version": __version__, "input_sha256": hashlib.sha256(data).hexdigest()}
-    return plant, T, m_file, head
+    return plant, T, m, head
 
 
 def _parse_weight(text, flag):
     """Riccati weight from the command line: a scalar or a JSON matrix.
-    Anything but finite numbers is a ValueError naming the flag."""
+    Anything but finite numbers (a boolean included) is a ValueError naming
+    the flag."""
     if text is None:
         return None
     try:
@@ -194,6 +209,9 @@ def _parse_weight(text, flag):
     except ValueError:
         value = json.loads(text)
     try:
+        # np.asarray reads True as 1 and [[1, true]] as integers
+        if any(isinstance(v, bool) for v in np.ravel(np.asarray(value, dtype=object))):
+            raise TypeError("a boolean is not a number")
         finite = np.isfinite(np.asarray(value, dtype=float)).all()
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{flag} must be a number or a matrix of numbers: {exc}") from None
@@ -202,30 +220,19 @@ def _parse_weight(text, flag):
     return value
 
 
-def _explicit_m(args, m_file):
-    """Dual-rate factor from --m or the plant file; None asks for the automatic choice."""
-    raw = args.m if args.m is not None else (str(m_file) if m_file else "auto")
-    if raw == "auto":
-        return None
-    try:
-        m = int(raw)
-    except ValueError:
-        raise ValueError(f"argument --m: expected an integer or 'auto', got {raw!r}") from None
-    if m < 2:
+def _lifted(plant, T, m, report=True):
+    """The lifted system at m (None: the smallest admissible), its block
+    certificate and its rank report (None for an automatic m unless
+    ``report``); an explicit m outside [2, ``MAX_EXPLICIT_M``] is rejected
+    before anything is lifted, and one that fails the rank tests after."""
+    if m is not None and m < 2:
         raise ConfigurationError(f"explicit m={m}: the dual-rate factor must be at least 2")
-    if m > MAX_EXPLICIT_M:
+    if m is not None and m > MAX_EXPLICIT_M:
         raise ConfigurationError(
             f"explicit m={m}: the dual-rate factor must be at most {MAX_EXPLICIT_M}, since the "
             "loop design grows like (m*n_y)^3; a design at the state dimension (ROADMAP item 17) "
             "would lift this bound"
         )
-    return m
-
-
-def _lifted(plant, T, m, report=True):
-    """The lifted system at m (None: the smallest admissible), its block
-    certificate and its rank report (None for an automatic m unless
-    ``report``); an explicit m that fails the rank tests is rejected."""
     certificate = []
     lifted = build_lifted(plant, T, m, certificate)
     assumptions = check_assumptions(lifted) if report or m is not None else None
@@ -237,27 +244,20 @@ def _lifted(plant, T, m, report=True):
     return lifted, certificate[0], assumptions
 
 
-def _loop_design(args, plant, T, m_file):
+def _loop_design(args, plant, T, m):
     """The sampled system the loop flags of ``attack`` and ``simulate`` ask
-    for (the ZOH plant at T, or the lifted system) and what its controller
-    design reads besides the plant file: mode, T, m and the parsed
-    ``Q``/``R`` weights, as ``plan.json``'s ``loop`` records them."""
-    if args.mode == "dual_rate":
-        system = _lifted(plant, T, _explicit_m(args, m_file), report=False)[0]
-    else:
-        system = discretize(plant, T)
-    key = {
-        "mode": args.mode,
-        "T": T,
-        "m": system.m if args.mode == "dual_rate" else None,
-        "Q": _parse_weight(args.Q, "--Q"),
-        "R": _parse_weight(args.R, "--R"),
-    }
-    return system, key
+    for (the ZOH plant at T, or the lifted system at m) and what its
+    controller design reads besides the plant file: mode, T, m and the
+    parsed ``Q``/``R`` weights, as ``plan.json``'s ``loop`` records them.
+    The weights are parsed before anything is sampled."""
+    Q, R = _parse_weight(args.Q, "--Q"), _parse_weight(args.R, "--R")
+    dual = args.mode == "dual_rate"
+    system = _lifted(plant, T, m, report=False)[0] if dual else discretize(plant, T)
+    return system, {"mode": args.mode, "T": T, "m": system.m if dual else None, "Q": Q, "R": R}
 
 
 def cmd_analyze(args) -> int:
-    plant, T, m_file, doc = _load(args)
+    plant, T, m, doc = _load(args)
 
     pathology = check_pathological(plant, T)
     P = discretize(plant, T)
@@ -286,7 +286,6 @@ def cmd_analyze(args) -> int:
     }
 
     try:
-        m = _explicit_m(args, m_file)
         lifted, _, assumptions = _lifted(plant, T, m)
         lifted_report = transmission_zeros(lifted, assumptions=assumptions)
         lifted_verdict = classify_vulnerability(lifted_report, system=lifted)
@@ -306,8 +305,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    plant, T, m_file, doc = _load(args)
-    system, key = _loop_design(args, plant, T, m_file)
+    plant, T, m, doc = _load(args)
+    system, key = _loop_design(args, plant, T, m)
     cfg = standard_loop(system, theta=args.theta, horizon=DEFAULT_HORIZON,
                         Q=key["Q"], R=key["R"])
     synth = synth_actuator_attack if args.kind == "actuator" else synth_sensor_attack
@@ -323,75 +322,57 @@ def cmd_attack(args) -> int:
     return EXIT_OK
 
 
-def _recorded_m(plan_doc: dict):
-    """The m of the loop a ``plan.json`` records in its ``loop`` object
-    (None for a single-rate loop); a ``loop`` that is not an object, or
-    an m that is not an integer, is a ValueError naming it."""
-    loop = plan_doc.get("loop")
+def _read_plan(path, head, system, plant_n_y, key):
+    """The attack plan in the ``plan.json`` at ``path``, and the controller
+    its ``loop`` records when that is the replay's own loop: the plant-file
+    hash of ``head`` and the ``key`` of the loop on ``system``; else None.
+    A malformed file, ``loop`` or recorded controller (one that does not fit
+    ``system`` or holds a non-finite entry) is a ValueError naming it; a
+    plan whose sensor channels reach past the plant's ``plant_n_y`` outputs
+    rides the lifted outputs at its recorded m, and any other loop is a
+    ConfigurationError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict) or "plan" not in doc:
+        raise ValueError("a plan file must be the JSON object that `attack` writes, "
+                         "with a 'plan' field")
+    plan = plan_from_dict(doc["plan"])
+    loop = doc.get("loop")
     if not isinstance(loop, dict):
         raise ValueError(f"plan field 'loop' must be an object, not {type(loop).__name__}")
-    return None if loop.get("m") is None else _field("plan loop", loop, "m", _integer)
-
-
-def _recorded_controller(plan_doc: dict, head: dict, system, key: dict):
-    """The controller ``plan_doc`` records under ``loop.controller`` when
-    its loop is the replay's own: the same plant-file hash and the same
-    ``key`` (mode, T, m, Q, R); None when it records none or the loops
-    differ.  A recorded controller whose matrices do not fit ``system``
-    (an observer controller has its order) or hold a non-finite entry is a
-    ValueError naming it."""
-    loop = plan_doc["loop"]
-    if ("controller" not in loop or plan_doc.get("input_sha256") != head["input_sha256"]
+    plan_m = None if loop.get("m") is None else _field("plan loop", loop, "m", _integer)
+    loop_m = key["m"] or 1  # single rate is the loop at m = 1
+    if max(plan.sensor_channels, default=-1) >= plant_n_y and loop_m != plan_m:
+        raise ConfigurationError(
+            f"the plan rides the lifted outputs of the dual-rate loop at m={plan_m}; "
+            f"it cannot be replayed in a {key['mode']} loop at m={loop_m}"
+        )
+    if ("controller" not in loop or doc.get("input_sha256") != head["input_sha256"]
             or any(loop.get(k) != v for k, v in key.items())):
-        return None
+        return plan, None
     n, n_u, n_y = system.n, system.n_u, system.n_y
     try:
         K = loop["controller"]
         for name, shape in (("A", (n, n)), ("B", (n, n_y)), ("C", (n_u, n))):
             if np.shape(K[name]) != shape:
                 raise ValueError(f"{name} has shape {np.shape(K[name])}, expected {shape}")
-        return StateSpace(K["A"], K["B"], K["C"], np.zeros((n_u, n_y)))
+        return plan, StateSpace(K["A"], K["B"], K["C"], np.zeros((n_u, n_y)))
     except (TypeError, ValueError, KeyError) as exc:
         raise ValueError(f"plan field 'loop.controller': {type(exc).__name__}: {exc}") from None
 
 
-def _check_replay_loop(plan, plan_m, n_y: int, cfg) -> None:
-    """A plan whose sensor channels reach past the plant's ``n_y`` outputs
-    rides the lifted outputs of the dual-rate loop at ``plan_m`` (the m its
-    ``plan.json`` records), so it replays only in that loop."""
-    if max(plan.sensor_channels, default=-1) < n_y:
-        return
-    loop_m = cfg.m or 1  # single rate is the loop at m = 1
-    if loop_m != plan_m:
-        raise ConfigurationError(
-            f"the plan rides the lifted outputs of the dual-rate loop at m={plan_m}; "
-            f"it cannot be replayed in a {cfg.mode} loop at m={loop_m}"
-        )
-
-
 def cmd_simulate(args) -> int:
-    plant, T, m_file, doc = _load(args)
-    plan = plan_m = None
-    if args.plan:
-        with open(args.plan, "r", encoding="utf-8") as fh:
-            plan_doc = json.load(fh)
-        if not isinstance(plan_doc, dict) or "plan" not in plan_doc:
-            raise ValueError("a plan file must be the JSON object that `attack` writes, "
-                             "with a 'plan' field")
-        plan = plan_from_dict(plan_doc["plan"])
-        plan_m = _recorded_m(plan_doc)
+    plant, T, m, doc = _load(args)
+    system, key = _loop_design(args, plant, T, m)
+    plan, K = _read_plan(args.plan, doc, system, plant.n_y, key) if args.plan else (None, None)
     horizon = args.horizon
     if horizon is None:
         horizon = plan.horizon if plan is not None else DEFAULT_HORIZON
-    system, key = _loop_design(args, plant, T, m_file)
-    K = _recorded_controller(plan_doc, doc, system, key) if plan is not None else None
     if K is None:
         cfg = standard_loop(system, theta=args.theta, horizon=horizon, attack=plan,
                             Q=key["Q"], R=key["R"])
     else:
         cfg = LoopConfig(system, K, args.theta, horizon, attack=plan)
-    if plan is not None:
-        _check_replay_loop(plan, plan_m, plant.n_y, cfg)
     trace = run_dual_rate(cfg) if args.mode == "dual_rate" else run_single_rate(cfg)
     doc["result"] = trace_metadata(trace)
     out_dir = args.out or "."
@@ -404,8 +385,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_lift(args) -> int:
-    plant, T, m_file, doc = _load(args)
-    m = _explicit_m(args, m_file)
+    plant, T, m, doc = _load(args)
     lifted, shift, assumptions = _lifted(plant, T, m)
     doc["lifted"] = {
         "m": lifted.m,
@@ -516,7 +496,7 @@ def main(argv=None) -> int:
     except (ConfigurationError, MemoryError) as exc:
         _error(exc)
         return EXIT_CONFIG
-    except (ModelError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ModelError, ValueError, KeyError, OSError) as exc:
         _error(exc)
         return EXIT_PARSE
 

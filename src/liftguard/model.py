@@ -285,8 +285,8 @@ def _integer(value) -> int:
 
 
 def load_plant(source):
-    """Load a plant spec from a dict, the bytes of a JSON file (UTF-8), a
-    JSON string, or a file path.
+    """Load a plant spec from one of three forms: a dict, the bytes of a
+    JSON file (UTF-8), or the path of one (any string, or a path-like).
 
     The document must be an object carrying ``Ac``, ``Bc``, ``Cc``, ``Dc``
     (the plant's A, B, C, D) as nested number arrays and ``T`` as a positive finite number; ``m``
@@ -299,12 +299,8 @@ def load_plant(source):
     elif isinstance(source, bytes):
         doc = json.loads(source.decode("utf-8"))
     else:
-        text = str(source)
-        if text.lstrip().startswith("{"):
-            doc = json.loads(text)
-        else:
-            with open(text, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+        with open(str(source), "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError(f"a plant spec must be a JSON object, not {type(doc).__name__}")
     missing = [k for k in ("Ac", "Bc", "Cc", "Dc", "T") if k not in doc]

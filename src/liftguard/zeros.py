@@ -145,11 +145,11 @@ def pencil_matrix(sys, z) -> np.ndarray:
     return M
 
 
-def _confirmed(sys, candidates=None, assumptions=None):
+def _confirmed(sys, assumptions=None):
     """(normal rank of the pencil of ``sys``, [(z, residual)] for each
-    candidate, by default the first pencil's finite eigenvalues, that drops
-    the rank of every pencil a zero of ``sys`` must drop).  A lifted system
-    whose observability stack O has full column rank adds, first, the small
+    finite eigenvalue of the first pencil that drops the rank of every
+    pencil a zero of ``sys`` must drop).  A lifted system whose
+    observability stack O has full column rank adds, first, the small
     system ``(A_l, B_l, [C_f; δ], [D_f; B_f/h])``, ``δ = (A_f - I)/h``: by
     ``X·C_l = O(I - A_f)`` and ``X·D_l = -O·B_f`` it has the lifted pencil's
     rank profile, and it stays well scaled as h shrinks and the lifted output
@@ -162,9 +162,7 @@ def _confirmed(sys, candidates=None, assumptions=None):
         delta = (f.A - np.eye(f.n)) / f.period
         small = StateSpace(sys.A, sys.B, np.vstack([f.C, delta]), np.vstack([f.D, f.B / f.period]))
         systems.insert(0, small)
-    if candidates is None:
-        candidates = [z for z in _candidates(systems[0]) if abs(z) <= _Z_INFINITY_CUTOFF]
-    found = [(complex(z), 0.0) for z in candidates]
+    found = [(z, 0.0) for z in _candidates(systems[0]) if abs(z) <= _Z_INFINITY_CUTOFF]
     for pencil_sys in systems:
         pencils = pencil_matrix(pencil_sys, [*_PROBE_POINTS, *(z for z, _ in found)])
         results = linalg.rank_svd(pencils)
@@ -280,7 +278,7 @@ def _classify(z: complex, multiplicity: int):
     return ("nmp_strict" if side == "outside" else "minimum_phase"), marginal
 
 
-def transmission_zeros(sys, minimality=None, assumptions=None) -> ZeroReport:
+def transmission_zeros(sys, assumptions=None) -> ZeroReport:
     """Finite transmission zeros and poles of a discrete state-space system.
 
     The candidates are the eigenvalues of one generalized eigenvalue
@@ -295,12 +293,12 @@ def transmission_zeros(sys, minimality=None, assumptions=None) -> ZeroReport:
     rank (zeros at z-infinity, reciprocal value 0) are reported as
     ``at_lambda_zero`` records and counted separately in the report.
 
-    ``minimality`` is ``check_minimal(sys)`` (``assumptions`` a lifted
-    system's ``check_assumptions(sys)``) when the caller already has it.
+    ``assumptions`` is a lifted system's ``check_assumptions(sys)`` when
+    the caller already has it.
     """
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
     n, n_u, n_y = A.shape[0], B.shape[1], C.shape[0]
-    _require_minimal(sys, minimality, "transmission zeros require")
+    _require_minimal(sys, None, "transmission zeros require")
     normal_rank, found = _confirmed(sys, assumptions=assumptions)
     shape = "square" if n_y == n_u else ("tall" if n_y > n_u else "fat")
 

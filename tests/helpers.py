@@ -27,7 +27,6 @@ from liftguard.zeros import (
     _Z_INFINITY_CUTOFF,
     CONFIRM_RTOL,
     _candidates,
-    _confirmed,
     _match_multisets,
     pencil_matrix,
 )
@@ -258,10 +257,16 @@ class Injector:
 
 
 def has_zero_at(sys, z: complex) -> bool:
-    """Rank test: does the system pencil (and, for a lifted system, its
-    small pencil) lose column rank at ``z`` (relative tolerance
-    ``CONFIRM_RTOL``)?  A non-finite ``z`` raises ``NumericError``."""
-    return bool(_confirmed(sys, [z])[1])
+    """Rank test: does every pencil of ``reference_rank_systems(sys)`` (the
+    system pencil and, for a lifted system, its small pencil) fall below its
+    normal rank at ``z``, judged at relative tolerance ``CONFIRM_RTOL``?
+    The normal rank is the largest rank at the probe points, at the default
+    tolerance.  A non-finite ``z`` raises ``NumericError``."""
+    for s in reference_rank_systems(sys):
+        normal = max(r.rank for r in linalg.rank_svd(pencil_matrix(s, _PROBE_POINTS)))
+        if linalg.rank_svd(pencil_matrix(s, z), rel_tol=CONFIRM_RTOL).rank >= normal:
+            return False
+    return True
 
 
 def reference_rank_systems(sys):

@@ -613,6 +613,10 @@ class TestAttackAndSimulate:
             ("--R", "[[1e999]]", "--R must be finite, got [[1e999]]"),
             ("--Q", '{"a": 1}', "--Q must be a number or a matrix of numbers"),
             ("--R", "0", "R must be positive definite"),
+            # np.asarray reads a JSON boolean as 1, alone or among numbers
+            ("--Q", "true", "--Q must be a number or a matrix of numbers"),
+            ("--R", "[[true]]", "--R must be a number or a matrix of numbers"),
+            ("--Q", "[[1, true]]", "--Q must be a number or a matrix of numbers"),
         ],
     )
     def test_invalid_weight_exit_2(self, plant_files, tmp_path, capsys, flag, value, message):
@@ -770,6 +774,66 @@ class TestRecordedLoop:
         assert err["error"] == "ConfigurationError"
         assert "closed loop is unstable" in err["message"]
         assert not (tmp_path / "replay" / "verdict.json").exists()
+
+
+class TestChecksOnce:
+    """Each input is checked once, where it is read: ``--m`` with the plant
+    file on every plant command, the plan file after the loop it replays
+    on is set up and before its controller is designed."""
+
+    @pytest.mark.parametrize("command", [("attack",), ("simulate", "--horizon", "5")],
+                             ids=["attack", "simulate"])
+    def test_single_rate_m_word_exit_2(self, plant_files, tmp_path, capsys, command):
+        # a single-rate loop reads no m, and --m x used to exit 0 there
+        from liftguard import cli
+
+        argv = [*command, "--plant", plant_files["unstable"], "--m", "x",
+                "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError",
+                       "message": "argument --m: expected an integer or 'auto', got 'x'"}
+        assert not (tmp_path / "out").exists()
+
+    def test_refused_replay_designs_no_loop(self, plant_files, tmp_path, monkeypatch, capsys):
+        # the m = 2 sensor plan rides two stacked outputs; at m = 3 the
+        # refusal used to come after the loop's two Riccati solves
+        from liftguard import cli
+
+        plan = tmp_path / "plan"
+        assert cli.main(["attack", "--kind", "sensor", "--plant", plant_files["unstable"],
+                         "--mode", "dual_rate", "--m", "2", "--out", str(plan)]) == 0
+        capsys.readouterr()
+        calls = _count_designs(monkeypatch)
+        argv = ["simulate", "--plant", plant_files["unstable"], "--plan",
+                str(plan / "plan.json"), "--mode", "dual_rate", "--m", "3",
+                "--out", str(tmp_path / "replay")]
+        assert cli.main(argv) == 5
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigurationError" and "m=2" in err["message"]
+        assert calls == {"coprime_factorize": 0, "dare_gain": 0}
+        assert not (tmp_path / "replay").exists()
+
+    @pytest.mark.parametrize(
+        "flags, code, message",
+        [
+            (("--m", "1", "--Q", "nan"), 2, "--Q must be finite"),
+            (("--m", "1", "--plan", "@bad"), 5, "must be at least 2"),
+        ],
+        ids=["flag_before_loop", "loop_before_plan_file"],
+    )
+    def test_two_faults_fail_in_check_order(
+        self, plant_files, tmp_path, capsys, flags, code, message
+    ):
+        # the plant file and flags first, then the loop, then the plan file
+        from liftguard import cli
+
+        flags = [plant_files["bad"] if flag == "@bad" else flag for flag in flags]
+        argv = ["simulate", "--plant", plant_files["triple"], "--mode", "dual_rate", *flags,
+                "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == code
+        assert message in json.loads(capsys.readouterr().err)["message"]
+        assert not (tmp_path / "out").exists()
 
 
 class TestLift:

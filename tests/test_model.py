@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -283,12 +284,18 @@ class TestPlantIO:
         plant = triple_integrator()
         doc = plant_to_dict(plant, T=0.5, m=4)
         path = tmp_path / "plant.json"
-        import json
-
         path.write_text(json.dumps(doc))
         loaded, T, m = load_plant(str(path))
         assert T == 0.5 and m == 4
         np.testing.assert_array_equal(loaded.A, plant.A)
+
+    def test_string_is_a_path(self, tmp_path):
+        # a JSON text is not a plant source: only a dict, bytes or a path
+        text = json.dumps(plant_to_dict(triple_integrator(), T=0.5))
+        with pytest.raises(FileNotFoundError):
+            load_plant(text)
+        loaded, T, m = load_plant(text.encode("utf-8"))
+        assert T == 0.5 and m is None
 
     def test_missing_field(self):
         with pytest.raises(ValueError, match="missing"):
