@@ -53,7 +53,8 @@ from .errors import (
     NumericError,
 )
 from .lift import build_lifted, check_assumptions
-from .model import StateSpace, _field, _integer, check_pathological, discretize, load_plant
+from .model import (StateSpace, _field, _integer, _no_booleans, check_pathological, discretize,
+                    load_plant)
 from .sim import (
     LoopConfig,
     run_dual_rate,
@@ -209,10 +210,7 @@ def _parse_weight(text, flag):
     except ValueError:
         value = json.loads(text)
     try:
-        # np.asarray reads True as 1 and [[1, true]] as integers
-        if any(isinstance(v, bool) for v in np.ravel(np.asarray(value, dtype=object))):
-            raise TypeError("a boolean is not a number")
-        finite = np.isfinite(np.asarray(value, dtype=float)).all()
+        finite = np.isfinite(np.asarray(_no_booleans(value), dtype=float)).all()
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{flag} must be a number or a matrix of numbers: {exc}") from None
     if not finite:
@@ -327,10 +325,10 @@ def _read_plan(path, head, system, plant_n_y, key):
     its ``loop`` records when that is the replay's own loop: the plant-file
     hash of ``head`` and the ``key`` of the loop on ``system``; else None.
     A malformed file, ``loop`` or recorded controller (one that does not fit
-    ``system`` or holds a non-finite entry) is a ValueError naming it; a
-    plan whose sensor channels reach past the plant's ``plant_n_y`` outputs
-    rides the lifted outputs at its recorded m, and any other loop is a
-    ConfigurationError."""
+    ``system`` or holds a boolean or a non-finite entry) is a ValueError
+    naming it; a plan whose sensor channels reach past the plant's
+    ``plant_n_y`` outputs rides the lifted outputs at its recorded m, and
+    any other loop is a ConfigurationError."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or "plan" not in doc:
@@ -354,6 +352,7 @@ def _read_plan(path, head, system, plant_n_y, key):
     try:
         K = loop["controller"]
         for name, shape in (("A", (n, n)), ("B", (n, n_y)), ("C", (n_u, n))):
+            _no_booleans(K[name])
             if np.shape(K[name]) != shape:
                 raise ValueError(f"{name} has shape {np.shape(K[name])}, expected {shape}")
         return plan, StateSpace(K["A"], K["B"], K["C"], np.zeros((n_u, n_y)))

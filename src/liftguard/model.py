@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -273,6 +272,20 @@ def _field(what: str, doc: dict, key: str, convert):
         raise ValueError(f"{what} field {key!r}: {type(exc).__name__}: {exc}") from None
 
 
+def _no_booleans(value):
+    """``value`` itself; a TypeError when it or an entry of its nested
+    lists is a boolean or a boolean array, which ``float`` and numpy read
+    as 1 or 0."""
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, (list, tuple)):
+            stack.extend(v)
+        elif isinstance(v, (bool, np.bool_)) or isinstance(v, np.ndarray) and v.dtype == bool:
+            raise TypeError("a boolean is not a number")
+    return value
+
+
 def _integer(value) -> int:
     """``value`` as an int: an integral number, never a boolean."""
     if isinstance(value, bool):
@@ -290,9 +303,9 @@ def load_plant(source):
 
     The document must be an object carrying ``Ac``, ``Bc``, ``Cc``, ``Dc``
     (the plant's A, B, C, D) as nested number arrays and ``T`` as a positive finite number; ``m``
-    (integer >= 1) and ``name`` are optional.  A field of the wrong type is
-    a ValueError that names it.  Returns ``(plant, T, m)`` with ``m``
-    possibly None.
+    (integer >= 1) and ``name`` are optional.  A field of the wrong type,
+    a boolean among its numbers included, is a ValueError that names it.
+    Returns ``(plant, T, m)`` with ``m`` possibly None.
     """
     if isinstance(source, dict):
         doc = source
@@ -306,7 +319,7 @@ def load_plant(source):
     missing = [k for k in ("Ac", "Bc", "Cc", "Dc", "T") if k not in doc]
     if missing:
         raise ValueError(f"plant spec is missing fields: {missing}")
-    T = _field("plant", doc, "T", float)
+    T = _field("plant", doc, "T", lambda v: float(_no_booleans(v)))
     if not 0 < T < np.inf:
         raise ValueError(f"T must be positive and finite, got {T}")
     m = doc.get("m")
@@ -314,6 +327,6 @@ def load_plant(source):
         m = _field("plant", doc, "m", _integer)
         if m < 1:
             raise ValueError(f"m must be a positive integer, got {m}")
-    matrices = [_field("plant", doc, k, partial(np.asarray, dtype=float))
+    matrices = [_field("plant", doc, k, lambda v: np.asarray(_no_booleans(v), dtype=float))
                 for k in ("Ac", "Bc", "Cc", "Dc")]
     return ContinuousPlant(*matrices, name=str(doc.get("name", ""))), T, m

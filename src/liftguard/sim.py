@@ -16,7 +16,10 @@ products on the solved ξ.  Every signal is read at the samples; the
 monitor watches only the measured outputs and the controller commands.
 
 The CSV export formats the trace column by column, in blocks of whole
-hold periods, with the bytes of the row-by-row writer the tests keep.
+hold periods, with the bytes of the row-by-row writer the tests keep.  It
+calls ``repr`` once per run of bit-identical values in a column, and not
+at all for a monitor value that is the magnitude of an output or command
+entry in its row: that entry's text, without its sign, is the value's.
 """
 
 from __future__ import annotations
@@ -329,9 +332,32 @@ def _repeated(text: list, repeat: int) -> list:
 
 
 def _column_text(values: np.ndarray, repeat: int = 1) -> list:
-    """``repr`` of each value of a 1-D float array, each string repeated
-    ``repeat`` times in a row."""
-    return _repeated(list(map(repr, values.tolist())), repeat)
+    """``repr`` of each value of a 1-D float64 array, each string repeated
+    ``repeat`` times in a row; ``repr`` runs once per run of neighbours
+    with equal bit patterns."""
+    bits = values.view(np.int64)
+    starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+    if starts.size + 1 == values.size:
+        return _repeated(list(map(repr, values.tolist())), repeat)
+    starts = np.concatenate(([0], starts))
+    text = np.array(list(map(repr, values[starts].tolist())), dtype=object)
+    return np.repeat(text, np.diff(starts, append=values.size) * repeat).tolist()
+
+
+def _monitor_text(monitor: np.ndarray, signals: np.ndarray, texts: list) -> list:
+    """Text of the monitor column, from the rows of the ``signals`` it
+    watches and their column texts ``texts``: the text of the entry each
+    row's max-norm picks (``argmax |·|``), without its sign, where the
+    value is bit for bit that entry's magnitude, and ``repr`` elsewhere."""
+    rows = np.arange(signals.shape[0])
+    col = np.argmax(np.abs(signals), axis=1)
+    picked = signals[rows, col]
+    matched = np.abs(picked).view(np.int64) == monitor.view(np.int64)
+    text = np.array(texts, dtype=object)[col, rows]
+    negative = matched & np.signbit(picked) & ~np.isnan(picked)
+    text[negative] = [s[1:] for s in text[negative].tolist()]
+    text[~matched] = list(map(repr, monitor[~matched].tolist()))
+    return text.tolist()
 
 
 def trace_to_csv(trace: SimTrace, path) -> None:
@@ -343,8 +369,17 @@ def trace_to_csv(trace: SimTrace, path) -> None:
 
     The text is built column by column, a block of whole hold periods
     (about ``_CSV_BLOCK_ROWS`` rows) at a time, so the strings held at once
-    stay bounded for any horizon; the base-rate columns (``u``, ``da``)
-    are formatted once per hold period and repeated for its m rows.
+    stay bounded for any horizon.  Each run of equal neighbours in a column
+    is formatted once and its string repeated; the base-rate columns
+    (``u``, ``da``) are formatted once per hold period and repeated for its
+    m rows.  Neighbours are equal when their float64 bit patterns are, so
+    they have one ``repr``: +0.0 and -0.0 stay apart, and a NaN prints
+    ``nan`` whatever its sign or payload.  A monitor value that is bit for
+    bit the magnitude of the ``y``/``u`` entry its row's max-norm picks
+    takes that entry's text without a leading ``-``, which is its ``repr``,
+    since ``repr(-x) == "-" + repr(x)`` for every float but NaN; any other
+    monitor value (only a hand-built trace has one) is formatted.  So the
+    bytes are those of ``repr`` on every value.
     """
     m = trace.samples_per_step
     n_u = trace.u.shape[1]
@@ -364,16 +399,19 @@ def trace_to_csv(trace: SimTrace, path) -> None:
         for k0 in range(0, trace.u.shape[0], block):
             k1 = min(k0 + block, trace.u.shape[0])
             rows = slice(k0 * m, k1 * m)
-            monitor = trace.monitor[rows]
+            monitor, u, y = trace.monitor[rows], trace.u[k0:k1], trace.y[rows]
+            u_text = [_column_text(col, m) for col in u.T]
+            y_text = [_column_text(col) for col in y.T]
             columns = [
                 _repeated(list(map(str, range(k0, k1))), m),
                 substeps * (k1 - k0),
                 _column_text(trace.times[rows]),
-                *(_column_text(col, m) for col in trace.u[k0:k1].T),
-                *(_column_text(col) for col in trace.y[rows].T),
+                *u_text,
+                *y_text,
                 *(_column_text(col, m) for col in trace.d_a[k0:k1].T),
                 *(_column_text(col) for col in trace.d_s[rows].T),
-                _column_text(monitor),
+                _monitor_text(monitor, np.hstack([y, np.repeat(u, m, axis=0)]),
+                              y_text + u_text),
                 np.where(monitor <= trace.theta, "0", "1").tolist(),
             ]
             fh.write("\r\n".join(map(",".join, zip(*columns, strict=True))) + "\r\n")

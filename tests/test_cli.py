@@ -357,13 +357,19 @@ class TestAttackAndSimulate:
             ("plan", lambda doc: doc["plan"].update(horizon=True), "'horizon'"),
             ("plan", lambda doc: doc["plan"].update(channel_map=[0.7]), "'channel_map'"),
             ("plan", lambda doc: doc["plan"].update(channel_map=[False]), "'channel_map'"),
+            # float and np.asarray read a JSON boolean as 1 or 0
+            ("plant", lambda doc: doc.update(Bc=[[True]]), "plant field 'Bc'"),
+            ("plant", lambda doc: doc.update(T=True), "plant field 'T'"),
+            ("plan", lambda doc: doc["loop"]["controller"]["C"][0].__setitem__(0, False),
+             "'loop.controller'"),
         ],
         ids=["plant_Ac_object", "plant_T_null", "plan_direction_numbers", "plan_direction_empty",
              "plan_zeta_number",
              "plan_file_list", "plan_file_bare", "plan_loop_missing", "plan_loop_list", "plan_loop_string", "plan_loop_m_fraction",
              "plan_loop_m_string", "plant_m_fraction", "plant_m_boolean",
              "plan_horizon_fraction", "plan_horizon_boolean", "plan_channel_map_fraction",
-             "plan_channel_map_boolean"],
+             "plan_channel_map_boolean", "plant_Bc_boolean", "plant_T_boolean",
+             "plan_loop_controller_boolean"],
     )
     def test_malformed_input_file_exit_2(
         self, plant_files, tmp_path, capsys, target, edit, field

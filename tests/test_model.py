@@ -297,6 +297,16 @@ class TestPlantIO:
         loaded, T, m = load_plant(text.encode("utf-8"))
         assert T == 0.5 and m is None
 
+    @pytest.mark.parametrize("key, value", [("Ac", [[0.5, True], [0.0, -1.0]]),
+                                            ("Bc", [[True], [1.0]]), ("Cc", [[1, False]]),
+                                            ("Dc", [[False]]), ("T", True)])
+    def test_boolean_is_not_a_number(self, key, value):
+        # float and np.asarray read True as 1 and False as 0
+        doc = {"Ac": [[0.0, 1.0], [0.0, -1.0]], "Bc": [[0.0], [1.0]], "Cc": [[1.0, 0.0]],
+               "Dc": [[0.0]], "T": 1.0, key: value}
+        with pytest.raises(ValueError, match=f"plant field '{key}': TypeError: a boolean"):
+            load_plant(doc)
+
     def test_missing_field(self):
         with pytest.raises(ValueError, match="missing"):
             load_plant({"Ac": [[0.0]], "Bc": [[1.0]], "Cc": [[1.0]], "Dc": [[0.0]]})

@@ -22,7 +22,9 @@ from liftguard import (
 )
 from liftguard.attack import synth_actuator_attack, synth_sensor_attack
 from liftguard.errors import ConfigurationError
-from liftguard.sim import _CSV_BLOCK_ROWS, _SOLVE_BLOCK_STEPS, LoopConfig, trace_metadata
+from liftguard import sim
+from liftguard.sim import (_CSV_BLOCK_ROWS, _SOLVE_BLOCK_STEPS, LoopConfig, SimTrace, Verdict,
+                           trace_metadata)
 
 from helpers import (
     Injector,
@@ -397,12 +399,21 @@ class TestSolveBlocks:
         assert np.array_equal(full.monitor[finite], scaled.monitor[finite] * 2.0 ** 512)
 
 
+# Writing the trace holds one block of text, each run of equal values as
+# one string and each monitor value as the string of the entry it is the
+# magnitude of: the bound is 0.85 of the peak of the writer that formats
+# every value (1.00 and 0.78 MB on Python 3.11, numpy 2.4).
+CSV_PEAK_MB = {"single_rate": 0.85, "dual_rate": 0.68}
+
+
 @pytest.mark.parametrize(
     "mode, parent_peak_mb", [("single_rate", 20.0), ("dual_rate", 51.2)])
-def test_long_run_memory(mode, parent_peak_mb):
+def test_long_run_memory(mode, parent_peak_mb, tmp_path):
     # the in-place solve holds the logged arrays and one block of band:
     # its peak may not pass that of the per-period loop (parent_peak_mb,
-    # measured on numpy 2.4) by more than 1 MB
+    # measured on numpy 2.4) by more than 1 MB.  The writer's peak is
+    # bounded by CSV_PEAK_MB; only memory is asserted, since tracing
+    # allocations slows the writer several times.
     plant = triple_integrator()
     cfg = standard_loop(sampled(plant, 1.0, mode), horizon=100_000)
     cfg = dataclasses.replace(cfg, x0_plant=1e-3 * np.ones(3))
@@ -414,6 +425,13 @@ def test_long_run_memory(mode, parent_peak_mb):
         tracemalloc.stop()
     assert trace.verdict.stealthy and np.isfinite(trace.monitor).all()
     assert peak <= (parent_peak_mb + 1.0) * 1e6, peak
+    tracemalloc.start()
+    try:
+        trace_to_csv(trace, tmp_path / "trace.csv")
+        csv_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert csv_peak <= CSV_PEAK_MB[mode] * 1e6, csv_peak
 
 
 def _odd_values_trace(mode):
@@ -432,6 +450,43 @@ def _odd_values_trace(mode):
         u[j % 5, 0], d_a[(j + 1) % 5, 0] = v, v
         y[j, 0], d_s[j + 7, 0], monitor[j + 12] = v, v, v
     return dataclasses.replace(trace, u=u, y=y, d_a=d_a, d_s=d_s, monitor=monitor)
+
+
+def _runs_trace(mode):
+    """A hand-built trace that crosses one write-block seam: two commands
+    at single rate, two outputs at m = 3 in dual rate.  It carries
+    adjacent +0.0/-0.0, NaNs of both signs with different payloads, runs
+    of +inf and -inf, runs across the seam, monitor values that are the
+    magnitude of a negative output and of a negative command, and monitor
+    values that are no signal's magnitude."""
+    m, n_u, n_y = (1, 2, 1) if mode == "single_rate" else (3, 1, 2)
+    seam = _CSV_BLOCK_ROWS // m  # hold periods in the first write block
+    N = seam + 40
+    rng = np.random.default_rng(11)
+    u, y = rng.standard_normal((N, n_u)), rng.standard_normal((N * m, n_y))
+    d_a, d_s = np.zeros((N, n_u)), rng.standard_normal((N * m, n_y))
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                     0xFFF8000000000ABC], dtype=np.uint64).view(float)
+    signed_zeros = [0.0, -0.0, -0.0, 0.0, 0.0, -0.0]
+    y[10:18, 0] = nans[[0, 0, 1, 1, 2, 3, 3, 0]]
+    y[20:26, -1] = d_s[30:36, 0] = signed_zeros
+    u[30:36, 0] = d_a[4:10, -1] = signed_zeros
+    u[40:45, -1], u[45:50, -1] = np.inf, -np.inf
+    d_a[12:16, 0] = nans[[1, 1, 2, 0]]
+    d_s[40:45, -1], d_s[45:50, -1] = -np.inf, np.inf
+    u[seam - 5 : seam + 5, -1] = 0.25
+    y[(seam - 5) * m : (seam + 5) * m, 0] = -3.0
+    d_s[(seam - 4) * m : (seam + 6) * m, -1] = 0.0
+    y[100, -1], u[70, -1] = -9.25, -11.5  # picked by the max-norm
+    theta = 2.0
+    _, monitor = monitor_eval(y, np.repeat(u, m, axis=0), theta)
+    assert monitor[100] == 9.25 and monitor[70 * m] == 11.5
+    monitor[[60, 61, 62, 63]] = [1 / 3, -0.0, nans[3], -np.inf]
+    return SimTrace(
+        times=np.arange(N * m) * (0.01 / m), u=u, y=y, d_a=d_a, d_s=d_s, monitor=monitor,
+        verdict=Verdict(detected=True, step=0), theta=theta, mode=mode, T=0.01,
+        samples_per_step=m, x=np.zeros((N * m, 1)), y_physical=y,
+    )
 
 
 def _replay(T, mode, horizon=None):
@@ -504,6 +559,13 @@ class TestBitExactOracles:
         reference_trace_to_csv(trace, tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
+    @pytest.mark.parametrize("mode", ["single_rate", "dual_rate"])
+    def test_csv_matches_row_writer_on_runs(self, mode, tmp_path):
+        trace = _runs_trace(mode)
+        trace_to_csv(trace, tmp_path / "got.csv")
+        reference_trace_to_csv(trace, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
     def test_oracle_traces_span_several_write_blocks(self):
         with np.errstate(all="ignore"):
             rows = [_run(ORACLE_LOOPS[c]()).y.shape[0]
@@ -540,6 +602,37 @@ class TestTraceExport:
         assert [(int(r[0]), int(r[1])) for r in rows] == [divmod(i, 4) for i in range(20)]
         assert [r[-1] for r in rows] == ["0" if v <= trace.theta else "1" for v in monitor]
         assert rows[12][-1] == "1"  # the NaN monitor row
+
+    @pytest.mark.parametrize(
+        "make_cfg, m, count",
+        [
+            # attack-free from rest: 6,000 distinct times; u, y, da and ds
+            # are all zero, one string per column in each of six write
+            # blocks; the zero monitor takes y's text (28,000 when every
+            # value was formatted)
+            (lambda: standard_loop(build_lifted(light_oscillator(), 0.01), horizon=2000),
+             3, 6000 + 4 * 6),
+            # 2,000 distinct times, 541/542/564 runs in u/y/da (a NaN tail
+            # from step 539), ds zero in two blocks, every monitor value a
+            # signal's magnitude (12,000 when every value was formatted)
+            (lambda: _replay(0.01, "single_rate", horizon=2000), 1, 2000 + 541 + 542 + 564 + 2),
+        ],
+        ids=["oscillator_dual_2000", "overflow_2000_single"],
+    )
+    def test_csv_formats_each_run_once(self, make_cfg, m, count, monkeypatch, tmp_path):
+        with np.errstate(all="ignore"):
+            trace = _run(make_cfg())
+        assert trace.samples_per_step == m
+        formatted = 0
+
+        def counting_repr(value):
+            nonlocal formatted
+            formatted += 1
+            return repr(value)
+
+        monkeypatch.setattr(sim, "repr", counting_repr, raising=False)
+        trace_to_csv(trace, tmp_path / "trace.csv")
+        assert formatted == count
 
     def test_metadata(self):
         plant = triple_integrator()
