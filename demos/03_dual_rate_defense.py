@@ -52,8 +52,10 @@ assert assumptions.satisfied
 
 # =============================================================================
 # The lifted zero picture: nothing strictly outside the unit circle, and a
-# null-chain test on the lifted system pencil at z = 1 certifies that any
-# zero at frequency one is simple.
+# null-chain test at z = 1 certifies that any zero at frequency one is
+# simple.  Both run on the one pencil that decides the lifted system's zero
+# questions: its delta-form small pencil, since the output stack has full
+# column rank.
 
 report = transmission_zeros(L)
 outside = [r.z_value for r in report.zeros

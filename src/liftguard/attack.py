@@ -30,9 +30,10 @@ import numpy as np
 
 from . import linalg
 from .errors import CapabilityError, DimensionError, NumericError
-from .model import StateSpace, _field, _integer
+from .model import StateSpace, _field, _integer, _no_booleans
 from .sim import LoopConfig, run_dual_rate, run_single_rate
 from .zeros import (
+    _deciding_system,
     _normalize_direction,
     _null_directions,
     _sensor_verdict,
@@ -244,14 +245,15 @@ def _calibrate(cfg: LoopConfig, unit_plan: AttackPlan):
 
 def _pencil_plan(cfg: LoopConfig, kind: str, zeta: complex, channels: StateSpace, n_named: int):
     """Plan of ``kind`` riding ``zeta`` along the channel part of the right
-    null vector of the pencil of ``channels``, the loop's sampled system
-    with the attacked channels as its inputs, at the default horizon for
-    ``zeta`` and with its amplitude calibrated on ``cfg``; its
+    null vector of the deciding pencil of ``channels``, the loop's sampled
+    system with the attacked channels as its inputs (a lifted system's
+    δ-form small pencil shares its input matrix), at the default horizon
+    for ``zeta`` and with its amplitude calibrated on ``cfg``; its
     ``channel_map`` names the first ``n_named`` channels."""
     unit = AttackPlan(
         kind=kind,
         zeta=zeta,
-        direction=_normalize_direction(*_null_directions(channels, [zeta])[0]),
+        direction=_normalize_direction(*_null_directions(_deciding_system(channels), [zeta])[0]),
         epsilon=1.0,
         horizon=default_horizon(zeta),
         channel_map=tuple(range(n_named)),
@@ -359,17 +361,24 @@ def plan_to_dict(plan: AttackPlan) -> dict:
     }
 
 
+def _complex(z) -> complex:
+    """The number of a ``{"re": ..., "im": ...}`` object, whose parts must
+    be numbers and not booleans."""
+    return complex(*_no_booleans([z["re"], z["im"]]))
+
+
 def plan_from_dict(doc: dict) -> AttackPlan:
     """The plan of a :func:`plan_to_dict` document; a document that is not
-    an object, or a field of the wrong type, is a ValueError."""
+    an object, or a field of the wrong type (a boolean where a number is
+    meant included), is a ValueError."""
     if not isinstance(doc, dict):
         raise ValueError(f"an attack plan must be a JSON object, not {type(doc).__name__}")
     field = partial(_field, "plan", doc)
     return AttackPlan(
         kind=doc["kind"],
-        zeta=field("zeta", lambda z: complex(z["re"], z["im"])),
-        direction=field("direction", lambda d: [complex(z["re"], z["im"]) for z in d]),
-        epsilon=field("epsilon", float),
+        zeta=field("zeta", _complex),
+        direction=field("direction", lambda d: [_complex(z) for z in d]),
+        epsilon=field("epsilon", lambda v: float(_no_booleans(v))),
         horizon=field("horizon", _integer),
         channel_map=field("channel_map", lambda c: [_integer(ch) for ch in c]),
         calibration=doc.get("calibration"),

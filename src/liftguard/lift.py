@@ -13,9 +13,12 @@ m intra-period samples.  A lifted system is a discrete plant whose period
 is the hold period T.  Two rank conditions make the lifted zeros
 harmless: the fast input matrix must have full column rank, and the
 stack of C, CA, ..., CA^{m-2} must have full column rank (guaranteed at
-m = n+1 for an observable fast pair, often much earlier).  Every lifted
-system is certified against m fast sub-steps of its generating plant by
-one exact check on the identity columns (:func:`shift_consistency_check`).
+m = n+1 for an observable fast pair, often much earlier).  That stack is
+tested in δ form, as C, Cδ, ..., Cδ^{m-2} with δ = (A - I)/(T/m), which
+has the same row space and stays well scaled as T/m shrinks.  Every
+lifted system is certified against m fast sub-steps of its generating
+plant by one exact check on the identity columns
+(:func:`shift_consistency_check`).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ModelError
-from .model import ContinuousPlant, DiscretePlant, discretize, observability_stack
+from .model import ContinuousPlant, DiscretePlant, _delta_form, discretize, observability_stack
 
 __all__ = [
     "LiftedSystem",
@@ -149,7 +152,7 @@ def _assumption_report(fast: DiscretePlant, m: int) -> AssumptionReport:
     """The two rank tests of :func:`check_assumptions` on the fast plant
     at sub-sampling factor m, with no lifted system assembled."""
     b_rank = linalg.rank_svd(fast.B)
-    obs_rank = linalg.rank_svd(observability_stack(fast.A, fast.C, m))
+    obs_rank = linalg.rank_svd(observability_stack(_delta_form(fast)[0], fast.C, m))
     return AssumptionReport(
         b_full_rank=b_rank.rank == fast.n_u,
         b_rank=b_rank,
@@ -163,7 +166,8 @@ def check_assumptions(L: LiftedSystem) -> AssumptionReport:
     """Rank tests behind the lifted-zero guarantees.
 
     The fast input matrix must have full column rank, and the stacked
-    observability rows C, CA, ..., CA^{m-2} must have full column rank.
+    observability rows C, CA, ..., CA^{m-2} must have full column rank;
+    ``obs_rank`` is the rank test on the δ-form rows C, Cδ, ..., Cδ^{m-2}.
     """
     return _assumption_report(L.fast_plant, L.m)
 
@@ -174,7 +178,7 @@ def choose_m(plant: ContinuousPlant, T: float, samples=None) -> int:
     Searches m up to n+1 (n+1 suffices for an observable fast pair),
     running the rank tests of :func:`check_assumptions` on the fast plant
     at T/m; no lifted system is assembled.  The search starts at
-    max(2, ceil(n/n_y) + 1): below that the stack C, ..., CA^{m-2} has
+    max(2, ceil(n/n_y) + 1): below that the stack C, ..., Cδ^{m-2} has
     fewer than n rows and cannot have rank n, so those m are never
     sampled.  Each fast plant it samples is stored under its m in
     ``samples`` when a dict is given.

@@ -171,8 +171,15 @@ def check_pathological(plant: ContinuousPlant, T: float) -> PathologyReport:
 
 
 def check_minimal(sys: StateSpace) -> MinimalityReport:
-    """Controllability/observability rank tests on a :class:`StateSpace`."""
+    """Controllability/observability rank tests on a :class:`StateSpace`.
+
+    A :class:`DiscretePlant` is tested in δ form, on ``(δ, B/period, C)``
+    (:func:`_delta_form`): the same Krylov subspaces, on matrices that do
+    not collapse onto the identity as the period shrinks.
+    """
     A, B, C = sys.A, sys.B, sys.C
+    if isinstance(sys, DiscretePlant):
+        A, B = _delta_form(sys)
     n = A.shape[0]
     blocks_c = [B]
     for _ in range(n - 1):
@@ -185,6 +192,14 @@ def check_minimal(sys: StateSpace) -> MinimalityReport:
         controllability=ctrb,
         observability=obsv,
     )
+
+
+def _delta_form(plant: DiscretePlant):
+    """``(δ, B/period)`` of a discrete plant, ``δ = (A - I)/period``: the
+    delta operator (Middleton & Goodwin, *Digital Control and Estimation*,
+    1990).  As the period shrinks, A tends to I, so rank tests on its
+    powers lose digits, while δ tends to the continuous state matrix."""
+    return (plant.A - np.eye(plant.n)) / plant.period, plant.B / plant.period
 
 
 def _require_discrete(sys, needs: str) -> None:

@@ -6,14 +6,15 @@ pencil
     [ zI - A   -B ]
     [   C       D ].
 
-For square systems the finite rank-drop points are the finite generalized
-eigenvalues of the pencil.  Non-square systems are squared down once at a
-fixed point; only candidates confirmed by an explicit rank test on the full
-pencil (and, for a lifted system, on a small pencil of the same rank
-profile) survive.  The reciprocal-frequency form of the pencil is used for
-evaluation outside the unit circle so the rank tests stay well scaled.
-A multiple zero at frequency one is told from a pair of simple ones by a
-null-chain test on the same pencil at z = 1; no coprime factor is built.
+One pencil decides every zero question of a system, a lifted one's
+δ-form small pencil when it has one (``_deciding_system``).  For square
+systems the finite rank-drop points are the finite generalized eigenvalues
+of the pencil.  Non-square systems are squared down once at a fixed point;
+only candidates confirmed by an explicit rank test survive.  The
+reciprocal-frequency form of the pencil is used for evaluation outside the
+unit circle so the rank tests stay well scaled.  A multiple zero at
+frequency one is told from a pair of simple ones by a null-chain test on
+the same pencil at z = 1; no coprime factor is built.
 
 Classification lives in the reciprocal domain used by the vulnerability
 rules (w = 1/z): a strictly non-minimum-phase zero has 0 < |w| < 1, the
@@ -31,7 +32,7 @@ import scipy.linalg
 
 from . import linalg
 from .lift import LiftedSystem, check_assumptions
-from .model import StateSpace, _require_discrete, _require_minimal
+from .model import StateSpace, _delta_form, _require_discrete, _require_minimal
 
 __all__ = [
     "ZeroRecord",
@@ -81,8 +82,8 @@ class ZeroRecord:
     ``lambda_value`` is None ("lambda-infinity") for a zero at z = 0.
     ``input_direction`` is the input part of the pencil's null vector at
     the zero, scaled to max-norm one with its largest entry real positive.
-    ``residual`` is the singular value of the (well-scaled) pencil that
-    certifies the rank drop at this point.
+    ``residual`` is the singular value of the (well-scaled) deciding
+    pencil, a lifted system's small one, that certifies the rank drop.
     """
 
     z_value: complex | None
@@ -145,34 +146,38 @@ def pencil_matrix(sys, z) -> np.ndarray:
     return M
 
 
-def _confirmed(sys, assumptions=None):
+def _deciding_system(sys, assumptions=None):
+    """The system whose pencil answers every zero question of ``sys``: for
+    a lifted system whose observability stack O has full column rank, the
+    small system ``(A_l, B_l, [C_f; δ], [D_f; B_f/h])``, ``δ = (A_f - I)/h``.
+    By ``X·C_l = O(I - A_f)`` and ``X·D_l = -O·B_f`` it has the lifted
+    pencil's rank profile, it stays well scaled as h shrinks and the lifted
+    output rows nearly coincide, and it shares A_l and B_l, so a null
+    vector's input part is the lifted one.  Otherwise ``sys`` itself.
+    ``assumptions`` is ``check_assumptions(sys)`` when the caller has it."""
+    if not isinstance(sys, LiftedSystem):
+        return sys
+    if not (assumptions or check_assumptions(sys)).obs_full_rank:
+        return sys
+    f = sys.fast_plant
+    delta, B_delta = _delta_form(f)
+    return StateSpace(sys.A, sys.B, np.vstack([f.C, delta]), np.vstack([f.D, B_delta]))
+
+
+def _confirmed(sys):
     """(normal rank of the pencil of ``sys``, [(z, residual)] for each
-    finite eigenvalue of the first pencil that drops the rank of every
-    pencil a zero of ``sys`` must drop).  A lifted system whose
-    observability stack O has full column rank adds, first, the small
-    system ``(A_l, B_l, [C_f; δ], [D_f; B_f/h])``, ``δ = (A_f - I)/h``: by
-    ``X·C_l = O(I - A_f)`` and ``X·D_l = -O·B_f`` it has the lifted pencil's
-    rank profile, and it stays well scaled as h shrinks and the lifted output
-    rows nearly coincide.  One stacked SVD per pencil over the probe points
-    and the candidates still standing gives its normal rank and confirms
-    candidates at ``CONFIRM_RTOL``; the residual is the full pencil's."""
-    systems = [sys]
-    if isinstance(sys, LiftedSystem) and (assumptions or check_assumptions(sys)).obs_full_rank:
-        f = sys.fast_plant
-        delta = (f.A - np.eye(f.n)) / f.period
-        small = StateSpace(sys.A, sys.B, np.vstack([f.C, delta]), np.vstack([f.D, f.B / f.period]))
-        systems.insert(0, small)
-    found = [(z, 0.0) for z in _candidates(systems[0]) if abs(z) <= _Z_INFINITY_CUTOFF]
-    for pencil_sys in systems:
-        pencils = pencil_matrix(pencil_sys, [*_PROBE_POINTS, *(z for z, _ in found)])
-        results = linalg.rank_svd(pencils)
-        rank = max(r.rank for r in results[: len(_PROBE_POINTS)])
-        found = [
-            (z, float(r.singular_values[rank - 1]))
-            for (z, _), r in zip(found, results[len(_PROBE_POINTS) :])
-            if linalg.rank_of(r.singular_values, CONFIRM_RTOL).rank < rank
-        ]
-    return rank, found
+    finite eigenvalue of the pencil that drops its rank at
+    ``CONFIRM_RTOL``).  One stacked SVD over the probe points and the
+    candidates gives the normal rank and the residual, the singular value
+    at that rank."""
+    found = [z for z in _candidates(sys) if abs(z) <= _Z_INFINITY_CUTOFF]
+    results = linalg.rank_svd(pencil_matrix(sys, [*_PROBE_POINTS, *found]))
+    rank = max(r.rank for r in results[: len(_PROBE_POINTS)])
+    return rank, [
+        (z, float(r.singular_values[rank - 1]))
+        for z, r in zip(found, results[len(_PROBE_POINTS) :])
+        if linalg.rank_of(r.singular_values, CONFIRM_RTOL).rank < rank
+    ]
 
 
 def _candidates(sys):
@@ -229,8 +234,6 @@ def _match_multisets(a, b, tol):
     remaining = list(b)
     paired = []
     for z in a:
-        if not remaining:
-            return None
         dists = [abs(z - w) for w in remaining]
         j = int(np.argmin(dists))
         if not dists[j] <= tol:  # a NaN distance never matches
@@ -240,24 +243,15 @@ def _match_multisets(a, b, tol):
 
 
 def _cluster_sizes(values, tol):
-    """Size of the coincidence cluster each value belongs to."""
-    k = len(values)
-    parent = list(range(k))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(k):
-        for j in range(i + 1, k):
-            if abs(values[i] - values[j]) <= tol:
-                parent[find(i)] = find(j)
-    sizes = {}
-    for i in range(k):
-        sizes[find(i)] = sizes.get(find(i), 0) + 1
-    return [sizes[find(i)] for i in range(k)]
+    """Size of the coincidence cluster each value belongs to: the values
+    it reaches through a chain of pairs within ``tol`` of each other."""
+    label = list(range(len(values)))
+    for i, a in enumerate(values):
+        for j, b in enumerate(values[:i]):
+            if abs(a - b) <= tol and label[i] != label[j]:
+                merged = label[i]
+                label = [label[j] if lab == merged else lab for lab in label]
+    return [label.count(lab) for lab in label]
 
 
 def _unit_circle_side(v: complex):
@@ -282,11 +276,10 @@ def transmission_zeros(sys, assumptions=None) -> ZeroReport:
     """Finite transmission zeros and poles of a discrete state-space system.
 
     The candidates are the eigenvalues of one generalized eigenvalue
-    problem on the pencil, squared down at a fixed point when the system is
-    not square; a lifted system takes them from its small pencil.  A
-    candidate survives only if it drops the rank of the full pencil, and of
-    the small one, at ``CONFIRM_RTOL``.  Residuals and directions come from
-    the full pencil.  Nothing depends on a random draw.
+    problem on the pencil of ``_deciding_system(sys)``, squared down at a
+    fixed point when it is not square; a candidate survives only if it
+    drops that pencil's rank at ``CONFIRM_RTOL``, and the same pencil gives
+    the normal rank, residuals and directions.  No random draw is made.
 
     Zeros at z = 0 are recorded with ``lambda_value`` None
     ("lambda-infinity").  Zeros of the feedthrough relative to the normal
@@ -299,14 +292,15 @@ def transmission_zeros(sys, assumptions=None) -> ZeroReport:
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
     n, n_u, n_y = A.shape[0], B.shape[1], C.shape[0]
     _require_minimal(sys, None, "transmission zeros require")
-    normal_rank, found = _confirmed(sys, assumptions=assumptions)
+    deciding = _deciding_system(sys, assumptions)
+    normal_rank, found = _confirmed(deciding)
     shape = "square" if n_y == n_u else ("tall" if n_y > n_u else "fat")
 
     # Conjugate-pair and multiplicity bookkeeping, then record assembly.
     zs = [z for z, _ in found]
     sizes = _cluster_sizes(zs, MATCH_TOL)
     records = []
-    for (z, residual), mult, (xi, nu) in zip(found, sizes, _null_directions(sys, zs)):
+    for (z, residual), mult, (xi, nu) in zip(found, sizes, _null_directions(deciding, zs)):
         classification, marginal = _classify(z, mult)
         lam = None if abs(z) <= 1e-9 else 1.0 / z  # None encodes "lambda-infinity"
         records.append(
@@ -359,7 +353,7 @@ def zero_values(sys, minimality=None) -> list:
     complex values: no directions, classification, poles or zeros at
     z-infinity.  Same minimality check, same ``ModelError``."""
     _require_minimal(sys, minimality, "transmission zeros require")
-    return [z for z, _ in _confirmed(sys)[1]]
+    return [z for z, _ in _confirmed(_deciding_system(sys))[1]]
 
 
 def poles(sys) -> tuple:
@@ -377,11 +371,11 @@ def _multiple_at(sys, z) -> str:
     """``"not_a_zero"``, ``"simple"`` or ``"multiple"``: whether ``z``, on
     or inside the unit circle, is a zero of ``sys`` with a null chain of
     length two.  The chain is a pair with ``P v0 = 0``, ``P' v0 + P v1 = 0``
-    and ``v0`` nonzero, for the pencil ``P`` at ``z`` and its derivative
-    ``P' = [[I, 0], [0, 0]]`` (Gohberg, Lancaster & Rodman, *Matrix
-    Polynomials*, 1982).  Both ranks are judged against ``P``'s scale.
+    and ``v0`` nonzero, for the deciding pencil ``P`` at ``z`` and its
+    derivative ``P' = [[I, 0], [0, 0]]`` (Gohberg, Lancaster & Rodman,
+    *Matrix Polynomials*, 1982).  Both ranks are judged against ``P``'s scale.
     """
-    P = pencil_matrix(sys, z)
+    P = pencil_matrix(_deciding_system(sys), z)
     cols = P.shape[1]
     r = linalg.rank_svd(P)
     if r.rank == cols:
@@ -422,7 +416,7 @@ def classify_vulnerability(report: ZeroReport, system) -> VulnerabilityVerdict:
     Actuator side: fat plants are always vulnerable (one input masks the
     other); otherwise a strictly non-minimum-phase zero is the witness;
     boundary zeros with multiplicity at frequency one are decided by the
-    null-chain test on the pencil of ``system`` at exactly z = 1;
+    null-chain test on the deciding pencil of ``system`` at exactly z = 1;
     multiple boundary zeros elsewhere are reported undecided.  Sensor
     side: ``_sensor_verdict`` of the report's poles, the decision
     ``attack.synth_sensor_attack`` builds its plan from.

@@ -6,12 +6,19 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from liftguard import build_lifted, plant_to_dict, standard_loop
 from liftguard.attack import plan_to_dict, synth_coordinated_attack
 
-from helpers import double_integrator, stable_two_state, triple_integrator, unstable_scalar
+from helpers import (
+    bench_module,
+    double_integrator,
+    stable_two_state,
+    triple_integrator,
+    unstable_scalar,
+)
 
 
 def run_cli(*args, env=None):
@@ -92,6 +99,24 @@ class TestAnalyze:
         doc = json.loads(res.stdout)
         assert doc["single_rate"]["verdict"]["actuator_stealthy"] == "yes"
         assert doc["dual_rate"]["verdict"]["actuator_stealthy"] == "no"
+
+    def test_population_fat_plant_8_dual_rate_no_at_khz(self, tmp_path, capsys):
+        # the ninth fat plant that the benchmark's random_plant draws from
+        # default_rng([0, 7]) after 150 tall and 150 square ones: at T = 1e-3
+        # the chain test on the full lifted pencil called its zero at
+        # frequency one multiple, a "yes" the paper rules out
+        from liftguard import cli
+
+        random_plant = bench_module("workloads").random_plant
+        rng = np.random.default_rng([0, 7])
+        docs = [random_plant(rng, shape) for shape in ("tall", "square") for _ in range(150)]
+        docs += [random_plant(rng, "fat") for _ in range(9)]
+        path = tmp_path / "fat8.json"
+        path.write_text(json.dumps(docs[-1]))
+        assert cli.main(["analyze", "--plant", str(path), "--T", "1e-3"]) == 0
+        dual = json.loads(capsys.readouterr().out)["dual_rate"]
+        assert dual["assumptions"]["b_full_rank"] and dual["assumptions"]["obs_full_rank"]
+        assert dual["verdict"]["actuator_stealthy"] == "no"
 
     def test_stable_minimum_phase_all_no(self, plant_files):
         res = run_cli("analyze", "--plant", plant_files["stable"])
@@ -310,8 +335,11 @@ class TestAttackAndSimulate:
             ((), [-1], "[-1] does not name 1 distinct"),
             (("--mode", "dual_rate", "--m", "2"), [0, 0], "[0, 0] does not name 2 distinct"),
             ((), [0, 1], "[0, 1] does not name 1 distinct"),
+            # a single-rate plan on a sensor past the plant's one output was
+            # refused as riding the lifted outputs of a dual-rate loop (exit 5)
+            ((), [5], "[5] places sensor channel 5, past the 1 outputs"),
         ],
-        ids=["negative", "repeated", "longer_than_direction"],
+        ids=["negative", "repeated", "longer_than_direction", "past_the_outputs"],
     )
     def test_bad_channel_map_exit_2(
         self, plant_files, tmp_path, capsys, loop, channel_map, message
@@ -358,6 +386,9 @@ class TestAttackAndSimulate:
             ("plan", lambda doc: doc["plan"].update(channel_map=[0.7]), "'channel_map'"),
             ("plan", lambda doc: doc["plan"].update(channel_map=[False]), "'channel_map'"),
             # float and np.asarray read a JSON boolean as 1 or 0
+            ("plan", lambda doc: doc["plan"].update(epsilon=True), "'epsilon'"),
+            ("plan", lambda doc: doc["plan"]["zeta"].update(im=False), "'zeta'"),
+            ("plan", lambda doc: doc["plan"]["direction"][0].update(re=True), "'direction'"),
             ("plant", lambda doc: doc.update(Bc=[[True]]), "plant field 'Bc'"),
             ("plant", lambda doc: doc.update(T=True), "plant field 'T'"),
             ("plan", lambda doc: doc["loop"]["controller"]["C"][0].__setitem__(0, False),
@@ -368,7 +399,8 @@ class TestAttackAndSimulate:
              "plan_file_list", "plan_file_bare", "plan_loop_missing", "plan_loop_list", "plan_loop_string", "plan_loop_m_fraction",
              "plan_loop_m_string", "plant_m_fraction", "plant_m_boolean",
              "plan_horizon_fraction", "plan_horizon_boolean", "plan_channel_map_fraction",
-             "plan_channel_map_boolean", "plant_Bc_boolean", "plant_T_boolean",
+             "plan_channel_map_boolean", "plan_epsilon_boolean", "plan_zeta_boolean",
+             "plan_direction_boolean", "plant_Bc_boolean", "plant_T_boolean",
              "plan_loop_controller_boolean"],
     )
     def test_malformed_input_file_exit_2(

@@ -87,8 +87,9 @@ def test_suite_computes_each_bezout_defect_once(monkeypatch):
 
 def test_suite_reads_zeros_as_values_and_certifies_once(monkeypatch):
     # The zero properties read values only: 20 + 10 discrete pencils and
-    # 5 lifted systems with a small and a full pencil, one pencil_matrix
-    # call each; each lifted system's pencil at frequency one adds one.
+    # 5 lifted systems, each deciding on its one small pencil, one
+    # pencil_matrix call each; each lifted system's pencil at frequency one
+    # adds one.
     # The four lifted properties share 5 lifted systems, each certified
     # once by build_lifted; the negative control certifies the corrupted
     # copy of the first.
@@ -114,7 +115,7 @@ def test_suite_reads_zeros_as_values_and_certifies_once(monkeypatch):
         "transmission_zeros": 0,
         "poles": 0,
         "_null_directions": 0,
-        "pencil_matrix": 45,
+        "pencil_matrix": 40,
         "shift_consistency_check": 6,
     }
 
