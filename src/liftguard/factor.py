@@ -32,7 +32,14 @@ __all__ = [
     "observer_controller",
     "eval_lambda",
     "closed_loop_matrix",
+    "BEZOUT_RTOL",
 ]
+
+# Bound on the Bezout defect of constructed factors, relative to the
+# magnitude of the evaluated products (and at least absolute).  The identity
+# is exact in algebra; what survives numerically is round-off amplified by
+# that magnitude and by the conditioning of the gains.
+BEZOUT_RTOL = 1e-8
 
 
 def eval_lambda(sys, lam) -> np.ndarray:
@@ -63,20 +70,21 @@ class CoprimeFactors:
 def coprime_factorize(sys, Q=None, R=None, minimality=None, certificate=None) -> CoprimeFactors:
     """Doubly-coprime factorization of a minimal discrete system.
 
-    The gains come from the Riccati solver, which checks the Schur
-    condition itself: F with weights ``Q``/``R`` (identity when omitted), H
-    from the dual problem with identity weights.  ``minimality`` is
+    The gains come from one call of the Riccati solver, which checks each
+    equation's residual and Schur condition itself: F with weights
+    ``Q``/``R`` (identity when omitted) and H from the dual problem with
+    identity weights, stacked into one scipy solve.  ``minimality`` is
     ``check_minimal(sys)`` when the caller already has it.  The factors
-    are checked against the Bezout identity before they are returned; a
-    list ``certificate`` receives that check's defect, the largest 2-norm
-    of Ml*X - Nl*Y - I on the 16th roots of unity (a
-    ``dataclasses.replace`` copy of the factors would carry a stored one
-    stale).
+    are checked against the Bezout identity, to ``BEZOUT_RTOL`` times the
+    products' magnitude, before they are returned; a list ``certificate``
+    receives that check's defect, the largest 2-norm of Ml*X - Nl*Y - I
+    on the 16th roots of unity (a ``dataclasses.replace`` copy of the
+    factors would carry a stored one stale).
     """
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
     _require_minimal(sys, minimality, "coprime factorization requires")
-    F = linalg.dare_gain(A, B, Q, R)
-    H = linalg.dare_gain(A.T, C.T).T
+    F, H = linalg.dare_gain(np.stack([A, A.T]), [B, C.T], [Q, None], [R, None])
+    H = H.T
 
     AHC = A + H @ C
     ABF = A + B @ F
@@ -91,13 +99,12 @@ def coprime_factorize(sys, Q=None, R=None, minimality=None, certificate=None) ->
         base=sys,
     )
     defect, scale = _bezout_defect_scaled(factors)
-    # The identity is exact in algebra; what survives numerically is bounded
-    # by round-off amplified by the magnitude of the evaluated products, so
-    # the construction-time sanity check is relative to that magnitude.
-    if not defect <= 1e-8 * max(1.0, scale):
+    bound = BEZOUT_RTOL * max(1.0, scale)
+    if not defect <= bound:
         raise NumericError(
-            f"Bezout identity violated by the constructed factors (defect {defect:.3e} "
-            f"at product magnitude {scale:.3e}); this signals an algebra error"
+            f"Bezout certificate failed: defect {defect:.3e} at product magnitude "
+            f"{scale:.3e} exceeds the bound {bound:.3e} ({BEZOUT_RTOL:.0e} times the "
+            "magnitude, at least 1)"
         )
     if certificate is not None:
         certificate.append(defect)

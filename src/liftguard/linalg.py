@@ -29,8 +29,10 @@ __all__ = [
 ]
 
 DEFAULT_RANK_RTOL = 1e-9
-# Measured worst case over about 16,000 gains of random discrete and lifted
-# plants: 4.7e-9, on a draw whose solution has max|P| ~ 5e9.
+# Measured worst case over the 7,200 equations of the 3,600 factorizations
+# of the 450-plant benchmark population at T in {1, 0.1, 0.01, 1e-3}, ZOH
+# and lifted, each solved stacked as ``coprime_factorize`` solves it: 1.5e-8
+# (1.2e-8 with each equation solved alone).
 DARE_RESIDUAL_RTOL = 1e-6
 
 
@@ -150,34 +152,9 @@ def _check_weights(Q: np.ndarray, R: np.ndarray) -> None:
         raise ValueError("R must be positive definite") from None
 
 
-def dare_gain(A, B, Q=None, R=None) -> np.ndarray:
-    """Stabilizing state-feedback gain from the discrete Riccati equation.
-
-    Solves
-
-        P = A' P A - A' P B (R + B' P B)^{-1} B' P A + Q
-
-    for its stabilizing solution with the generalized-Schur method of
-    ``scipy.linalg.solve_discrete_are`` (Arnold & Laub, Proc. IEEE 1984)
-    and returns ``F = -(R + B' P B)^{-1} B' P A``, so that every eigenvalue
-    of ``A + B F`` has modulus below one.
-
-    Parameters
-    ----------
-    A, B : array_like
-        Stabilizable pair.
-    Q, R : array_like, optional
-        Symmetric PSD / PD weights; both default to identity.
-
-    Raises
-    ------
-    ModelError
-        If the pair is not stabilizable: the solver finds no finite
-        stabilizing solution, or the gain leaves an unstable eigenvalue.
-    NumericError
-        If the entrywise Riccati residual, relative to the largest entry of
-        ``A' P A``, ``P`` and ``Q``, exceeds ``DARE_RESIDUAL_RTOL``.
-    """
+def _dare_data(A, B, Q, R):
+    """One equation's (A, B, Q, R) as float matrices of matching sizes,
+    identity weights filled in and supplied weights checked."""
     A = _square(np.asarray(A, dtype=float), "A")
     B = _as_matrix(np.asarray(B, dtype=float), "B")
     n = A.shape[0]
@@ -191,13 +168,12 @@ def dare_gain(A, B, Q=None, R=None) -> np.ndarray:
         raise DimensionError("weight dimensions do not match (A, B)")
     if supplied:
         _check_weights(Q, R)
+    return A, B, Q, R
 
-    try:
-        P = scipy.linalg.solve_discrete_are(A, B, Q, R)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise ModelError(
-            f"no stabilizing Riccati solution: the pair (A, B) appears unstabilizable ({exc})"
-        ) from exc
+
+def _checked_gain(A, B, Q, R, P) -> np.ndarray:
+    """``F = -(R + B' P B)^{-1} B' P A`` from one equation's block ``P`` of
+    the solution, after that equation's residual and stability checks."""
     BPA = B.T @ P @ A
     F = -np.linalg.solve(R + B.T @ P @ B, BPA)
     APA = A.T @ P @ A
@@ -213,3 +189,95 @@ def dare_gain(A, B, Q=None, R=None) -> np.ndarray:
             "computed gain leaves an unstable eigenvalue: (A, B) is not stabilizable"
         )
     return F
+
+
+def _direct_sum_gains(eqs) -> list:
+    """Gains of ``eqs`` from one scipy solve of their direct sum, each
+    formed and checked from its own diagonal block of the solution."""
+    # Direct sums by slice assignment (scipy.linalg.block_diag costs more
+    # than the copies it makes).
+    n = sum(e[0].shape[0] for e in eqs)
+    n_u = sum(e[1].shape[1] for e in eqs)
+    A_sum, B_sum = np.zeros((n, n)), np.zeros((n, n_u))
+    Q_sum, R_sum = np.zeros((n, n)), np.zeros((n_u, n_u))
+    blocks = []
+    i = j = 0
+    for Ak, Bk, Qk, Rk in eqs:
+        x, u = slice(i, i + Ak.shape[0]), slice(j, j + Bk.shape[1])
+        A_sum[x, x], B_sum[x, u], Q_sum[x, x], R_sum[u, u] = Ak, Bk, Qk, Rk
+        blocks.append(x)
+        i, j = x.stop, u.stop
+    try:
+        P = scipy.linalg.solve_discrete_are(A_sum, B_sum, Q_sum, R_sum)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise ModelError(
+            f"no stabilizing Riccati solution: the pair (A, B) appears unstabilizable ({exc})"
+        ) from exc
+    return [_checked_gain(*eq, P[x, x]) for eq, x in zip(eqs, blocks)]
+
+
+def dare_gain(A, B, Q=None, R=None):
+    """Stabilizing state-feedback gain from the discrete Riccati equation.
+
+    Solves
+
+        P = A' P A - A' P B (R + B' P B)^{-1} B' P A + Q
+
+    for its stabilizing solution with the generalized-Schur method of
+    ``scipy.linalg.solve_discrete_are`` (Arnold & Laub, Proc. IEEE 1984)
+    and returns ``F = -(R + B' P B)^{-1} B' P A``, so that every eigenvalue
+    of ``A + B F`` has modulus below one.
+
+    A 3-D ``A`` is a stack of k equations along its leading axis; ``B`` is
+    then a sequence of k input matrices and ``Q`` and ``R`` are None or
+    sequences of k weights (None entries for identity), and the result is
+    a list of k gains.  The equations are independent, so the stabilizing
+    solution of the block-diagonal equation ``(A1 + ... + Ak, B1 + ... +
+    Bk, Q1 + ... + Qk, R1 + ... + Rk)`` (direct sums) carries each one's
+    solution on its diagonal: one scipy call solves them all, and each
+    equation's gain is formed and checked from its own block.  If the
+    stacked solve or a block's check fails, every equation is solved
+    again alone, so a stack builds every gain that separate calls build
+    and raises the error the first failing one raises.
+
+    Parameters
+    ----------
+    A, B : array_like
+        Stabilizable pair (or a stack of them, as above).
+    Q, R : array_like, optional
+        Symmetric PSD / PD weights; both default to identity.
+
+    Raises
+    ------
+    ModelError
+        If a pair is not stabilizable: the solver finds no finite
+        stabilizing solution, or the gain leaves an unstable eigenvalue.
+    NumericError
+        If an equation's entrywise Riccati residual, relative to the
+        largest entry of its own ``A' P A``, ``P`` and ``Q``, exceeds
+        ``DARE_RESIDUAL_RTOL``.
+    """
+    stacked = np.ndim(A) == 3
+    if not stacked:
+        A, B, Q, R = [A], [B], [Q], [R]
+    k = len(A)
+    Q = [None] * k if Q is None else Q
+    R = [None] * k if R is None else R
+    if not len(B) == len(Q) == len(R) == k:
+        raise DimensionError(
+            f"a stack of {k} equations needs {k} B, Q and R entries, "
+            f"got {len(B)}, {len(Q)} and {len(R)}"
+        )
+    eqs = [_dare_data(*eq) for eq in zip(A, B, Q, R)]
+    try:
+        gains = _direct_sum_gains(eqs)
+    except (ModelError, NumericError):
+        if k == 1:
+            raise
+        # A block can lose accuracy to another of very different scale
+        # (Q = 1e-6 I, R = 1e6 I beside the identity-weighted observer
+        # equation fails the residual check at T <= 0.01 on plants that a
+        # lone solve passes), so a failing stack is solved again one
+        # equation at a time, with the single-equation errors.
+        gains = [_direct_sum_gains([eq])[0] for eq in eqs]
+    return gains if stacked else gains[0]

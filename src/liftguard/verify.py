@@ -21,7 +21,7 @@ import itertools
 import numpy as np
 
 from .errors import LiftguardError
-from .factor import coprime_factorize
+from .factor import BEZOUT_RTOL, coprime_factorize
 from .lift import block_difference_matrix, build_lifted, shift_consistency_check
 from .model import (
     ContinuousPlant,
@@ -148,7 +148,7 @@ def _prop_zero_similarity(trial):
 
 def _prop_bezout(trial):
     sys, _, defect = trial
-    if not defect <= 1e-8:
+    if not defect <= BEZOUT_RTOL:
         return sys, f"defect {defect:.3e}"
     return None
 

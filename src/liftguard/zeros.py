@@ -200,18 +200,32 @@ def _candidates(sys):
     return [complex(z) for z in w if np.isfinite(z)]
 
 
-def _null_directions(sys, zs):
+def _null_directions(sys, zs, labels=None):
     """Right null vector of the pencil at each point of ``zs``, split into
-    (state, input) parts, from one stacked SVD."""
+    (state, input) parts, from one stacked SVD.  The k points of a
+    coincidence cluster (``MATCH_TOL``) take the last k right singular
+    vectors at one point of the cluster, one each, so that the records of
+    a zero with k independent null vectors span that null space instead
+    of each carrying some vector of it; past the null space's dimension
+    at ``CONFIRM_RTOL`` (a null chain) its vectors are taken again.
+    ``labels`` is ``_cluster_labels(zs, MATCH_TOL)`` when the caller
+    already has it."""
     n = sys.n
-    _, _, Vh = np.linalg.svd(pencil_matrix(sys, zs))
+    if labels is None:
+        labels = _cluster_labels(zs, MATCH_TOL)
+    points = sorted(set(labels))
+    _, s, Vh = np.linalg.svd(pencil_matrix(sys, [zs[p] for p in points]))
+    taken = dict.fromkeys(points, 0)
     out = []
-    for z, vh in zip(zs, Vh):
-        v = vh[-1].conj()
+    for p in labels:
+        i = points.index(p)
+        null = max(1, Vh.shape[-1] - linalg.rank_of(s[i], CONFIRM_RTOL).rank)
+        v = Vh[i][-1 - taken[p] % null].conj()
+        taken[p] += 1
         xi, nu = v[:n], v[n:]
-        if abs(z) > 1.0:
+        if abs(zs[p]) > 1.0:
             # reciprocal form carries nu scaled by 1/z relative to the plain form
-            nu = nu * z
+            nu = nu * zs[p]
         out.append((xi, nu))
     return out
 
@@ -242,16 +256,17 @@ def _match_multisets(a, b, tol):
     return paired
 
 
-def _cluster_sizes(values, tol):
-    """Size of the coincidence cluster each value belongs to: the values
-    it reaches through a chain of pairs within ``tol`` of each other."""
+def _cluster_labels(values, tol):
+    """Coincidence cluster of each value, named by the index of one of its
+    values: values that reach each other through a chain of pairs within
+    ``tol`` of each other share a label."""
     label = list(range(len(values)))
     for i, a in enumerate(values):
         for j, b in enumerate(values[:i]):
             if abs(a - b) <= tol and label[i] != label[j]:
                 merged = label[i]
                 label = [label[j] if lab == merged else lab for lab in label]
-    return [label.count(lab) for lab in label]
+    return label
 
 
 def _unit_circle_side(v: complex):
@@ -298,10 +313,10 @@ def transmission_zeros(sys, assumptions=None) -> ZeroReport:
 
     # Conjugate-pair and multiplicity bookkeeping, then record assembly.
     zs = [z for z, _ in found]
-    sizes = _cluster_sizes(zs, MATCH_TOL)
+    labels = _cluster_labels(zs, MATCH_TOL)
     records = []
-    for (z, residual), mult, (xi, nu) in zip(found, sizes, _null_directions(deciding, zs)):
-        classification, marginal = _classify(z, mult)
+    for (z, residual), label, (xi, nu) in zip(found, labels, _null_directions(deciding, zs, labels)):
+        classification, marginal = _classify(z, labels.count(label))
         lam = None if abs(z) <= 1e-9 else 1.0 / z  # None encodes "lambda-infinity"
         records.append(
             ZeroRecord(
@@ -401,7 +416,7 @@ def _sensor_verdict(records):
     boundary = [p.value for p in records if p.classification == "boundary"]
     if not boundary:
         return "no", None, ()
-    if any(s > 1 for s in _cluster_sizes(boundary, MATCH_TOL)):
+    if len(set(_cluster_labels(boundary, MATCH_TOL))) < len(boundary):
         return "undecided", None, (
             "repeated boundary poles: undecided (out of scope: "
             "invariant-factor multiplicity analysis)",

@@ -174,6 +174,18 @@ def bezout_defect(factors) -> float:
     return _bezout_defect_scaled(factors)[0]
 
 
+def riccati_residual(A, B, Q, R, P):
+    """(relative residual, gain) of ``P`` in the discrete Riccati equation
+    of ``(A, B, Q, R)``, as ``linalg.dare_gain`` judges it: the largest
+    entry of the residual over the largest entry of ``A' P A``, ``P`` and
+    ``Q``, and ``F = -(R + B' P B)^{-1} B' P A``."""
+    BPA = B.T @ P @ A
+    F = -np.linalg.solve(R + B.T @ P @ B, BPA)
+    APA = A.T @ P @ A
+    scale = max(np.max(np.abs(APA)), np.max(np.abs(P)), np.max(np.abs(Q)))
+    return np.max(np.abs(APA - P + BPA.T @ F + Q)) / scale, F
+
+
 def residual_generator(sys) -> StateSpace:
     """Residual filter of ``sys`` over the stacked input [y, u]: its left
     pair side by side, [Ml, -Nl], realized on their common state.

@@ -734,7 +734,7 @@ class TestRecordedLoop:
         without.write_text(json.dumps(plan_doc))
         flags = [flag for flag in loop if flag not in ("--kind", "sensor")]
         replays = []
-        for path, designs, solves in [(tmp_path / "plan" / "plan.json", 0, 0), (without, 1, 2)]:
+        for path, designs, solves in [(tmp_path / "plan" / "plan.json", 0, 0), (without, 1, 1)]:
             calls = _count_designs(monkeypatch)
             argv = ["simulate", "--plant", plant_files[plant], "--plan", str(path), *flags,
                     "--out", str(tmp_path / "replay")]
@@ -766,7 +766,7 @@ class TestRecordedLoop:
                 "--horizon", "20", "--out", str(tmp_path / "replay")]
         assert cli.main(argv) == 0
         capsys.readouterr()
-        assert calls == {"coprime_factorize": 1, "dare_gain": 2}
+        assert calls == {"coprime_factorize": 1, "dare_gain": 1}
 
     @pytest.mark.parametrize(
         "controller, message",

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from liftguard import (
     DiscretePlant,
@@ -17,19 +18,23 @@ from liftguard import (
     transmission_zeros,
 )
 from liftguard.attack import synth_actuator_attack
-from liftguard import factor
+from liftguard import factor, linalg
 from liftguard.errors import ModelError, NumericError
 from liftguard.factor import closed_loop_matrix
-from liftguard.linalg import spectral_radius
+from liftguard.linalg import DARE_RESIDUAL_RTOL, spectral_radius
+from liftguard.model import load_plant
 
 from helpers import (
     Injector,
     assert_sets_close,
+    bench_module,
     bezout_defect,
     double_integrator,
     random_continuous,
     random_discrete,
     residual_generator,
+    riccati_residual,
+    sampled,
     ss_response,
     triple_integrator,
 )
@@ -84,6 +89,106 @@ class TestLeftFactors:
         )
         with pytest.raises(ModelError, match="coprime factorization requires a minimal realization"):
             coprime_factorize(nonminimal)
+
+
+class TestStackedRiccati:
+    """``coprime_factorize`` solves its state-feedback and observer Riccati
+    equations in one ``linalg.dare_gain`` call, one scipy solve of their
+    block-diagonal direct sum, and checks each equation on its own."""
+
+    def test_corrupted_observer_block_raises(self, monkeypatch):
+        # A P of order 1e6 in the state-feedback block: judged against the
+        # stacked equation's largest term, the observer block's 1e-4 error
+        # would pass.
+        sys = random_discrete(np.random.default_rng(7), n_u=1, n_y=2)
+        n = sys.n
+        solve = scipy.linalg.solve_discrete_are
+
+        def corrupted(A, B, Q, R):
+            # the observer equation is the stack's last block, and it is
+            # alone in a call whose B has its n_y = 2 columns (n_u = 1)
+            P = solve(A, B, Q, R)
+            if B.shape[1] > 1:
+                P[-n:, -n:] *= 1.0 + 1e-4
+            return P
+
+        monkeypatch.setattr(scipy.linalg, "solve_discrete_are", corrupted)
+        with pytest.raises(NumericError, match="Riccati solution residual"):
+            coprime_factorize(sys, Q=1e6 * np.eye(n), R=1e-6 * np.eye(1))
+
+    @pytest.mark.parametrize("pole", [2.0, 1.0])
+    @pytest.mark.parametrize("defect", ["unstabilizable", "undetectable"])
+    def test_unstabilizable_or_undetectable_pair(self, defect, pole):
+        # the mode at ``pole`` is uncontrollable from B, or unobservable
+        # from C; the other equation of the stack is solvable
+        A = np.diag([pole, 0.5])
+        B, C = np.array([[0.0], [1.0]]), np.array([[1.0, 1.0]])
+        if defect == "undetectable":
+            B, C = C.T, B.T
+        with pytest.raises(ModelError, match="stabiliz"):
+            linalg.dare_gain(np.stack([A, A.T]), [B, C.T])
+
+    @pytest.mark.parametrize("T, weight, gain_rtol", [
+        pytest.param(1.0, None, 1e-7, id="1.0-unit"),
+        pytest.param(0.01, None, 1e-7, id="0.01-unit"),
+        pytest.param(1.0, 1e6, 1e-7, id="1.0-Q1e6_R1e-6"),
+        pytest.param(0.01, 1e6, 1e-7, id="0.01-Q1e6_R1e-6"),
+        pytest.param(0.01, 1e-6, 1e-4, id="0.01-Q1e-6_R1e6"),
+    ])
+    def test_stacked_gains_match_separate_solves(self, monkeypatch, T, weight, gain_rtol):
+        # A factorization whose equations pass solved separately must pass
+        # stacked.  The stack is the only solve unless one of its blocks
+        # fails its residual check; then each equation is solved again
+        # alone.  Over these draws the gains agree to 5.7e-10 relative at
+        # most, and to 4.0e-5 with Q = 1e-6 I, R = 1e6 I, where both gains
+        # meet the residual bound on ill-conditioned equations (two of the
+        # draws fail it solved separately and are not factored).
+        rng = np.random.default_rng(53)
+        systems = [sampled(random_continuous(rng), T, mode)
+                   for mode in ("single_rate", "dual_rate") for _ in range(6)]
+        systems += [random_discrete(rng, n_u=2, n_y=1), random_discrete(rng, n_u=1, n_y=2)]
+        solve = scipy.linalg.solve_discrete_are
+        calls = []
+        monkeypatch.setattr(scipy.linalg, "solve_discrete_are",
+                            lambda *args: calls.append(solve(*args)) or calls[-1])
+        factored = 0
+        for sys in systems:
+            n = sys.n
+            Q = np.eye(n) if weight is None else weight * np.eye(n)
+            R = np.eye(sys.n_u) if weight is None else np.eye(sys.n_u) / weight
+            equations = ((sys.A, sys.B, Q, R), (sys.A.T, sys.C.T, np.eye(n), np.eye(sys.n_y)))
+            try:
+                separate = [linalg.dare_gain(*eq) for eq in equations]
+            except NumericError:
+                continue
+            del calls[:]
+            factors = coprime_factorize(sys, Q=Q, R=R)
+            factored += 1
+            stack_residual = max(riccati_residual(*eq, calls[0][block, block])[0]
+                                 for eq, block in zip(equations, (slice(0, n), slice(n, 2 * n))))
+            assert calls[0].shape == (2 * n, 2 * n)
+            assert len(calls) == (1 if stack_residual <= DARE_RESIDUAL_RTOL else 3)
+            for gain, alone in zip((factors.F, factors.H.T), separate):
+                assert np.max(np.abs(gain - alone)) <= gain_rtol * np.max(np.abs(alone))
+        assert factored >= 12
+
+    def test_population_loop_a_stack_loses_is_solved_alone(self, monkeypatch):
+        # The 4th fat plant of the benchmark population (the 304th draw of
+        # default_rng([0, 7])) at T = 1e-3, single rate, Q = 1e-6 I and
+        # R = 1e6 I: in the stack its state-feedback block has residual
+        # 9.1e-6, alone 1.4e-8.  Stacked only, the loop raised NumericError.
+        workloads = bench_module("workloads")
+        rng = np.random.default_rng([0, 7])
+        docs = [workloads.random_plant(rng, shape) for shape, _ in workloads.SHAPES for _ in range(150)]
+        sys = discretize(load_plant(docs[303])[0], 1e-3)
+        Q, R = 1e-6 * np.eye(sys.n), 1e6 * np.eye(sys.n_u)
+        solve = scipy.linalg.solve_discrete_are
+        calls = []
+        monkeypatch.setattr(scipy.linalg, "solve_discrete_are",
+                            lambda *args: calls.append(solve(*args)) or calls[-1])
+        factors = coprime_factorize(sys, Q=Q, R=R)
+        assert [P.shape[0] for P in calls] == [2 * sys.n, sys.n, sys.n]
+        assert np.array_equal(factors.F, linalg.dare_gain(sys.A, sys.B, Q, R))
 
 
 # (n_u, n_y, m) giving a lifted system with more, as many and fewer

@@ -50,9 +50,9 @@ def test_each_system_checked_for_minimality_once(monkeypatch):
 
 def test_suite_factors_only_what_it_reads(monkeypatch):
     # The Bezout and factor-set properties (10 trials) read one full
-    # factorization per trial, two Riccati solves each; the lifted
-    # property (5) decides frequency one on the system pencil, with no
-    # factor: 20 solves.
+    # factorization per trial, whose two Riccati equations take one solve;
+    # the lifted property (5) decides frequency one on the system pencil,
+    # with no factor: 10 solves.
     counts = {"dare_gain": 0, "coprime_factorize": 0}
 
     def count(mod, name):
@@ -67,7 +67,7 @@ def test_suite_factors_only_what_it_reads(monkeypatch):
     count(linalg, "dare_gain")
     count(verify, "coprime_factorize")
     assert all(p["status"] == "pass" for p in verify.run_suite(trials=10, seed=0))
-    assert counts == {"dare_gain": 20, "coprime_factorize": 10}
+    assert counts == {"dare_gain": 10, "coprime_factorize": 10}
 
 
 def test_suite_computes_each_bezout_defect_once(monkeypatch):

@@ -15,7 +15,8 @@ from liftguard import (
 )
 from liftguard import linalg
 from liftguard.errors import ModelError, NumericError
-from liftguard.zeros import _multiple_at, pencil_matrix
+from liftguard.model import load_plant
+from liftguard.zeros import _multiple_at, _null_directions, pencil_matrix
 
 from helpers import (
     assert_sets_close,
@@ -408,6 +409,36 @@ class TestStackedConfirmation:
         with pytest.raises(ModelError) as values:
             zero_values(sys)
         assert str(values.value) == str(full.value)
+
+
+class TestClusterDirections:
+    """The records of a coincidence cluster take their directions from the
+    null space at one point of the cluster."""
+
+    def test_pair_at_one_spans_its_null_space(self):
+        # plant-population seed 1 iteration 10: a fat plant whose lifted
+        # system has two independent zeros at one; each record's own last
+        # singular vector left the two directions nearly parallel (singular
+        # value ratio 0.0095)
+        doc = bench_module("workloads")._population_plants(1, 10)["fat"]
+        plant, T, _ = load_plant(doc)
+        report = transmission_zeros(build_lifted(plant, T, 6))
+        pair = [r.input_direction for r in report.zeros if r.classification == "boundary_multiple"]
+        assert len(pair) == 2
+        s = np.linalg.svd(np.array(pair), compute_uv=False)
+        assert s[-1] >= 0.5 * s[0]
+
+    def test_null_chain_repeats_its_null_vector(self):
+        # channel 1 is (z - 0.5)^2 / z^2, channel 2 a unit gain: a double zero
+        # at 0.5 with one null vector, computed as two points 1e-8 apart
+        sys = DiscretePlant(
+            A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0, 0.0], [1.0, 0.0]],
+            C=[[0.25, -1.0], [0.0, 0.0]], D=np.eye(2), period=1.0,
+        )
+        zs = finite_zeros(transmission_zeros(sys))
+        assert len(zs) == 2 and abs(zs[0] - zs[1]) <= 1e-6
+        for z, (xi, nu) in zip(zs, _null_directions(sys, zs)):
+            assert np.linalg.norm(pencil_matrix(sys, z) @ np.concatenate([xi, nu])) <= 1e-6
 
 
 class TestNonFinitePoint:
