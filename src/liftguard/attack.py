@@ -6,10 +6,11 @@ D_att]`` of the loop's sampled system: ``(B, D)`` for the actuators,
 ``(0, I)`` for the sensors, ``([B, 0], [D, I])`` for both.  From zero
 state the injection ``eps * Re(a0 * zeta^k)`` leaves the measured output
 equal to the closed loop's free response from ``-eps * x0``, which the
-stabilizing controller damps, for any plant.  Actuator plans ride the
-zero or the ratio ``FREE_ZETA`` that ``zeros.classify_vulnerability``
-reports, sensor plans the witness pole of its sensor verdict, and
-coordinated plans ``FREE_ZETA``.
+stabilizing controller damps, for any plant.  Actuator and sensor plans
+ride what the one verdict rule of ``zeros.classify_vulnerability`` finds
+on their channel set's pencil: its witness zero (for the sensors, an
+unstable pole), or ``FREE_ZETA`` when the pencil has a null vector at
+every point.  Coordinated plans ride ``FREE_ZETA``.
 
 Signal amplitudes are calibrated empirically: a probe run of the loop
 with a unit-amplitude plan measures the monitor peak per unit amplitude,
@@ -28,18 +29,16 @@ from functools import partial
 
 import numpy as np
 
-from . import linalg
 from .errors import CapabilityError, DimensionError, NumericError
 from .model import StateSpace, _field, _integer, _no_booleans
 from .sim import LoopConfig, run_dual_rate, run_single_rate
 from .zeros import (
+    _actuator_rule,
     _deciding_system,
     _normalize_direction,
     _null_directions,
-    _sensor_verdict,
-    classify_vulnerability,
-    pencil_matrix,
-    poles,
+    _sensor_rule,
+    _sensor_set,
     transmission_zeros,
 )
 
@@ -268,51 +267,48 @@ def _pencil_plan(cfg: LoopConfig, kind: str, zeta: complex, channels: StateSpace
 
 def synth_actuator_attack(cfg: LoopConfig) -> AttackPlan:
     """Unbounded stealthy actuator plan for the configured loop, built for
-    the mechanism ``classify_vulnerability`` reports on the loop's
-    discrete (or lifted) plant.
+    the mechanism the verdict rule of ``classify_vulnerability`` finds on
+    the actuators alone of the loop's discrete (or lifted) plant.
 
     ``nmp_zero`` rides its witness, the strictly non-minimum-phase zero of
     largest modulus; zeros of the feedthrough at reciprocal frequency zero
-    have no causal geometric input and never qualify.  ``fat_plant`` rides
-    ``FREE_ZETA``.  Either way the direction is the input part of the
-    pencil's right null vector there.  ``multiple_zero_at_one`` calls for
-    a ramp, which no plan kind renders, and is a ``CapabilityError``
-    naming it, as is a verdict other than "yes".  The amplitude is
-    calibrated so the monitor peaks at half the threshold.
+    have no causal geometric input and never qualify.  ``fat_plant`` (a
+    fat plant, or dependent inputs) rides ``FREE_ZETA``.  Either way the
+    direction is the input part of the pencil's right null vector there.
+    ``multiple_zero_at_one`` calls for a ramp, which no plan kind renders,
+    and is a ``CapabilityError`` naming it, as is a verdict other than
+    "yes".  The amplitude is calibrated so the monitor peaks at half the
+    threshold.
     """
     sys = cfg.system
     report = transmission_zeros(sys)
-    verdict = classify_vulnerability(report, system=sys)
-    if verdict.actuator_mechanism == "nmp_zero":
-        zeta = complex(verdict.actuator_witness.z_value)
-    elif verdict.actuator_mechanism == "fat_plant":
-        zeta = FREE_ZETA
-    elif verdict.actuator_mechanism == "multiple_zero_at_one":
+    _, mechanism, witness, _ = _actuator_rule(report, sys)
+    if mechanism == "multiple_zero_at_one":
         raise CapabilityError(
             "plant vulnerable through a multiple zero at frequency one "
             "(multiple_zero_at_one): its attack is a ramp, which no plan kind renders"
         )
-    else:
+    if mechanism is None:
         boundary = [r for r in report.zeros if r.classification.startswith("boundary")]
         hint = "; only boundary zeros found" if boundary else ""
         raise CapabilityError(
             "plant not vulnerable: no strictly non-minimum-phase zero to ride" + hint
         )
+    zeta = FREE_ZETA if witness is None else complex(witness.z_value)
     return _pencil_plan(cfg, "actuator_zero", zeta, sys, sys.n_u)
 
 
 def synth_sensor_attack(cfg: LoopConfig) -> AttackPlan:
-    """Unbounded stealthy sensor plan riding the witness pole of the
-    sensor verdict ``classify_vulnerability`` reports, the unstable pole
-    of largest modulus.
-
-    The direction is the sensor part of the null vector of
-    ``[zeta I - A, 0; C, I]``: ``-C v`` for the pole's eigenvector v.  A
-    verdict other than "yes" is a ``CapabilityError`` naming it, and a
-    pencil that is not singular at the pole a ``NumericError``.
+    """Unbounded stealthy sensor plan riding the witness of the sensor
+    verdict ``classify_vulnerability`` reports: the zero of largest modulus
+    outside the unit disc of the sensor pencil ``[zeta I - A, 0; C, I]``,
+    that is the unstable pole of largest modulus.  The witness is a
+    confirmed rank drop of that pencil, and the direction is the sensor
+    part of its null vector there, ``-C v`` for the pole's eigenvector v.
+    A verdict other than "yes" is a ``CapabilityError`` naming it.
     """
     sys = cfg.system
-    verdict, witness, notes = _sensor_verdict(poles(sys))
+    verdict, _, witness, notes = _sensor_rule(sys)
     if verdict == "undecided":
         raise CapabilityError("no sensor plan: " + "; ".join(notes))
     if verdict == "no":
@@ -321,16 +317,8 @@ def synth_sensor_attack(cfg: LoopConfig) -> AttackPlan:
         raise CapabilityError(
             "plant not vulnerable: no unstable pole; " + (why if notes else "the plant is stable")
         )
-    zeta = complex(witness.value)
-    sensors = StateSpace(sys.A, np.zeros((sys.n, sys.n_y)), sys.C, np.eye(sys.n_y))
-    P = pencil_matrix(sensors, zeta)
-    r = linalg.rank_svd(P, rel_tol=1e-6)
-    if r.rank == P.shape[1]:
-        raise NumericError(
-            "sensor pencil is not singular at the witness pole "
-            f"(smallest singular value {r.singular_values[-1]:.3e}); pole data inconsistent"
-        )
-    return _pencil_plan(cfg, "sensor_pole", zeta, sensors, sys.n_y)
+    zeta = FREE_ZETA if witness is None else complex(witness.z_value)
+    return _pencil_plan(cfg, "sensor_pole", zeta, _sensor_set(sys), sys.n_y)
 
 
 def synth_coordinated_attack(cfg: LoopConfig) -> AttackPlan:
@@ -343,8 +331,7 @@ def synth_coordinated_attack(cfg: LoopConfig) -> AttackPlan:
     is the actuator part, one entry per input, then the sensor part.
     """
     sys = cfg.system
-    both = StateSpace(sys.A, np.hstack([sys.B, np.zeros((sys.n, sys.n_y))]),
-                      sys.C, np.hstack([sys.D, np.eye(sys.n_y)]))
+    both = _sensor_set(sys, with_actuators=True)
     return _pencil_plan(cfg, "coordinated", FREE_ZETA, both, sys.n_u)
 
 

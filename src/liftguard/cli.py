@@ -92,23 +92,28 @@ def _rank_dict(r):
     }
 
 
+def _zero_dict(record):
+    if record is None:
+        return None
+    return {
+        "z": None if record.z_value is None else _complex_dict(record.z_value),
+        "classification": record.classification,
+    }
+
+
 def _zero_report_dict(report):
-    zeros = []
-    for rec in report.zeros:
-        zeros.append(
-            {
-                "z": None if rec.z_value is None else _complex_dict(rec.z_value),
-                "lambda": (
-                    "lambda-infinity"
-                    if rec.lambda_value is None
-                    else _complex_dict(rec.lambda_value)
-                ),
-                "classification": rec.classification,
-                "residual": rec.residual,
-                "marginal": rec.marginal,
-                "input_direction": [_complex_dict(z) for z in rec.input_direction],
-            }
-        )
+    zeros = [
+        {
+            **_zero_dict(rec),
+            "lambda": (
+                "lambda-infinity" if rec.lambda_value is None else _complex_dict(rec.lambda_value)
+            ),
+            "residual": rec.residual,
+            "marginal": rec.marginal,
+            "input_direction": [_complex_dict(z) for z in rec.input_direction],
+        }
+        for rec in report.zeros
+    ]
     return {
         "zeros": zeros,
         "poles": [
@@ -131,27 +136,9 @@ def _verdict_dict(verdict):
     return {
         "actuator_stealthy": verdict.actuator,
         "actuator_mechanism": verdict.actuator_mechanism,
-        "actuator_witness": (
-            None
-            if verdict.actuator_witness is None
-            else {
-                "z": (
-                    None
-                    if verdict.actuator_witness.z_value is None
-                    else _complex_dict(verdict.actuator_witness.z_value)
-                ),
-                "classification": verdict.actuator_witness.classification,
-            }
-        ),
+        "actuator_witness": _zero_dict(verdict.actuator_witness),
         "sensor_stealthy": verdict.sensor,
-        "sensor_witness": (
-            None
-            if verdict.sensor_witness is None
-            else {
-                "z": _complex_dict(verdict.sensor_witness.value),
-                "classification": verdict.sensor_witness.classification,
-            }
-        ),
+        "sensor_witness": _zero_dict(verdict.sensor_witness),
         "notes": list(verdict.notes),
     }
 

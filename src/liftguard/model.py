@@ -35,7 +35,11 @@ __all__ = [
     "observability_stack",
     "load_plant",
     "plant_to_dict",
+    "PATHOLOGY_TOL",
 ]
+
+# Tolerance of the pathological-sampling test on real parts and multiples.
+PATHOLOGY_TOL = 1e-9
 
 
 def _matrix(value, rows=None, cols=None, name="matrix"):
@@ -150,9 +154,9 @@ class DiscretePlant(StateSpace):
 def check_pathological(plant: ContinuousPlant, T: float) -> PathologyReport:
     """Flag eigenvalue pairs of ``A`` that alias under sampling at period ``T``.
 
-    A pair is offending when the real parts coincide (tolerance 1e-9) and
-    the imaginary gap is a nonzero integer multiple of 2*pi/T (tolerance
-    1e-9 on the multiple).
+    A pair is offending when the real parts coincide and the imaginary gap
+    is a nonzero integer multiple of 2*pi/T, both within
+    ``PATHOLOGY_TOL``.
     """
     if not 0 < T < np.inf:
         raise ValueError(f"sampling period must be positive and finite, got {T}")
@@ -161,11 +165,11 @@ def check_pathological(plant: ContinuousPlant, T: float) -> PathologyReport:
     pairs = []
     for i in range(len(lams)):
         for j in range(i + 1, len(lams)):
-            if abs(lams[i].real - lams[j].real) > 1e-9:
+            if abs(lams[i].real - lams[j].real) > PATHOLOGY_TOL:
                 continue
             q = (lams[i].imag - lams[j].imag) / base
             k = round(q)
-            if k != 0 and abs(q - k) <= 1e-9 * max(1.0, abs(q)):
+            if k != 0 and abs(q - k) <= PATHOLOGY_TOL * max(1.0, abs(q)):
                 pairs.append((complex(lams[i]), complex(lams[j]), int(k)))
     return PathologyReport(pathological=bool(pairs), pairs=tuple(pairs))
 

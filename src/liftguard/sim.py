@@ -11,8 +11,8 @@ attack injected in that period (exact LTI discretization, no ODE
 solver).  A run solves these steps together, as the unit
 lower-triangular banded system ``[I; −M I; −M I; …]·Ξ = [ξ0; drive…]``
 (LAPACK ``dtbtrs``), a block of whole hold periods at a time; the
-command, the m output samples and the m plant states of each period are
-products on the solved ξ.  Every signal is read at the samples; the
+command and the m output samples of each period are products on the
+solved ξ.  Every signal is read at the samples; the
 monitor watches only the measured outputs and the controller commands.
 
 The CSV export formats the trace column by column, in blocks of whole
@@ -32,7 +32,7 @@ from scipy.linalg.lapack import dtbtrs
 from . import linalg
 from .errors import ConfigurationError, DimensionError, NumericError
 from .factor import closed_loop_matrix, coprime_factorize, observer_controller
-from .lift import LiftedSystem, _lifted_blocks
+from .lift import LiftedSystem
 from .model import DiscretePlant, StateSpace, _integer
 
 __all__ = [
@@ -136,9 +136,8 @@ class SimTrace:
 
     ``y`` holds one row per sample (m rows per base step in dual-rate
     mode) of the measured output; ``u`` one row per base step of the
-    controller command; ``monitor`` one value per sample row.  ``x`` and
-    ``y_physical`` are the plant state and the plant output before the
-    sensor attack at each sample row.
+    controller command; ``monitor`` one value per sample row.  ``x`` is
+    the plant state at the start of each hold period.
     """
 
     times: np.ndarray  # per sample row
@@ -152,8 +151,7 @@ class SimTrace:
     mode: str
     T: float
     samples_per_step: int  # 1 (single rate) or m (dual rate)
-    x: np.ndarray  # (horizon * samples_per_step, n)
-    y_physical: np.ndarray  # (horizon * samples_per_step, n_y)
+    x: np.ndarray  # (horizon, n)
 
 
 def monitor_eval(y_stream, u_stream, theta: float):
@@ -239,9 +237,8 @@ def _closed_loop(cfg: LoopConfig, mode: str) -> SimTrace:
     if rho >= 1.0:
         raise ConfigurationError(f"{mode.replace('_', '-')} closed loop is unstable "
                                  f"(spectral radius {rho:.6f}); refusing to simulate")
-    fast, m = (sys.fast_plant, sys.m) if mode == "dual_rate" else (sys, 1)
-    N, n = cfg.horizon, sys.n
-    d_a, d_s = _render_attack(cfg.attack, N, sys.n_u, m, fast.n_y)
+    N, n, m = cfg.horizon, sys.n, cfg.m or 1
+    d_a, d_s = _render_attack(cfg.attack, N, sys.n_u, m, sys.n_y // m)
     xi = np.zeros((N, n + K.n))  # ξ at the start of each hold period
     if cfg.x0_plant is not None:
         xi[0, :n] = cfg.x0_plant
@@ -262,14 +259,7 @@ def _closed_loop(cfg: LoopConfig, mode: str) -> SimTrace:
                 raise NumericError(f"closed-loop banded solve failed (LAPACK dtbtrs info={info})")
 
         x, u_log = xi[:, :n], xi[:, n:] @ K.C.T
-        u_applied = u_log + d_a
-        y_phys = (x @ sys.C.T + u_applied @ sys.D.T).reshape(N * m, -1)
-        # plant states at the samples: x itself, then rows [A^i, sum_{j<i} A^j B]
-        # of the fast plant (a product would turn inf * 0 into NaN in x)
-        _, _, Cx, Dx = _lifted_blocks(fast.A, fast.B, np.eye(n), np.zeros((n, sys.n_u)), m)
-        x_sub = (x @ Cx[n:].T + u_applied @ Dx[n:].T).reshape(N, m - 1, n)
-        x_log = np.concatenate([x[:, None], x_sub], axis=1).reshape(N * m, n)
-        y_log = y_phys + d_s
+        y_log = (x @ sys.C.T + (u_log + d_a) @ sys.D.T).reshape(N * m, -1) + d_s
         if cfg.attack is None:
             _check_divergence(y_log.reshape(N, -1), u_log)
         verdict, monitor = monitor_eval(y_log, np.repeat(u_log, m, axis=0), cfg.theta)
@@ -285,8 +275,7 @@ def _closed_loop(cfg: LoopConfig, mode: str) -> SimTrace:
         mode=cfg.mode,
         T=cfg.T,
         samples_per_step=m,
-        x=x_log,
-        y_physical=y_phys,
+        x=x,
     )
 
 

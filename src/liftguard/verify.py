@@ -30,9 +30,12 @@ from .model import (
     observability_stack,
     plant_to_dict,
 )
-from .zeros import _match_multisets, _multiple_at, zero_values
+from .zeros import BOUNDARY_TOL, MATCH_TOL, _match_multisets, _multiple_at, zero_values
 
-__all__ = ["run_suite", "random_minimal_plant"]
+__all__ = ["run_suite", "random_minimal_plant", "STRUCTURAL_IDENTITY_TOL"]
+
+# Largest residual entry the three lifted structural identities may have.
+STRUCTURAL_IDENTITY_TOL = 1e-12
 
 
 def _redrawn(draw):
@@ -141,7 +144,7 @@ def _prop_zero_similarity(trial):
         A=S @ sys.A @ Si, B=S @ sys.B, C=sys.C @ Si, D=sys.D, period=1.0
     )
     transformed = _zero_set(zero_values(sim))
-    if _match_multisets(base, transformed, 1e-6) is None:
+    if _match_multisets(base, transformed, MATCH_TOL) is None:
         return sys, f"{base} vs {transformed}"
     return None
 
@@ -159,7 +162,7 @@ def _prop_factor_sets(trial):
     plant_poles = sorted(
         (complex(z) for z in np.linalg.eigvals(sys.A)), key=lambda z: (z.real, z.imag)
     )
-    if _match_multisets(denom_zeros, plant_poles, 1e-6) is None:
+    if _match_multisets(denom_zeros, plant_poles, MATCH_TOL) is None:
         return sys, f"{denom_zeros} vs {plant_poles}"
     return None
 
@@ -175,7 +178,7 @@ def _prop_structural_identities(trial):
         np.abs((np.eye(fast.n) - fast.A) @ L.B - (np.eye(fast.n) - L.A) @ fast.B)
     )
     worst = np.max([e1, e2, e3])
-    if not worst <= 1e-12:
+    if not worst <= STRUCTURAL_IDENTITY_TOL:
         return plant, f"identity error {worst:.3e}"
     return None
 
@@ -185,7 +188,7 @@ def _prop_lifted_zero_containment(trial):
     rep = check_minimal(L)
     if not rep.minimal:
         return None  # pathological fast sampling; excluded by assumption
-    bad = [z for z in zero_values(L, minimality=rep) if abs(z) > 1.0 + 1e-7]
+    bad = [z for z in zero_values(L, minimality=rep) if abs(z) > 1.0 + BOUNDARY_TOL]
     mult = _multiple_at(L, 1.0)
     if bad or mult == "multiple":
         return plant, f"outside zeros {bad}, multiplicity {mult}"

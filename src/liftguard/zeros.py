@@ -16,6 +16,16 @@ unit circle so the rank tests stay well scaled.  A multiple zero at
 frequency one is told from a pair of simple ones by a null-chain test on
 the same pencil at z = 1; no coprime factor is built.
 
+Every stealthy-attack verdict is one rule (``_rule``) on the pencil
+``[zI - A, -B_S; C, D_S]`` of an attacked channel set S, the system with
+the attacked channels as its inputs: the actuators ``(B, D)``, the system
+itself, and the sensors ``(0, I)`` (``_sensor_set``), whose zeros are the
+poles.  A normal rank below the column count is "yes" at any growth
+ratio; else the zero of largest modulus strictly outside the unit disc
+is the witness of a "yes"; else a boundary zero at z = 1 with a null
+chain of length two is a "yes"; else repeated boundary zeros are
+undecided, and simple ones or none give "no".
+
 Classification lives in the reciprocal domain used by the vulnerability
 rules (w = 1/z): a strictly non-minimum-phase zero has 0 < |w| < 1, the
 boundary is |w| = 1, and a zero of the feedthrough relative to the normal
@@ -60,10 +70,9 @@ MATCH_TOL = 1e-6
 # the squared pencil is regular wherever the pencil has full rank there.
 _SQUARING_POINT = 1.2591
 # Generalized eigenvalues beyond this magnitude are numerical leakage of the
-# pencil's infinite spectrum: the reciprocal-domain pencil genuinely loses
-# rank as the reciprocal frequency approaches zero whenever the feedthrough
-# is rank deficient, which is exactly the separately-counted zero at
-# z-infinity, not a finite zero.
+# pencil's infinite spectrum when the reciprocal-domain pencil loses rank
+# as the reciprocal frequency approaches zero, which is exactly the
+# separately-counted zero at z-infinity, not a finite zero.
 _Z_INFINITY_CUTOFF = 1e8
 # Fixed generic probe points for normal-rank estimation (inside and outside
 # the unit circle; the max over them is the normal rank almost surely).
@@ -81,14 +90,15 @@ class ZeroRecord:
     ``z_value`` is None for a zero at z-infinity (reciprocal value 0);
     ``lambda_value`` is None ("lambda-infinity") for a zero at z = 0.
     ``input_direction`` is the input part of the pencil's null vector at
-    the zero, scaled to max-norm one with its largest entry real positive.
+    the zero, scaled to max-norm one with its largest entry real positive
+    (None on a sensor witness, whose plan computes its own).
     ``residual`` is the singular value of the (well-scaled) deciding
     pencil, a lifted system's small one, that certifies the rank drop.
     """
 
     z_value: complex | None
     lambda_value: complex | None
-    input_direction: np.ndarray
+    input_direction: np.ndarray | None
     classification: str
     residual: float
     marginal: bool = False
@@ -98,7 +108,6 @@ class ZeroRecord:
 class PoleRecord:
     value: complex
     classification: str  # "stable" | "boundary" | "unstable"
-    marginal: bool = False
 
 
 @dataclass(frozen=True)
@@ -118,7 +127,7 @@ class VulnerabilityVerdict:
     actuator_mechanism: str | None  # "nmp_zero" | "fat_plant" | "multiple_zero_at_one"
     actuator_witness: ZeroRecord | None
     sensor: str
-    sensor_witness: PoleRecord | None
+    sensor_witness: ZeroRecord | None
     notes: tuple = ()
 
 
@@ -169,14 +178,26 @@ def _confirmed(sys):
     finite eigenvalue of the pencil that drops its rank at
     ``CONFIRM_RTOL``).  One stacked SVD over the probe points and the
     candidates gives the normal rank and the residual, the singular value
-    at that rank."""
-    found = [z for z in _candidates(sys) if abs(z) <= _Z_INFINITY_CUTOFF]
-    results = linalg.rank_svd(pencil_matrix(sys, [*_PROBE_POINTS, *found]))
-    rank = max(r.rank for r in results[: len(_PROBE_POINTS)])
+    at that rank.  A rank deficiency at the probes is judged again on the
+    probes equilibrated, so that a pole far larger than the channel
+    blocks does not hide their rank.  Candidates past
+    ``_Z_INFINITY_CUTOFF`` are dropped only when the pencil drops rank at
+    z-infinity too: a sensor pencil keeps its poles there."""
+    found = _candidates(sys)
+    k, far = len(_PROBE_POINTS), any(abs(z) > _Z_INFINITY_CUTOFF for z in found)
+    results = linalg.rank_svd(pencil_matrix(sys, [*_PROBE_POINTS, *found] + [np.inf] * far))
+    rank = max(r.rank for r in results[:k])
+    if rank < sys.n + sys.n_u:
+        probes = pencil_matrix(sys, _PROBE_POINTS)
+        for axis in (-1, -2):  # each row, then each column, by a power of two
+            probes = probes * np.ldexp(1.0, -np.frexp(np.max(abs(probes), axis, keepdims=True))[1])
+        rank = max(rank, *(r.rank for r in linalg.rank_svd(probes)))
+    drops = [linalg.rank_of(r.singular_values, CONFIRM_RTOL).rank < rank for r in results[k:]]
+    cutoff = _Z_INFINITY_CUTOFF if far and drops[-1] else np.inf
     return rank, [
         (z, float(r.singular_values[rank - 1]))
-        for z, r in zip(found, results[len(_PROBE_POINTS) :])
-        if linalg.rank_of(r.singular_values, CONFIRM_RTOL).rank < rank
+        for z, r, drop in zip(found, results[k:], drops)
+        if drop and abs(z) <= cutoff
     ]
 
 
@@ -287,6 +308,28 @@ def _classify(z: complex, multiplicity: int):
     return ("nmp_strict" if side == "outside" else "minimum_phase"), marginal
 
 
+def _zero_records(sys, assumptions=None, directions=True):
+    """(records, normal rank) of the finite confirmed zeros of the deciding
+    pencil of ``sys``, with no minimality check: a channel set's system
+    need not be minimal.  ``assumptions`` as for
+    :func:`transmission_zeros`.  Without ``directions`` (a verdict reads
+    none) every ``input_direction`` is None and no null vector is
+    computed."""
+    deciding = _deciding_system(sys, assumptions)
+    normal_rank, found = _confirmed(deciding)
+    # Conjugate-pair and multiplicity bookkeeping, then record assembly.
+    zs = [z for z, _ in found]
+    labels = _cluster_labels(zs, MATCH_TOL)
+    nulls = _null_directions(deciding, zs, labels) if directions else [None] * len(zs)
+    records = []
+    for (z, residual), label, null in zip(found, labels, nulls):
+        classification, marginal = _classify(z, labels.count(label))
+        lam = None if abs(z) <= 1e-9 else 1.0 / z  # None encodes "lambda-infinity"
+        direction = None if null is None else _normalize_direction(*null)
+        records.append(ZeroRecord(z, lam, direction, classification, residual, marginal))
+    return records, normal_rank
+
+
 def transmission_zeros(sys, assumptions=None) -> ZeroReport:
     """Finite transmission zeros and poles of a discrete state-space system.
 
@@ -307,27 +350,8 @@ def transmission_zeros(sys, assumptions=None) -> ZeroReport:
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
     n, n_u, n_y = A.shape[0], B.shape[1], C.shape[0]
     _require_minimal(sys, None, "transmission zeros require")
-    deciding = _deciding_system(sys, assumptions)
-    normal_rank, found = _confirmed(deciding)
+    records, normal_rank = _zero_records(sys, assumptions)
     shape = "square" if n_y == n_u else ("tall" if n_y > n_u else "fat")
-
-    # Conjugate-pair and multiplicity bookkeeping, then record assembly.
-    zs = [z for z, _ in found]
-    labels = _cluster_labels(zs, MATCH_TOL)
-    records = []
-    for (z, residual), label, (xi, nu) in zip(found, labels, _null_directions(deciding, zs, labels)):
-        classification, marginal = _classify(z, labels.count(label))
-        lam = None if abs(z) <= 1e-9 else 1.0 / z  # None encodes "lambda-infinity"
-        records.append(
-            ZeroRecord(
-                z_value=z,
-                lambda_value=lam,
-                input_direction=_normalize_direction(xi, nu),
-                classification=classification,
-                residual=residual,
-                marginal=marginal,
-            )
-        )
 
     # Zeros at z-infinity: the reciprocal-domain pencil at 0 is
     # [[I, -B], [0, D]], whose column rank is n + rank(D).  The feedthrough
@@ -375,11 +399,8 @@ def poles(sys) -> tuple:
     """Eigenvalues of the state matrix, classified against the unit circle."""
     _require_discrete(sys, "poles need")
     labels = {"boundary": "boundary", "outside": "unstable", "inside": "stable"}
-    out = []
-    for lam in linalg.eig(sys.A):
-        side, marginal = _unit_circle_side(lam)
-        out.append(PoleRecord(value=complex(lam), classification=labels[side], marginal=marginal))
-    return tuple(out)
+    return tuple(PoleRecord(complex(lam), labels[_unit_circle_side(lam)[0]])
+                 for lam in linalg.eig(sys.A))
 
 
 def _multiple_at(sys, z) -> str:
@@ -404,80 +425,82 @@ def _multiple_at(sys, z) -> str:
     return "multiple" if r2 < cols + r.rank else "simple"
 
 
-def _sensor_verdict(records):
-    """(verdict, witness, notes) of the sensor channel from pole records:
-    an unstable pole is the witness (the one of largest modulus); simple
-    boundary poles are harmless; repeated boundary poles are undecided."""
-    unstable = [p for p in records if p.classification == "unstable"]
-    if unstable:
-        witness = max(unstable, key=lambda p: abs(p.value))
-        marginal = "sensor witness pole is marginal (near the boundary tolerance)"
-        return "yes", witness, (marginal,) if witness.marginal else ()
-    boundary = [p.value for p in records if p.classification == "boundary"]
-    if not boundary:
-        return "no", None, ()
-    if len(set(_cluster_labels(boundary, MATCH_TOL))) < len(boundary):
-        return "undecided", None, (
-            "repeated boundary poles: undecided (out of scope: "
-            "invariant-factor multiplicity analysis)",
-        )
-    return "no", None, ("boundary poles are simple: no unbounded sensor plan",)
+def _sensor_set(sys, with_actuators=False):
+    """The sampled system ``sys`` with the attacked channels as its inputs:
+    ``(A, 0, C, I)`` for the sensors, ``(A, [B, 0], C, [D, I])`` for the
+    sensors and the actuators (the actuators alone are ``sys`` itself)."""
+    keep = slice(None if with_actuators else 0)
+    return StateSpace(sys.A, np.hstack([sys.B[:, keep], np.zeros((sys.n, sys.n_y))]),
+                      sys.C, np.hstack([sys.D[:, keep], np.eye(sys.n_y)]))
+
+
+# How the rule names, per channel set, its witness, its repeated boundary
+# zeros and (in a note, or not at all) its simple ones; the sensor set's
+# zeros are the plant's poles.
+_ACTUATOR_NOTES = ("actuator witness zero", "multiple boundary zeros away from frequency one", None)
+_SENSOR_NOTES = ("sensor witness pole", "repeated boundary poles",
+                 "boundary poles are simple: no unbounded sensor plan")
+
+
+def _rule(channels, records, normal_rank, notes, chains=True):
+    """(verdict, mechanism, witness, notes) of the attacked channel set
+    whose system is ``channels``, by the rule of the module docstring, from
+    the confirmed zero ``records`` and the ``normal_rank`` of its deciding
+    pencil.  A repeated boundary cluster at z = 1 is decided by
+    ``_multiple_at`` at exactly 1 (at a computed value 1e-8 off it the test
+    can miss the chain of a double zero); ``chains=False`` leaves it
+    undecided, as any other repeated boundary cluster."""
+    witness_name, repeated_name, simple_note = notes
+    if normal_rank < channels.n + channels.n_u:
+        return "yes", "fat_plant", None, (
+            "fat plant: one input channel can mask another regardless of zeros",)
+    strict = [r for r in records if r.classification == "nmp_strict"]
+    if strict:
+        witness = max(strict, key=lambda r: abs(r.z_value))
+        marginal = f"{witness_name} is marginal (near the boundary tolerance)"
+        return "yes", "nmp_zero", witness, (marginal,) if witness.marginal else ()
+    repeated = [r for r in records if r.classification == "boundary_multiple"]
+    at_one = [r for r in repeated if chains and abs(r.z_value - 1.0) <= MATCH_TOL]
+    found = ()
+    if at_one:
+        if _multiple_at(channels, 1.0) == "multiple":
+            return "yes", "multiple_zero_at_one", at_one[0], ()
+        found = ("boundary zero at frequency one is simple: no unbounded plan",)
+    if len(repeated) > len(at_one):
+        return "undecided", None, None, (*found, f"{repeated_name}: undecided (out of scope: "
+                                         "invariant-factor multiplicity analysis)")
+    if simple_note and any(r.classification == "boundary_simple" for r in records):
+        found = (*found, simple_note)
+    return "no", None, None, found
+
+
+def _actuator_rule(report: ZeroReport, system):
+    """``_rule`` on the actuators of ``system``, whose report is ``report``."""
+    return _rule(system, report.zeros, report.normal_rank, _ACTUATOR_NOTES)
+
+
+def _sensor_rule(system):
+    """``_rule`` on the sensors of ``system``, without the chain test."""
+    sensors = _sensor_set(system)
+    records, normal_rank = _zero_records(sensors, directions=False)
+    return _rule(sensors, records, normal_rank, _SENSOR_NOTES, chains=False)
 
 
 def classify_vulnerability(report: ZeroReport, system) -> VulnerabilityVerdict:
-    """Stealthy-attack verdicts per channel from the zero/pole report of
-    ``system``.
-
-    Actuator side: fat plants are always vulnerable (one input masks the
-    other); otherwise a strictly non-minimum-phase zero is the witness;
-    boundary zeros with multiplicity at frequency one are decided by the
-    null-chain test on the deciding pencil of ``system`` at exactly z = 1;
-    multiple boundary zeros elsewhere are reported undecided.  Sensor
-    side: ``_sensor_verdict`` of the report's poles, the decision
-    ``attack.synth_sensor_attack`` builds its plan from.
-    """
-    notes = []
-
-    actuator = "no"
-    mechanism = None
-    witness = None
-    if report.system_shape == "fat":
-        actuator, mechanism = "yes", "fat_plant"
-        notes.append("fat plant: one input channel can mask another regardless of zeros")
-    else:
-        strict = [r for r in report.zeros if r.classification == "nmp_strict"]
-        if strict:
-            witness = max(strict, key=lambda r: abs(r.z_value))
-            actuator, mechanism = "yes", "nmp_zero"
-            if witness.marginal:
-                notes.append("actuator witness zero is marginal (near the boundary tolerance)")
-        else:
-            multi = [r for r in report.zeros if r.classification == "boundary_multiple"]
-            at_one = [r for r in multi if abs(r.z_value - 1.0) <= MATCH_TOL]
-            elsewhere = [r for r in multi if abs(r.z_value - 1.0) > MATCH_TOL]
-            if at_one:
-                # at exactly 1: at a computed value 1e-8 off it the chain
-                # test can miss the chain of a double zero
-                if _multiple_at(system, 1.0) == "multiple":
-                    actuator, mechanism = "yes", "multiple_zero_at_one"
-                    witness = at_one[0]
-                else:
-                    notes.append("boundary zero at frequency one is simple: no unbounded plan")
-            if elsewhere and actuator == "no":
-                actuator = "undecided"
-                notes.append(
-                    "multiple boundary zeros away from frequency one: undecided "
-                    "(out of scope: invariant-factor multiplicity analysis)"
-                )
-
-    sensor, sensor_witness, sensor_notes = _sensor_verdict(report.poles)
-    notes.extend(sensor_notes)
-
+    """Stealthy-attack verdicts of the actuator and the sensor channel sets
+    of ``system``, whose zero report is ``report``, each by ``_rule`` on
+    its own pencil, the one ``attack`` builds its plan from.  A fat plant,
+    or one whose inputs are dependent, has an actuator pencil of deficient
+    normal rank; the sensor pencil's zeros are the poles, so an unstable
+    pole is the sensor witness and repeated boundary poles, at z = 1 too,
+    are undecided."""
+    actuator, mechanism, witness, notes = _actuator_rule(report, system)
+    sensor, _, sensor_witness, sensor_notes = _sensor_rule(system)
     return VulnerabilityVerdict(
         actuator=actuator,
         actuator_mechanism=mechanism,
         actuator_witness=witness,
         sensor=sensor,
         sensor_witness=sensor_witness,
-        notes=tuple(notes),
+        notes=notes + sensor_notes,
     )

@@ -25,7 +25,9 @@ from liftguard.sim import monitor_eval
 from liftguard.zeros import (
     _PROBE_POINTS,
     _Z_INFINITY_CUTOFF,
+    BOUNDARY_TOL,
     CONFIRM_RTOL,
+    MATCH_TOL,
     _candidates,
     _match_multisets,
     pencil_matrix,
@@ -244,6 +246,21 @@ def reference_sensor_direction(sys, zeta: complex) -> np.ndarray:
     return d0 / (d0[idx] / abs(d0[idx])) / abs(d0[idx])
 
 
+def reference_sensor_verdict(sys):
+    """(verdict, witness modulus) of the sensor channel read off
+    ``numpy.linalg.eigvals(A)`` against the unit circle, the pole route the
+    sensor pencil's rule replaced: "yes" with the largest modulus beyond
+    ``BOUNDARY_TOL`` outside the circle; else "undecided" when two boundary
+    eigenvalues lie within ``MATCH_TOL`` of each other; else "no"."""
+    poles = np.linalg.eigvals(sys.A)
+    outside = [abs(p) for p in poles if abs(p) - 1.0 > BOUNDARY_TOL]
+    if outside:
+        return "yes", max(outside)
+    boundary = [p for p in poles if abs(abs(p) - 1.0) <= BOUNDARY_TOL]
+    repeated = any(abs(a - b) <= MATCH_TOL for i, a in enumerate(boundary) for b in boundary[:i])
+    return ("undecided" if repeated else "no"), None
+
+
 class Injector:
     """Fixed attack signals for a loop run: it answers the two calls
     ``sim._render_attack`` makes of a plan.  ``d_a`` has one row per base
@@ -382,7 +399,7 @@ def reference_closed_loop(cfg):
     oracle for ``sim``'s one step per hold period.  It runs on the fast
     plant (the ZOH plant itself in single rate) with the held input and
     the attack sequences the plan renders.  Returns ``(u, y, x,
-    y_physical, monitor)``.
+    monitor)``, with the plant state ``x`` at every output sample.
     """
     sys, K, N = cfg.system, cfg.controller, cfg.horizon
     fast, m = (sys.fast_plant, sys.m) if cfg.mode == "dual_rate" else (sys, 1)
@@ -405,7 +422,7 @@ def reference_closed_loop(cfg):
         xk = K.A @ xk + K.B @ (y_phys[k * m : (k + 1) * m] + d_s[k * m : (k + 1) * m]).ravel()
     y = y_phys + d_s
     _, monitor = monitor_eval(y, np.repeat(u, m, axis=0), cfg.theta)
-    return u, y, xs, y_phys, monitor
+    return u, y, xs, monitor
 
 
 def reference_trace_to_csv(trace, path):

@@ -146,18 +146,6 @@ class TestSensorSynthesis:
             synth_sensor_attack(cfg)
         assert "not vulnerable" not in str(exc.value)
 
-    def test_pencil_not_singular_at_the_pole_is_an_error(self, monkeypatch):
-        # a witness that is not a pole of the loop's system: the sensor
-        # pencil has no null vector there
-        from liftguard import attack
-        from liftguard.zeros import PoleRecord
-
-        plant = unstable_scalar()
-        cfg = standard_loop(discretize(plant, 1.0), theta=0.01)
-        monkeypatch.setattr(attack, "poles", lambda sys: (PoleRecord(3.0, "unstable"),))
-        with pytest.raises(NumericError, match="not singular"):
-            synth_sensor_attack(cfg)
-
     @pytest.mark.parametrize("m", [None, 2, 3], ids=["single_rate", "m2", "m3"])
     def test_direction_matches_the_left_factor_oracle_on_pole_at_2(self, m):
         plant = unstable_scalar()

@@ -21,6 +21,16 @@ from helpers import (
 )
 
 
+DEPENDENT_INPUTS = {
+    "Ac": [[-1.0, 0.3], [0.2, -0.5]],
+    "Bc": [[1.0, 1.0], [0.5, 0.5]],
+    "Cc": [[1.0, 0.0], [0.0, 1.0]],
+    "Dc": [[0.0, 0.0], [0.0, 0.0]],
+    "T": 1.0,
+    "name": "dependent-inputs",
+}
+
+
 def run_cli(*args, env=None):
     cmd = [sys.executable, "-m", "liftguard", *args]
     return subprocess.run(cmd, capture_output=True, text=True, env=env)
@@ -53,6 +63,11 @@ def plant_files(tmp_path_factory):
         )
     )
     paths["fat"] = str(fat)
+    # two inputs along one direction: square and minimal, but its pencil's
+    # normal rank is 3 < 4, so one input masks the other
+    dependent = root / "dependent.json"
+    dependent.write_text(json.dumps(DEPENDENT_INPUTS))
+    paths["dependent"] = str(dependent)
     # sampling at T = pi/2 aliases the eigenvalues +-2j of the rotation; the
     # two inputs keep the sampled system minimal
     oscillator = root / "oscillator.json"
@@ -539,6 +554,32 @@ class TestAttackAndSimulate:
         assert results["single_rate"]["verdict"] == "stealthy"
         assert results["single_rate"]["max_monitor"] <= 0.01 / 2.0
         assert results["dual_rate"]["verdict"] == "detected"
+
+    def test_dependent_inputs_mask_each_other(self, plant_files, tmp_path):
+        # a square plant whose two inputs share one direction has a pencil
+        # of deficient normal rank: analyze says "yes" as for a fat plant,
+        # and attack's plan along the null direction (-1, 1) replays
+        # stealthy at single rate while the injection grows without bound
+        dependent = plant_files["dependent"]
+        res = run_cli("analyze", "--plant", dependent)
+        assert res.returncode == 0, res.stderr
+        single = json.loads(res.stdout)["single_rate"]
+        assert single["zero_report"]["normal_rank"] == 3
+        verdict = single["verdict"]
+        assert (verdict["actuator_stealthy"], verdict["actuator_mechanism"]) == ("yes", "fat_plant")
+        out = str(tmp_path / "dependent")
+        res = run_cli("attack", "--plant", dependent, "--out", out)
+        assert res.returncode == 0, res.stderr
+        plan = json.load(open(f"{out}/plan.json"))["plan"]
+        assert plan["kind"] == "actuator_zero" and plan["zeta"] == {"re": 1.1, "im": 0.0}
+        res = run_cli("simulate", "--plant", dependent, "--plan", f"{out}/plan.json", "--out", out)
+        assert res.returncode == 0, res.stderr
+        result = json.load(open(f"{out}/verdict.json"))["result"]
+        assert result["verdict"] == "stealthy" and result["max_monitor"] <= 0.01 / 2.0
+        rows = (tmp_path / "dependent" / "trace.csv").read_text().splitlines()
+        header, last = rows[0].split(","), rows[-1].split(",")
+        d_a = [abs(float(last[header.index(f"da_{i}")])) for i in (1, 2)]
+        assert min(d_a) >= 1e12
 
     def test_invulnerable_plant_exit_3(self, plant_files):
         res = run_cli("attack", "--plant", plant_files["double"])

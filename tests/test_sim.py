@@ -228,11 +228,11 @@ def _assert_trace_close(trace, want):
     every logged array, and its finite entries agree within
     ``LOOP_ORACLE_RTOL`` of the running state scale."""
     m = trace.samples_per_step
-    x = want[2]
+    u, y, x, monitor = want
     size = np.max(np.where(np.isfinite(x), np.abs(x), 0.0), axis=1).reshape(-1, m).max(axis=1)
     per_step = np.maximum(1.0, np.maximum.accumulate(size))
-    got = (trace.u, trace.y, trace.x, trace.y_physical, trace.monitor)
-    for name, g, w in zip(("u", "y", "x", "y_physical", "monitor"), got, want):
+    got = (trace.u, trace.y, trace.x, trace.monitor)
+    for name, g, w in zip(("u", "y", "x", "monitor"), got, (u, y, x[::m], monitor)):
         finite = np.isfinite(w)
         assert g.shape == w.shape and np.array_equal(np.isfinite(g), finite), name
         scale = per_step if g.shape[0] == per_step.size else np.repeat(per_step, m)
@@ -369,7 +369,7 @@ class TestSolveBlocks:
         cfg = _replay(0.01, mode, horizon=2000)
 
         def rows(trace):
-            state = np.hstack([trace.x[:: trace.samples_per_step], trace.u])
+            state = np.hstack([trace.x, trace.u])
             return (np.flatnonzero(~np.isfinite(state).all(axis=1))[0],
                     np.flatnonzero(np.isnan(state).all(axis=1))[0])
 
@@ -485,7 +485,7 @@ def _runs_trace(mode):
     return SimTrace(
         times=np.arange(N * m) * (0.01 / m), u=u, y=y, d_a=d_a, d_s=d_s, monitor=monitor,
         verdict=Verdict(detected=True, step=0), theta=theta, mode=mode, T=0.01,
-        samples_per_step=m, x=np.zeros((N * m, 1)), y_physical=y,
+        samples_per_step=m, x=np.zeros((N, 1)),
     )
 
 

@@ -23,12 +23,15 @@ from helpers import (
     bench_module,
     double_integrator,
     has_zero_at,
+    light_oscillator,
     multiplicity_at_one,
     random_continuous,
     random_discrete,
     reference_confirmed_zeros,
     reference_rank_systems,
+    reference_sensor_verdict,
     sampled,
+    stable_two_state,
     triple_integrator,
     unstable_scalar,
 )
@@ -308,7 +311,7 @@ class TestClassifyVulnerability:
         P = discretize(unstable_scalar(), 1.0)
         verdict = classify_vulnerability(transmission_zeros(P), P)
         assert verdict.sensor == "yes"
-        assert abs(verdict.sensor_witness.value - 2.0) <= 1e-9
+        assert abs(verdict.sensor_witness.z_value - 2.0) <= 1e-9
 
     def test_fat_plant_always_actuator_yes(self):
         rng = np.random.default_rng(77)
@@ -331,6 +334,56 @@ class TestClassifyVulnerability:
         P = discretize(integ, 1.0)
         verdict = classify_vulnerability(transmission_zeros(P), P)
         assert verdict.sensor == "no"
+
+
+def _sensor_rule_agrees_with_poles(sys):
+    """The sensor verdict and witness modulus (within 1e-9 relative) of
+    ``classify_vulnerability`` on ``sys`` are those of its eigenvalues."""
+    verdict = classify_vulnerability(transmission_zeros(sys), sys)
+    want, modulus = reference_sensor_verdict(sys)
+    assert verdict.sensor == want
+    if modulus is None:
+        assert verdict.sensor_witness is None
+    else:
+        assert abs(abs(verdict.sensor_witness.z_value) - modulus) <= 1e-9 * modulus
+    return want
+
+
+_FIXED_PLANTS = {
+    "triple_integrator": triple_integrator,
+    "double_integrator": double_integrator,
+    "unstable_scalar": unstable_scalar,
+    "light_oscillator": light_oscillator,
+    "stable_two_state": stable_two_state,
+}
+
+
+class TestSensorRuleAgainstPoles:
+    """The sensor set's pencil ``(A, 0, C, I)`` gives the verdict the
+    eigenvalues of A give."""
+
+    @pytest.mark.parametrize("mode", ["single_rate", "dual_rate"])
+    @pytest.mark.parametrize("plant", sorted(_FIXED_PLANTS))
+    def test_fixed_plants(self, plant, mode):
+        for T in (1.0, 0.5, 0.1, 0.01, 1e-3):
+            _sensor_rule_agrees_with_poles(sampled(_FIXED_PLANTS[plant](), T, mode))
+
+    @pytest.mark.parametrize("shape", ["tall", "square", "fat"])
+    def test_population(self, shape):
+        for sys in _population(shape):
+            _sensor_rule_agrees_with_poles(sys)
+
+    @pytest.mark.parametrize("mode", ["single_rate", "dual_rate"])
+    @pytest.mark.parametrize("T", [27.0, 40.0, 60.0])
+    def test_slowly_sampled_pole_keeps_its_verdicts(self, T, mode):
+        # the pole at 2**T dwarfs B and C: the equilibrated probes keep the
+        # normal rank full, and past the z-infinity cutoff the sensor
+        # pencil, of full rank at z-infinity, keeps its zero
+        sys = sampled(unstable_scalar(), T, mode)
+        report = transmission_zeros(sys)
+        assert report.normal_rank == sys.n + sys.n_u
+        assert classify_vulnerability(report, sys).actuator == "no"
+        assert _sensor_rule_agrees_with_poles(sys) == "yes"
 
 
 class TestNonMinimalRejected:
