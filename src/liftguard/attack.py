@@ -85,13 +85,16 @@ def geometric_sequence(direction, ratio: complex, epsilon: float, n_steps: int) 
 class AttackPlan:
     """Parametric attack description: ``epsilon * Re(direction * zeta^k)``.
 
-    ``zeta`` has modulus above one and ``direction`` max-norm one; every
-    parameter must be finite.  An ``actuator_zero`` plan injects on the
-    actuators, a ``sensor_pole`` plan on the sensors, one distinct,
-    non-negative channel of ``channel_map`` per entry of ``direction``.  A
-    ``coordinated`` plan injects on both: ``channel_map`` names its
-    actuator channels, one per leading entry of ``direction``, and the
-    rest of ``direction`` is its sensor part, on sensor channels 0, 1, ...
+    ``zeta`` has modulus above one, ``direction`` max-norm one and
+    ``horizon`` at least one base step; every parameter must be finite.  An
+    ``actuator_zero`` plan injects on the actuators, a ``sensor_pole`` plan
+    on the sensors, one distinct, non-negative channel of ``channel_map``
+    per entry of ``direction``.  A ``coordinated`` plan injects on both:
+    ``channel_map`` names its actuator channels, one per leading entry of
+    ``direction``, and the rest of ``direction`` is its sensor part, on
+    sensor channels 0, 1, ...  :attr:`channels` is that one table, and
+    :meth:`render` places the signal by it: actuator entries held for a
+    hold period, sensor entries one per output sample.
     """
 
     kind: str
@@ -118,6 +121,8 @@ class AttackPlan:
             raise ValueError("plan direction must have max-norm one")
         if not 0 < self.epsilon < np.inf:
             raise ValueError("epsilon must be positive and finite")
+        if self.horizon < 1:
+            raise ValueError(f"plan horizon must be at least one step, got {self.horizon}")
         ch, width = self.channel_map, len(self.direction)
         if self.kind == "coordinated":
             # the actuator channels; the rest of the direction is the sensor part
@@ -128,50 +133,41 @@ class AttackPlan:
             raise ValueError(f"plan channel_map {list(ch)} does not name {wanted} distinct, "
                              "non-negative channels, one per direction entry it places")
 
-    def _part(self, sensor: bool):
-        """(direction, channels) of the plan's sensor or actuator part, or
-        None when it injects on no such channel."""
-        d, ch = self.direction, self.channel_map
-        if self.kind == "coordinated":
-            k = len(ch)
-            return (d[k:], tuple(range(len(d) - k))) if sensor else (d[:k], ch)
-        return (d, ch) if (self.kind == "sensor_pole") == sensor else None
-
     @property
-    def sensor_channels(self) -> tuple:
-        """Sensor channels the plan injects on (empty for an actuator plan)."""
-        return (self._part(True) or ((), ()))[1]
+    def channels(self) -> tuple:
+        """(actuator channels, sensor channels) the plan injects on, one per
+        entry of ``direction`` in that order; either part may be empty."""
+        ch = self.channel_map
+        if self.kind == "coordinated":
+            return ch, tuple(range(len(self.direction) - len(ch)))
+        return ((), ch) if self.kind == "sensor_pole" else (ch, ())
 
-    def _render(self, sensor: bool, n_rows: int, n_channels: int):
-        part = self._part(sensor)
-        if part is None:
-            return None
-        direction, channels = part
-        if max(channels) >= n_channels:
-            raise DimensionError(
-                f"plan channel {max(channels)} out of range for {n_channels} channels"
-            )
-        out = np.zeros((n_rows, n_channels))
-        out[:, list(channels)] = geometric_sequence(direction, self.zeta, self.epsilon, n_rows)
-        return out
+    def render(self, n_steps: int, n_u: int, n_y: int, m: int = 1):
+        """``(d_a, d_s)`` over ``n_steps`` base steps of ``m`` samples each:
+        the actuator injection on ``n_u`` channels, one row per base step,
+        and the sensor injection on ``n_y`` channels, one row per sample,
+        zero on every channel the plan leaves alone.
 
-    def actuator_sequence(self, n_steps: int, n_channels: int):
-        """Actuator injection, one row per base step (None for sensor plans)."""
-        return self._render(False, n_steps, n_channels)
-
-    def sensor_sequence(self, n_steps: int, n_channels: int, m: int = 1):
-        """Sensor injection over ``n_steps`` base steps of ``m`` samples
-        each, one row per sample (None for actuator plans).
-
-        A sensor part whose channels reach past ``n_channels`` rides the
-        lifted system: its channels are the ``m * n_channels`` outputs
-        stacked over one base step, so it is rendered one base step at a
-        time and each row is unstacked into its m samples.
+        A sensor part whose channels reach past ``n_y`` rides the lifted
+        system: its channels are the ``m * n_y`` outputs stacked over one
+        base step, so it is rendered one base step at a time and each row
+        is unstacked into its m samples.  A channel out of range is a
+        :class:`DimensionError`.
         """
-        lifted = max(self.sensor_channels, default=-1) >= n_channels
-        rows, width = (n_steps, m * n_channels) if lifted else (n_steps * m, n_channels)
-        seq = self._render(True, rows, width)
-        return None if seq is None else seq.reshape(n_steps * m, n_channels)
+        actuators, sensors = self.channels
+        lifted = max(sensors, default=-1) >= n_y
+        d_a = np.zeros((n_steps, n_u))
+        d_s = np.zeros((n_steps, m * n_y) if lifted else (n_steps * m, n_y))
+        parts = np.split(self.direction, [len(actuators)])
+        for out, channels, direction in zip((d_a, d_s), (actuators, sensors), parts):
+            if not channels:
+                continue
+            rows, width = out.shape
+            if max(channels) >= width:
+                raise DimensionError(
+                    f"plan channel {max(channels)} out of range for {width} channels")
+            out[:, list(channels)] = geometric_sequence(direction, self.zeta, self.epsilon, rows)
+        return d_a, d_s.reshape(n_steps * m, n_y)
 
 
 def default_horizon(ratio: complex) -> int:

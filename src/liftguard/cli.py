@@ -313,10 +313,12 @@ def _read_plan(path, head, system, plant_n_y, key):
     hash of ``head`` and the ``key`` of the loop on ``system``; else None.
     A malformed file, ``loop`` or recorded controller (one that does not fit
     ``system`` or holds a boolean or a non-finite entry) is a ValueError
-    naming it, as is a sensor channel past the outputs of the loop the plan
-    records (``plant_n_y`` times its m); a plan whose sensor channels reach
-    past the plant's ``plant_n_y`` outputs rides the lifted outputs at its
-    recorded m, and any other loop is a ConfigurationError."""
+    naming it, as is an actuator channel past the inputs of ``system`` or a
+    sensor channel past the outputs of the loop the plan records
+    (``plant_n_y`` times its m), all before any loop is designed; a plan
+    whose sensor channels reach past the plant's ``plant_n_y`` outputs
+    rides the lifted outputs at its recorded m, and any other loop is a
+    ConfigurationError."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or "plan" not in doc:
@@ -327,12 +329,16 @@ def _read_plan(path, head, system, plant_n_y, key):
     if not isinstance(loop, dict):
         raise ValueError(f"plan field 'loop' must be an object, not {type(loop).__name__}")
     plan_m = None if loop.get("m") is None else _field("plan loop", loop, "m", _integer)
-    sensor = max(plan.sensor_channels, default=-1)
-    if sensor >= plant_n_y * (plan_m or 1):
-        raise ValueError(
-            f"plan channel_map {list(plan.channel_map)} places sensor channel {sensor}, past "
-            f"the {plant_n_y * (plan_m or 1)} outputs of the loop the plan records (m={plan_m})"
-        )
+    actuators, sensors = plan.channels
+    sensor = max(sensors, default=-1)
+    for part, channel, count, of in (
+        ("actuator", max(actuators, default=-1), system.n_u, "inputs of the plant"),
+        ("sensor", sensor, plant_n_y * (plan_m or 1),
+         f"outputs of the loop the plan records (m={plan_m})"),
+    ):
+        if channel >= count:
+            raise ValueError(f"plan channel_map {list(plan.channel_map)} places {part} "
+                             f"channel {channel}, past the {count} {of}")
     loop_m = key["m"] or 1  # single rate is the loop at m = 1
     if sensor >= plant_n_y and loop_m != plan_m:
         raise ConfigurationError(

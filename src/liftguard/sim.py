@@ -77,11 +77,11 @@ class LoopConfig:
     system's outputs (the m stacked samples of a hold period in dual
     rate) to its inputs; its dimensions are checked here.  ``horizon``
     counts base steps.  ``attack`` is an attack plan (or None); its
-    signals are rendered at the base rate for the actuator channel and at
-    the sampling rate of the sensors (a plan on the lifted outputs is
-    unstacked into its m samples).  The plant starts from ``x0_plant``, a
-    finite vector of length ``system.n`` (zero when None), the controller
-    always from zero.
+    ``render`` gives the loop the actuator injection, one row per base
+    step, and the sensor injection on the plant's outputs, one row per
+    output sample.  The plant starts from ``x0_plant``, a finite vector
+    of length ``system.n`` (zero when None), the controller always from
+    zero.
     """
 
     system: DiscretePlant | LiftedSystem
@@ -173,19 +173,6 @@ def monitor_eval(y_stream, u_stream, theta: float):
     return Verdict(detected=False, step=None), values
 
 
-def _render_attack(attack, n_base: int, n_u: int, m: int, n_y: int):
-    d_a = np.zeros((n_base, n_u))
-    d_s = np.zeros((n_base * m, n_y))
-    if attack is not None:
-        seq_a = attack.actuator_sequence(n_base, n_u)
-        seq_s = attack.sensor_sequence(n_base, n_y, m)
-        if seq_a is not None:
-            d_a = seq_a
-        if seq_s is not None:
-            d_s = seq_s
-    return d_a, d_s
-
-
 def _check_divergence(Y: np.ndarray, U: np.ndarray) -> None:
     """Refuse an attack-free run at the first hold period whose stacked
     measurements ``Y[k]`` or command ``U[k]`` pass the divergence guard.
@@ -238,7 +225,10 @@ def _closed_loop(cfg: LoopConfig, mode: str) -> SimTrace:
         raise ConfigurationError(f"{mode.replace('_', '-')} closed loop is unstable "
                                  f"(spectral radius {rho:.6f}); refusing to simulate")
     N, n, m = cfg.horizon, sys.n, cfg.m or 1
-    d_a, d_s = _render_attack(cfg.attack, N, sys.n_u, m, sys.n_y // m)
+    if cfg.attack is None:
+        d_a, d_s = np.zeros((N, sys.n_u)), np.zeros((N * m, sys.n_y // m))
+    else:
+        d_a, d_s = cfg.attack.render(N, sys.n_u, sys.n_y // m, m)
     xi = np.zeros((N, n + K.n))  # ξ at the start of each hold period
     if cfg.x0_plant is not None:
         xi[0, :n] = cfg.x0_plant

@@ -262,10 +262,10 @@ def reference_sensor_verdict(sys):
 
 
 class Injector:
-    """Fixed attack signals for a loop run: it answers the two calls
-    ``sim._render_attack`` makes of a plan.  ``d_a`` has one row per base
-    step and ``d_s`` one per sample; each is cut or zero-padded to the
-    run's length and placed on the leading channels."""
+    """Fixed attack signals for a loop run: it answers the one call a loop
+    makes of a plan, ``render``.  ``d_a`` has one row per base step and
+    ``d_s`` one per sample; each is cut or zero-padded to the run's length
+    and placed on the leading channels."""
 
     def __init__(self, d_a, d_s):
         self.d_a = np.asarray(d_a, dtype=float)
@@ -278,11 +278,8 @@ class Injector:
         out[:take, : seq.shape[1]] = seq[:take]
         return out
 
-    def actuator_sequence(self, n_steps, n_channels):
-        return self._fit(self.d_a, n_steps, n_channels)
-
-    def sensor_sequence(self, n_steps, n_channels, m=1):
-        return self._fit(self.d_s, n_steps * m, n_channels)
+    def render(self, n_steps, n_u, n_y, m=1):
+        return self._fit(self.d_a, n_steps, n_u), self._fit(self.d_s, n_steps * m, n_y)
 
 
 def has_zero_at(sys, z: complex) -> bool:
@@ -405,10 +402,7 @@ def reference_closed_loop(cfg):
     fast, m = (sys.fast_plant, sys.m) if cfg.mode == "dual_rate" else (sys, 1)
     d_a, d_s = np.zeros((N, fast.n_u)), np.zeros((N * m, fast.n_y))
     if cfg.attack is not None:
-        seq_a = cfg.attack.actuator_sequence(N, fast.n_u)
-        seq_s = cfg.attack.sensor_sequence(N, fast.n_y, m)
-        d_a = d_a if seq_a is None else seq_a
-        d_s = d_s if seq_s is None else seq_s
+        d_a, d_s = cfg.attack.render(N, fast.n_u, fast.n_y, m)
     x = np.zeros(fast.n) if cfg.x0_plant is None else np.asarray(cfg.x0_plant, dtype=float)
     xk = np.zeros(K.n)
     u, xs, y_phys = np.empty((N, fast.n_u)), np.empty((N * m, fast.n)), np.empty((N * m, fast.n_y))

@@ -20,13 +20,14 @@ from liftguard import (
 from liftguard.attack import (
     FREE_ZETA,
     AttackPlan,
+    geometric_sequence,
     plan_from_dict,
     plan_to_dict,
     synth_actuator_attack,
     synth_coordinated_attack,
     synth_sensor_attack,
 )
-from liftguard.errors import CapabilityError, NumericError
+from liftguard.errors import CapabilityError, DimensionError, NumericError
 from liftguard.sim import LoopConfig
 
 from helpers import (
@@ -355,10 +356,8 @@ class TestCoordinatedPlan:
         )
         np.testing.assert_array_equal(clone.direction, plan.direction)
         for n_steps in (1, 7):
-            np.testing.assert_array_equal(clone.actuator_sequence(n_steps, 1),
-                                          plan.actuator_sequence(n_steps, 1))
-            np.testing.assert_array_equal(clone.sensor_sequence(n_steps, 1, 4),
-                                          plan.sensor_sequence(n_steps, 1, 4))
+            for got, want in zip(clone.render(n_steps, 1, 1, 4), plan.render(n_steps, 1, 1, 4)):
+                np.testing.assert_array_equal(got, want)
 
 
 class TestFatPlantPlan:
@@ -467,6 +466,65 @@ def test_channel_map_must_fit_the_signal(kind, channel_map, message):
     with pytest.raises(ValueError, match=message):
         AttackPlan(kind=kind, zeta=2.0, direction=direction, epsilon=1.0, horizon=5,
                    channel_map=channel_map)
+
+
+# Each case names where every direction entry must land: an actuator
+# entry on a column of d_a, every base step; a sensor entry on a column of
+# d_s, either every sample (offset None) or, on the lifted outputs, the
+# sample at its offset within each hold period.
+_PLACEMENTS = {
+    "actuator": ("actuator_zero", [1.0, -0.5j], (2, 0), (3, 2, 2), {0: 2, 1: 0}, {}),
+    "sensor_sample_rate": ("sensor_pole", [0.5, 1.0], (1, 0), (1, 2, 1), {},
+                           {0: (None, 1), 1: (None, 0)}),
+    "sensor_sample_rate_m3": ("sensor_pole", [1.0], (1,), (1, 2, 3), {}, {0: (None, 1)}),
+    "sensor_lifted_m2": ("sensor_pole", [1.0, 0.3 + 0.2j], (1, 0), (1, 1, 2), {},
+                         {0: (1, 0), 1: (0, 0)}),
+    "sensor_lifted_m4": ("sensor_pole", [1.0, -0.25, 0.5j], (7, 2, 4), (1, 2, 4), {},
+                         {0: (3, 1), 1: (1, 0), 2: (2, 0)}),
+    "coordinated": ("coordinated", [0.5, 1.0, -0.3, 0.2j], (1, 0), (2, 2, 1), {0: 1, 1: 0},
+                    {2: (None, 0), 3: (None, 1)}),
+    "coordinated_lifted": ("coordinated", [1.0, 0.5, -0.5, 0.25j], (0,), (1, 1, 3), {0: 0},
+                           {1: (0, 0), 2: (1, 0), 3: (2, 0)}),
+}
+
+
+@pytest.mark.parametrize("case", list(_PLACEMENTS))
+def test_render_places_each_entry_on_its_channel(case):
+    # the reference: geometric_sequence of each entry alone, written by
+    # hand into its column, zeros everywhere else
+    kind, direction, channel_map, (n_u, n_y, m), actuators, sensors = _PLACEMENTS[case]
+    zeta, eps, n_steps = 1.3 * np.exp(0.4j), 0.7, 5
+    plan = AttackPlan(kind=kind, zeta=zeta, direction=direction, epsilon=eps, horizon=n_steps,
+                      channel_map=channel_map)
+    want_a, want_s = np.zeros((n_steps, n_u)), np.zeros((n_steps * m, n_y))
+    for entry, column in actuators.items():
+        want_a[:, column] = geometric_sequence([direction[entry]], zeta, eps, n_steps)[:, 0]
+    for entry, (offset, column) in sensors.items():
+        rows = slice(None) if offset is None else slice(offset, None, m)
+        want_s[rows, column] = geometric_sequence(
+            [direction[entry]], zeta, eps, n_steps * m if offset is None else n_steps)[:, 0]
+    d_a, d_s = plan.render(n_steps, n_u, n_y, m)
+    np.testing.assert_array_equal(d_a, want_a)
+    np.testing.assert_array_equal(d_s, want_s)
+
+
+@pytest.mark.parametrize(
+    "kind, direction, channel_map, n_u, n_y, m, message",
+    [
+        ("actuator_zero", [1.0], (3,), 2, 1, 1, "plan channel 3 out of range for 2 channels"),
+        ("sensor_pole", [1.0], (5,), 1, 2, 2, "plan channel 5 out of range for 4 channels"),
+        ("coordinated", [1.0, 0.5], (2,), 2, 1, 1, "plan channel 2 out of range for 2 channels"),
+        ("coordinated", [1.0, 0.5, 0.5, 0.5, 0.5], (0,), 1, 1, 2,
+         "plan channel 3 out of range for 2 channels"),
+    ],
+    ids=["actuator", "sensor_lifted", "coordinated_actuator_part", "coordinated_sensor_part"],
+)
+def test_render_refuses_a_channel_out_of_range(kind, direction, channel_map, n_u, n_y, m,
+                                               message):
+    plan = AttackPlan(kind=kind, zeta=2.0, direction=direction, epsilon=1.0, horizon=5,
+                      channel_map=channel_map)
+    with pytest.raises(DimensionError, match=message):
+        plan.render(5, n_u, n_y, m)
 
 
 class TestPlanSerialization:

@@ -893,6 +893,80 @@ class TestChecksOnce:
         assert calls == {"coprime_factorize": 0, "dare_gain": 0}
         assert not (tmp_path / "replay").exists()
 
+    @staticmethod
+    def _edited_sensor_plan(cli, plant, tmp_path, capsys, **fields):
+        """pole-at-2's sensor plan with ``fields`` of its ``plan`` replaced."""
+        assert cli.main(["attack", "--kind", "sensor", "--plant", plant,
+                         "--out", str(tmp_path / "plan")]) == 0
+        capsys.readouterr()
+        doc = json.loads((tmp_path / "plan" / "plan.json").read_text())
+        doc["plan"].update(fields)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            ("actuator_zero", "[3] places actuator channel 3, past the 1 inputs of the plant"),
+            ("sensor_pole", "[3] places sensor channel 3, past the 1 outputs of the loop"),
+        ],
+        ids=["actuator", "sensor"],
+    )
+    def test_channel_past_the_plant_designs_no_loop(
+        self, plant_files, tmp_path, monkeypatch, capsys, kind, message
+    ):
+        # replayed with --Q 2, so the recorded controller is not reused: an
+        # actuator channel past the inputs used to be refused only when the
+        # designed loop rendered the plan
+        from liftguard import cli
+
+        plan = self._edited_sensor_plan(cli, plant_files["unstable"], tmp_path, capsys,
+                                        kind=kind, channel_map=[3])
+        calls = _count_designs(monkeypatch)
+        argv = ["simulate", "--plant", plant_files["unstable"], "--plan", plan, "--Q", "2",
+                "--out", str(tmp_path / "replay")]
+        assert cli.main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(f"plan channel_map {message}")
+        assert calls == {"coprime_factorize": 0, "dare_gain": 0}
+        assert not (tmp_path / "replay").exists()
+
+    @pytest.mark.parametrize("flags", [(), ("--horizon", "20")], ids=["no_flag", "horizon_flag"])
+    @pytest.mark.parametrize("horizon", [0, -4])
+    def test_plan_horizon_below_one_exit_2(
+        self, plant_files, tmp_path, monkeypatch, capsys, horizon, flags
+    ):
+        # such a plan used to be read: it exited 5 after its loop was
+        # designed, or ran under --horizon 20
+        from liftguard import cli
+
+        plan = self._edited_sensor_plan(cli, plant_files["unstable"], tmp_path, capsys,
+                                        horizon=horizon)
+        calls = _count_designs(monkeypatch)
+        argv = ["simulate", "--plant", plant_files["unstable"], "--plan", plan, *flags,
+                "--out", str(tmp_path / "replay")]
+        assert cli.main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError",
+                       "message": f"plan horizon must be at least one step, got {horizon}"}
+        assert calls == {"coprime_factorize": 0, "dare_gain": 0}
+        assert not (tmp_path / "replay").exists()
+
+    def test_horizon_flag_below_one_exit_5(self, plant_files, tmp_path, capsys):
+        # the flag is a loop parameter, refused when the loop is configured
+        from liftguard import cli
+
+        plan = self._edited_sensor_plan(cli, plant_files["unstable"], tmp_path, capsys)
+        argv = ["simulate", "--plant", plant_files["unstable"], "--plan", plan,
+                "--horizon", "0", "--out", str(tmp_path / "replay")]
+        assert cli.main(argv) == 5
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ConfigurationError",
+                       "message": "horizon must be at least one step"}
+        assert not (tmp_path / "replay" / "verdict.json").exists()
+
     @pytest.mark.parametrize(
         "flags, code, message",
         [

@@ -376,7 +376,7 @@ class TestSolveBlocks:
         with np.errstate(all="ignore"):
             first_bad, _ = rows(_run(cfg))
             delay = -(first_bad + 1) % BLOCK
-            d_a = overflow_plan.actuator_sequence(2000 - delay, 1)
+            d_a, _ = overflow_plan.render(2000 - delay, 1, 1)
             cfg = dataclasses.replace(
                 cfg, attack=Injector(np.vstack([np.zeros((delay, 1)), d_a]), np.zeros((0, 1))))
             trace = _run(cfg)
